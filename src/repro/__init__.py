@@ -90,7 +90,7 @@ _API_NAMES = frozenset((
     "ChaosEngine", "FaultSpec", "CircuitBreaker", "RetryPolicy",
     "ConfigMixin", "config_from_dict", "config_to_dict",
     "Observability", "observe", "ReproError",
-    "inference_dtype", "use_fused",
+    "inference_dtype",
 ))
 
 __all__ = sorted(_API_NAMES | set(_LEGACY) | {"__version__"})

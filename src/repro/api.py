@@ -15,7 +15,7 @@ The facade groups into layers:
   manager over a live ping stream.
 * **Serving** — the sharded multi-process :class:`FleetService`.
 * **Operations** — config round-trips, observability, resilience and
-  chaos primitives, and the fused/precision execution toggles.
+  chaos primitives, and the inference precision context.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .serve import (FleetService, ServeConfig, ServeError, SubmitResult,
 from .chaos import ChaosEngine, FaultSpec
 from .configbase import ConfigMixin, config_from_dict, config_to_dict
 from .errors import ReproError
-from .nn import inference_dtype, use_fused
+from .nn import inference_dtype
 from .obs import Observability, observe
 from .supervise import CircuitBreaker, RetryPolicy
 
@@ -59,5 +59,5 @@ __all__ = [
     "ChaosEngine", "FaultSpec", "CircuitBreaker", "RetryPolicy",
     "ConfigMixin", "config_from_dict", "config_to_dict",
     "Observability", "observe", "ReproError",
-    "inference_dtype", "use_fused",
+    "inference_dtype",
 ]

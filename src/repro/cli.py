@@ -392,7 +392,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         atomic_write_json(args.out, payload)
         print(f"wrote {args.out}")
     if not payload["equivalence"]["allclose"]:
-        print("FAIL: batched detection diverges from per-trajectory "
+        print("FAIL: batched detection diverges from batch-of-one "
               "results", file=sys.stderr)
         return 2
     if args.baseline is not None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..encoding import HierarchicalAutoencoder
 from ..nn import (Adam, CheckpointManager, EarlyStopping, TrainingHistory,
-                  bce_loss, clip_grad_norm, concat, kld_loss, use_fused)
+                  bce_loss, clip_grad_norm, concat, kld_loss)
 from ..obs.core import active_obs
 from .detectors import GroupDetector, IndependentDetector
 from .grouping import backward_index_maps, forward_index_maps
@@ -123,21 +123,20 @@ class JointDetectorTrainer:
             steps = 0
             order = rng.permutation(len(specs))
             totals = np.zeros(len(histories))
-            with use_fused(cfg.fused):
-                for start in range(0, len(order), cfg.batch_size):
-                    batch = [specs[int(c)]
-                             for c in order[start:start + cfg.batch_size]]
-                    losses = self._batch_losses(batch)
-                    total_loss = losses[0]
-                    for extra in losses[1:]:
-                        total_loss = total_loss + extra
-                    optimizer.zero_grad()
-                    (total_loss * (1.0 / len(batch))).backward()
-                    clip_grad_norm(optimizer.parameters, cfg.max_grad_norm)
-                    optimizer.step()
-                    for d, loss in enumerate(losses):
-                        totals[d] += loss.item()
-                    steps += 1
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [specs[int(c)]
+                         for c in order[start:start + cfg.batch_size]]
+                losses = self._batch_losses(batch)
+                total_loss = losses[0]
+                for extra in losses[1:]:
+                    total_loss = total_loss + extra
+                optimizer.zero_grad()
+                (total_loss * (1.0 / len(batch))).backward()
+                clip_grad_norm(optimizer.parameters, cfg.max_grad_norm)
+                optimizer.step()
+                for d, loss in enumerate(losses):
+                    totals[d] += loss.item()
+                steps += 1
             for d, history in enumerate(histories):
                 history.record(totals[d] / len(order))
             self._publish_epoch(epoch, histories, steps,

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..configbase import ConfigMixin
 from ..nn import (Adam, EarlyStopping, Tensor, TrainingHistory, bce_loss,
-                  clip_grad_norm, kld_loss, use_fused)
+                  clip_grad_norm, kld_loss)
 from .detectors import GroupDetector, IndependentDetector
 from .grouping import build_backward_group, build_forward_group, merge_groups
 from .labels import DEFAULT_EPSILON, smooth_label
@@ -61,9 +61,6 @@ class DetectorTrainingConfig(ConfigMixin):
     max_grad_norm: float = 5.0
     weight_decay: float = 1e-4   # decoupled L2, curbs site memorization
     seed: int = 0
-    #: Route forwards through the fused single-node autograd ops
-    #: (:mod:`repro.nn.fused`); ``False`` forces the legacy tape.
-    fused: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.learning_rate <= 0 or self.batch_size < 1:
@@ -105,36 +102,35 @@ class DetectorTrainer:
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(samples))
             totals = [0.0, 0.0]
-            with use_fused(cfg.fused):
-                for start in range(0, len(order), cfg.batch_size):
-                    batch = [samples[int(c)]
-                             for c in order[start:start + cfg.batch_size]]
-                    label = np.concatenate([
-                        smooth_label(len(s.cvecs), s.target_index,
-                                     cfg.epsilon)
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [samples[int(c)]
+                         for c in order[start:start + cfg.batch_size]]
+                label = np.concatenate([
+                    smooth_label(len(s.cvecs), s.target_index,
+                                 cfg.epsilon)
+                    for s in batch])
+                for d, (detector, optimizer, builder) in enumerate((
+                        (self.forward, optimizers[0],
+                         build_forward_group),
+                        (self.backward, optimizers[1],
+                         build_backward_group))):
+                    if done[d]:
+                        continue
+                    merged = merge_groups([
+                        builder(s.cvecs, s.num_stay_points)
                         for s in batch])
-                    for d, (detector, optimizer, builder) in enumerate((
-                            (self.forward, optimizers[0],
-                             build_forward_group),
-                            (self.backward, optimizers[1],
-                             build_backward_group))):
-                        if done[d]:
-                            continue
-                        merged = merge_groups([
-                            builder(s.cvecs, s.num_stay_points)
-                            for s in batch])
-                        batch_cvecs, _ = _stack_cvecs(batch)
-                        probs = detector.score_indexed(
-                            Tensor(batch_cvecs), list(merged.index_maps),
-                            segments=np.array([len(s.cvecs)
-                                               for s in batch]))
-                        loss = kld_loss(label, probs) * (1.0 / len(batch))
-                        totals[d] += loss.item() * len(batch)
-                        optimizer.zero_grad()
-                        loss.backward()
-                        clip_grad_norm(optimizer.parameters,
-                                       cfg.max_grad_norm)
-                        optimizer.step()
+                    batch_cvecs, _ = _stack_cvecs(batch)
+                    probs = detector.score_indexed(
+                        Tensor(batch_cvecs), list(merged.index_maps),
+                        segments=np.array([len(s.cvecs)
+                                           for s in batch]))
+                    loss = kld_loss(label, probs) * (1.0 / len(batch))
+                    totals[d] += loss.item() * len(batch)
+                    optimizer.zero_grad()
+                    loss.backward()
+                    clip_grad_norm(optimizer.parameters,
+                                   cfg.max_grad_norm)
+                    optimizer.step()
             for d in range(2):
                 if done[d]:
                     continue
@@ -174,24 +170,23 @@ class IndependentDetectorTrainer:
             order = rng.permutation(len(samples))
             total = 0.0
             batches = 0
-            with use_fused(cfg.fused):
-                for start in range(0, len(order), cfg.batch_size):
-                    batch = [samples[int(c)]
-                             for c in order[start:start + cfg.batch_size]]
-                    cvecs = np.concatenate([s.cvecs for s in batch], axis=0)
-                    target = np.zeros(len(cvecs))
-                    offset = 0
-                    for s in batch:
-                        target[offset + s.target_index] = 1.0
-                        offset += len(s.cvecs)
-                    probs = self.detector(Tensor(cvecs))
-                    loss = bce_loss(probs, target)
-                    optimizer.zero_grad()
-                    loss.backward()
-                    clip_grad_norm(optimizer.parameters, cfg.max_grad_norm)
-                    optimizer.step()
-                    total += loss.item()
-                    batches += 1
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [samples[int(c)]
+                         for c in order[start:start + cfg.batch_size]]
+                cvecs = np.concatenate([s.cvecs for s in batch], axis=0)
+                target = np.zeros(len(cvecs))
+                offset = 0
+                for s in batch:
+                    target[offset + s.target_index] = 1.0
+                    offset += len(s.cvecs)
+                probs = self.detector(Tensor(cvecs))
+                loss = bce_loss(probs, target)
+                optimizer.zero_grad()
+                loss.backward()
+                clip_grad_norm(optimizer.parameters, cfg.max_grad_norm)
+                optimizer.step()
+                total += loss.item()
+                batches += 1
             epoch_loss = total / batches
             history.record(epoch_loss)
             if verbose:

@@ -274,17 +274,6 @@ class HierarchicalAutoencoder(Module):
     # ------------------------------------------------------------------
     # Inference over all candidates of one trajectory
     # ------------------------------------------------------------------
-    def encode_trajectory(self, stay_segments: list[np.ndarray],
-                          move_segments: list[np.ndarray],
-                          pairs: list[tuple[int, int]]) -> np.ndarray:
-        """Encode every candidate of a raw trajectory, shape ``(N, 2H)``.
-
-        Inference-only wrapper of :meth:`encode_trajectory_tensor`.
-        """
-        with no_grad():
-            return self.encode_trajectory_tensor(
-                stay_segments, move_segments, pairs).numpy()
-
     def encode_trajectory_tensor(self, stay_segments: list[np.ndarray],
                                  move_segments: list[np.ndarray],
                                  pairs: list[tuple[int, int]]) -> Tensor:
@@ -327,15 +316,16 @@ class HierarchicalAutoencoder(Module):
     # ------------------------------------------------------------------
     def encode_trajectories(self, stay_lists: list[list[np.ndarray]],
                             move_lists: list[list[np.ndarray]],
-                            pairs_lists: list[list[tuple[int, int]]],
-                            bucket: bool = True) -> list[np.ndarray]:
+                            pairs_lists: list[list[tuple[int, int]]], *,
+                            bucket: bool) -> list[np.ndarray]:
         """Encode the candidates of many trajectories in fused batches.
 
         Phase 1 runs *once* over every segment of every trajectory (two
         GEMM-dominated passes instead of two per trajectory), and phase 2
-        runs once per shape bucket over the merged candidate set.  The
-        per-trajectory results equal :meth:`encode_trajectory` output up
-        to floating-point associativity of the underlying GEMMs (padding
+        runs over the merged candidate set — once per shape bucket with
+        ``bucket=True``, in one pass otherwise.  The per-trajectory
+        results equal :meth:`encode_trajectory_tensor` output up to
+        floating-point associativity of the underlying GEMMs (padding
         itself is exact: freeze-masked recurrences and ``-1e9`` masked
         attention zero padded contributions bit-for-bit).
 

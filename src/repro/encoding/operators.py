@@ -15,16 +15,14 @@ import numpy as np
 
 from ..nn import (Linear, LSTM, LSTMDecoder, Module, SelfAttentionAggregator,
                   Tensor)
-from ..nn.fused import fused_enabled, mlp_head
+from ..nn.fused import mlp_head
 
 __all__ = ["CompressionOperator", "DecompressionOperator"]
 
 
 def _head(fc1: Linear, fc2: Linear, x: Tensor) -> Tensor:
-    """``tanh(fc2(fc1(x)))`` — one fused tape node when fusion is on."""
-    if fused_enabled():
-        return mlp_head(x, fc1.weight, fc1.bias, fc2.weight, fc2.bias)
-    return fc2(fc1(x)).tanh()
+    """``tanh(fc2(fc1(x)))`` as one fused tape node."""
+    return mlp_head(x, fc1.weight, fc1.bias, fc2.weight, fc2.bias)
 
 
 class CompressionOperator(Module):

@@ -18,7 +18,7 @@ import numpy as np
 from ..configbase import ConfigMixin
 from ..features import CandidateFeatures
 from ..nn import (Adam, CheckpointManager, EarlyStopping, TrainingHistory,
-                  clip_grad_norm, use_fused)
+                  clip_grad_norm)
 from ..obs.core import active_obs
 from .autoencoder import HierarchicalAutoencoder
 
@@ -41,10 +41,6 @@ class AutoencoderTrainingConfig(ConfigMixin):
     #: segment).  Cuts wasted padded timesteps substantially on real
     #: data; ``False`` preserves the exact historical batch stream.
     bucket_batches: bool = True
-    #: Route recurrent/attention/linear forwards through the fused
-    #: single-node autograd ops (:mod:`repro.nn.fused`).  ``False``
-    #: forces the legacy per-step tape.
-    fused: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -102,9 +98,8 @@ class AutoencoderTrainer:
                 [(len(s.segments), max(len(seg) for seg in s.segments))
                  for s in samples])
         self.model.train()
-        with use_fused(cfg.fused):
-            self._run_epochs(samples, cfg, rng, optimizer, stopper, history,
-                             start_epoch, size_keys, verbose, checkpoint)
+        self._run_epochs(samples, cfg, rng, optimizer, stopper, history,
+                         start_epoch, size_keys, verbose, checkpoint)
         self.model.eval()
         if checkpoint is not None:
             checkpoint.clear()

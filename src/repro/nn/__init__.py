@@ -7,16 +7,15 @@ needs (see DESIGN.md S1-S4).
 
 from .attention import SelfAttentionAggregator, masked_softmax
 from .checkpoint import CheckpointManager, CheckpointState
-from .fused import (fused_enabled, gru_sequence, lstm_decode, lstm_sequence,
-                    use_fused)
+from .fused import gru_sequence, lstm_decode, lstm_sequence
 from .init import orthogonal, xavier_uniform
 from .layers import Linear, Sequential
 from .losses import bce_loss, kld_loss, mse_loss
 from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .precision import (VALID_DTYPES, active_dtype, active_dtype_name,
-                        clear_weight_views, inference_dtype, inference_param,
-                        weight_view, weight_view_stats)
+                        clear_weight_views, inference_dtype, weight_view,
+                        weight_view_stats)
 from .rnn import (BiLSTMLayer, GRU, GRUCell, LSTM, LSTMCell, LSTMDecoder,
                   StackedBiLSTM, sequence_mask)
 from .serialization import load_module, module_path, save_module
@@ -29,9 +28,8 @@ __all__ = [
     "LSTMCell", "GRUCell", "LSTM", "GRU", "BiLSTMLayer", "StackedBiLSTM",
     "LSTMDecoder", "sequence_mask",
     "lstm_sequence", "gru_sequence", "lstm_decode",
-    "use_fused", "fused_enabled",
     "inference_dtype", "active_dtype", "active_dtype_name", "VALID_DTYPES",
-    "weight_view", "inference_param", "weight_view_stats",
+    "weight_view", "weight_view_stats",
     "clear_weight_views",
     "SelfAttentionAggregator", "masked_softmax",
     "mse_loss", "kld_loss", "bce_loss",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fused import attention_pool
 from .layers import Linear
 from .module import Module
 from .tensor import Tensor
@@ -52,30 +53,14 @@ class SelfAttentionAggregator(Module):
         self.hidden_size = hidden_size
         self.query = Linear(hidden_size, hidden_size, rng)
         self.key = Linear(hidden_size, hidden_size, rng)
-        self._scale = 1.0 / np.sqrt(hidden_size)
 
     def forward(self, outputs: Tensor, last_hidden: Tensor,
                 lengths: np.ndarray | None = None) -> Tensor:
-        batch, steps, hidden = outputs.shape
+        hidden = outputs.shape[-1]
         if hidden != self.hidden_size:
             raise ValueError(
                 f"expected hidden size {self.hidden_size}, got {hidden}")
-        from .fused import attention_pool, fused_enabled
-        if fused_enabled():
-            # One tape node for the whole aggregation; bit-identical
-            # values (see :func:`repro.nn.fused.attention_pool`) and
-            # dtype-aware on the inference branch.
-            return attention_pool(
-                outputs, last_hidden,
-                self.query.weight, self.query.bias,
-                self.key.weight, self.key.bias,
-                lengths, neg_inf=_NEG_INF)
-        q = self.query(last_hidden)                      # (B, H)
-        k = self.key(outputs)                            # (B, T, H)
-        scores = (k * q.reshape(batch, 1, hidden)).sum(axis=2) * self._scale
-        mask = None
-        if lengths is not None:
-            from .rnn import sequence_mask
-            mask = sequence_mask(lengths, steps)
-        weights = masked_softmax(scores, mask, axis=1)   # (B, T)
-        return (outputs * weights.reshape(batch, steps, 1)).sum(axis=1)
+        return attention_pool(outputs, last_hidden,
+                              self.query.weight, self.query.bias,
+                              self.key.weight, self.key.bias,
+                              lengths, neg_inf=_NEG_INF)

@@ -1,10 +1,11 @@
 """Fused recurrent kernels: whole-sequence custom autograd ops.
 
-The per-step recurrent drivers in :mod:`repro.nn.rnn` are correct but
-tape-heavy: every LSTM timestep records ~20 closure-graph ``Tensor``
-nodes (gate slices, sigmoids, four elementwise products, the freeze-mask
-blend), gate slicing backpropagates through gradient scatters, and
-``stack()`` re-copies all ``T`` hidden states at the end.  On CPU that
+A per-step recurrent driver built from :class:`~repro.nn.tensor.Tensor`
+ops is correct but tape-heavy: every LSTM timestep records ~20
+closure-graph ``Tensor`` nodes (gate slices, sigmoids, four elementwise
+products, the freeze-mask blend), gate slicing backpropagates through
+gradient scatters, and ``stack()`` re-copies all ``T`` hidden states at
+the end.  On CPU that
 bookkeeping — not the GEMMs — dominates training wall-clock.
 
 This module collapses the tape: :func:`lstm_sequence`,
@@ -22,11 +23,11 @@ whole-tape vectorized products.
 Numerical contract
 ------------------
 The fused forward replays the floating-point operation order of the
-per-step cells in :mod:`repro.nn.rnn` (same hoisted input GEMM, same
+per-step tape (same hoisted input GEMM, same
 ``(x·W + h·W) + b`` association — float addition is commutative, so
 accumulating into the recurrent GEMM buffer is exact — same clipped
 sigmoid, same freeze-mask blend), so fused outputs are bit-identical to
-the unfused path and the batched==serial equivalence guarantees of the
+the tape and the batched==serial equivalence guarantees of the
 inference layer survive untouched.  The backward is algebraically the
 same BPTT the tape would perform; only the order in which per-step
 contributions are *summed* into the weight gradients differs (one big
@@ -38,15 +39,12 @@ Freeze-mask semantics for padding are preserved end to end: a padded
 step carries both state and gradient through unchanged, so all-padded
 rows produce zero states and zero gradients.
 
-The fused path is on by default; :class:`use_fused` toggles it
-per-thread (the flag lives in ``threading.local`` for the same reason
-the grad mode does — parallel detect workers must not corrupt each
-other's mode).
+These kernels are the only implementation.  The per-step tape they
+replaced survives as a test oracle (``tests/oracles.py``), which the
+equivalence tests swap in to check both contracts above.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -60,37 +58,7 @@ except ImportError:  # pragma: no cover
         return a.clip(lo, hi, out=out)
 
 __all__ = ["lstm_sequence", "gru_sequence", "lstm_decode",
-           "affine", "attention_pool", "mlp_head",
-           "use_fused", "fused_enabled"]
-
-#: Per-thread toggle for the fused sequence kernels (default: enabled).
-_FUSED_STATE = threading.local()
-
-
-def fused_enabled() -> bool:
-    """Whether recurrent drivers route through the fused kernels."""
-    return getattr(_FUSED_STATE, "enabled", True)
-
-
-class use_fused:
-    """Context manager that enables/disables the fused kernels.
-
-    ``with use_fused(False): ...`` forces the per-step cell path — used
-    by the equivalence tests and the training benchmark's unfused
-    reference measurement.  Thread-local, re-entrant.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self._enabled = bool(enabled)
-
-    def __enter__(self) -> "use_fused":
-        self._previous = fused_enabled()
-        _FUSED_STATE.enabled = self._enabled
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        _FUSED_STATE.enabled = self._previous
-
+           "affine", "attention_pool", "mlp_head"]
 
 def _sigmoid_into(pre: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out = 1 / (1 + exp(-clip(pre, ±60)))``, no temporaries.
@@ -178,7 +146,7 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
     batch, steps, features = xd.shape
     n = wh.shape[0]
     keep_m, drop_m, full_t = _masks(lengths, steps, cdt)
-    # Hoisted input GEMM — identical to LSTMCell.input_projection (a GEMM
+    # Hoisted input GEMM — identical to the tape's (B·T, F) GEMM (a GEMM
     # computes each output row independently, so transposing to
     # time-major first permutes rows without changing a single bit).
     xT = np.ascontiguousarray(xd.transpose(1, 0, 2))   # (T, B, F)
@@ -343,7 +311,7 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
     batch, steps, features = xd.shape
     n = wh.shape[0]
     keep_m, drop_m, full_t = _masks(lengths, steps, cdt)
-    # Hoisted input GEMM + bias — identical to GRUCell.input_projection
+    # Hoisted input GEMM + bias — identical to the tape's projection
     # (time-major row permutation; a GEMM computes rows independently).
     xT = np.ascontiguousarray(xd.transpose(1, 0, 2))   # (T, B, F)
     gi_all = (xT.reshape(steps * batch, features) @ wi + bi).reshape(

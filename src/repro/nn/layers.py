@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fused import affine
 from .init import xavier_uniform
 from .module import Module, Parameter
-from .precision import inference_param
 from .tensor import Tensor
 
 __all__ = ["Linear", "Sequential"]
@@ -32,14 +32,7 @@ class Linear(Module):
         if x.shape[-1] != self.in_features:
             raise ValueError(
                 f"expected last axis {self.in_features}, got {x.shape}")
-        from .fused import affine, fused_enabled
-        if fused_enabled():
-            # One tape node instead of two; bit-identical values (see
-            # :func:`repro.nn.fused.affine`) and dtype-aware on the
-            # inference branch.
-            return affine(x, self.weight, self.bias)
-        return (x @ inference_param(self.weight)
-                + inference_param(self.bias))
+        return affine(x, self.weight, self.bias)
 
 
 class Sequential(Module):

@@ -50,18 +50,16 @@ def mse_loss(prediction: Tensor, target: np.ndarray,
     valid positions in padded batches; the mean is taken over valid
     elements only.
 
-    Under the fused training path (:func:`repro.nn.fused.fused_enabled`,
-    the default) the whole loss is a single custom autograd op;
-    ``use_fused(False)`` restores the legacy multi-node tape.
+    With gradients enabled the whole loss is a single custom autograd
+    op; without them (evaluation) it is plain tensor arithmetic.
     """
-    from .fused import fused_enabled
     target = np.asarray(target, dtype=np.float64)
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.ndim < prediction.data.ndim:
             mask = mask.reshape(
                 mask.shape + (1,) * (prediction.data.ndim - mask.ndim))
-    if fused_enabled() and is_grad_enabled():
+    if is_grad_enabled():
         return _fused_mse(prediction, target, mask)
     diff = prediction - target
     squared = diff * diff

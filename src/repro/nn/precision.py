@@ -6,11 +6,10 @@ thresholded argmax over reconstruction-error softmaxes and tolerates
 reduced precision.  This module makes the compute dtype an explicit,
 per-thread policy instead of a hard-coded constant:
 
-* :func:`inference_dtype` — a context manager mirroring the
-  ``use_fused``/``fused_enabled`` threading.local pattern.  Inside
-  ``inference_dtype("float32")`` the fused kernels and the legacy tape
-  path run their *inference* branches in float32; training is untouched
-  because float32 is only ever applied while gradients are disabled.
+* :func:`inference_dtype` — a ``threading.local`` context manager.
+  Inside ``inference_dtype("float32")`` the fused kernels run their
+  *inference* branches in float32; training is untouched because
+  float32 is only ever applied while gradients are disabled.
 * :func:`weight_view` — one-time-cast float32 views of float64 master
   weights, cached per parameter and invalidated when the parameter
   mutates.  Optimizers update ``p.data`` **in place**, so invalidation
@@ -33,12 +32,11 @@ from collections import OrderedDict
 import numpy as np
 
 from ..obs.metrics import default_registry
-from .tensor import (Tensor, _PRECISION_STATE, active_dtype_name,
-                     is_grad_enabled)
+from .tensor import Tensor, _PRECISION_STATE, active_dtype_name
 
 __all__ = ["VALID_DTYPES", "inference_dtype", "active_dtype",
-           "active_dtype_name", "weight_view", "inference_param",
-           "compute_dtype_for", "weight_view_stats", "clear_weight_views"]
+           "active_dtype_name", "weight_view", "compute_dtype_for",
+           "weight_view_stats", "clear_weight_views"]
 
 #: The dtype names a precision context accepts.  Policy strings on the
 #: public config surface additionally allow ``"auto"``, which resolves
@@ -52,7 +50,7 @@ _DTYPES = {"float64": np.dtype(np.float64),
 # (``_PRECISION_STATE`` / ``active_dtype_name``), next to the autograd
 # flag: ``Tensor`` construction consults both to decide whether a
 # float32 array may pass through uncoerced, and importing it from here
-# would be circular.  Like autograd mode and fusion, the policy is
+# would be circular.  Like autograd mode, the policy is
 # ``threading.local`` so a detection worker running float32 never
 # changes the dtype observed by a concurrently training thread; each
 # thread starts in float64.
@@ -162,20 +160,6 @@ def weight_view(tensor: Tensor, dtype: np.dtype | None = None) -> np.ndarray:
         while len(_VIEW_CACHE) > _VIEW_CACHE_MAX:
             _VIEW_CACHE.popitem(last=False)
     return view
-
-
-def inference_param(tensor: Tensor) -> Tensor:
-    """The tensor to use for a parameter on the legacy tape path.
-
-    Under an active float32 policy *with gradients disabled*, returns a
-    detached tensor wrapping the cached float32 weight view; in every
-    other situation — training, or a float64 policy — returns the
-    parameter itself, keeping those paths byte-identical to the
-    pre-precision code.
-    """
-    if active_dtype_name() == "float64" or is_grad_enabled():
-        return tensor
-    return Tensor(weight_view(tensor))
 
 
 def weight_view_stats() -> dict[str, int]:

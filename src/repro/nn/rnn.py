@@ -17,28 +17,25 @@ single ``(B, F) @ (F, 4H)`` product serves all ``T`` steps.  The per-step
 work left in Python is only the irreducible recurrent part,
 ``h @ W_hh`` plus the gate nonlinearities.
 
-By default the drivers (:class:`LSTM`, :class:`GRU`,
-:class:`LSTMDecoder`, and through them :class:`BiLSTMLayer` /
-:class:`StackedBiLSTM`) route whole sequences through the fused kernels
-of :mod:`repro.nn.fused`, which run the time loop in raw numpy and
-contribute a *single* node to the autograd tape (hand-derived BPTT)
-instead of ~20 nodes per step.  The per-step cell classes remain the
-reference implementation: ``with use_fused(False):`` forces the legacy
-tape-per-step path, which the fused kernels are verified against
-(bit-identical forward, ``rtol=1e-9`` gradients) in
-``tests/test_fused.py``.
+The drivers (:class:`LSTM`, :class:`GRU`, :class:`LSTMDecoder`, and
+through them :class:`BiLSTMLayer` / :class:`StackedBiLSTM`) run whole
+sequences through the fused kernels of :mod:`repro.nn.fused`, which
+execute the time loop in raw numpy and contribute a *single* node to
+the autograd tape (hand-derived BPTT) instead of ~20 nodes per step.
+The cell classes hold the gate weights; a per-step tape reference that
+the kernels are verified against (bit-identical forward, ``rtol=1e-9``
+gradients) lives with the tests in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fused import fused_enabled, gru_sequence, lstm_decode, lstm_sequence
+from .fused import gru_sequence, lstm_decode, lstm_sequence
 from .init import orthogonal, xavier_uniform
 from .layers import Linear
 from .module import Module, Parameter
-from .precision import inference_param
-from .tensor import Tensor, concat, stack
+from .tensor import Tensor, concat
 
 __all__ = [
     "LSTMCell", "GRUCell", "LSTM", "GRU", "BiLSTMLayer", "StackedBiLSTM",
@@ -53,7 +50,7 @@ def sequence_mask(lengths: np.ndarray, max_len: int) -> np.ndarray:
 
 
 class LSTMCell(Module):
-    """A single LSTM step (Hochreiter & Schmidhuber, 1997).
+    """The weights of one LSTM layer (Hochreiter & Schmidhuber, 1997).
 
     Gate layout along the last axis of the fused weight matrices is
     ``[input, forget, cell, output]``.
@@ -73,43 +70,9 @@ class LSTMCell(Module):
         bias[hidden_size:2 * hidden_size] = 1.0  # forget-gate bias trick
         self.bias = Parameter(bias)
 
-    def input_projection(self, x: Tensor) -> Tensor:
-        """Hoisted input-to-hidden GEMM for a whole ``(B, T, F)`` batch.
-
-        Returns ``(B, T, 4H)``; pass slices of it to :meth:`forward` via
-        ``x_proj`` so the time loop skips the per-step ``x @ W_ih``.
-        Computed as one fused ``(B·T, F) @ (F, 4H)`` matmul.
-        """
-        batch, steps, features = x.shape
-        flat = x.reshape(batch * steps, features)
-        return (flat @ inference_param(self.w_ih)).reshape(
-            batch, steps, 4 * self.hidden_size)
-
-    def forward(self, x: Tensor | None, h: Tensor, c: Tensor,
-                mask: np.ndarray | None = None,
-                x_proj: Tensor | None = None) -> tuple[Tensor, Tensor]:
-        n = self.hidden_size
-        if x_proj is None:
-            x_proj = x @ inference_param(self.w_ih)
-        gates = (x_proj + h @ inference_param(self.w_hh)
-                 + inference_param(self.bias))
-        i = gates[:, 0 * n:1 * n].sigmoid()
-        f = gates[:, 1 * n:2 * n].sigmoid()
-        g = gates[:, 2 * n:3 * n].tanh()
-        o = gates[:, 3 * n:4 * n].sigmoid()
-        c_new = f * c + i * g
-        h_new = o * c_new.tanh()
-        if mask is not None:
-            keep = mask.reshape(-1, 1)
-            if keep.dtype != h_new.data.dtype:
-                keep = keep.astype(h_new.data.dtype)
-            h_new = h_new * keep + h * (1.0 - keep)
-            c_new = c_new * keep + c * (1.0 - keep)
-        return h_new, c_new
-
 
 class GRUCell(Module):
-    """A single GRU step (Cho et al., 2014).
+    """The weights of one GRU layer (Cho et al., 2014).
 
     Gate layout is ``[reset, update, new]``.
     """
@@ -127,32 +90,6 @@ class GRUCell(Module):
         self.b_ih = Parameter(np.zeros(3 * hidden_size))
         self.b_hh = Parameter(np.zeros(3 * hidden_size))
 
-    def input_projection(self, x: Tensor) -> Tensor:
-        """Hoisted ``(B·T, F) @ (F, 3H)`` input projection (bias included)."""
-        batch, steps, features = x.shape
-        flat = x.reshape(batch * steps, features)
-        return (flat @ inference_param(self.w_ih)
-                + inference_param(self.b_ih)).reshape(
-            batch, steps, 3 * self.hidden_size)
-
-    def forward(self, x: Tensor | None, h: Tensor,
-                mask: np.ndarray | None = None,
-                x_proj: Tensor | None = None) -> Tensor:
-        n = self.hidden_size
-        gi = (x @ inference_param(self.w_ih) + inference_param(self.b_ih)
-              if x_proj is None else x_proj)
-        gh = h @ inference_param(self.w_hh) + inference_param(self.b_hh)
-        r = (gi[:, 0 * n:1 * n] + gh[:, 0 * n:1 * n]).sigmoid()
-        z = (gi[:, 1 * n:2 * n] + gh[:, 1 * n:2 * n]).sigmoid()
-        candidate = (gi[:, 2 * n:3 * n] + r * gh[:, 2 * n:3 * n]).tanh()
-        h_new = (1.0 - z) * candidate + z * h
-        if mask is not None:
-            keep = mask.reshape(-1, 1)
-            if keep.dtype != h_new.data.dtype:
-                keep = keep.astype(h_new.data.dtype)
-            h_new = h_new * keep + h * (1.0 - keep)
-        return h_new
-
 
 class _Recurrent(Module):
     """Shared driver for unidirectional recurrent layers."""
@@ -161,13 +98,6 @@ class _Recurrent(Module):
         super().__init__()
         self.hidden_size = hidden_size
         self.reverse = reverse
-
-    def _zero_state(self, batch: int,
-                    dtype: np.dtype = np.float64) -> Tensor:
-        return Tensor(np.zeros((batch, self.hidden_size), dtype=dtype))
-
-    def _time_order(self, steps: int) -> range:
-        return range(steps - 1, -1, -1) if self.reverse else range(steps)
 
 
 class LSTM(_Recurrent):
@@ -186,23 +116,10 @@ class LSTM(_Recurrent):
 
     def forward(self, x: Tensor, lengths: np.ndarray | None = None
                 ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        if fused_enabled():
-            outputs, h, c = lstm_sequence(
-                x, self.cell.w_ih, self.cell.w_hh, self.cell.bias,
-                lengths=lengths, reverse=self.reverse)
-            return outputs, (h, c)
-        batch, steps, _ = x.shape
-        mask = None if lengths is None else sequence_mask(lengths, steps)
-        h = self._zero_state(batch, dtype=x.data.dtype)
-        c = self._zero_state(batch, dtype=x.data.dtype)
-        x_proj = self.cell.input_projection(x)  # one GEMM for all steps
-        outputs: list[Tensor] = [None] * steps  # type: ignore[list-item]
-        for t in self._time_order(steps):
-            step_mask = None if mask is None else mask[:, t]
-            h, c = self.cell(None, h, c, mask=step_mask,
-                             x_proj=x_proj[:, t, :])
-            outputs[t] = h
-        return stack(outputs, axis=1), (h, c)
+        outputs, h, c = lstm_sequence(
+            x, self.cell.w_ih, self.cell.w_hh, self.cell.bias,
+            lengths=lengths, reverse=self.reverse)
+        return outputs, (h, c)
 
 
 class GRU(_Recurrent):
@@ -216,20 +133,9 @@ class GRU(_Recurrent):
 
     def forward(self, x: Tensor, lengths: np.ndarray | None = None
                 ) -> tuple[Tensor, Tensor]:
-        if fused_enabled():
-            return gru_sequence(
-                x, self.cell.w_ih, self.cell.w_hh, self.cell.b_ih,
-                self.cell.b_hh, lengths=lengths, reverse=self.reverse)
-        batch, steps, _ = x.shape
-        mask = None if lengths is None else sequence_mask(lengths, steps)
-        h = self._zero_state(batch, dtype=x.data.dtype)
-        x_proj = self.cell.input_projection(x)  # one GEMM for all steps
-        outputs: list[Tensor] = [None] * steps  # type: ignore[list-item]
-        for t in self._time_order(steps):
-            step_mask = None if mask is None else mask[:, t]
-            h = self.cell(None, h, mask=step_mask, x_proj=x_proj[:, t, :])
-            outputs[t] = h
-        return stack(outputs, axis=1), h
+        return gru_sequence(
+            x, self.cell.w_ih, self.cell.w_hh, self.cell.b_ih,
+            self.cell.b_hh, lengths=lengths, reverse=self.reverse)
 
 
 class BiLSTMLayer(Module):
@@ -287,21 +193,5 @@ class LSTMDecoder(Module):
 
     def forward(self, v: Tensor, steps: int,
                 lengths: np.ndarray | None = None) -> Tensor:
-        if fused_enabled():
-            return lstm_decode(v, self.cell.w_ih, self.cell.w_hh,
-                               self.cell.bias, steps, lengths=lengths)
-        batch = v.shape[0]
-        mask = None if lengths is None else sequence_mask(lengths, steps)
-        h = Tensor(np.zeros((batch, self.hidden_size),
-                            dtype=v.data.dtype))
-        c = Tensor(np.zeros((batch, self.hidden_size),
-                            dtype=v.data.dtype))
-        # The input is the same vector at every step: project it once and
-        # reuse the result for all ``steps`` iterations.
-        v_proj = v @ inference_param(self.cell.w_ih)
-        outputs: list[Tensor] = []
-        for t in range(steps):
-            step_mask = None if mask is None else mask[:, t]
-            h, c = self.cell(None, h, c, mask=step_mask, x_proj=v_proj)
-            outputs.append(h)
-        return stack(outputs, axis=1)
+        return lstm_decode(v, self.cell.w_ih, self.cell.w_hh,
+                           self.cell.bias, steps, lengths=lengths)

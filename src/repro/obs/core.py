@@ -2,7 +2,7 @@
 
 Telemetry is **off by default** and costs (near) nothing when off: call
 sites consult a ``threading.local`` slot via :func:`active_obs` — the
-same pattern as ``use_fused`` / ``inference_dtype`` — and when it is
+same pattern as ``no_grad`` / ``inference_dtype`` — and when it is
 empty they either skip instrumentation entirely or receive a shared
 no-op context manager.  Nothing global is mutated by merely importing
 this module.

@@ -203,11 +203,19 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[str, _Instrument] = {}
+        # Keys queued by :meth:`unregister`, dropped under the lock.
+        self._pending_removals: list[str] = []
+
+    def _purge_pending(self) -> None:
+        """Drop queued keys; the caller holds ``self._lock``."""
+        while self._pending_removals:
+            self._instruments.pop(self._pending_removals.pop(), None)
 
     def _get_or_create(self, cls, name: str, help: str,
                        labels: dict[str, str] | None, **kwargs):
         key = name + _render_labels(labels)
         with self._lock:
+            self._purge_pending()
             existing = self._instruments.get(key)
             if existing is not None:
                 if not isinstance(existing, cls):
@@ -234,10 +242,22 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help, labels,
                                    buckets=buckets)
 
+    def unregister(self, *keys: str) -> None:
+        """Drop the instruments with these identity keys (missing: no-op).
+
+        The keys are only queued here and leave the registry at its next
+        access.  This runs from garbage-collection finalizers, and a
+        collection can start inside this registry's own locked section
+        on the same thread, so taking the (non-reentrant) lock here
+        would deadlock; ``list.extend`` is atomic and needs no lock.
+        """
+        self._pending_removals.extend(keys)
+
     # ------------------------------------------------------------------
     def instruments(self) -> list[_Instrument]:
         """Every registered instrument, sorted by identity key."""
         with self._lock:
+            self._purge_pending()
             return [self._instruments[k]
                     for k in sorted(self._instruments)]
 

@@ -16,7 +16,7 @@ task), capture :meth:`Tracer.current_context` — a picklable
 executing side.  Process-pool workers have no live tracer, so a shipped
 context degrades to a no-op there; the serial and thread lanes retain
 full nesting.  This mirrors how the repo's other ambient policies
-(``use_fused``, ``inference_dtype``) scope per thread.
+(``no_grad``, ``inference_dtype``) scope per thread.
 """
 
 from __future__ import annotations

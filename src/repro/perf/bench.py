@@ -8,17 +8,16 @@ Measures, at a named experiment scale:
   against a pinned legacy per-fix scalar reference — with equivalence
   evidence (bit-identical spans and kept sets, POI counts at
   ``rtol=1e-9``);
-* encoding throughput (trajectories/sec), per-trajectory loop vs one
-  batched cross-trajectory pass;
-* detection throughput, per-trajectory :meth:`LEAD.detect_processed`
-  loop vs :meth:`LEAD.detect_processed_batch`;
-* batched-vs-unbatched equivalence (``allclose`` at ``rtol=1e-9`` over
-  the full test set, plus the observed max abs deviation);
-* autoencoder training throughput (optimizer steps/sec) on the scale's
-  own featurized candidates: the fused default path
-  (:mod:`repro.nn.fused` single-node kernels + length-bucketed
-  batching) versus the legacy per-step tape with the historical batch
-  stream (``fused=False, bucket_batches=False``);
+* encoding throughput (trajectories/sec), a loop of batch-of-one calls
+  vs one batched cross-trajectory pass;
+* detection throughput, a loop of batch-of-one
+  :meth:`LEAD.detect_processed` calls vs one
+  :meth:`LEAD.detect_processed_batch` call;
+* batch-of-one vs whole-batch equivalence — a single pass against the
+  shape-bucketed one (``allclose`` at ``rtol=1e-9`` over the full test
+  set, plus the observed max abs deviation);
+* autoencoder training throughput (optimizer steps/sec) of the default
+  trainer configuration on the scale's own featurized candidates;
 * wall-clock of a full tiny-scale offline ``fit`` (always tiny,
   whatever the bench scale — it is the trend line, not a rate).
 
@@ -131,9 +130,8 @@ def _clear_feature_caches(lead) -> None:
 # -- pinned legacy preprocessing references -----------------------------------
 # The geospatial front-end used to route every per-fix distance through
 # numpy's scalar ufunc machinery.  These reimplementations pin that
-# behaviour (like the unfused tape pins the legacy training path) so
-# ``preprocess_*_speedup`` keeps measuring against a fixed reference
-# rather than whatever the current scalar lane happens to cost.
+# behaviour so ``preprocess_*_speedup`` keeps measuring against a fixed
+# reference rather than whatever the current scalar lane happens to cost.
 
 def _legacy_haversine_m(lat1, lng1, lat2, lng2) -> float:
     lat1, lng1, lat2, lng2 = map(np.radians, (lat1, lng1, lat2, lng2))
@@ -320,7 +318,8 @@ def run_bench(scale: str | None = None, repeats: int = 3,
 
     # -- encoding throughput ----------------------------------------------
     single_s = _best_time(
-        lambda: [lead.encode_candidates(item) for item in processed], repeats)
+        lambda: [lead.encode_candidates_batch([item]) for item in processed],
+        repeats)
     batch_s = _best_time(
         lambda: lead.encode_candidates_batch(processed), repeats)
     metrics["encode_single_tps"] = n / single_s
@@ -374,8 +373,9 @@ def run_bench(scale: str | None = None, repeats: int = 3,
         "passed": parity["passed"],
     }
 
-    # -- batched == unbatched ---------------------------------------------
-    singles = [lead.predict_distribution(item) for item in processed]
+    # -- batch-of-one == whole batch ---------------------------------------
+    singles = [lead.predict_distribution_batch([item])[0]
+               for item in processed]
     batched = lead.predict_distribution_batch(processed)
     max_diff = max(float(np.abs(a - b).max())
                    for a, b in zip(singles, batched))
@@ -386,7 +386,7 @@ def run_bench(scale: str | None = None, repeats: int = 3,
         "max_abs_diff": max_diff,
     }
 
-    # -- training throughput: fused default vs legacy tape ----------------
+    # -- training throughput ------------------------------------------------
     metrics.update(_training_metrics(lead, processed, repeats))
 
     # -- tiny-scale train wall-clock --------------------------------------
@@ -414,16 +414,11 @@ def run_bench(scale: str | None = None, repeats: int = 3,
 
 def _training_metrics(lead, processed, repeats: int,
                       max_candidates: int = _TRAIN_BENCH_CANDIDATES) -> dict:
-    """Autoencoder training steps/sec: fused default path vs legacy tape.
+    """Autoencoder training steps/sec of the default trainer config.
 
-    Both runs train a freshly initialized model (same seed) on the same
-    candidates for one epoch at the default batch size; the *fused* run
-    uses this release's default trainer configuration (fused kernels +
-    length-bucketed batching), the *unfused* reference uses the legacy
-    per-step tape over the historical unbucketed batch stream, i.e. the
-    training path as it existed before the fused kernels landed.  The
-    step count is identical in both (bucketing reorders batch contents,
-    it does not change the number of optimizer steps).
+    Each run trains a freshly initialized model (same seed) on the same
+    candidates for one epoch at the default batch size; the best of at
+    least five runs is reported.
     """
     from ..encoding import (AutoencoderTrainer, AutoencoderTrainingConfig,
                             HierarchicalAutoencoder)
@@ -435,17 +430,10 @@ def _training_metrics(lead, processed, repeats: int,
     samples = samples[:max_candidates]
     if not samples:
         return {}
-    configs = {
-        "fused": AutoencoderTrainingConfig(epochs=1, seed=0),
-        "unfused": AutoencoderTrainingConfig(epochs=1, seed=0, fused=False,
-                                             bucket_batches=False),
-    }
-    batch_size = configs["fused"].batch_size
-    steps = int(np.ceil(len(samples) / batch_size))
-    metrics: dict[str, float] = {"train_bench_candidates": len(samples),
-                                 "train_bench_steps": steps}
+    cfg = AutoencoderTrainingConfig(epochs=1, seed=0)
+    steps = int(np.ceil(len(samples) / cfg.batch_size))
 
-    def timed_fit(cfg) -> float:
+    def timed_fit() -> float:
         """Wall-clock of ``fit`` alone (model init excluded)."""
         model = HierarchicalAutoencoder(lead.config.encoder)
         trainer = AutoencoderTrainer(model, cfg)
@@ -453,20 +441,14 @@ def _training_metrics(lead, processed, repeats: int,
         trainer.fit(samples)
         return time.perf_counter() - start
 
-    # Interleave the two measurements so slow drift on shared CI
-    # machines hits both paths equally; training runs are short, so a
-    # higher repeat floor is affordable and tames the ratio's noise.
-    rounds = max(repeats, 5)
-    walls = {name: float("inf") for name in configs}
-    timed_fit(configs["fused"])  # warm-up (allocator, BLAS threads)
-    for _ in range(rounds):
-        for name, cfg in configs.items():
-            walls[name] = min(walls[name], timed_fit(cfg))
-    for name in configs:
-        metrics[f"train_epoch_{name}_s"] = walls[name]
-        metrics[f"train_steps_{name}_sps"] = steps / walls[name]
-    metrics["train_fused_speedup"] = walls["unfused"] / walls["fused"]
-    return metrics
+    # Training runs are short, so a higher repeat floor is affordable
+    # and tames the noise of shared CI machines.
+    timed_fit()  # warm-up (allocator, BLAS threads)
+    wall = min(timed_fit() for _ in range(max(repeats, 5)))
+    return {"train_bench_candidates": len(samples),
+            "train_bench_steps": steps,
+            "train_epoch_fused_s": wall,
+            "train_steps_fused_sps": steps / wall}
 
 
 def _tiny_train_wall(verbose: bool) -> float:
@@ -540,7 +522,7 @@ def compare_to_baseline(current: dict, baseline: dict,
                 f"(floor {floor:.2f})")
     if not current.get("equivalence", {}).get("allclose", False):
         failures.append(
-            "batched detection no longer matches per-trajectory results "
+            "batched detection no longer matches batch-of-one results "
             f"(max abs diff "
             f"{current.get('equivalence', {}).get('max_abs_diff')})")
     parity = current.get("precision_parity")
@@ -785,12 +767,12 @@ def format_bench_table(payload: dict) -> str:
     """Render a bench payload as the README's throughput table."""
     metrics = payload["metrics"]
     rows = [
-        ("encode (per-trajectory loop)",
+        ("encode (batch-of-one loop)",
          f"{metrics['encode_single_tps']:8.2f} traj/s", ""),
         ("encode (batched)",
          f"{metrics['encode_batch_tps']:8.2f} traj/s",
          f"{metrics['encode_batch_speedup']:.1f}x"),
-        ("detect (per-trajectory loop)",
+        ("detect (batch-of-one loop)",
          f"{metrics['detect_single_tps']:8.2f} traj/s", ""),
         ("detect (batched)",
          f"{metrics['detect_batch_tps']:8.2f} traj/s",
@@ -831,12 +813,8 @@ def format_bench_table(payload: dict) -> str:
                      f"{metrics['preprocess_poi_pps']:8.0f} pts/s",
                      f"{metrics['preprocess_poi_speedup']:.1f}x"))
     if "train_steps_fused_sps" in metrics:
-        rows.append(("train (legacy per-step tape)",
-                     f"{metrics['train_steps_unfused_sps']:8.2f} steps/s",
-                     ""))
-        rows.append(("train (fused + bucketed)",
-                     f"{metrics['train_steps_fused_sps']:8.2f} steps/s",
-                     f"{metrics['train_fused_speedup']:.1f}x"))
+        rows.append(("train (autoencoder)",
+                     f"{metrics['train_steps_fused_sps']:8.2f} steps/s", ""))
     if "train_tiny_wall_s" in metrics:
         rows.append(("offline fit (tiny scale)",
                      f"{metrics['train_tiny_wall_s']:8.2f} s", ""))
@@ -847,7 +825,7 @@ def format_bench_table(payload: dict) -> str:
     for name, rate, speedup in rows:
         lines.append(f"{name:<30} {rate:>16} {speedup:>8}")
     eq = payload["equivalence"]
-    lines.append(f"batched == unbatched: allclose(rtol={eq['rtol']:g}) -> "
+    lines.append(f"batched == batch-of-one: allclose(rtol={eq['rtol']:g}) -> "
                  f"{eq['allclose']} (max abs diff {eq['max_abs_diff']:.3g})")
     parity = payload.get("precision_parity")
     if parity:

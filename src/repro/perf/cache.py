@@ -25,6 +25,7 @@ lookup misses and behaviour is bit-for-bit the uncached code path.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import OrderedDict
 from typing import Hashable
 
@@ -48,9 +49,15 @@ class CacheStats:
     surface (``hits`` / ``misses`` / ``evictions`` / ``hit_rate`` /
     ``as_dict``) is unchanged, and ``as_dict`` payloads stay
     byte-compatible with the pre-registry dataclass.
+
+    The counters leave the registry when this object is collected, so a
+    process that keeps building caches (a LEAD per test, a restarted
+    worker) does not grow its registry and every exposition without
+    bound.
     """
 
-    __slots__ = ("_hits", "_misses", "_evictions", "cache_name")
+    __slots__ = ("_hits", "_misses", "_evictions", "cache_name",
+                 "__weakref__")
 
     def __init__(self, name: str = "cache", registry=None) -> None:
         reg = registry if registry is not None else default_registry()
@@ -65,6 +72,10 @@ class CacheStats:
         self._evictions = reg.counter(
             "cache_evictions_total", help="entries evicted by LRU",
             labels=labels)
+        release = weakref.finalize(
+            self, reg.unregister, self._hits.key, self._misses.key,
+            self._evictions.key)
+        release.atexit = False
 
     # -- recording (cache-internal) ------------------------------------
     def record_hit(self) -> None:

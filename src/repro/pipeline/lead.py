@@ -29,7 +29,6 @@ per model directory), and ``fit`` checkpoints every epoch when given a
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -41,8 +40,7 @@ from ..data.poi import POIDatabase
 from ..data.dataset import LabeledSample
 from ..detection import (GroupDetector, IndependentDetector,
                          JointDetectorTrainer, TrajectorySpec,
-                         backward_index_maps, build_backward_group,
-                         build_forward_group, forward_index_maps,
+                         backward_index_maps, forward_index_maps,
                          index_to_pair, merge_distributions, pair_to_index)
 from ..encoding import (AutoencoderTrainer, HierarchicalAutoencoder)
 from ..errors import (ArtifactCorruptedError, DetectorUnavailableError,
@@ -67,6 +65,18 @@ __all__ = ["LEAD", "DetectionResult", "DetectionProvenance", "FitReport"]
 #: direction each one needs.
 _TIER_DIRECTIONS = (("both", "both"), ("forward-only", "forward"),
                     ("backward-only", "backward"))
+
+
+def _bucketed(batch: Sequence[ProcessedTrajectory]) -> bool:
+    """Whether the inference core shape-buckets ``batch`` (DESIGN §8).
+
+    Power-of-2 length buckets split one trajectory's subgroups into
+    about log2(n) passes, which costs more than the padding it saves;
+    across a multi-trajectory batch the padding dominates and bucketing
+    cuts up to half the time.  Padding is freeze-masked, so the choice
+    changes speed, not answers.
+    """
+    return len(batch) > 1
 
 
 def _process_sample(processor, sample: LabeledSample):
@@ -292,39 +302,6 @@ class LEAD:
                 for mp in processed.move_points]
         return stay, move
 
-    def encode_candidates(self, processed: ProcessedTrajectory) -> np.ndarray:
-        """c-vecs of all candidates in enumeration order, shape (N, 64)."""
-        with obs_span("detect.featurize",
-                      stays=processed.num_stay_points):
-            stay, move = self._segments(processed)
-        pairs = [c.pair for c in processed.candidates]
-        with obs_span("detect.encode", candidates=len(pairs)):
-            return self.autoencoder.encode_trajectory(stay, move, pairs)
-
-    def encode_candidates_batch(self, processed_list:
-                                list[ProcessedTrajectory]
-                                ) -> list[np.ndarray]:
-        """c-vecs of every candidate of many trajectories, batched.
-
-        One phase-1 compressor pass per branch covers every segment of
-        every trajectory, and phase 2 runs over the merged candidate set
-        in shape buckets — the cross-trajectory analogue of
-        :meth:`encode_candidates` (results ``allclose``, and the list
-        lines up with the input order).
-        """
-        stay_lists, move_lists, pairs_lists = [], [], []
-        with obs_span("detect.featurize",
-                      trajectories=len(processed_list)):
-            for processed in processed_list:
-                stay, move = self._segments(processed)
-                stay_lists.append(stay)
-                move_lists.append(move)
-                pairs_lists.append([c.pair for c in processed.candidates])
-        with obs_span("detect.encode",
-                      candidates=sum(len(p) for p in pairs_lists)):
-            return self.autoencoder.encode_trajectories(
-                stay_lists, move_lists, pairs_lists)
-
     def _build_detector_specs(self, processed) -> list[TrajectorySpec]:
         specs = []
         for trajectory, pair in processed:
@@ -346,82 +323,6 @@ class LEAD:
             self.independent_detector, cfg.detector_training,
             finetune_encoder=cfg.finetune_encoder)
         return trainer.fit(specs, verbose=verbose, checkpoint=checkpoint)
-
-    # ------------------------------------------------------------------
-    # Online stage
-    # ------------------------------------------------------------------
-    def predict_distribution(self, processed: ProcessedTrajectory,
-                             direction: str = "both") -> np.ndarray:
-        """Merged probability distribution over candidates (Eq. 13).
-
-        ``direction`` restricts inference to one detector ("forward" /
-        "backward"), realizing LEAD-NoBac / LEAD-NoFor: the detectors are
-        trained separately (paper §V-B), so dropping one at inference is
-        exactly the paper's ablation.
-
-        Raises :class:`DetectorUnavailableError` when ``direction``
-        selects no live detector and :class:`NumericalInstabilityError`
-        when the merged distribution is not finite.
-        """
-        self._require_fitted()
-        cvecs = self.encode_candidates(processed)
-        n = processed.num_stay_points
-        with no_grad():
-            if self.independent_detector is not None:
-                with obs_span("detect.score", direction=direction):
-                    probs = self.independent_detector(
-                        Tensor(cvecs)).numpy()
-                with obs_span("detect.merge"):
-                    return self._checked(merge_distributions(probs))
-            if direction == "both" and (self.forward_detector is None
-                                        or self.backward_detector is None):
-                missing = ("forward" if self.forward_detector is None
-                           else "backward")
-                raise DetectorUnavailableError(
-                    f"direction 'both' requires both detectors; the "
-                    f"{missing} detector is unavailable")
-            forward = backward = None
-            with obs_span("detect.score", direction=direction):
-                if self.forward_detector is not None and direction in (
-                        "both", "forward"):
-                    forward = self.forward_detector(
-                        build_forward_group(cvecs, n)).numpy()
-                if self.backward_detector is not None and direction in (
-                        "both", "backward"):
-                    backward = self.backward_detector(
-                        build_backward_group(cvecs, n)).numpy()
-        if forward is None and backward is None:
-            raise DetectorUnavailableError(
-                f"direction {direction!r} selects no available detector")
-        with obs_span("detect.merge"):
-            if forward is None:
-                return self._checked(merge_distributions(backward))
-            return self._checked(merge_distributions(forward, backward))
-
-    @staticmethod
-    def _checked(distribution: np.ndarray) -> np.ndarray:
-        if not np.isfinite(distribution).all():
-            raise NumericalInstabilityError(
-                "detector produced a non-finite probability distribution")
-        return distribution
-
-    def detect_processed(self, processed: ProcessedTrajectory,
-                         direction: str = "both") -> DetectionResult:
-        """Strict single-tier detection (raises on failure).
-
-        The evaluation harness uses this directly so ablation numbers
-        are never silently polluted by fallback answers; the production
-        entry point :meth:`detect` wraps it with the degradation chain.
-        """
-        distribution = self.predict_distribution(processed, direction)
-        pair = index_to_pair(processed.num_stay_points,
-                             int(np.argmax(distribution)))
-        tier = {"both": "both", "forward": "forward-only",
-                "backward": "backward-only"}.get(direction, direction)
-        if self.independent_detector is not None:
-            tier = "independent"
-        return DetectionResult(pair, distribution, processed,
-                               DetectionProvenance(tier=tier))
 
     # ------------------------------------------------------------------
     # Precision tiers
@@ -571,21 +472,52 @@ class LEAD:
         self._precision_notes = ()
 
     # ------------------------------------------------------------------
-    # Batched online stage (fleet-scale throughput)
+    # Online stage: one inference core for every entry point
     # ------------------------------------------------------------------
+    def encode_candidates_batch(self, processed_list:
+                                list[ProcessedTrajectory]
+                                ) -> list[np.ndarray]:
+        """c-vecs of every candidate of each trajectory, shape (N_t, 64).
+
+        One phase-1 compressor pass per branch covers every segment of
+        every trajectory, and phase 2 runs over the merged candidate set
+        (shape-bucketed when the batch holds several trajectories); the
+        list lines up with the input order.
+        """
+        stay_lists, move_lists, pairs_lists = [], [], []
+        with obs_span("detect.featurize",
+                      trajectories=len(processed_list)):
+            for processed in processed_list:
+                stay, move = self._segments(processed)
+                stay_lists.append(stay)
+                move_lists.append(move)
+                pairs_lists.append([c.pair for c in processed.candidates])
+        with obs_span("detect.encode",
+                      candidates=sum(len(p) for p in pairs_lists)):
+            return self.autoencoder.encode_trajectories(
+                stay_lists, move_lists, pairs_lists,
+                bucket=_bucketed(processed_list))
+
     def _predict_many(self, processed_list: list[ProcessedTrajectory],
                       direction: str = "both") -> list[np.ndarray]:
-        """Merged distributions for many trajectories, *without* the
-        finiteness check (callers apply it per trajectory).
+        """Merged distributions (Eq. 13) for many trajectories, *without*
+        the finiteness check (callers apply it per trajectory).
+
+        ``direction`` restricts inference to one detector ("forward" /
+        "backward"), realizing LEAD-NoBac / LEAD-NoFor: the detectors are
+        trained separately (paper §V-B), so dropping one at inference is
+        exactly the paper's ablation.  Raises
+        :class:`DetectorUnavailableError` when ``direction`` selects no
+        live detector.
 
         The shared detector forward merges every trajectory's subgroups
         into one padded batch; ``segments`` keeps the flat softmax
-        per-trajectory, so each returned distribution equals the
-        single-trajectory :meth:`predict_distribution` output up to GEMM
-        associativity.
+        per-trajectory, so each returned distribution is independent of
+        its batch-mates up to GEMM associativity.
         """
         if not processed_list:
             return []
+        bucket = _bucketed(processed_list)
         cvecs_list = self.encode_candidates_batch(processed_list)
         counts = np.array([len(c) for c in cvecs_list], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -616,7 +548,7 @@ class LEAD:
                                     for m in forward_index_maps(n))
                     forward = self.forward_detector.score_indexed(
                         all_cvecs, maps, segments=counts,
-                        bucket=True).numpy()
+                        bucket=bucket).numpy()
                 if self.backward_detector is not None and direction in (
                         "both", "backward"):
                     maps = []
@@ -625,7 +557,7 @@ class LEAD:
                                     for m in backward_index_maps(n))
                     backward = self.backward_detector.score_indexed(
                         all_cvecs, maps, segments=counts,
-                        bucket=True).numpy()
+                        bucket=bucket).numpy()
         if forward is None and backward is None:
             raise DetectorUnavailableError(
                 f"direction {direction!r} selects no available detector")
@@ -641,49 +573,40 @@ class LEAD:
         return out
 
     @staticmethod
-    def _direction_shim(method: str, args: tuple, direction: str) -> str:
-        """Absorb the legacy positional ``direction`` argument."""
-        if not args:
-            return direction
-        if len(args) > 1:
-            raise TypeError(
-                f"{method}() takes the processed list plus the keyword "
-                "direction only")
-        warnings.warn(
-            f"passing direction positionally to LEAD.{method} is "
-            f"deprecated; use {method}(batch, direction=...)",
-            DeprecationWarning, stacklevel=3)
-        return args[0]
+    def _checked(distribution: np.ndarray) -> np.ndarray:
+        if not np.isfinite(distribution).all():
+            raise NumericalInstabilityError(
+                "detector produced a non-finite probability distribution")
+        return distribution
 
     def predict_distribution_batch(self,
                                    processed_list:
-                                   list[ProcessedTrajectory],
-                                   *args,
+                                   list[ProcessedTrajectory], *,
                                    direction: str = "both"
                                    ) -> list[np.ndarray]:
-        """Batched :meth:`predict_distribution` over many trajectories.
+        """Merged probability distributions over candidates (Eq. 13).
 
-        Same strict semantics (raises on unavailable detectors or any
-        non-finite distribution); results line up with the input order
-        and are ``allclose`` to per-trajectory calls.  ``direction`` is
-        keyword-only; the positional form is deprecated.
+        Strict: raises :class:`DetectorUnavailableError` when
+        ``direction`` selects no live detector and
+        :class:`NumericalInstabilityError` when any distribution is not
+        finite.  Results line up with the input order.
         """
-        direction = self._direction_shim("predict_distribution_batch",
-                                         args, direction)
         self._require_fitted()
         return [self._checked(d)
                 for d in self._predict_many(processed_list, direction)]
 
     def detect_processed_batch(self,
-                               processed_list: list[ProcessedTrajectory],
-                               *args,
+                               processed_list: list[ProcessedTrajectory], *,
                                direction: str = "both"
                                ) -> list[DetectionResult]:
-        """Strict batched detection (the batch analogue of
-        :meth:`detect_processed`; raises on failure).  ``direction`` is
-        keyword-only; the positional form is deprecated."""
-        direction = self._direction_shim("detect_processed_batch",
-                                         args, direction)
+        """Strict single-tier detection over processed trajectories.
+
+        The evaluation harness uses this directly so ablation numbers
+        are never silently polluted by fallback answers; the production
+        entry points (:meth:`detect`, :meth:`detect_batch`,
+        :meth:`detect_many`) wrap the same core with the degradation
+        chain.  Raises like :meth:`predict_distribution_batch`.
+        """
         distributions = self.predict_distribution_batch(
             processed_list, direction=direction)
         tier = {"both": "both", "forward": "forward-only",
@@ -697,6 +620,12 @@ class LEAD:
             results.append(DetectionResult(pair, distribution, processed,
                                            DetectionProvenance(tier=tier)))
         return results
+
+    def detect_processed(self, processed: ProcessedTrajectory,
+                         direction: str = "both") -> DetectionResult:
+        """:meth:`detect_processed_batch` on one trajectory."""
+        return self.detect_processed_batch([processed],
+                                           direction=direction)[0]
 
     # ------------------------------------------------------------------
     # Telemetry plumbing (no-ops unless a bundle is active; see
@@ -743,27 +672,39 @@ class LEAD:
                 help="detection verdicts by answering tier",
                 labels={"tier": tier}).inc()
 
+    def detect(self, trajectory: Trajectory) -> DetectionResult | None:
+        """Full online pipeline on a raw trajectory, never crashing.
+
+        The input is validated and repaired (non-finite fixes dropped),
+        then detection walks the tier chain until one answers.  Returns
+        ``None`` only when no candidate exists — too few stay points, or
+        the trajectory was unsalvageable.  Raises only
+        :class:`NotFittedError` (API misuse, not input hostility).
+        """
+        self._require_fitted()
+        return self._observed("detect",
+                              lambda: self._detect_raw([trajectory])[0])
+
     def detect_batch(self, trajectories: list[Trajectory]
                      ) -> list[DetectionResult | None]:
-        """Fleet-scale :meth:`detect`: many raw trajectories, one pass.
+        """:meth:`detect` over many raw trajectories in one pass.
 
         Sanitization and processing run per trajectory (they are cheap
         and can fail independently); every surviving trajectory's
         candidates then share batched encoder and detector forwards.
         The degradation chain is preserved per trajectory: a trajectory
         whose distribution is non-finite at one tier retries the lower
-        tiers alone, exactly as in :meth:`detect`, and the returned
-        provenance (tier, ``sanitized``, notes) matches the
-        per-trajectory path.  Returns one entry per input, ``None``
-        where :meth:`detect` would return ``None``.
+        tiers alone.  Returns one entry per input, ``None`` where
+        :meth:`detect` would return ``None``.
         """
         self._require_fitted()
         return self._observed("detect_batch",
-                              lambda: self._detect_batch_impl(trajectories),
+                              lambda: self._detect_raw(trajectories),
                               trajectories=len(trajectories))
 
-    def _detect_batch_impl(self, trajectories: list[Trajectory]
-                           ) -> list[DetectionResult | None]:
+    def _detect_raw(self, trajectories: list[Trajectory]
+                    ) -> list[DetectionResult | None]:
+        """Sanitize -> process -> tier walk, shared by every raw entry."""
         results: list[DetectionResult | None] = [None] * len(trajectories)
         pending_idx: list[int] = []
         pending_processed: list[ProcessedTrajectory] = []
@@ -775,6 +716,8 @@ class LEAD:
                     trajectory, sanitize_notes = \
                         sanitize_trajectory(trajectory)
                 except InvalidTrajectoryError:
+                    # Unsalvageable input: report "no detection" like
+                    # too-few stay points rather than crash a serving loop.
                     continue
                 survivors.append((idx, trajectory, list(sanitize_notes)))
         with obs_span("detect.extract"):
@@ -803,12 +746,8 @@ class LEAD:
         (:class:`repro.stream.FleetSessionManager`): callers that already
         hold :class:`~repro.processing.ProcessedTrajectory` snapshots —
         and, optionally, the sanitize provenance notes that produced
-        them — get one fused tier walk over the whole batch.  Results
-        line up with the input order and match what
-        :meth:`detect` computes per trajectory from the same snapshot
-        (same pair, ``allclose`` distribution, identical provenance),
-        including the degraded tiers when detectors are missing or
-        numerically unstable.
+        them — get one tier walk over the whole batch, the same one
+        :meth:`detect` runs.  Results line up with the input order.
         """
         self._require_fitted()
         if notes_list is None:
@@ -826,13 +765,13 @@ class LEAD:
     def _detect_many_with_degradation(
             self, processed_list: list[ProcessedTrajectory],
             notes_list: list[list[str]]) -> list[DetectionResult]:
-        """Batched tier walk mirroring :meth:`_detect_with_degradation`.
+        """Walk the tier chain; every result is provenance-tagged.
 
         Each tier runs one batched forward over the trajectories still
         unresolved; structural failures (a direction with no live
-        detector) disqualify the tier for everyone with the same note
-        the serial path records, while per-trajectory numerical failures
-        only push that trajectory down to the next tier.
+        detector) disqualify the tier for everyone, while per-trajectory
+        numerical failures only push that trajectory down to the next
+        tier.
         """
         results: list[DetectionResult | None] = [None] * len(processed_list)
         compute_dtype = self._resolve_inference_dtype(processed_list)
@@ -886,77 +825,6 @@ class LEAD:
             results[k] = self._fallback_result(processed_list[k], notes[k],
                                                sanitized[k])
         return results  # type: ignore[return-value]
-
-    def detect(self, trajectory: Trajectory) -> DetectionResult | None:
-        """Full online pipeline on a raw trajectory, never crashing.
-
-        The input is validated and repaired (non-finite fixes dropped),
-        then detection walks the tier chain until one answers.  Returns
-        ``None`` only when no candidate exists — too few stay points, or
-        the trajectory was unsalvageable.  Raises only
-        :class:`NotFittedError` (API misuse, not input hostility).
-        """
-        self._require_fitted()
-        return self._observed("detect",
-                              lambda: self._detect_impl(trajectory))
-
-    def _detect_impl(self, trajectory: Trajectory
-                     ) -> DetectionResult | None:
-        notes: list[str] = []
-        try:
-            with obs_span("detect.sanitize"):
-                trajectory, sanitize_notes = \
-                    sanitize_trajectory(trajectory)
-        except InvalidTrajectoryError as exc:
-            # Unsalvageable input: report "no detection" like too-few
-            # stay points rather than crashing a serving loop.
-            del exc
-            return None
-        notes.extend(sanitize_notes)
-        try:
-            with obs_span("detect.extract"):
-                processed = self.processor.process(trajectory)
-        except (ValueError, ArithmeticError):
-            return None
-        if processed is None:
-            return None
-        return self._detect_with_degradation(processed, notes)
-
-    def _detect_with_degradation(self, processed: ProcessedTrajectory,
-                                 notes: list[str]) -> DetectionResult:
-        """Walk the tier chain; always returns a provenance-tagged result."""
-        sanitized = bool(notes)
-        compute_dtype = self._resolve_inference_dtype([processed])
-        notes = notes + list(self._precision_notes)
-        if self.independent_detector is not None:
-            tiers: tuple[tuple[str, str], ...] = (("independent", "both"),)
-        else:
-            tiers = _TIER_DIRECTIONS
-        for tier, direction in tiers:
-            try:
-                with inference_dtype(compute_dtype):
-                    distribution = self.predict_distribution(processed,
-                                                             direction)
-            except (DetectorUnavailableError,
-                    NumericalInstabilityError) as exc:
-                obs_event("detection.tier_failed", tier=tier,
-                          error=str(exc), trajectories=1)
-                notes = notes + [f"tier {tier!r} failed: {exc}"]
-                continue
-            pair = index_to_pair(processed.num_stay_points,
-                                 int(np.argmax(distribution)))
-            if tier not in ("both", "independent"):
-                extra = self._degradation_note(tier, notes, sanitized,
-                                               compute_dtype)
-                if extra is not None:
-                    notes = notes + [extra]
-            self._count_verdict(tier)
-            return DetectionResult(
-                pair, distribution, processed,
-                DetectionProvenance(tier=tier, sanitized=sanitized,
-                                    notes=tuple(notes),
-                                    compute_dtype=compute_dtype))
-        return self._fallback_result(processed, notes, sanitized)
 
     def _fallback_result(self, processed: ProcessedTrajectory,
                          notes: list[str],
@@ -1038,12 +906,10 @@ class LEAD:
             modules["independent"] = self.independent_detector
         return modules
 
-    def load(self, directory: str | Path, *args, strict: bool = True,
+    def load(self, directory: str | Path, *, strict: bool = True,
              calibration: Sequence[ProcessedTrajectory] | None = None,
              ) -> "LEAD":
         """Load weights saved by :meth:`save` (config must match).
-
-        ``strict`` is keyword-only; the positional form is deprecated.
 
         ``strict=True`` (default) verifies the manifest and raises
         :class:`ArtifactCorruptedError` / ``FileNotFoundError`` on any
@@ -1060,15 +926,6 @@ class LEAD:
         policy is not ``"float64"``, the float32/float64 parity gate
         runs here instead of lazily at the first detect call.
         """
-        if args:
-            if len(args) > 1:
-                raise TypeError(
-                    "load() takes the directory plus keyword arguments only")
-            warnings.warn(
-                "passing strict positionally to LEAD.load is deprecated; "
-                "use load(directory, strict=...)",
-                DeprecationWarning, stacklevel=2)
-            strict = args[0]
         directory = Path(directory)
         notes: list[str] = []
         manifest = None

@@ -233,10 +233,29 @@ class FleetService:
                 shard.process.kill()
             shard.process.join(timeout=5.0)
             shard.process = None
+            self._abandon_queues(shard)
         shard.manager = None
         if shard.pending_barrier is not None:
             shutil.rmtree(shard.pending_barrier[1], ignore_errors=True)
             shard.pending_barrier = None
+
+    @staticmethod
+    def _abandon_queues(shard: _Shard) -> None:
+        """Let go of a stopped worker's queues without waiting on them.
+
+        Commands still buffered for a dead worker are never delivered:
+        the queue's feeder thread stays blocked on a full pipe that no
+        live process reads, and the interpreter's exit handler would
+        join that thread forever.  Nothing in the buffer is needed (the
+        journal replays every mutation into the new worker), so the
+        join is cancelled and the buffered data dropped.
+        """
+        for channel in (shard.requests, shard.responses):
+            if channel is not None:
+                channel.cancel_join_thread()
+                channel.close()
+        shard.requests = None
+        shard.responses = None
 
     def _rebuild_dirs(self, shard: _Shard) -> None:
         """Reset the live sessions dir to the last barrier snapshot."""
@@ -336,21 +355,31 @@ class FleetService:
             self._apply_inline(shard, command)
         else:
             self._put(shard, command)
-            shard.inflight += 1
 
     def _put(self, shard: _Shard, message: tuple) -> None:
+        """Hand one command to the shard's worker and count it in flight.
+
+        A worker found dead first gets the normal restart.  The restart's
+        journal replay has then already re-sent a journaled command, and
+        it discarded any pending barrier, so neither is sent again: a
+        second copy would apply the same pings twice.
+        """
         while True:
             if not shard.process.is_alive():
                 self._restart_shard(shard, "worker died before send")
+                if message[0] in _JOURNALED or message[0] == "barrier":
+                    return
                 if shard.mode == "inline":
                     self._apply_inline(shard, message)
                     return
                 continue
             try:
                 shard.requests.put(message, timeout=0.05)
-                return
             except queue_mod.Full:
                 self._pump(shard)
+            else:
+                shard.inflight += 1
+                return
 
     def _send(self, shard: _Shard, command: tuple, *, fault=None,
               interest: bool = False) -> None:
@@ -369,8 +398,7 @@ class FleetService:
                 self._apply_inline(shard, command)
         elif fault is not None and fault.kind == "kill":
             self._put(shard, command)
-            shard.inflight += 1
-            if shard.process.is_alive():
+            if shard.mode == "process" and shard.process.is_alive():
                 shard.process.kill()
             self._restart_shard(shard, "chaos:kill")
         else:
@@ -378,8 +406,6 @@ class FleetService:
             if fault is not None and command[0] == "ingest":
                 message = (command[0], command[1], command[2], fault)
             self._put(shard, message)
-            if shard.mode == "process":   # _put may have degraded us
-                shard.inflight += 1
         self._maybe_barrier(shard)
 
     def _await(self, shard: _Shard, command: tuple):
@@ -419,7 +445,6 @@ class FleetService:
                 if command[0] not in _JOURNALED \
                         and shard.mode == "process":
                     self._put(shard, command)
-                    shard.inflight += 1
                 elif command[0] not in _JOURNALED:
                     self._apply_inline(shard, command)
                 deadline = (time.monotonic()
@@ -668,6 +693,7 @@ class FleetService:
                 shard.process.kill()
                 shard.process.join(timeout=5.0)
             shard.process = None
+            self._abandon_queues(shard)
 
     def __enter__(self) -> "FleetService":
         return self

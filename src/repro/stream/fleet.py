@@ -542,21 +542,8 @@ class FleetSessionManager:
     # ------------------------------------------------------------------
     # Flush (end of day)
     # ------------------------------------------------------------------
-    def flush(self, truck_id: str, *args, day: str = "") -> ProvisionalVerdict:
-        """Finalize one session and return its *final* verdict.
-
-        ``day`` is keyword-only; the historical positional form still
-        works behind a :class:`DeprecationWarning` shim.
-        """
-        if args:
-            if len(args) > 1:
-                raise TypeError(
-                    "flush() takes truck_id plus the keyword day only")
-            warnings.warn(
-                "passing day positionally to FleetSessionManager.flush is "
-                "deprecated; use flush(truck_id, day=...)",
-                DeprecationWarning, stacklevel=2)
-            day = args[0]
+    def flush(self, truck_id: str, *, day: str = "") -> ProvisionalVerdict:
+        """Finalize one session and return its *final* verdict."""
         return self._flush_keys([(truck_id, day)])[0]
 
     def flush_all(self) -> list[ProvisionalVerdict]:

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from repro.detection import (DetectorSample, DetectorTrainer,
                              DetectorTrainingConfig, GroupDetector,
                              IndependentDetector, IndependentDetectorTrainer,
-                             argmax_pair, build_backward_group,
-                             build_forward_group, enumerate_pairs,
+                             argmax_pair, backward_index_maps,
+                             build_backward_group, build_forward_group,
+                             enumerate_pairs, forward_index_maps,
                              index_to_pair, merge_distributions,
                              pair_to_index, smooth_label)
 
@@ -89,6 +90,61 @@ class TestGroups:
             build_forward_group(RNG.normal(size=(5, 3)), 5)  # wrong count
         with pytest.raises(ValueError):
             build_forward_group(RNG.normal(size=(0, 3)), 1)
+
+
+class TestIndexMapProperties:
+    """Eq. 10-13 index maps, which every detect call now runs through."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 40))
+    def test_maps_partition_candidates(self, n):
+        for maps in (forward_index_maps(n), backward_index_maps(n)):
+            flat = np.concatenate(maps)
+            assert len(flat) == candidate_count(n)
+            np.testing.assert_array_equal(np.sort(flat),
+                                          np.arange(candidate_count(n)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 40))
+    def test_subgroups_follow_the_paper(self, n):
+        forward = forward_index_maps(n)
+        backward = backward_index_maps(n)
+        assert len(forward) == len(backward) == n - 1
+        for k, indices in enumerate(forward, start=1):
+            # g_k: candidates starting at stay point k, ascending end.
+            assert [index_to_pair(n, int(i)) for i in indices] == \
+                [(k, j) for j in range(k + 1, n + 1)]
+        for k, indices in enumerate(backward, start=2):
+            # ḡ_k: candidates ending at stay point k, descending start.
+            assert [index_to_pair(n, int(i)) for i in indices] == \
+                [(i, k) for i in range(k - 1, 0, -1)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 40))
+    def test_pair_index_maps_are_inverse(self, n):
+        for pair in enumerate_pairs(n):
+            assert index_to_pair(n, pair_to_index(n, pair)) == pair
+        for index in range(candidate_count(n)):
+            assert pair_to_index(n, index_to_pair(n, index)) == index
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 10_000))
+    def test_memoized_maps_survive_rebasing(self, n, offset):
+        expected = ([m.copy() for m in forward_index_maps(n)],
+                    [m.copy() for m in backward_index_maps(n)])
+        for builder in (forward_index_maps, backward_index_maps):
+            maps = builder(n)
+            assert all(not m.flags.writeable for m in maps)
+            with pytest.raises(ValueError):
+                maps[0] += offset
+            # The inference core's rebasing: fresh arrays, memo intact.
+            rebased = [m + offset for m in maps]
+            for old, new in zip(maps, rebased):
+                np.testing.assert_array_equal(new, old + offset)
+        for maps, want in zip((forward_index_maps(n),
+                               backward_index_maps(n)), expected):
+            for got, ref in zip(maps, want):
+                np.testing.assert_array_equal(got, ref)
 
 
 class TestLabels:

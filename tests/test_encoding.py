@@ -102,7 +102,8 @@ class TestHierarchicalAutoencoder:
         move_segments = [featurizer._segment_features(mp)
                          for mp in p0.move_points]
         pairs = [c.pair for c in p0.candidates]
-        batch = model.encode_trajectory(stay_segments, move_segments, pairs)
+        batch = model.encode_trajectories(
+            [stay_segments], [move_segments], [pairs], bucket=False)[0]
         assert batch.shape == (p0.num_candidates, 64)
         for k in (0, len(pairs) // 2, len(pairs) - 1):
             single = model.encode(featurizer.featurize(p0.candidates[k]))
@@ -111,7 +112,7 @@ class TestHierarchicalAutoencoder:
     def test_encode_rejects_empty_pairs(self):
         model = HierarchicalAutoencoder(EncoderConfig())
         with pytest.raises(ValueError):
-            model.encode_trajectory([], [], [])
+            model.encode_trajectories([[]], [[]], [[]], bucket=False)
 
     def test_nohie_variant(self, pipeline):
         processed, featurizer = pipeline
@@ -126,7 +127,8 @@ class TestHierarchicalAutoencoder:
         move_segments = [featurizer._segment_features(mp)
                          for mp in p0.move_points]
         pairs = [c.pair for c in p0.candidates]
-        batch = model.encode_trajectory(stay_segments, move_segments, pairs)
+        batch = model.encode_trajectories(
+            [stay_segments], [move_segments], [pairs], bucket=False)[0]
         assert batch.shape == (p0.num_candidates, 64)
 
     def test_nosel_variant(self, pipeline):

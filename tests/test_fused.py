@@ -6,14 +6,15 @@ Three layers of guarantees:
   finite differences of its forward (float64, ``atol=1e-6``), including
   ragged lengths and all-padded rows.
 * **Tape equivalence** — the fused ops produce bit-identical forward
-  values and ``rtol=1e-9`` gradients versus the legacy per-step tape
-  (``use_fused(False)``), both at the op level and through a full
-  one-epoch training run.
-* **Thread isolation** — the fused/no-grad mode flags are per-thread.
+  values and ``rtol=1e-9`` gradients versus the per-step tape oracle
+  (:func:`tests.oracles.tape_path`), both at the op level and through
+  a full one-epoch training run.
+* **Thread isolation** — the no-grad mode flag is per-thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
@@ -23,11 +24,11 @@ from repro.encoding import (AutoencoderTrainer, AutoencoderTrainingConfig,
                             EncoderConfig, HierarchicalAutoencoder)
 from repro.features import CandidateFeatures, SegmentKind
 from repro.nn import (GRU, LSTM, BiLSTMLayer, Linear, LSTMDecoder,
-                      SelfAttentionAggregator, Tensor, mse_loss, no_grad,
-                      use_fused)
-from repro.nn.fused import (affine, attention_pool, fused_enabled,
-                            gru_sequence, lstm_decode, lstm_sequence,
-                            mlp_head)
+                      SelfAttentionAggregator, Tensor, mse_loss, no_grad)
+from repro.nn.fused import (affine, attention_pool, gru_sequence,
+                            lstm_decode, lstm_sequence, mlp_head)
+
+from .oracles import tape_path
 
 RNG = np.random.default_rng(77)
 
@@ -172,13 +173,11 @@ class TestGradcheckAffineAttention:
         mask = np.zeros((B, T))
         mask[0, :5] = 1.0
         mask[1, :3] = 1.0
-        with use_fused(True):
-            assert fused_enabled()
 
-            def build():
-                return mse_loss(pred, target, mask)
+        def build():
+            return mse_loss(pred, target, mask)
 
-            _gradcheck([pred], build)
+        _gradcheck([pred], build)
 
 
 def _grab_grads(tensors):
@@ -192,6 +191,18 @@ class TestTapeEquivalence:
     """Fused modules == legacy per-step tape: values bit-identical,
     gradients within float64 reassociation tolerance."""
 
+    def test_tape_oracle_is_engaged(self):
+        """Inside ``tape_path`` the LSTM records one node per step, so
+        the comparisons below never compare the fused kernel to itself."""
+        lstm = LSTM(F, H, rng=np.random.default_rng(16))
+        x = Tensor(RNG.normal(size=(B, T, F)), requires_grad=True)
+        fused_out, _ = lstm(x)
+        with tape_path():
+            tape_out, _ = lstm(x)
+        assert len(tape_out._parents) == T         # stack of T steps
+        assert len(fused_out._parents) == 1        # one fused node
+        assert len(lstm(x)[0]._parents) == 1       # restored on exit
+
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_module(self, reverse):
         lstm = LSTM(F, H, rng=np.random.default_rng(6), reverse=reverse)
@@ -204,10 +215,9 @@ class TestTapeEquivalence:
             (_weighted(out) + _weighted(h) + _weighted(c)).backward()
             return out.data.copy(), _grab_grads([x] + params)
 
-        with use_fused(False):
+        with tape_path():
             ref_out, ref_grads = run()
-        with use_fused(True):
-            fused_out, fused_grads = run()
+        fused_out, fused_grads = run()
         assert np.array_equal(ref_out, fused_out)
         for a, b in zip(ref_grads, fused_grads):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
@@ -225,10 +235,9 @@ class TestTapeEquivalence:
             (_weighted(out) + _weighted(h)).backward()
             return out.data.copy(), _grab_grads([x] + params)
 
-        with use_fused(False):
+        with tape_path():
             ref_out, ref_grads = run()
-        with use_fused(True):
-            fused_out, fused_grads = run()
+        fused_out, fused_grads = run()
         assert np.array_equal(ref_out, fused_out)
         for a, b in zip(ref_grads, fused_grads):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
@@ -244,10 +253,9 @@ class TestTapeEquivalence:
             _weighted(out).backward()
             return out.data.copy(), _grab_grads([v] + params)
 
-        with use_fused(False):
+        with tape_path():
             ref_out, ref_grads = run()
-        with use_fused(True):
-            fused_out, fused_grads = run()
+        fused_out, fused_grads = run()
         assert np.array_equal(ref_out, fused_out)
         for a, b in zip(ref_grads, fused_grads):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
@@ -263,10 +271,9 @@ class TestTapeEquivalence:
             _weighted(out).backward()
             return out.data.copy(), _grab_grads([x] + params)
 
-        with use_fused(False):
+        with tape_path():
             ref_out, ref_grads = run()
-        with use_fused(True):
-            fused_out, fused_grads = run()
+        fused_out, fused_grads = run()
         assert np.array_equal(ref_out, fused_out)
         for a, b in zip(ref_grads, fused_grads):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
@@ -286,10 +293,9 @@ class TestTapeEquivalence:
             _weighted(lin(pooled)).backward()
             return pooled.data.copy(), _grab_grads([outs, last] + params)
 
-        with use_fused(False):
+        with tape_path():
             ref_out, ref_grads = run()
-        with use_fused(True):
-            fused_out, fused_grads = run()
+        fused_out, fused_grads = run()
         assert np.array_equal(ref_out, fused_out)
         for a, b in zip(ref_grads, fused_grads):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
@@ -311,10 +317,9 @@ class TestOperatorEquivalence:
             _weighted(out).backward()
             return out.data.copy(), _grab_grads([x] + params)
 
-        with use_fused(False):
+        with tape_path():
             ref_out, ref_grads = run()
-        with use_fused(True):
-            fused_out, fused_grads = run()
+        fused_out, fused_grads = run()
         assert np.array_equal(ref_out, fused_out)
         for a, b in zip(ref_grads, fused_grads):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
@@ -331,10 +336,9 @@ class TestOperatorEquivalence:
             _weighted(out).backward()
             return out.data.copy(), _grab_grads([v] + params)
 
-        with use_fused(False):
+        with tape_path():
             ref_out, ref_grads = run()
-        with use_fused(True):
-            fused_out, fused_grads = run()
+        fused_out, fused_grads = run()
         assert np.array_equal(ref_out, fused_out)
         for a, b in zip(ref_grads, fused_grads):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
@@ -357,19 +361,19 @@ def _make_samples(n, rng):
 
 class TestTrainerEquivalence:
     def test_one_epoch_loss_curve_matches_legacy_tape(self):
-        """Fused vs legacy training over the identical batch stream ends
+        """Fused vs tape training over the identical batch stream ends
         with near-identical losses (gradients differ only by float64
         reassociation)."""
         samples = _make_samples(12, np.random.default_rng(0))
         losses = {}
-        for fused in (True, False):
+        for tape in (False, True):
             model = HierarchicalAutoencoder(EncoderConfig(seed=21))
             cfg = AutoencoderTrainingConfig(
-                epochs=2, batch_size=4, seed=3, fused=fused,
-                bucket_batches=False)
-            history = AutoencoderTrainer(model, cfg).fit(samples)
-            losses[fused] = history.epoch_losses
-        np.testing.assert_allclose(losses[True], losses[False],
+                epochs=2, batch_size=4, seed=3, bucket_batches=False)
+            with tape_path() if tape else contextlib.nullcontext():
+                history = AutoencoderTrainer(model, cfg).fit(samples)
+            losses[tape] = history.epoch_losses
+        np.testing.assert_allclose(losses[False], losses[True],
                                    rtol=1e-7)
 
     def test_bucketed_batching_trains_and_history_is_finite(self):
@@ -392,20 +396,6 @@ class TestTrainerEquivalence:
 
 
 class TestThreadIsolation:
-    def test_use_fused_is_thread_local(self):
-        seen = {}
-
-        def worker():
-            seen["inner"] = fused_enabled()
-
-        with use_fused(False):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-            assert not fused_enabled()
-        # Other threads keep the default (enabled) mode.
-        assert seen["inner"] is True
-
     def test_no_grad_does_not_leak_across_threads(self):
         """Regression: grad mode lives in threading.local, so a worker
         thread inside a ``no_grad`` block still records gradients."""

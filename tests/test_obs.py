@@ -13,6 +13,7 @@ Covers the four contracts the subsystem makes:
 
 from __future__ import annotations
 
+import gc
 import json
 import pickle
 import threading
@@ -24,12 +25,13 @@ from repro.chaos import ChaosEngine, FaultSpec
 from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
                         generate_dataset)
 from repro.detection import DetectorTrainingConfig
-from repro.encoding import AutoencoderTrainingConfig
+from repro.encoding import AutoencoderTrainingConfig, EncoderConfig
 from repro.obs import (EventLog, MetricsRegistry, Observability,
                        active_obs, flatten, obs_event, obs_span, observe,
                        read_jsonl, render_prometheus, render_span_tree,
                        render_table)
 from repro.obs.core import _NULL_SPAN
+from repro.obs.metrics import default_registry
 from repro.obs.trace import Tracer
 from repro.perf import parallel_map
 from repro.pipeline import LEAD, LEADConfig
@@ -333,6 +335,49 @@ class TestNoOpBitIdentity:
         assert set(stats) == {"hits", "misses", "evictions", "hit_rate"}
         assert isinstance(stats["hits"], int)
         assert isinstance(stats["hit_rate"], float)
+
+
+class TestRegistryIsBounded:
+    def test_lead_constructions_leave_registry_flat(self, obs_fitted_lead):
+        """Each LEAD registers per-instance cache counters; collecting
+        the LEAD must release them."""
+        lead, _ = obs_fitted_lead
+        registry = default_registry()
+        config = LEADConfig(encoder=EncoderConfig(hidden_size=2),
+                            detector_hidden=2, detector_layers=1)
+        gc.collect()
+        before = len(registry.instruments())
+        for _ in range(1000):
+            LEAD(lead.extractor.pois, config)
+        gc.collect()
+        assert len(registry.instruments()) == before
+        # A live cache keeps its counters and its legacy payload.
+        live = LEAD(lead.extractor.pois, config)
+        assert len(registry.instruments()) == before + 6
+        live.feature_cache.stats.record_hit()
+        assert live.feature_cache.stats.as_dict() == {
+            "hits": 1, "misses": 0, "evictions": 0, "hit_rate": 1.0}
+        del live
+        gc.collect()
+        assert len(registry.instruments()) == before
+
+    def test_unregister_inside_locked_section_does_not_deadlock(self):
+        """A collection can run a cache's finalizer while this thread is
+        inside the registry's own locked section (``_get_or_create``
+        allocates under the lock); releasing there must not block."""
+        registry = MetricsRegistry()
+        counter = registry.counter("x_total")
+
+        def finalizer_fires_under_lock():
+            with registry._lock:
+                registry.unregister(counter.key)
+
+        worker = threading.Thread(target=finalizer_fires_under_lock,
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert registry.instruments() == []
 
 
 # ---------------------------------------------------------------------------

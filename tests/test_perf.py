@@ -3,10 +3,11 @@
 Three contracts are nailed down here:
 
 1. **Batched == per-trajectory.**  ``detect_batch`` /
-   ``predict_distribution_batch`` / ``encode_candidates_batch`` return
-   the same answers as their serial counterparts (``allclose`` at
-   ``rtol=1e-9``), including degradation-tier provenance when detectors
-   are knocked out.
+   ``predict_distribution_batch`` / ``encode_candidates_batch`` over a
+   whole batch return the same answers as per-trajectory computation
+   (the oracles in ``tests/oracles.py`` and batch-of-one ``detect``
+   calls; ``allclose`` at ``rtol=1e-9``), including degradation-tier
+   provenance when detectors are knocked out.
 2. **Cache correctness.**  The content-keyed segment cache serves
    repeated featurizations without recomputation, returns identical
    matrices, and invalidates itself when the normalizer refits.
@@ -28,7 +29,10 @@ from repro.encoding import AutoencoderTrainingConfig
 from repro.encoding.autoencoder import build_pair_indices
 from repro.perf import (LRUCache, SegmentFeatureCache, compare_to_baseline,
                         effective_workers, parallel_map, spawn_rng)
+from repro.nn import no_grad
 from repro.pipeline import LEAD, LEADConfig
+
+from .oracles import group_distribution
 
 
 def tiny_lead_config(**overrides) -> LEADConfig:
@@ -67,7 +71,10 @@ class TestBatchedEquivalence:
     def test_encode_candidates_batch_matches_loop(self, fitted):
         lead, dataset = fitted
         processed = self._processed(lead, dataset)
-        loop = [lead.encode_candidates(p) for p in processed]
+        with no_grad():
+            loop = [lead.autoencoder.encode_trajectory_tensor(
+                *lead._segments(p), [c.pair for c in p.candidates]).numpy()
+                for p in processed]
         batched = lead.encode_candidates_batch(processed)
         assert len(batched) == len(loop)
         for single, merged in zip(loop, batched):
@@ -77,7 +84,7 @@ class TestBatchedEquivalence:
     def test_predict_distribution_batch_matches_loop(self, fitted):
         lead, dataset = fitted
         processed = self._processed(lead, dataset)
-        loop = [lead.predict_distribution(p) for p in processed]
+        loop = [group_distribution(lead, p) for p in processed]
         batched = lead.predict_distribution_batch(processed)
         for single, merged in zip(loop, batched):
             assert np.allclose(single, merged, rtol=1e-9, atol=0.0)

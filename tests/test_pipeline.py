@@ -103,9 +103,9 @@ class TestFitDetect:
         lead, _ = fitted_lead
         _, dataset = tiny_world_and_data
         processed = lead.processor.process(dataset[9].trajectory)
-        both = lead.predict_distribution(processed, "both")
-        fwd = lead.predict_distribution(processed, "forward")
-        bwd = lead.predict_distribution(processed, "backward")
+        both, fwd, bwd = (
+            lead.predict_distribution_batch([processed], direction=d)[0]
+            for d in ("both", "forward", "backward"))
         assert both.shape == fwd.shape == bwd.shape
         # Forward-only and backward-only generally differ.
         assert not np.allclose(fwd, bwd)
@@ -116,7 +116,8 @@ class TestFitDetect:
         _, dataset = tiny_world_and_data
         processed = lead.processor.process(dataset[9].trajectory)
         with pytest.raises(ValueError):
-            lead.predict_distribution(processed, "sideways")
+            lead.predict_distribution_batch([processed],
+                                            direction="sideways")
 
     def test_unfitted_detect_raises(self, tiny_world_and_data):
         world, dataset = tiny_world_and_data

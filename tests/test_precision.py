@@ -4,7 +4,7 @@ Covers the contracts of :mod:`repro.nn.precision` and their wiring
 through the LEAD facade:
 
 * a ``float64`` context is byte-identical to the pre-precision code,
-  on both the fused kernels and the legacy tape path;
+  on both the fused kernels and the per-step tape oracle;
 * float32 and float64 inference agree on verdicts for simulated fleets;
 * cached weight views are invalidated by both parameter mutation paths
   (in-place optimizer steps, ``load_state_dict`` rebinds);
@@ -33,10 +33,11 @@ from repro.errors import ArtifactCorruptedError
 from repro.io import write_manifest
 from repro.nn import (Adam, Linear, SGD, Tensor, active_dtype,
                       active_dtype_name, clear_weight_views, inference_dtype,
-                      inference_param, no_grad, use_fused, weight_view,
-                      weight_view_stats)
+                      no_grad, weight_view, weight_view_stats)
 from repro.perf.cache import SegmentFeatureCache
 from repro.pipeline import LEAD, LEADConfig
+
+from .oracles import tape_path
 
 
 def tiny_config(**overrides) -> LEADConfig:
@@ -159,22 +160,6 @@ class TestWeightViews:
         np.testing.assert_array_equal(
             fresh, source.weight.data.astype(np.float32))
 
-    def test_inference_param_passthrough_when_float64(self):
-        p = Tensor(np.ones((2, 2)), requires_grad=True)
-        assert inference_param(p) is p
-        with inference_dtype("float32"), no_grad():
-            wrapped = inference_param(p)
-            assert wrapped is not p
-            assert wrapped.data.dtype == np.float32
-
-    def test_inference_param_passthrough_while_training(self):
-        """With gradients live, float32 contexts never touch weights."""
-        p = Tensor(np.ones((2, 2)), requires_grad=True)
-        with inference_dtype("float32"):
-            assert inference_param(p) is p  # grads enabled by default
-            with no_grad():
-                assert inference_param(p) is not p
-
     def test_thread_safety_under_eviction(self, monkeypatch):
         """Concurrent lookups with a tiny LRU never corrupt the cache.
 
@@ -217,7 +202,7 @@ class TestFloat64BitIdentity:
         x = Tensor(np.random.default_rng(4).normal(size=(5, 4)))
         with no_grad():
             fused_out = layer(x).numpy()
-            with use_fused(False):
+            with tape_path():
                 tape_out = layer(x).numpy()
             with inference_dtype("float64"):
                 context_out = layer(x).numpy()

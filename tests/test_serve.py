@@ -1,16 +1,21 @@
 """Serve-layer tests: sharded convergence, routing purity, backpressure,
 restart-under-fire, the uniform config surface, the ``repro.api``
-covenant, and the deprecation shims on the legacy entrypoints."""
+covenant, and the keyword-only arguments of the legacy entrypoints."""
 
 from __future__ import annotations
 
-import warnings
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.chaos import ChaosEngine, FaultSpec
 from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
                         generate_dataset)
@@ -145,6 +150,68 @@ class TestShardedConvergence:
         for key, serial in serial_verdicts.items():
             assert_same_verdict(sharded[key], serial)
 
+    def test_worker_dying_before_send_gets_batch_once(self, fitted, pings,
+                                                      serial_verdicts):
+        """A SIGKILL lands after submit's liveness probe but before the
+        send: the restart's journal replay delivers the batch, and the
+        frontend must not send it a second time."""
+        def submit_all(service, chunk):
+            for start in range(0, len(chunk), 500):
+                result = service.submit(chunk[start:start + 500])
+                while result.rejected:
+                    service.wait()
+                    result = service.submit(result.rejected_pings)
+            service.wait()
+
+        half = len(pings) // 2
+        with FleetService(fitted, config=ServeConfig(num_shards=4)) \
+                as service:
+            submit_all(service, pings[:half])
+            worker = service._shards[1].process
+            assert service.kill_worker(shard=1)
+            worker.join(timeout=10.0)
+            assert not worker.is_alive()
+            # Submit's probe still sees the worker alive, once.
+            probes = iter([True])
+            worker.is_alive = lambda: next(probes, False)
+            submit_all(service, pings[half:])
+            stats = service.stats()
+            sharded = {(v.truck_id, v.day): v for v in service.drain()}
+        assert stats["frontend"]["restarts"] == 1
+        ingested = sum(shard["fleet"]["sessions"]["pings_ingested"]
+                       for shard in stats["shards"].values())
+        assert ingested == len(pings)
+        assert set(sharded) == set(serial_verdicts)
+        for key, serial in serial_verdicts.items():
+            assert_same_verdict(sharded[key], serial)
+
+    def test_process_exits_after_killing_a_busy_worker(self):
+        """A worker killed while a large batch is still being written to
+        its queue leaves that queue's feeder thread blocked for good;
+        the interpreter must still exit instead of joining it."""
+        script = textwrap.dedent("""
+            from repro.chaos import ChaosEngine, FaultSpec
+            from repro.serve import FleetService, ServeConfig
+
+            pings = [("T1", "d0", 32.0 + 1e-5 * i, 121.0, float(i))
+                     for i in range(20000)]
+            kill = [FaultSpec(site="serve.worker", kind="kill",
+                              rate=1.0, max_fires=1)]
+            config = ServeConfig(num_shards=1)
+            with FleetService(None, config=config) as service:
+                with ChaosEngine(seed=0, specs=kill):
+                    service.submit(pings)
+                service.wait()
+                print(service.stats()["frontend"]["restarts"])
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
+
 
 # ---------------------------------------------------------------------------
 # 2. Routing is a pure function of the truck id
@@ -278,7 +345,7 @@ class TestApiFacade:
 
 
 # ---------------------------------------------------------------------------
-# 6. Keyword-only covenant + deprecation shims
+# 6. Keyword-only covenant (the expired positional shims are gone)
 # ---------------------------------------------------------------------------
 class TestEntrypointShims:
     def test_serve_apis_are_keyword_only(self):
@@ -290,33 +357,31 @@ class TestEntrypointShims:
                 service.kill_worker(0)         # shard must be keyword
 
     def test_fleet_flush_positional_day_warns(self):
+        """The warning shim expired: the positional form now raises."""
         manager = FleetSessionManager(None, FleetConfig())
         manager.ingest("T1", 1.0, 2.0, 0.0, "d0")
-        with pytest.warns(DeprecationWarning, match="flush"):
-            old = manager.flush("T1", "d0")
-        manager2 = FleetSessionManager(None, FleetConfig())
-        manager2.ingest("T1", 1.0, 2.0, 0.0, "d0")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            new = manager2.flush("T1", day="d0")
-        assert old.pair == new.pair
+        with pytest.raises(TypeError):
+            manager.flush("T1", "d0")
+        assert manager.flush("T1", day="d0").final
 
     def test_detect_batch_positional_direction_warns(self, fitted):
-        with pytest.warns(DeprecationWarning, match="direction"):
-            assert fitted.detect_processed_batch([], "both") == []
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert fitted.detect_processed_batch([]) == []
+        """The warning shim expired: the positional form now raises."""
         with pytest.raises(TypeError):
-            fitted.detect_processed_batch([], "both", "extra")
+            fitted.detect_processed_batch([], "both")
+        with pytest.raises(TypeError):
+            fitted.predict_distribution_batch([], "both")
+        assert fitted.detect_processed_batch([], direction="both") == []
 
     def test_load_positional_strict_warns(self, world_and_data, fitted,
                                           tmp_path):
+        """The warning shim expired: the positional form now raises."""
         world, _ = world_and_data
         fitted.save(tmp_path / "model")
-        with pytest.warns(DeprecationWarning, match="strict"):
-            lead = LEAD(world.pois, tiny_lead_config()).load(
-                tmp_path / "model", True)
+        with pytest.raises(TypeError):
+            LEAD(world.pois, tiny_lead_config()).load(tmp_path / "model",
+                                                      True)
+        lead = LEAD(world.pois, tiny_lead_config()).load(
+            tmp_path / "model", strict=True)
         assert lead.detect_processed_batch([]) == []
 
     def test_closed_service_rejects_calls(self):
