@@ -36,5 +36,5 @@ def test_encode_cost_vs_segment_length(experiment, trained_lead,
           f"across {len(stay) + len(move)} segments")
 
     cvecs = benchmark(lambda: model.encode_trajectories(
-        [stay], [move], [pairs], bucket=False)[0])
+        [stay], [move], [pairs])[0])
     assert cvecs.shape == (len(pairs), model.config.cvec_dim)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..nn import (Linear, LSTM, LSTMDecoder, Module, SelfAttentionAggregator,
                   Tensor)
-from ..nn.fused import mlp_head
+from ..nn.fused import compress_prefixes, mlp_head
 
 __all__ = ["CompressionOperator", "DecompressionOperator"]
 
@@ -53,6 +53,21 @@ class CompressionOperator(Module):
         else:
             aggregated = last_hidden
         return _head(self.fc1, self.fc2, aggregated)
+
+    def prefixes(self, runs: Tensor, lengths: np.ndarray, run: np.ndarray,
+                 length: np.ndarray) -> Tensor:
+        """Row ``k``: :meth:`forward` on the first ``length[k]`` steps of
+        run ``run[k]`` of ``runs``, all from one LSTM pass
+        (:func:`repro.nn.fused.compress_prefixes`)."""
+        cell = self.lstm.cell
+        attention = None
+        if self.use_attention:
+            query, key = self.attention.query, self.attention.key
+            attention = (query.weight, query.bias, key.weight, key.bias)
+        return compress_prefixes(
+            runs, lengths, (cell.w_ih, cell.w_hh, cell.bias), attention,
+            (self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias),
+            run, length)
 
 
 class DecompressionOperator(Module):

@@ -58,7 +58,8 @@ except ImportError:  # pragma: no cover
         return a.clip(lo, hi, out=out)
 
 __all__ = ["lstm_sequence", "gru_sequence", "lstm_decode",
-           "affine", "attention_pool", "mlp_head"]
+           "affine", "attention_pool", "mlp_head",
+           "prefix_attention_pool", "compress_prefixes"]
 
 def _sigmoid_into(pre: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out = 1 / (1 + exp(-clip(pre, ±60)))``, no temporaries.
@@ -723,3 +724,95 @@ def attention_pool(outputs: Tensor, last_hidden: Tensor,
         pooled,
         (outputs, last_hidden, w_query, b_query, w_key, b_key),
         backward)
+
+
+# ----------------------------------------------------------------------
+# All-prefix compression: every prefix of every run from one pass
+# ----------------------------------------------------------------------
+def prefix_attention_pool(outputs: Tensor, w_query: Tensor, b_query: Tensor,
+                          w_key: Tensor, b_key: Tensor,
+                          run: np.ndarray, length: np.ndarray,
+                          neg_inf: float = -1e9) -> Tensor:
+    """:func:`attention_pool` of many prefixes of each run, as ONE node.
+
+    A forward LSTM's first ``L`` states over a run *are* its states over
+    the run's length-``L`` prefix, so row ``k`` pools the first
+    ``length[k]`` steps of run ``run[k]`` of ``outputs`` (``(R, T, n)``)
+    with the state at step ``length[k] - 1`` as the query.  Queries and
+    keys are projected once per run and one causal ``(R, T, T)`` score
+    matrix serves every prefix: keys after the query step get the same
+    ``-1e9`` bias (and the same ``1/sqrt(d)`` scale) as padding in
+    :func:`attention_pool`, so they underflow to exactly zero weight.
+    """
+    cdt = _compute_dtype(_needs_grad(outputs, w_query, b_query,
+                                     w_key, b_key))
+    hd = np.asarray(outputs.data, dtype=cdt)   # (R, T, n)
+    runs, steps, n = hd.shape
+    scale = 1.0 / np.sqrt(n)
+    query = length - 1                         # query step of each prefix
+
+    flat_h = hd.reshape(runs * steps, n)
+    q = (flat_h @ weight_view(w_query, cdt)).reshape(runs, steps, n)
+    q += weight_view(b_query, cdt)
+    k = (flat_h @ weight_view(w_key, cdt)).reshape(runs, steps, n)
+    k += weight_view(b_key, cdt)
+    scores = q @ k.transpose(0, 2, 1)          # (R, A, T): query a, key t
+    scores *= scale
+    scores += (1.0 - np.tri(steps, dtype=cdt)) * neg_inf
+    # Softmax over keys, replaying Tensor.softmax's op order.
+    shifted = scores - scores.max(axis=2, keepdims=True)
+    e = np.exp(shifted)
+    weights = e / e.sum(axis=2, keepdims=True)
+    pooled = (weights @ hd)[run, query]        # (N, n)
+
+    def backward(grad: np.ndarray) -> None:
+        d_pooled = np.zeros((runs, steps, n))
+        np.add.at(d_pooled, (run, query), grad)
+        # pooled = weights @ H
+        d_outputs = weights.transpose(0, 2, 1) @ d_pooled
+        dw = d_pooled @ hd.transpose(0, 2, 1)             # (R, A, T)
+        # softmax backward (the causal bias is a constant).
+        ds = weights * (dw - (dw * weights).sum(axis=2, keepdims=True))
+        ds *= scale
+        # scores = Q Kᵀ  ->  one batched GEMM per factor.
+        dq = (ds @ k).reshape(runs * steps, n)
+        dk = (ds.transpose(0, 2, 1) @ q).reshape(runs * steps, n)
+        # Through both projections (flat GEMMs).
+        d_outputs += (dq @ w_query.data.T + dk @ w_key.data.T).reshape(
+            hd.shape)
+        if w_query.requires_grad:
+            w_query._accumulate(flat_h.T @ dq, own=True)
+        if b_query.requires_grad:
+            b_query._accumulate(dq.sum(axis=0), own=True)
+        if w_key.requires_grad:
+            w_key._accumulate(flat_h.T @ dk, own=True)
+        if b_key.requires_grad:
+            b_key._accumulate(dk.sum(axis=0), own=True)
+        if outputs.requires_grad:
+            outputs._accumulate(d_outputs, own=True)
+
+    return Tensor._make(pooled, (outputs, w_query, b_query, w_key, b_key),
+                        backward)
+
+
+def compress_prefixes(x: Tensor, lengths: np.ndarray,
+                      lstm: tuple[Tensor, Tensor, Tensor],
+                      attention: tuple[Tensor, Tensor, Tensor, Tensor] | None,
+                      head: tuple[Tensor, Tensor, Tensor, Tensor],
+                      run: np.ndarray, length: np.ndarray) -> Tensor:
+    """A compression operator on many prefixes of each run of ``x``.
+
+    Row ``k`` is the operator's output on the first ``length[k]`` steps
+    of run ``run[k]`` (``1 <= length[k] <= lengths[run[k]]``), from one
+    :func:`lstm_sequence` pass over the ``R`` runs instead of one row
+    per prefix.  ``attention=None`` is LEAD-NoSel (the state at step
+    ``length[k] - 1`` instead of attention pooling).  ``lstm``,
+    ``attention`` and ``head`` are ``(w_ih, w_hh, bias)``, ``(w_query,
+    b_query, w_key, b_key)`` and ``(w1, b1, w2, b2)``.
+    """
+    outputs, _, _ = lstm_sequence(x, *lstm, lengths=lengths)
+    if attention is None:
+        pooled = outputs[run, length - 1]
+    else:
+        pooled = prefix_attention_pool(outputs, *attention, run, length)
+    return mlp_head(pooled, *head)

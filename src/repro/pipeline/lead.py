@@ -68,13 +68,13 @@ _TIER_DIRECTIONS = (("both", "both"), ("forward-only", "forward"),
 
 
 def _bucketed(batch: Sequence[ProcessedTrajectory]) -> bool:
-    """Whether the inference core shape-buckets ``batch`` (DESIGN §8).
+    """Whether ``GroupDetector.score_indexed`` shape-buckets ``batch``
+    (DESIGN §8; the encoder never buckets).
 
     Power-of-2 length buckets split one trajectory's subgroups into
     about log2(n) passes, which costs more than the padding it saves;
-    across a multi-trajectory batch the padding dominates and bucketing
-    cuts up to half the time.  Padding is freeze-masked, so the choice
-    changes speed, not answers.
+    across a multi-trajectory batch the padding dominates.  Padding is
+    freeze-masked, so the choice changes speed, not answers.
     """
     return len(batch) > 1
 
@@ -480,9 +480,10 @@ class LEAD:
         """c-vecs of every candidate of each trajectory, shape (N_t, 64).
 
         One phase-1 compressor pass per branch covers every segment of
-        every trajectory, and phase 2 runs over the merged candidate set
-        (shape-bucketed when the batch holds several trajectories); the
-        list lines up with the input order.
+        every trajectory, and one phase-2 pass per branch covers every
+        (trajectory, start stay point) run; there is no shape bucketing
+        here (that is the detector's, see ``_bucketed``).  The list
+        lines up with the input order.
         """
         stay_lists, move_lists, pairs_lists = [], [], []
         with obs_span("detect.featurize",
@@ -495,8 +496,7 @@ class LEAD:
         with obs_span("detect.encode",
                       candidates=sum(len(p) for p in pairs_lists)):
             return self.autoencoder.encode_trajectories(
-                stay_lists, move_lists, pairs_lists,
-                bucket=_bucketed(processed_list))
+                stay_lists, move_lists, pairs_lists)
 
     def _predict_many(self, processed_list: list[ProcessedTrajectory],
                       direction: str = "both") -> list[np.ndarray]:

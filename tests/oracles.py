@@ -1,17 +1,23 @@
 """Reference implementations that exist only to check production code.
 
-Two oracles live here, each the code the production path replaced:
+Three oracles live here, each the code the production path replaced:
 
 * :func:`group_distribution` — single-trajectory inference through the
   Group layout: encode one trajectory's candidates, run each detector
   over its padded forward/backward group and merge (Eq. 13).  The
   inference core (``LEAD._predict_many``) must match it bit for bit on
   a batch of one and at ``rtol=1e-9`` on multi-trajectory batches.
+* :func:`per_candidate_cvecs` (with :func:`compress`,
+  :func:`reconstruction_loss`) — the per-candidate encoder: every
+  candidate's phase-2 sequences are compressed on their own.  The
+  prefix-shared phase 2 of ``HierarchicalAutoencoder.encode_trajectories``
+  must match it at ``rtol=1e-9``.
 * :func:`tape_path` — the per-step autograd tape of the recurrent
-  drivers, the linear and attention layers, the operator heads and the
-  MSE loss.  Inside the context those modules build one tape node per
-  elementary op; the fused kernels of :mod:`repro.nn.fused` must match
-  its forward values bit for bit and its gradients at ``rtol=1e-9``.
+  drivers, the linear and attention layers, the operator heads, the
+  all-prefix compression and the MSE loss.  Inside the context those
+  modules build one tape node per elementary op; the fused kernels of
+  :mod:`repro.nn.fused` must match its forward values bit for bit and
+  its gradients at ``rtol=1e-9``.
 """
 
 from __future__ import annotations
@@ -23,27 +29,38 @@ import numpy as np
 from repro.detection import (build_backward_group, build_forward_group,
                              merge_distributions)
 from repro.encoding import operators
+from repro.features import CandidateFeatures, SegmentKind
 from repro.nn import (GRU, LSTM, Linear, LSTMDecoder,
-                      SelfAttentionAggregator, Tensor, losses, no_grad)
+                      SelfAttentionAggregator, Tensor, concat, losses,
+                      mse_loss, no_grad)
 from repro.nn.attention import masked_softmax
+from repro.nn.padding import pad_sequences
 from repro.nn.rnn import sequence_mask
 from repro.nn.tensor import stack
 
-__all__ = ["group_distribution", "tape_path"]
+__all__ = ["group_distribution", "compress", "reconstruction_loss",
+           "per_candidate_cvecs", "tape_path"]
 
 
 # ----------------------------------------------------------------------
 # Group-based single-trajectory inference
 # ----------------------------------------------------------------------
-def group_distribution(lead, processed, direction: str = "both"
-                       ) -> np.ndarray:
-    """Merged Eq. 13 distribution of one processed trajectory."""
+def group_distribution(lead, processed, direction: str = "both", *,
+                       per_candidate: bool = False) -> np.ndarray:
+    """Merged Eq. 13 distribution of one processed trajectory.
+
+    ``per_candidate=True`` encodes through :func:`per_candidate_cvecs`
+    instead of the production encoder.
+    """
     stay, move = lead._segments(processed)
     pairs = [c.pair for c in processed.candidates]
     n = processed.num_stay_points
     with no_grad():
-        cvecs = lead.autoencoder.encode_trajectory_tensor(
-            stay, move, pairs).numpy()
+        if per_candidate:
+            cvecs = per_candidate_cvecs(lead.autoencoder, stay, move, pairs)
+        else:
+            cvecs = lead.autoencoder.encode_trajectory_tensor(
+                stay, move, pairs).numpy()
         if lead.independent_detector is not None:
             return merge_distributions(
                 lead.independent_detector(Tensor(cvecs)).numpy())
@@ -59,6 +76,77 @@ def group_distribution(lead, processed, direction: str = "both"
     if forward is None:
         return merge_distributions(backward)
     return merge_distributions(forward, backward)
+
+
+# ----------------------------------------------------------------------
+# Per-candidate encoder
+# ----------------------------------------------------------------------
+def compress(model, features: CandidateFeatures) -> Tensor:
+    """The c-vec of one candidate, ``(1, cvec_dim)``."""
+    if not model.config.hierarchical:
+        return model.comp_flat(Tensor(features.flat()[None, :, :]))
+    sp_cvecs = model._phase1(features.stay_segments, model.comp_sp)
+    mp_cvecs = model._phase1(features.move_segments, model.comp_mp)
+    sp_vec = model.comp_sp2(sp_cvecs.reshape(1, *sp_cvecs.shape))
+    mp_vec = model.comp_mp2(mp_cvecs.reshape(1, *mp_cvecs.shape))
+    return concat([sp_vec, mp_vec], axis=1)
+
+
+def reconstruction_loss(model, features: CandidateFeatures) -> Tensor:
+    """MSE between one candidate's f-seq and its decompression (Eq. 8)."""
+    if not model.config.hierarchical:
+        flat = features.flat()
+        c_vec = model.comp_flat(Tensor(flat[None, :, :]))
+        recon = model.decomp_flat(c_vec, steps=len(flat))
+        return mse_loss(recon, flat[None, :, :])
+    c_vec = compress(model, features)
+    h = model.config.hidden_size
+    loss_sp, n_sp = _branch_loss(model, c_vec[:, :h], features.stay_segments,
+                                 model.decomp_sp2, model.decomp_sp)
+    loss_mp, n_mp = _branch_loss(model, c_vec[:, h:], features.move_segments,
+                                 model.decomp_mp2, model.decomp_mp)
+    total = n_sp + n_mp
+    return loss_sp * (n_sp / total) + loss_mp * (n_mp / total)
+
+
+def _branch_loss(model, branch_vec: Tensor, segments: list[np.ndarray],
+                 decomp_outer, decomp_inner) -> tuple[Tensor, int]:
+    """Decompress one branch and return (masked MSE, #points)."""
+    k = len(segments)
+    cvec_seq = decomp_outer(branch_vec, steps=k)          # (1, k, H)
+    cvec_seq = cvec_seq.reshape(k, model.config.hidden_size)
+    target, lengths = pad_sequences(segments)
+    recon = decomp_inner(cvec_seq, steps=int(lengths.max()),
+                         lengths=lengths)                 # (k, T, F)
+    mask = sequence_mask(lengths, int(lengths.max()))
+    return mse_loss(recon, target, mask=mask), int(lengths.sum())
+
+
+def _candidate_features(stay_segments, move_segments,
+                        pair: tuple[int, int]) -> CandidateFeatures:
+    """The segmented f-seq of candidate ``pair`` from per-ordinal
+    segments (stay ordinals ``i..j``, move ordinals ``i..j-1``)."""
+    i, j = pair
+    segments, kinds = [], []
+    for ordinal in range(i, j + 1):
+        segments.append(stay_segments[ordinal - 1])
+        kinds.append(SegmentKind.STAY)
+        if ordinal < j:
+            segments.append(move_segments[ordinal - 1])
+            kinds.append(SegmentKind.MOVE)
+    return CandidateFeatures(pair=pair, segments=tuple(segments),
+                             kinds=tuple(kinds))
+
+
+def per_candidate_cvecs(model, stay_segments, move_segments,
+                        pairs) -> np.ndarray:
+    """c-vecs of one trajectory's candidates, each compressed on its
+    own, ``(N, cvec_dim)`` in the active precision."""
+    with no_grad():
+        return np.concatenate([
+            compress(model, _candidate_features(stay_segments,
+                                                move_segments, pair)).numpy()
+            for pair in pairs], axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -171,6 +259,20 @@ def _tape_head(fc1: Linear, fc2: Linear, x: Tensor) -> Tensor:
     return fc2(fc1(x)).tanh()
 
 
+def _tape_prefixes(self, runs: Tensor, lengths, run, length) -> Tensor:
+    """``CompressionOperator.prefixes`` in the fused op's order."""
+    outputs, _ = self.lstm(runs, lengths)
+    if not self.use_attention:
+        return _tape_head(self.fc1, self.fc2, outputs[run, length - 1])
+    steps, hidden = outputs.shape[1:]
+    q = self.attention.query(outputs)                # (R, T, H)
+    k = self.attention.key(outputs)
+    scores = (q @ k.T) * (1.0 / np.sqrt(hidden))     # (R, A, T)
+    weights = masked_softmax(scores, np.tri(steps), axis=2)
+    pooled = (weights @ outputs)[run, length - 1]
+    return _tape_head(self.fc1, self.fc2, pooled)
+
+
 def _tape_mse(prediction: Tensor, target: np.ndarray,
               mask: np.ndarray | None) -> Tensor:
     diff = prediction - target
@@ -190,6 +292,7 @@ _TAPE_PATCHES = (
     (Linear, "forward", _tape_linear),
     (SelfAttentionAggregator, "forward", _tape_attention),
     (operators, "_head", _tape_head),
+    (operators.CompressionOperator, "prefixes", _tape_prefixes),
     (losses, "_fused_mse", _tape_mse),
 )
 

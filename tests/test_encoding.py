@@ -12,8 +12,10 @@ from repro.encoding import (AutoencoderTrainer, AutoencoderTrainingConfig,
                             EncoderConfig, HierarchicalAutoencoder)
 from repro.features import CandidateFeaturizer, FeatureExtractor, \
     ZScoreNormalizer
-from repro.nn import Tensor, load_module, save_module
+from repro.nn import Tensor, load_module, no_grad, save_module
 from repro.processing import RawTrajectoryProcessor
+
+from .oracles import compress, per_candidate_cvecs, reconstruction_loss
 
 RNG = np.random.default_rng(41)
 
@@ -73,22 +75,33 @@ class TestHierarchicalAutoencoder:
         processed, featurizer = pipeline
         model = HierarchicalAutoencoder(EncoderConfig())
         features = featurizer.featurize(processed[0].candidates[0])
-        assert model.compress(features).shape == (1, 64)
-        assert model.encode(features).shape == (64,)
+        assert compress(model, features).shape == (1, 64)
 
     def test_reconstruction_loss_finite_and_positive(self, pipeline):
         processed, featurizer = pipeline
         model = HierarchicalAutoencoder(EncoderConfig())
         features = featurizer.featurize(processed[0].candidates[0])
-        loss = model.reconstruction_loss(features)
+        loss = model.reconstruction_loss_batch([features])
         assert np.isfinite(loss.item())
         assert loss.item() > 0
+
+    def test_batch_loss_of_one_matches_per_candidate_oracle(self, pipeline):
+        processed, featurizer = pipeline
+        for config in (EncoderConfig(), EncoderConfig(hierarchical=False)):
+            model = HierarchicalAutoencoder(config)
+            for candidate in processed[0].candidates[:3]:
+                features = featurizer.featurize(candidate)
+                with no_grad():
+                    np.testing.assert_allclose(
+                        model.reconstruction_loss_batch([features]).item(),
+                        reconstruction_loss(model, features).item(),
+                        rtol=1e-9, atol=0.0)
 
     def test_gradients_reach_all_parameters(self, pipeline):
         processed, featurizer = pipeline
         model = HierarchicalAutoencoder(EncoderConfig())
         features = featurizer.featurize(processed[0].candidates[1])
-        model.reconstruction_loss(features).backward()
+        model.reconstruction_loss_batch([features]).backward()
         missing = [name for name, p in model.named_parameters()
                    if p.grad is None]
         assert missing == []
@@ -103,23 +116,32 @@ class TestHierarchicalAutoencoder:
                          for mp in p0.move_points]
         pairs = [c.pair for c in p0.candidates]
         batch = model.encode_trajectories(
-            [stay_segments], [move_segments], [pairs], bucket=False)[0]
+            [stay_segments], [move_segments], [pairs])[0]
         assert batch.shape == (p0.num_candidates, 64)
-        for k in (0, len(pairs) // 2, len(pairs) - 1):
-            single = model.encode(featurizer.featurize(p0.candidates[k]))
-            np.testing.assert_allclose(batch[k], single, atol=1e-9)
+        single = per_candidate_cvecs(model, stay_segments, move_segments,
+                                     pairs)
+        np.testing.assert_allclose(batch, single, atol=1e-9)
 
     def test_encode_rejects_empty_pairs(self):
         model = HierarchicalAutoencoder(EncoderConfig())
         with pytest.raises(ValueError):
-            model.encode_trajectories([[]], [[]], [[]], bucket=False)
+            model.encode_trajectories([[]], [[]], [[]])
+
+    @pytest.mark.parametrize("pairs", [[(2, 2)], [(2, 1)], [(0, 2)],
+                                       [(1, 4)]])
+    def test_encode_rejects_malformed_pairs(self, pairs):
+        model = HierarchicalAutoencoder(EncoderConfig(feature_dim=4))
+        stays = [np.ones((2, 4))] * 3
+        moves = [np.ones((2, 4))] * 2
+        with pytest.raises(ValueError):
+            model.encode_trajectories([stays], [moves], [pairs])
 
     def test_nohie_variant(self, pipeline):
         processed, featurizer = pipeline
         model = HierarchicalAutoencoder(EncoderConfig(hierarchical=False))
         features = featurizer.featurize(processed[0].candidates[0])
-        assert model.compress(features).shape == (1, 64)
-        loss = model.reconstruction_loss(features)
+        assert compress(model, features).shape == (1, 64)
+        loss = model.reconstruction_loss_batch([features])
         assert np.isfinite(loss.item())
         p0 = processed[0]
         stay_segments = [featurizer._segment_features(sp)
@@ -128,14 +150,14 @@ class TestHierarchicalAutoencoder:
                          for mp in p0.move_points]
         pairs = [c.pair for c in p0.candidates]
         batch = model.encode_trajectories(
-            [stay_segments], [move_segments], [pairs], bucket=False)[0]
+            [stay_segments], [move_segments], [pairs])[0]
         assert batch.shape == (p0.num_candidates, 64)
 
     def test_nosel_variant(self, pipeline):
         processed, featurizer = pipeline
         model = HierarchicalAutoencoder(EncoderConfig(use_attention=False))
         features = featurizer.featurize(processed[0].candidates[0])
-        assert model.encode(features).shape == (64,)
+        assert compress(model, features).shape == (1, 64)
 
     def test_serialization_roundtrip(self, pipeline, tmp_path):
         processed, featurizer = pipeline
@@ -144,7 +166,9 @@ class TestHierarchicalAutoencoder:
         save_module(a, tmp_path / "ae.npz")
         load_module(b, tmp_path / "ae.npz")
         features = featurizer.featurize(processed[0].candidates[0])
-        np.testing.assert_allclose(a.encode(features), b.encode(features))
+        with no_grad():
+            np.testing.assert_allclose(compress(a, features).numpy(),
+                                       compress(b, features).numpy())
 
 
 class TestTrainer:

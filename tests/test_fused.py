@@ -8,7 +8,7 @@ Three layers of guarantees:
 * **Tape equivalence** — the fused ops produce bit-identical forward
   values and ``rtol=1e-9`` gradients versus the per-step tape oracle
   (:func:`tests.oracles.tape_path`), both at the op level and through
-  a full one-epoch training run.
+  one-epoch autoencoder and joint fine-tuning runs.
 * **Thread isolation** — the no-grad mode flag is per-thread.
 """
 
@@ -20,15 +20,20 @@ import threading
 import numpy as np
 import pytest
 
+from repro.detection import (DetectorTrainingConfig, GroupDetector,
+                             JointDetectorTrainer)
 from repro.encoding import (AutoencoderTrainer, AutoencoderTrainingConfig,
-                            EncoderConfig, HierarchicalAutoencoder)
+                            CompressionOperator, EncoderConfig,
+                            HierarchicalAutoencoder)
 from repro.features import CandidateFeatures, SegmentKind
 from repro.nn import (GRU, LSTM, BiLSTMLayer, Linear, LSTMDecoder,
                       SelfAttentionAggregator, Tensor, mse_loss, no_grad)
 from repro.nn.fused import (affine, attention_pool, gru_sequence,
-                            lstm_decode, lstm_sequence, mlp_head)
+                            lstm_decode, lstm_sequence, mlp_head,
+                            prefix_attention_pool)
 
 from .oracles import tape_path
+from .test_joint import make_specs
 
 RNG = np.random.default_rng(77)
 
@@ -180,6 +185,55 @@ class TestGradcheckAffineAttention:
         _gradcheck([pred], build)
 
 
+#: Runs for the all-prefix ops: ragged, one of length 1, one all padded.
+RUN_LENGTHS = np.array([4, 2, 1, 0])
+#: Every prefix of every non-empty run, in scrambled order.
+PREFIX_RUN = np.array([1, 0, 2, 0, 1, 0, 0])
+PREFIX_LEN = np.array([2, 3, 1, 1, 1, 4, 2])
+
+
+class TestGradcheckPrefixes:
+    def test_prefix_attention_pool(self):
+        att = SelfAttentionAggregator(H, rng=np.random.default_rng(17))
+        outputs = Tensor(RNG.normal(size=(4, 4, H)), requires_grad=True)
+
+        def build():
+            return _weighted(prefix_attention_pool(
+                outputs, att.query.weight, att.query.bias, att.key.weight,
+                att.key.bias, PREFIX_RUN, PREFIX_LEN))
+
+        _gradcheck([outputs, att.query.weight, att.query.bias,
+                    att.key.weight, att.key.bias], build)
+
+    @pytest.mark.parametrize("attention", [True, False],
+                             ids=["attention", "nosel"])
+    def test_compress_prefixes(self, attention):
+        op = CompressionOperator(F, H, rng=np.random.default_rng(18),
+                                 use_attention=attention)
+        x = Tensor(RNG.normal(size=(4, 4, F)), requires_grad=True)
+        params = [p for _, p in op.named_parameters()]
+
+        def build():
+            return _weighted(op.prefixes(x, RUN_LENGTHS, PREFIX_RUN,
+                                         PREFIX_LEN))
+
+        _gradcheck([x] + params, build)
+
+    @pytest.mark.parametrize("attention", [True, False],
+                             ids=["attention", "nosel"])
+    def test_prefixes_equal_forward_on_each_prefix(self, attention):
+        op = CompressionOperator(F, H, rng=np.random.default_rng(19),
+                                 use_attention=attention)
+        xd = RNG.normal(size=(4, 4, F))
+        with no_grad():
+            got = op.prefixes(Tensor(xd), RUN_LENGTHS, PREFIX_RUN,
+                              PREFIX_LEN).numpy()
+            for row, (r, length) in enumerate(zip(PREFIX_RUN, PREFIX_LEN)):
+                want = op(Tensor(xd[r:r + 1, :length])).numpy()[0]
+                np.testing.assert_allclose(got[row], want, rtol=1e-9,
+                                           atol=1e-15)
+
+
 def _grab_grads(tensors):
     grads = [t.grad.copy() for t in tensors]
     for t in tensors:
@@ -324,6 +378,29 @@ class TestOperatorEquivalence:
         for a, b in zip(ref_grads, fused_grads):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("attention", [True, False],
+                             ids=["attention", "nosel"])
+    def test_compression_operator_prefixes(self, attention):
+        op = CompressionOperator(F, H, rng=np.random.default_rng(20),
+                                 use_attention=attention)
+        xd = RNG.normal(size=(4, 4, F))
+        params = [p for _, p in op.named_parameters()]
+
+        def run():
+            x = Tensor(xd.copy(), requires_grad=True)
+            out = op.prefixes(x, RUN_LENGTHS, PREFIX_RUN, PREFIX_LEN)
+            _weighted(out).backward()
+            return out.data.copy(), _grab_grads([x] + params)
+
+        fused_prefixes = CompressionOperator.prefixes
+        with tape_path():
+            assert CompressionOperator.prefixes is not fused_prefixes
+            ref_out, ref_grads = run()
+        fused_out, fused_grads = run()
+        assert np.array_equal(ref_out, fused_out)
+        for a, b in zip(ref_grads, fused_grads):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
     def test_decompression_operator(self):
         from repro.encoding.operators import DecompressionOperator
         op = DecompressionOperator(H, H, F, rng=np.random.default_rng(15))
@@ -375,6 +452,24 @@ class TestTrainerEquivalence:
             losses[tape] = history.epoch_losses
         np.testing.assert_allclose(losses[False], losses[True],
                                    rtol=1e-7)
+
+    def test_one_epoch_joint_finetune_matches_tape(self):
+        """Joint fine-tuning backpropagates the detector losses through
+        the all-prefix phase 2; fused and tape runs agree."""
+        losses = {}
+        for tape in (False, True):
+            trainer = JointDetectorTrainer(
+                HierarchicalAutoencoder(EncoderConfig(seed=24)),
+                GroupDetector(64, 8, 1, np.random.default_rng(25)),
+                GroupDetector(64, 8, 1, np.random.default_rng(26)),
+                config=DetectorTrainingConfig(epochs=2, batch_size=3,
+                                              seed=0),
+                finetune_encoder=True)
+            specs = make_specs(np.random.default_rng(27), n_specs=5)
+            with tape_path() if tape else contextlib.nullcontext():
+                histories = trainer.fit(specs)
+            losses[tape] = [h.epoch_losses for h in histories]
+        np.testing.assert_allclose(losses[False], losses[True], rtol=1e-7)
 
     def test_bucketed_batching_trains_and_history_is_finite(self):
         samples = _make_samples(12, np.random.default_rng(1))

@@ -2,12 +2,17 @@
 
 * A batch of one is bit-identical to the Group-based single-trajectory
   oracle (``tests/oracles.py``) in every direction; multi-trajectory
-  batches, which shape-bucket, match it at ``rtol=1e-9``.
+  batches match it at ``rtol=1e-9``.
 * ``detect(t)`` and ``detect_batch([t])[0]`` agree exactly — pair,
   provenance (tier, notes, ``compute_dtype``) and distribution — for a
   healthy model, a detector dropped by ``load(strict=False)``, a forced
   non-finite tier and a failed float32 parity gate.
-* Bucketing is decided from the batch size alone.
+* Detector bucketing is decided from the batch size alone.
+* Phase 2 runs once per (trajectory, start stay point) and matches the
+  per-candidate encoder oracle, in float64 and in the float32 tier.
+* The end task holds: a ``tiny`` model fitted on 60 days finds the
+  loaded pair well above chance on held-out days, with the same
+  verdicts as the per-candidate encoder.
 """
 
 from __future__ import annotations
@@ -24,10 +29,13 @@ from repro.detection import (DetectorTrainingConfig, GroupDetector,
                              backward_index_maps, forward_index_maps)
 from repro.detection.grouping import (_backward_index_maps,
                                       _forward_index_maps)
-from repro.encoding import AutoencoderTrainingConfig, HierarchicalAutoencoder
+from repro.encoding import (AutoencoderTrainingConfig, EncoderConfig,
+                            HierarchicalAutoencoder)
+from repro.experiments import get_experiment_config
+from repro.nn import fused, inference_dtype
 from repro.pipeline import LEAD, LEADConfig
 
-from .oracles import group_distribution
+from .oracles import group_distribution, per_candidate_cvecs
 from .test_resilience import flip_byte
 from .test_robustness import inject_nonfinite
 
@@ -203,24 +211,137 @@ class TestDetectIsBatchOfOne:
 class TestBucketingRule:
     def test_bucketing_follows_batch_size(self, fitted, processed,
                                           monkeypatch):
-        seen: list[tuple[str, bool]] = []
-        encode = HierarchicalAutoencoder.encode_trajectories
+        seen: list[bool] = []
         score = GroupDetector.score_indexed
 
-        def spy_encode(self, *args, bucket):
-            seen.append(("encode", bucket))
-            return encode(self, *args, bucket=bucket)
-
         def spy_score(self, *args, bucket=False, **kwargs):
-            seen.append(("score", bucket))
+            seen.append(bucket)
             return score(self, *args, bucket=bucket, **kwargs)
 
-        monkeypatch.setattr(HierarchicalAutoencoder, "encode_trajectories",
-                            spy_encode)
         monkeypatch.setattr(GroupDetector, "score_indexed", spy_score)
         fitted.predict_distribution_batch(processed[:1])
-        assert seen == [("encode", False), ("score", False),
-                        ("score", False)]
+        assert seen == [False, False]
         seen.clear()
         fitted.predict_distribution_batch(processed[:3])
-        assert seen == [("encode", True), ("score", True), ("score", True)]
+        assert seen == [True, True]
+
+
+def _segments_and_pairs(lead, processed):
+    segments = [lead._segments(p) for p in processed]
+    return ([stay for stay, _ in segments], [move for _, move in segments],
+            [[c.pair for c in p.candidates] for p in processed])
+
+
+#: Per-element tolerance of the prefix path against the per-candidate
+#: oracle: float summation order only (the float32 tier rounds at
+#: ~6e-8, so it cannot be held to the float64 budget).
+_ORACLE_TOL = {"float64": dict(rtol=1e-9, atol=0.0),
+               "float32": dict(rtol=1e-5, atol=1e-6)}
+
+
+class TestPrefixPhase2:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("attention", [True, False],
+                             ids=["attention", "nosel"])
+    def test_matches_per_candidate_oracle(self, fitted, processed,
+                                          attention, dtype):
+        model = fitted.autoencoder
+        if not attention:
+            model = HierarchicalAutoencoder(dataclasses.replace(
+                fitted.config.encoder, use_attention=False))
+        stays, moves, pairs = _segments_and_pairs(fitted, processed)
+        with inference_dtype(dtype):
+            got = model.encode_trajectories(stays, moves, pairs)
+            for stay, move, plist, cvecs in zip(stays, moves, pairs, got):
+                want = per_candidate_cvecs(model, stay, move, plist)
+                assert cvecs.dtype == want.dtype == np.dtype(dtype)
+                np.testing.assert_allclose(cvecs, want, **_ORACLE_TOL[dtype])
+
+    def test_float32_tier_reads_weight_views(self, fitted, processed,
+                                             monkeypatch):
+        requested: dict[int, set] = {}
+        real = fused.weight_view
+
+        def spy(tensor, dtype=None):
+            requested.setdefault(id(tensor), set()).add(np.dtype(dtype))
+            return real(tensor, dtype)
+
+        monkeypatch.setattr(fused, "weight_view", spy)
+        stays, moves, pairs = _segments_and_pairs(fitted, processed[:2])
+        with inference_dtype("float32"):
+            fitted.autoencoder.encode_trajectories(stays, moves, pairs)
+        for op in (fitted.autoencoder.comp_sp2, fitted.autoencoder.comp_mp2):
+            for name, param in op.named_parameters():
+                assert requested.get(id(param)) == {np.dtype(np.float32)}, \
+                    name
+
+    def test_phase2_rows_are_one_per_start_stay_point(self, monkeypatch):
+        """Each phase-2 LSTM pass gets sum(n_t - 1) rows, inference and
+        fine-tuning alike; per-candidate phase 2 would be sum(n_t(n_t-1)/2).
+        """
+        rows: list[int] = []
+        real = fused.lstm_sequence
+
+        def spy(x, *args, **kwargs):
+            rows.append(x.shape[0])
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(fused, "lstm_sequence", spy)
+        rng = np.random.default_rng(4)
+        counts = (3, 8, 14)
+        stays = [[rng.normal(size=(int(rng.integers(1, 5)), 4))
+                  for _ in range(n)] for n in counts]
+        moves = [[rng.normal(size=(int(rng.integers(1, 5)), 4))
+                  for _ in range(n - 1)] for n in counts]
+        pairs = [[(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+                 for n in counts]
+        model = HierarchicalAutoencoder(
+            EncoderConfig(feature_dim=4, hidden_size=4))
+        model.encode_trajectories(stays, moves, pairs)
+        assert rows == [sum(n - 1 for n in counts)] * 2
+        rows.clear()
+        model.encode_trajectory_tensor(stays[2], moves[2], pairs[2]).sum() \
+            .backward()
+        assert rows == [counts[2] - 1] * 2
+
+
+@pytest.fixture(scope="module")
+def end_task():
+    """``tiny`` LEAD fitted on 60 days; 30 held-out days of a new seed."""
+    world = SyntheticWorld(WorldConfig(seed=7))
+    train, held = (generate_dataset(DatasetConfig(
+        num_trajectories=days, num_trucks=days // 3, seed=seed,
+        world=world.config), world=world).samples
+        for days, seed in ((60, 1), (30, 2)))
+    lead = LEAD(world.pois, get_experiment_config("tiny").lead)
+    lead.fit(train)
+    results = lead.detect_batch([s.trajectory for s in held])
+    return lead, held, results
+
+
+class TestEndTask:
+    def test_accuracy_at_least_twice_chance(self, end_task):
+        _, held, results = end_task
+        hits = chance = labelled = 0
+        for sample, result in zip(held, results):
+            if result is None:
+                continue
+            pair = sample.label.to_ordinal_pair(result.processed.stay_points)
+            if pair is None:
+                continue
+            labelled += 1
+            hits += result.pair == pair
+            chance += 1.0 / result.processed.num_candidates
+        assert labelled >= 20
+        assert hits >= 2.0 * chance
+
+    def test_verdicts_match_per_candidate_oracle(self, end_task):
+        lead, _, results = end_task
+        answered = [r for r in results if r is not None]
+        assert len(answered) >= 20
+        for result in answered:
+            assert result.provenance.tier == "both"
+            oracle = group_distribution(lead, result.processed,
+                                        per_candidate=True)
+            assert result.processed.candidates[
+                int(np.argmax(oracle))].pair == result.pair

@@ -26,7 +26,7 @@ from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
                         generate_dataset)
 from repro.detection import DetectorTrainingConfig
 from repro.encoding import AutoencoderTrainingConfig
-from repro.encoding.autoencoder import build_pair_indices
+from repro.encoding.autoencoder import prefix_runs
 from repro.perf import (LRUCache, SegmentFeatureCache, compare_to_baseline,
                         effective_workers, parallel_map, spawn_rng)
 from repro.nn import no_grad
@@ -338,41 +338,66 @@ class TestParallel:
 
 
 # ---------------------------------------------------------------------------
-# 4. Vectorized pair-index construction
+# 4. Phase-2 run/prefix index construction
 # ---------------------------------------------------------------------------
-class TestBuildPairIndices:
-    def test_matches_loop_construction(self):
-        pairs = [(1, 2), (1, 4), (2, 5), (3, 4), (2, 3)]
-        sp_lengths, mp_lengths, sp_index, mp_index = \
-            build_pair_indices(pairs)
-        for row, (i, j) in enumerate(pairs):
-            assert sp_lengths[row] == j - i + 1
-            assert mp_lengths[row] == j - i
-            expect_sp = list(range(i - 1, j))
-            assert sp_index[row, :sp_lengths[row]].tolist() == expect_sp
-            expect_mp = list(range(i - 1, j - 1))
-            assert mp_index[row, :mp_lengths[row]].tolist() == expect_mp
+def _all_pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
-    def test_adjacent_stay_pairs(self):
+
+def _check_runs(pairs_lists, stay_counts):
+    """Each candidate's run, read at its prefix length, is exactly its
+    stay rows ``i..j`` and move rows ``i..j-1`` of its own trajectory."""
+    move_counts = [n - 1 for n in stay_counts]
+    runs = prefix_runs(pairs_lists, stay_counts, move_counts)
+    sp_base = np.cumsum([0] + stay_counts)
+    mp_base = np.cumsum([0] + move_counts)
+    pairs = [(t, i, j) for t, plist in enumerate(pairs_lists)
+             for i, j in plist]
+    assert runs.run.shape == runs.length.shape == (len(pairs),)
+    for k, (t, i, j) in enumerate(pairs):
+        r, length = runs.run[k], runs.length[k]
+        assert length == j - i + 1
+        assert length <= runs.sp_lengths[r]
+        assert runs.sp_index[r, :length].tolist() == \
+            list(range(sp_base[t] + i - 1, sp_base[t] + j))
+        assert runs.mp_index[r, :length - 1].tolist() == \
+            list(range(mp_base[t] + i - 1, mp_base[t] + j - 1))
+    width = int(runs.sp_lengths.max())
+    assert runs.sp_index.shape == (len(runs.sp_lengths), width)
+    assert runs.mp_index.shape == (len(runs.sp_lengths), width - 1)
+    cols = np.arange(width)
+    assert (runs.sp_index[cols >= runs.sp_lengths[:, None]] == 0).all()
+    assert (runs.mp_index[cols[:-1] >= runs.sp_lengths[:, None] - 1]
+            == 0).all()  # padded cells point at row 0
+    return runs
+
+
+class TestPrefixRuns:
+    def test_two_stay_points(self):
+        """n = 2: one candidate, one run of one stay pair and one move."""
+        runs = _check_runs([[(1, 2)]], [2])
+        assert runs.sp_lengths.tolist() == [2]
+        assert runs.mp_index.shape == (1, 1)
+
+    def test_only_adjacent_pairs(self):
+        """Every candidate adjacent: one run per start, each of stay
+        length 2 and move length 1 — no zero-width move gather."""
         pairs = [(1, 2), (2, 3), (3, 4)]
-        sp_lengths, mp_lengths, sp_index, mp_index = \
-            build_pair_indices(pairs)
-        assert mp_lengths.tolist() == [1, 1, 1]
-        assert mp_index.shape == (3, 1)
-        assert sp_index.shape == (3, 2)
+        runs = _check_runs([pairs], [4])
+        assert runs.sp_lengths.tolist() == [2, 2, 2]
+        assert runs.mp_index.shape == (3, 1)
+        assert runs.run.tolist() == [0, 1, 2]
 
-    def test_zero_move_lengths_do_not_crash(self):
-        """Degenerate single-stay pairs have mp_length == 0 across the
-        whole batch; the move index must still be a well-formed (N, 1)
-        gather (fully masked) instead of crashing on ``max()`` of an
-        empty width."""
-        pairs = [(1, 1), (3, 3)]
-        sp_lengths, mp_lengths, sp_index, mp_index = \
-            build_pair_indices(pairs)
-        assert sp_lengths.tolist() == [1, 1]
-        assert mp_lengths.tolist() == [0, 0]
-        assert mp_index.shape == (2, 1)
-        assert (mp_index == 0).all()  # padded cells point at row 0
+    def test_ragged_mixed_n_batch(self):
+        """Full candidate sets of 3, 8 and 14 stay points plus a partial
+        one: n - 1 runs per full trajectory, ordered by trajectory then
+        start, each as long as its longest candidate."""
+        counts = [3, 8, 14, 6]
+        pairs_lists = [_all_pairs(n) for n in counts[:3]]
+        pairs_lists.append([(2, 5), (4, 5), (2, 3)])
+        runs = _check_runs(pairs_lists, counts)
+        full = [n - i + 1 for n in counts[:3] for i in range(1, n)]
+        assert runs.sp_lengths.tolist() == full + [4, 2]
 
 
 # ---------------------------------------------------------------------------
