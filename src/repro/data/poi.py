@@ -8,8 +8,7 @@ synthetic POI set.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,11 +113,10 @@ class POIDatabase:
     only the cells intersecting the query disc, making the 100 m category
     counting used by feature extraction O(1) per point in practice.
 
-    Two query planes share the same cell geometry: the mutable
-    dict-of-lists grid serves the scalar entry points (and stays the
-    equivalence oracle), while bulk queries freeze the POIs into a
-    CSR-style array grid (:class:`_CSRGrid`) the first time they are
-    needed and run entirely in numpy.
+    The grid is a CSR-style array index (:class:`_CSRGrid`), frozen from
+    the POIs the first time a query needs it and rebuilt after any
+    :meth:`add`.  Every query runs through the bulk plane in numpy; the
+    one-point entries are batches of one.
     """
 
     def __init__(self, pois: list[POI] | None = None,
@@ -128,7 +126,6 @@ class POIDatabase:
             raise ValueError("cell_size_m must be positive")
         self.cell_size_m = float(cell_size_m)
         self._pois: list[POI] = []
-        self._grid: dict[tuple[int, int], list[int]] = defaultdict(list)
         self._xy_list: list[tuple[float, float]] = []
         self._xy_cache: np.ndarray | None = None
         self._categories_cache: np.ndarray | None = None
@@ -153,16 +150,10 @@ class POIDatabase:
             self._projection = LocalProjection(lat, lng)
         return self._projection
 
-    def _cell(self, x: float, y: float) -> tuple[int, int]:
-        return (int(np.floor(x / self.cell_size_m)),
-                int(np.floor(y / self.cell_size_m)))
-
     def add(self, poi: POI) -> None:
         projection = self._ensure_projection(poi.lat, poi.lng)
         x, y = projection.to_xy(poi.lat, poi.lng)
-        index = len(self._pois)
         self._pois.append(poi)
-        self._grid[self._cell(float(x), float(y))].append(index)
         self._xy_list.append((float(x), float(y)))
         self._xy_cache = None
         self._categories_cache = None
@@ -193,9 +184,15 @@ class POIDatabase:
     # ------------------------------------------------------------------
     def query_radius(self, lat: float, lng: float, radius_m: float
                      ) -> list[POI]:
-        """All POIs within ``radius_m`` meters of (lat, lng)."""
-        indices = self._indices_within(lat, lng, radius_m)
-        return [self._pois[i] for i in indices]
+        """All POIs within ``radius_m`` meters of (lat, lng), in POI
+        index (insertion) order."""
+        if radius_m < 0:
+            raise ValueError("radius must be non-negative")
+        if not self._pois:
+            return []
+        _, hits = self._hits_within_batch(np.array([float(lat)]),
+                                          np.array([float(lng)]), radius_m)
+        return [self._pois[i] for i in np.sort(hits)]
 
     def count_categories(self, lat: float, lng: float,
                          radius_m: float = 100.0) -> np.ndarray:
@@ -203,10 +200,8 @@ class POIDatabase:
 
         This is exactly the ``poi`` feature of the paper's §IV-A.
         """
-        counts = np.zeros(len(POI_CATEGORIES))
-        for i in self._indices_within(lat, lng, radius_m):
-            counts[self._pois[i].category_index] += 1.0
-        return counts
+        return self.count_categories_batch(
+            np.array([float(lat)]), np.array([float(lng)]), radius_m)[0]
 
     def count_categories_batch(self, lats: np.ndarray, lngs: np.ndarray,
                                radius_m: float = 100.0) -> np.ndarray:
@@ -214,10 +209,9 @@ class POIDatabase:
 
         One projection pass over all query points, one binary search per
         neighbor-cell offset, one ragged gather of candidate POIs, and a
-        single ``np.add.at`` scatter into the count matrix — no Python
-        loop over points or POIs.  Exactly equal (not merely close) to
-        stacking :meth:`count_categories` per point: both planes test the
-        same squared planar distance against the same threshold.
+        single ``np.bincount`` into the count matrix — no Python loop
+        over points or POIs.  A POI counts when its squared planar
+        distance from the projected query is within ``radius_m**2``.
         """
         if radius_m < 0:
             raise ValueError("radius must be non-negative")
@@ -304,23 +298,3 @@ class POIDatabase:
         else:
             best = int(np.argmin(distances))
         return self._pois[best]
-
-    def _indices_within(self, lat: float, lng: float,
-                        radius_m: float) -> list[int]:
-        if radius_m < 0:
-            raise ValueError("radius must be non-negative")
-        if not self._pois:
-            return []
-        projection = self._ensure_projection(lat, lng)
-        x, y = projection.to_xy(lat, lng)
-        x, y = float(x), float(y)
-        reach = int(np.ceil(radius_m / self.cell_size_m))
-        cx, cy = self._cell(x, y)
-        hits: list[int] = []
-        for gx in range(cx - reach, cx + reach + 1):
-            for gy in range(cy - reach, cy + reach + 1):
-                for i in self._grid.get((gx, gy), ()):
-                    px, py = self._xy[i]
-                    if (px - x) ** 2 + (py - y) ** 2 <= radius_m**2:
-                        hits.append(i)
-        return hits

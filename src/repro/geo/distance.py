@@ -77,7 +77,10 @@ def haversine_rad_m(lat1: np.ndarray, lng1: np.ndarray,
     dlng = lng2 - lng1
     a = (np.sin(dlat / 2.0) ** 2
          + np.cos(lat1) * np.cos(lat2) * np.sin(dlng / 2.0) ** 2)
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+    # minimum/maximum clamp exactly like np.clip, minus its dispatch cost
+    # (this runs on every drained block of a stream).
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(
+        np.sqrt(np.minimum(np.maximum(a, 0.0), 1.0)))
 
 
 def pairwise_haversine_m(lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:

@@ -4,10 +4,8 @@ Measures, at a named experiment scale:
 
 * featurization wall-clock, cold cache vs warm cache;
 * preprocessing front-end throughput — stay-point extraction, noise
-  filtering, and bulk POI counting through the vectorized lanes, each
-  against a pinned legacy per-fix scalar reference — with equivalence
-  evidence (bit-identical spans and kept sets, POI counts at
-  ``rtol=1e-9``);
+  filtering, and bulk POI counting through the vectorized lanes (their
+  equivalence with the per-fix rule loops is pinned by the test suite);
 * encoding throughput (trajectories/sec), a loop of batch-of-one calls
   vs one batched cross-trajectory pass;
 * detection throughput, a loop of batch-of-one
@@ -127,82 +125,9 @@ def _clear_feature_caches(lead) -> None:
     lead.featurizer.clear_memos()
 
 
-# -- pinned legacy preprocessing references -----------------------------------
-# The geospatial front-end used to route every per-fix distance through
-# numpy's scalar ufunc machinery.  These reimplementations pin that
-# behaviour so ``preprocess_*_speedup`` keeps measuring against a fixed
-# reference rather than whatever the current scalar lane happens to cost.
-
-def _legacy_haversine_m(lat1, lng1, lat2, lng2) -> float:
-    lat1, lng1, lat2, lng2 = map(np.radians, (lat1, lng1, lat2, lng2))
-    dlat = lat2 - lat1
-    dlng = lng2 - lng1
-    a = (np.sin(dlat / 2.0) ** 2
-         + np.cos(lat1) * np.cos(lat2) * np.sin(dlng / 2.0) ** 2)
-    return float(2.0 * 6_371_008.8 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0))))
-
-
-def _legacy_extract_spans(trajectory, max_distance_m: float,
-                          min_duration_s: float) -> list[tuple[int, int]]:
-    """Stay-point spans via the historical per-fix scalar rule loop."""
-    lats, lngs, ts = trajectory.lats, trajectory.lngs, trajectory.ts
-    n = len(ts)
-    spans: list[tuple[int, int]] = []
-    anchor, last, scan = 0, 0, 1
-    while True:
-        broke = False
-        while scan < n:
-            if (_legacy_haversine_m(lats[anchor], lngs[anchor],
-                                    lats[scan], lngs[scan])
-                    > max_distance_m):
-                broke = True
-                break
-            last = scan
-            scan += 1
-        if not broke and anchor >= n - 1:
-            return spans
-        if last > anchor and ts[last] - ts[anchor] >= min_duration_s:
-            spans.append((anchor, last))
-            anchor = last + 1
-        else:
-            anchor += 1
-        last = anchor
-        scan = anchor + 1
-
-
-def _legacy_filter_keep(trajectory, max_speed_kmh: float) -> list[int]:
-    """Kept indices via the historical per-point noise-filter loop."""
-    n = len(trajectory)
-    if n <= 1:
-        return list(range(n))
-    keep = [0]
-    for i in range(1, n):
-        j = keep[-1]
-        distance = _legacy_haversine_m(
-            trajectory.lats[j], trajectory.lngs[j],
-            trajectory.lats[i], trajectory.lngs[i])
-        dt = float(trajectory.ts[i] - trajectory.ts[j])
-        speed = distance / dt * 3.6 if dt > 0 else float("inf")
-        if speed <= max_speed_kmh:
-            keep.append(i)
-    return keep
-
-
-def _legacy_count_categories(pois, lat: float, lng: float,
-                             radius_m: float) -> np.ndarray:
-    """Per-point POI counting through the scalar query plane."""
-    return pois.count_categories(lat, lng, radius_m=radius_m)
-
-
-def _preprocess_metrics(lead, processed, repeats: int) -> tuple[dict, dict]:
-    """Vectorized front-end throughput plus its equivalence evidence.
-
-    Returns ``(metrics, equivalence)``: extraction and noise-filter
-    trajectory throughput and bulk POI counting points/sec, each next to
-    a pinned legacy-scalar reference, plus proof that the vectorized
-    lanes reproduce the scalar results (bit-identical spans and kept
-    sets, POI counts compared at ``rtol=1e-9``).
-    """
+def _preprocess_metrics(lead, processed, repeats: int) -> dict:
+    """Vectorized front-end throughput: extraction and noise-filter
+    trajectories/sec, and bulk POI counting points/sec."""
     raw = [item.raw for item in processed]
     cleaned = [item.cleaned for item in processed]
     noise_filter = lead.processor.noise_filter
@@ -210,73 +135,17 @@ def _preprocess_metrics(lead, processed, repeats: int) -> tuple[dict, dict]:
     pois = lead.extractor.pois
     radius = lead.extractor.config.poi_radius_m
     n = len(processed)
-    metrics: dict[str, float] = {}
-
-    # -- stay-point extraction: chunked feed_batch vs legacy loop ------
-    vector_s = _best_time(
-        lambda: [extractor.extract(t) for t in cleaned], repeats)
-    legacy_s = _best_time(
-        lambda: [_legacy_extract_spans(t, extractor.max_distance_m,
-                                       extractor.min_duration_s)
-                 for t in cleaned], 1)
-    metrics["preprocess_extract_tps"] = n / vector_s
-    metrics["preprocess_extract_legacy_tps"] = n / legacy_s
-    metrics["preprocess_extract_speedup"] = legacy_s / vector_s
-
-    # -- noise filter: restart-on-drop bulk pass vs legacy loop --------
-    vector_s = _best_time(
-        lambda: [noise_filter.filter(t) for t in raw], repeats)
-    legacy_s = _best_time(
-        lambda: [_legacy_filter_keep(t, noise_filter.max_speed_kmh)
-                 for t in raw], 1)
-    metrics["preprocess_filter_tps"] = n / vector_s
-    metrics["preprocess_filter_legacy_tps"] = n / legacy_s
-    metrics["preprocess_filter_speedup"] = legacy_s / vector_s
-
-    # -- POI counting: CSR grid batch vs per-point scalar queries ------
     points = int(sum(len(t) for t in cleaned))
-    vector_s = _best_time(
-        lambda: [pois.count_categories_batch(t.lats, t.lngs,
-                                             radius_m=radius)
-                 for t in cleaned], repeats)
-    legacy_s = _best_time(
-        lambda: [np.stack([_legacy_count_categories(
-            pois, float(la), float(lo), radius)
-            for la, lo in zip(t.lats, t.lngs)])
-            for t in cleaned], 1)
-    metrics["preprocess_poi_pps"] = points / vector_s
-    metrics["preprocess_poi_legacy_pps"] = points / legacy_s
-    metrics["preprocess_poi_speedup"] = legacy_s / vector_s
-
-    # -- equivalence: the vectorized lanes ARE the scalar results ------
-    spans_identical = all(
-        [(sp.start, sp.end) for sp in extractor.extract(t)]
-        == _legacy_extract_spans(t, extractor.max_distance_m,
-                                 extractor.min_duration_s)
-        for t in cleaned)
-    filter_identical = all(
-        np.array_equal(noise_filter.filter(t).ts,
-                       t.ts[np.asarray(_legacy_filter_keep(
-                           t, noise_filter.max_speed_kmh))])
-        for t in raw)
-    poi_max_diff = 0.0
-    poi_allclose = True
-    for t in cleaned:
-        batch = pois.count_categories_batch(t.lats, t.lngs, radius_m=radius)
-        scalar = np.stack([_legacy_count_categories(
-            pois, float(la), float(lo), radius)
-            for la, lo in zip(t.lats, t.lngs)])
-        poi_allclose &= bool(np.allclose(batch, scalar, rtol=1e-9, atol=0.0))
-        poi_max_diff = max(poi_max_diff,
-                           float(np.abs(batch - scalar).max(initial=0.0)))
-    equivalence = {
-        "rtol": 1e-9,
-        "spans_identical": bool(spans_identical),
-        "filter_identical": bool(filter_identical),
-        "poi_allclose": poi_allclose,
-        "poi_max_abs_diff": poi_max_diff,
+    return {
+        "preprocess_extract_tps": n / _best_time(
+            lambda: [extractor.extract(t) for t in cleaned], repeats),
+        "preprocess_filter_tps": n / _best_time(
+            lambda: [noise_filter.filter(t) for t in raw], repeats),
+        "preprocess_poi_pps": points / _best_time(
+            lambda: [pois.count_categories_batch(t.lats, t.lngs,
+                                                 radius_m=radius)
+                     for t in cleaned], repeats),
     }
-    return metrics, equivalence
 
 
 def run_bench(scale: str | None = None, repeats: int = 3,
@@ -312,9 +181,7 @@ def run_bench(scale: str | None = None, repeats: int = 3,
         metrics["featurize_cold_s"] / max(metrics["featurize_warm_s"], 1e-12))
 
     # -- preprocessing front-end ------------------------------------------
-    preprocess_metrics, preprocess_equivalence = _preprocess_metrics(
-        lead, processed, repeats)
-    metrics.update(preprocess_metrics)
+    metrics.update(_preprocess_metrics(lead, processed, repeats))
 
     # -- encoding throughput ----------------------------------------------
     single_s = _best_time(
@@ -406,7 +273,6 @@ def run_bench(scale: str | None = None, repeats: int = 3,
         "num_candidates": int(sum(p.num_candidates for p in processed)),
         "metrics": metrics,
         "equivalence": equivalence,
-        "preprocess_equivalence": preprocess_equivalence,
         "precision_parity": precision_parity,
         "feature_cache": cache_stats,
     }
@@ -536,18 +402,6 @@ def compare_to_baseline(current: dict, baseline: dict,
                 "float32 parity gate failed (max abs divergence "
                 f"{parity.get('max_abs_divergence')} vs margin "
                 f"{parity.get('margin')})")
-    preprocess = current.get("preprocess_equivalence")
-    if preprocess is not None:
-        if not preprocess.get("spans_identical", False):
-            failures.append("vectorized stay-point extraction no longer "
-                            "emits the scalar spans")
-        if not preprocess.get("filter_identical", False):
-            failures.append("vectorized noise filter no longer keeps the "
-                            "scalar point set")
-        if not preprocess.get("poi_allclose", False):
-            failures.append(
-                "bulk POI counting diverged from scalar queries (max abs "
-                f"diff {preprocess.get('poi_max_abs_diff')})")
     return failures
 
 
@@ -591,12 +445,17 @@ def run_stream_bench(scale: str | None = None, repeats: int = 3,
     metrics: dict[str, float] = {}
 
     # -- ingest throughput (no detector) -----------------------------------
+    # Per-ping ingest only sanitizes and reorders; the noise filter and
+    # the stay-point scanner run when a session drains.  The closing
+    # flush_all() drains every session, so that work stays inside the
+    # timing and the number covers the whole front-end.
     def replay_ingest() -> None:
         manager = FleetSessionManager(None, FleetConfig(
             max_sessions=n_sessions + 1))
         for ping in pings:
             manager.ingest(ping.truck_id, ping.lat, ping.lng, ping.t,
                            day=ping.day)
+        manager.flush_all()
     metrics["stream_ingest_pps"] = (
         len(pings) / _best_time(replay_ingest, repeats))
 
@@ -794,24 +653,12 @@ def format_bench_table(payload: dict) -> str:
         rows.append(("telemetry overhead (detect)",
                      f"{metrics['telemetry_overhead_pct']:8.2f} %", ""))
     if "preprocess_extract_tps" in metrics:
-        rows.append(("stay points (legacy loop)",
-                     f"{metrics['preprocess_extract_legacy_tps']:8.2f}"
-                     f" traj/s", ""))
         rows.append(("stay points (chunked scan)",
-                     f"{metrics['preprocess_extract_tps']:8.2f} traj/s",
-                     f"{metrics['preprocess_extract_speedup']:.1f}x"))
-        rows.append(("noise filter (legacy loop)",
-                     f"{metrics['preprocess_filter_legacy_tps']:8.2f}"
-                     f" traj/s", ""))
+                     f"{metrics['preprocess_extract_tps']:8.2f} traj/s", ""))
         rows.append(("noise filter (bulk pass)",
-                     f"{metrics['preprocess_filter_tps']:8.2f} traj/s",
-                     f"{metrics['preprocess_filter_speedup']:.1f}x"))
-        rows.append(("POI counts (scalar queries)",
-                     f"{metrics['preprocess_poi_legacy_pps']:8.0f} pts/s",
-                     ""))
+                     f"{metrics['preprocess_filter_tps']:8.2f} traj/s", ""))
         rows.append(("POI counts (CSR grid batch)",
-                     f"{metrics['preprocess_poi_pps']:8.0f} pts/s",
-                     f"{metrics['preprocess_poi_speedup']:.1f}x"))
+                     f"{metrics['preprocess_poi_pps']:8.0f} pts/s", ""))
     if "train_steps_fused_sps" in metrics:
         rows.append(("train (autoencoder)",
                      f"{metrics['train_steps_fused_sps']:8.2f} steps/s", ""))
@@ -834,11 +681,4 @@ def format_bench_table(payload: dict) -> str:
             f"{parity['verdict_agreement']:.3f}  max divergence="
             f"{parity['max_abs_divergence']:.3g} (margin "
             f"{parity['margin']:g})  passed={parity['passed']}")
-    pre = payload.get("preprocess_equivalence")
-    if pre:
-        lines.append(
-            f"vectorized == scalar preprocessing: spans_identical="
-            f"{pre['spans_identical']}  filter_identical="
-            f"{pre['filter_identical']}  poi_allclose={pre['poi_allclose']} "
-            f"(max abs diff {pre['poi_max_abs_diff']:.3g})")
     return "\n".join(lines)

@@ -12,7 +12,11 @@ So one vectorized pass computes every consecutive-segment speed, and the
 walk bulk-accepts whole stretches up to the next precomputed violation;
 only the points immediately after a drop (where "last kept" lags behind)
 need scalar re-checks until the chain re-joins.  On clean data the filter
-is a single array pass with zero per-point Python work.
+is a single array pass with zero per-point Python work.  Offline
+cleaning (:meth:`NoiseFilter.filter`) and streaming ingest
+(:meth:`NoiseFilter.kept_indices`, resumed from the last kept fix) share
+this one lane; the per-point loop it is pinned against is
+``scalar_kept_indices`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ class NoiseFilter:
 
     def _consecutive_violations(self, speeds: np.ndarray) -> np.ndarray:
         """Point indices whose segment from the predecessor is too fast."""
-        return np.flatnonzero(speeds > self.max_speed_kmh) + 1
+        return np.nonzero(speeds > self.max_speed_kmh)[0] + 1
 
     # ------------------------------------------------------------------
     def filter(self, trajectory: Trajectory) -> Trajectory:
@@ -96,8 +100,7 @@ class NoiseFilter:
 
         One vectorized speed pass decides everything on clean stretches;
         the scalar last-kept walk only runs around actual outliers.
-        Produces the identical kept set to :meth:`filter_scalar` (the
-        per-point reference implementation).
+        Produces the identical kept set to the per-point rule loop.
         """
         n = len(trajectory)
         if n <= 1:
@@ -108,24 +111,6 @@ class NoiseFilter:
             return trajectory  # every point chained: nothing to copy
         keep = self._walk(trajectory.lats, trajectory.lngs, trajectory.ts,
                           violations, prev=None)
-        index = np.asarray(keep)
-        return Trajectory(trajectory.lats[index], trajectory.lngs[index],
-                          trajectory.ts[index],
-                          truck_id=trajectory.truck_id, day=trajectory.day)
-
-    def filter_scalar(self, trajectory: Trajectory) -> Trajectory:
-        """Reference per-point implementation (the equivalence oracle)."""
-        n = len(trajectory)
-        if n <= 1:
-            return trajectory
-        keep = [0]
-        for i in range(1, n):
-            j = keep[-1]
-            distance = haversine_m(trajectory.lats[j], trajectory.lngs[j],
-                                   trajectory.lats[i], trajectory.lngs[i])
-            dt = float(trajectory.ts[i] - trajectory.ts[j])
-            if speed_kmh(distance, dt) <= self.max_speed_kmh:
-                keep.append(i)
         index = np.asarray(keep)
         return Trajectory(trajectory.lats[index], trajectory.lngs[index],
                           trajectory.ts[index],
@@ -153,7 +138,7 @@ class NoiseFilter:
             rlng = np.radians(lngs)
             distances = haversine_rad_m(rlat[:-1], rlng[:-1],
                                         rlat[1:], rlng[1:])
-            dt = np.diff(ts)
+            dt = ts[1:] - ts[:-1]
             with np.errstate(divide="ignore", invalid="ignore"):
                 speeds = np.where(dt > 0,
                                   distances / np.maximum(dt, 1e-12) * 3.6,

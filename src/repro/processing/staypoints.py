@@ -8,12 +8,15 @@ temporally consecutive and numbered 1..n, as the paper requires for stay
 point ordinals.
 
 The algorithm is implemented once, as the *resumable*
-:class:`StayPointScanner` that consumes GPS fixes one at a time and emits
-a stay-point span the moment it is decidable.  Offline extraction
+:class:`StayPointScanner` that consumes blocks of GPS fixes as arrays and
+emits a stay-point span the moment it is decidable.  Offline extraction
 (:meth:`StayPointExtractor.extract`) is literally a replay of the online
 path — feed every point, then flush — so the streaming subsystem
 (:mod:`repro.stream`) and the batch pipeline can never disagree about
-where stay points are.
+where stay points are.  However a stream is split into blocks, the
+scanner ends in the same state and emits the same spans; the per-fix
+rule loop it is pinned against is ``ScalarStayPointScanner`` in
+``tests/oracles.py``.
 
 Why a span is decidable online: a run breaks the moment a fix falls more
 than ``Dmax`` from the anchor, and the accept/reject decision for the
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geo import EARTH_RADIUS_M, haversine_m, haversine_rad_m
+from ..geo import EARTH_RADIUS_M, haversine_rad_m
 from ..model import MovePoint, StayPoint, Trajectory
 
 __all__ = ["StayPointScanner", "StayPointExtractor", "extract_move_points"]
@@ -42,30 +45,16 @@ __all__ = ["StayPointScanner", "StayPointExtractor", "extract_move_points"]
 _SCAN_CHUNK = 2048
 
 #: Below this many candidates a tight :mod:`math` loop beats numpy's
-#: per-call overhead (the common case for per-ping streaming feeds,
-#: where the unscanned tail is a single fix).
+#: per-call overhead (the common case for streaming feeds, where the
+#: unscanned tail is a handful of fixes).
 _SCALAR_CUTOFF = 24
-
-
-def _haversine_rad_scalar(lat1: float, lng1: float,
-                          lat2: float, lng2: float) -> float:
-    """Scalar :mod:`math`-lane haversine over radian coordinates."""
-    sin_dlat = math.sin((lat2 - lat1) / 2.0)
-    sin_dlng = math.sin((lng2 - lng1) / 2.0)
-    h = (sin_dlat * sin_dlat
-         + math.cos(lat1) * math.cos(lat2) * sin_dlng * sin_dlng)
-    if h > 1.0:
-        h = 1.0
-    elif h < 0.0:
-        h = 0.0
-    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
 
 
 class StayPointScanner:
     """Resumable core of the stay-point rule algorithm.
 
-    Feed cleaned GPS fixes in timestamp order with :meth:`feed`; each
-    call returns the (possibly empty) list of ``(start, end)`` index
+    Feed cleaned GPS fixes in timestamp order with :meth:`feed_batch`;
+    each call returns the (possibly empty) list of ``(start, end)`` index
     spans that became decidable, in ordinal order.  :meth:`finish`
     decides the trailing open run exactly the way the offline algorithm
     treats the end of a trajectory.  The scanner owns the growing point
@@ -75,8 +64,7 @@ class StayPointScanner:
 
     __slots__ = ("max_distance_m", "min_duration_s", "lats", "lngs", "ts",
                  "_anchor", "_last", "_scan", "_emitted", "_finished",
-                 "_rad_lat", "_rad_lng", "_rlat", "_rlng", "_far",
-                 "_batch_lane")
+                 "_rad_lat", "_rad_lng", "_rlat", "_rlng", "_far")
 
     def __init__(self, max_distance_m: float = 500.0,
                  min_duration_s: float = 15.0 * 60.0) -> None:
@@ -109,10 +97,6 @@ class StayPointScanner:
         #: whole moving stretches by walking these precomputed flags
         #: instead of re-deciding each anchor with a haversine.
         self._far: list[bool] = []
-        #: Whether any :meth:`feed_batch` call happened; decides which
-        #: lane :meth:`finish` uses so a purely scalar replay (the
-        #: equivalence oracle) stays scalar end to end.
-        self._batch_lane = False
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -157,51 +141,21 @@ class StayPointScanner:
         self._scan = self._anchor + 1
         return span
 
-    def _advance(self, final: bool) -> list[tuple[int, int]]:
-        """Run the rule algorithm as far as the buffered fixes allow."""
-        spans: list[tuple[int, int]] = []
-        n = len(self.ts)
-        while True:
-            broke = False
-            while self._scan < n:
-                k = self._scan
-                distance = haversine_m(
-                    self.lats[self._anchor], self.lngs[self._anchor],
-                    self.lats[k], self.lngs[k])
-                if distance > self.max_distance_m:
-                    broke = True
-                    break
-                self._last = k
-                self._scan = k + 1
-            if broke:
-                span = self._close_run()
-                if span is not None:
-                    spans.append(span)
-                continue  # rescan the buffer from the new anchor
-            # Ran out of buffered fixes without breaking the run.
-            if not final:
-                return spans  # a future fix may still extend the run
-            if self._anchor >= n - 1:
-                return spans  # offline outer-loop exit: anchor at the end
-            span = self._close_run()
-            if span is not None:
-                spans.append(span)
-
     def _find_break(self, n: int) -> int | None:
         """First index in ``[_scan, n)`` farther than ``Dmax`` from the
         anchor, or ``None`` when the whole tail stays within range.
 
-        The vectorized twin of the scalar inner while loop: one chunked
-        haversine over the precomputed radian buffers instead of one
-        scalar call per fix.  Short tails (the per-ping streaming case)
-        take a tight :mod:`math` loop that beats numpy's call overhead.
+        One chunked haversine over the precomputed radian buffers
+        instead of one scalar call per fix.  Short tails (the streaming
+        case) take a tight :mod:`math` loop that beats numpy's call
+        overhead.
         """
         rlat, rlng = self._rlat, self._rlng
         a_lat = rlat[self._anchor]
         a_lng = rlng[self._anchor]
         # Tight math loop over the first few candidates: most runs break
-        # within a handful of fixes, and per-ping streaming feeds only
-        # ever have a one-fix tail.
+        # within a handful of fixes, and streaming feeds drain short
+        # tails.
         head_end = min(self._scan + _SCALAR_CUTOFF, n)
         cos_a = math.cos(a_lat)
         sin = math.sin
@@ -238,20 +192,21 @@ class StayPointScanner:
         return None
 
     def _advance_batch(self, final: bool) -> list[tuple[int, int]]:
-        """Vectorized :meth:`_advance`: identical state transitions —
-        the scalar loop's post-conditions (``_scan``, ``_last``,
-        ``_anchor``, spans) are reproduced exactly, it only finds each
-        run break with :meth:`_find_break` instead of a per-fix scan."""
+        """Run the rule algorithm as far as the buffered fixes allow.
+
+        Each run break is found with :meth:`_find_break` instead of a
+        per-fix scan; the pointers (``_scan``, ``_last``, ``_anchor``)
+        and spans are exactly those of the per-fix rule loop."""
         spans: list[tuple[int, int]] = []
         n = len(self.ts)
         far = self._far
         while True:
             if self._scan == self._anchor + 1 and self._scan < n:
                 # Fast-forward through a moving stretch: while the fresh
-                # run's first candidate is already beyond Dmax, the
-                # scalar loop breaks immediately, rejects (the run holds
-                # only its anchor), and advances the anchor by one — a
-                # pure pointer march this flag walk reproduces exactly.
+                # run's first candidate is already beyond Dmax, the rule
+                # breaks immediately, rejects (the run holds only its
+                # anchor), and advances the anchor by one — a pure
+                # pointer march this flag walk reproduces exactly.
                 a = self._anchor
                 stop = n - 1
                 while a < stop and far[a]:
@@ -296,52 +251,18 @@ class StayPointScanner:
             grown[:old.size] = old
             setattr(self, name, grown)
 
-    def feed(self, lat: float, lng: float, t: float
-             ) -> list[tuple[int, int]]:
-        """Ingest one cleaned fix; return newly decidable spans.
-
-        Timestamps must be strictly increasing (the stream layer's
-        reorder buffer guarantees this before fixes reach the scanner).
-
-        This is the scalar reference path — :meth:`feed_batch` is the
-        production lane, and equivalence tests replay both against each
-        other.
-        """
-        if self._finished:
-            raise ValueError("scanner already finished")
-        if self.ts and t <= self.ts[-1]:
-            raise ValueError("scanner requires strictly increasing "
-                             "timestamps")
-        n = len(self.ts)
-        self._ensure_capacity(n + 1)
-        # math.radians and np.radians multiply by the same double
-        # constant, so the scalar and batch lanes fill identical bits.
-        rad_lat = math.radians(lat)
-        rad_lng = math.radians(lng)
-        self._rad_lat[n] = rad_lat
-        self._rad_lng[n] = rad_lng
-        if n:
-            self._far.append(_haversine_rad_scalar(
-                self._rlat[-1], self._rlng[-1], rad_lat, rad_lng)
-                > self.max_distance_m)
-        self._rlat.append(rad_lat)
-        self._rlng.append(rad_lng)
-        self.lats.append(float(lat))
-        self.lngs.append(float(lng))
-        self.ts.append(float(t))
-        return self._advance(final=False)
-
     def feed_batch(self, lats, lngs, ts) -> list[tuple[int, int]]:
         """Ingest many cleaned, time-ordered fixes at once.
 
-        Emits exactly the spans that feeding the same fixes one
-        :meth:`feed` call at a time would emit, and leaves the scanner
-        in the identical state (same anchor/scan pointers, so
-        checkpoints and later feeds cannot diverge either).  The win is
-        how each run break is found: one chunked vectorized haversine
-        over precomputed radian buffers instead of a Python loop of
-        scalar calls — this is what makes offline extraction and bulk
-        stream ingest array-at-a-time.
+        Timestamps must be strictly increasing, within the block and
+        across blocks (the stream layer's reorder buffer guarantees this
+        before fixes reach the scanner).  Emits exactly the spans that
+        feeding the same fixes one at a time would emit, and leaves the
+        scanner in the identical state (same anchor/scan pointers, so
+        checkpoints and later feeds cannot diverge either).  Each run
+        break is found by one chunked vectorized haversine over
+        precomputed radian buffers instead of a Python loop of scalar
+        calls.
         """
         if self._finished:
             raise ValueError("scanner already finished")
@@ -354,7 +275,7 @@ class StayPointScanner:
         if count == 0:
             return []
         if ((self.ts and ts[0] <= self.ts[-1])
-                or (count > 1 and not (np.diff(ts) > 0).all())):
+                or (count > 1 and not (ts[1:] > ts[:-1]).all())):
             raise ValueError("scanner requires strictly increasing "
                              "timestamps")
         n = len(self.ts)
@@ -373,7 +294,6 @@ class StayPointScanner:
         self.lats.extend(lats.tolist())
         self.lngs.extend(lngs.tolist())
         self.ts.extend(ts.tolist())
-        self._batch_lane = True
         return self._advance_batch(final=False)
 
     def finish(self) -> list[tuple[int, int]]:
@@ -381,9 +301,7 @@ class StayPointScanner:
         if self._finished:
             return []
         self._finished = True
-        if self._batch_lane:
-            return self._advance_batch(final=True)
-        return self._advance(final=True)
+        return self._advance_batch(final=True)
 
     # ------------------------------------------------------------------
     def state(self) -> dict:

@@ -6,12 +6,12 @@ while the truck is still driving.  This package turns the batch pipeline
 into a streaming service without forking any of its logic:
 
 * :class:`~repro.stream.session.TruckSession` ingests GPS pings one at
-  a time — per-ping sanitization, a bounded reorder buffer
-  (:class:`repro.processing.ReorderBuffer`), the incremental noise
-  filter, and the resumable stay-point scanner
-  (:class:`repro.processing.StayPointScanner`) that the offline
-  extractor *replays*, so streamed stay points are bit-identical to
-  offline ones by construction;
+  a time — per-ping sanitization and a bounded reorder buffer
+  (:class:`repro.processing.ReorderBuffer`); the released fixes drain,
+  array-at-a-time, through the noise filter and the resumable
+  stay-point scanner (:class:`repro.processing.StayPointScanner`) that
+  the offline extractor *replays*, so streamed stay points are
+  bit-identical to offline ones by construction;
 * a rolling candidate set grows as stay points close; snapshots are
   ordinary :class:`~repro.processing.ProcessedTrajectory` objects, so
   the slice-keyed segment-feature cache re-featurizes only the newly

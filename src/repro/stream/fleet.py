@@ -297,12 +297,12 @@ class FleetSessionManager:
     # Ingest
     # ------------------------------------------------------------------
     def ingest(self, truck_id: str, lat: float, lng: float, t: float,
-               day: str = "") -> int:
-        """Route one raw ping to its session; returns stay points closed."""
-        return self._session((truck_id, day)).ingest(lat, lng, t)
+               day: str = "") -> None:
+        """Route one raw ping to its session."""
+        self._session((truck_id, day)).ingest(lat, lng, t)
 
     def ingest_batch(self, truck_id: str, lats, lngs, ts, *,
-                     day: str = "") -> int:
+                     day: str = "") -> None:
         """Route many pings for one truck-day through the array lane.
 
         Semantically identical to calling :meth:`ingest` per ping — see
@@ -310,7 +310,7 @@ class FleetSessionManager:
         contract.  The serve workers use this to apply whole submitted
         batches at array speed.
         """
-        return self._session((truck_id, day)).ingest_batch(lats, lngs, ts)
+        self._session((truck_id, day)).ingest_batch(lats, lngs, ts)
 
     # ------------------------------------------------------------------
     # Detection ticks

@@ -2,45 +2,57 @@
 
 A :class:`TruckSession` is the online mirror of
 :meth:`repro.processing.RawTrajectoryProcessor.process` plus the
-``sanitize_trajectory`` front door of :meth:`repro.pipeline.LEAD.detect`,
-decomposed into per-ping steps:
+``sanitize_trajectory`` front door of :meth:`repro.pipeline.LEAD.detect`.
+Each ping takes two cheap steps on arrival:
 
 1. **sanitize** — non-finite / out-of-range fixes are dropped and
    counted (the same predicate, and at flush time the same provenance
    note, as the offline ``sanitize_trajectory``);
 2. **reorder** — a bounded :class:`~repro.processing.ReorderBuffer`
    restores timestamp monotonicity; too-late pings are dropped, never
-   raised on;
-3. **noise filter** — the incremental form of
-   :class:`~repro.processing.NoiseFilter`: a fix is kept iff its speed
-   relative to the *last kept* fix is plausible (identical rule,
-   identical state, therefore an identical kept set);
+   raised on.
+
+The fixes the reorder buffer releases wait in a pending list.  The
+heavy stages run array-at-a-time when that list is drained — by every
+read of the processed state (:meth:`TruckSession.snapshot`,
+:meth:`~TruckSession.state`, :meth:`~TruckSession.finalize`, ``version``,
+``counters`` and the other accessors) and by
+:meth:`~TruckSession.ingest_batch`:
+
+3. **noise filter** — :meth:`~repro.processing.NoiseFilter.kept_indices`
+   resumed from the *last kept* fix (identical rule, identical state,
+   therefore an identical kept set);
 4. **stay points** — kept fixes feed the resumable
-   :class:`~repro.processing.StayPointScanner`; spans that close are
-   final, the open trailing run waits for more pings or the flush.
+   :class:`~repro.processing.StayPointScanner` through
+   :meth:`~repro.processing.StayPointScanner.feed_batch`; spans that
+   close are final, the open trailing run waits for more pings or the
+   flush.
 
 Because each step is the same code (or the same state machine) the
-offline path runs, the session's post-flush snapshot is exactly what the
-offline pipeline computes on the completed trajectory — the convergence
-guarantee the provisional detector builds on.
+offline path runs, and the array lane ends in the same state however
+the fixes are split into drains, the session's post-flush snapshot is
+exactly what the offline pipeline computes on the completed trajectory —
+the convergence guarantee the provisional detector builds on.
 
-Sessions are checkpointable: :meth:`state` captures the whole thing as
-a JSON-safe dict (floats round-trip exactly through ``repr``), and
-:meth:`from_state` resumes bit-for-bit — the fleet manager uses this to
-evict cold sessions to disk under memory pressure.
+Sessions are checkpointable: :meth:`~TruckSession.state` drains, then
+captures the whole thing as a JSON-safe dict (floats round-trip exactly
+through ``repr``), and :meth:`~TruckSession.from_state` resumes
+bit-for-bit — the fleet manager uses this to evict cold sessions to disk
+under memory pressure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..geo import haversine_m, speed_kmh
 from ..model import StayPoint, Trajectory
 from ..obs.core import obs_event
 from ..processing import (ProcessedTrajectory, RawTrajectoryProcessor,
                           ReorderBuffer, extract_move_points)
+from ..processing.validation import _usable_mask
 
 __all__ = ["SessionCounters", "TruckSession"]
 
@@ -72,8 +84,8 @@ class SessionCounters:
 
 def _is_valid_fix(lat: float, lng: float, t: float) -> bool:
     """The per-ping form of ``validation._usable_mask``."""
-    return bool(np.isfinite(lat) and np.isfinite(lng) and np.isfinite(t)
-                and abs(lat) <= 90.0 and abs(lng) <= 180.0)
+    return (math.isfinite(lat) and math.isfinite(lng) and math.isfinite(t)
+            and abs(lat) <= 90.0 and abs(lng) <= 180.0)
 
 
 class TruckSession:
@@ -86,17 +98,16 @@ class TruckSession:
         self.truck_id = truck_id
         self.day = day
         self.processor = processor or RawTrajectoryProcessor()
-        self.counters = SessionCounters()
+        self._counters = SessionCounters()
         self._reorder = ReorderBuffer(reorder_capacity, reorder_policy)
+        #: Sanitized, in-order fixes the noise filter has not seen yet.
+        self._pending: list[tuple[float, float, float]] = []
         self._scanner = self.processor.extractor.scanner()
         self._spans: list[tuple[int, int]] = []
         self._last_kept: tuple[float, float, float] | None = None
         self._open_qualified = False
         self._finalized = False
-        #: Monotone revision counter: bumped whenever the cleaned
-        #: trajectory or the span set changes; lets the fleet manager
-        #: (and the snapshot memo) skip untouched sessions on a tick.
-        self.version = 0
+        self._version = 0
         self._snapshot_memo: tuple[int, ProcessedTrajectory | None] | None \
             = None
         #: Most recent verdict the fleet manager emitted and the session
@@ -112,57 +123,69 @@ class TruckSession:
         return self._finalized
 
     @property
+    def version(self) -> int:
+        """Monotone revision counter: bumped whenever the cleaned
+        trajectory or the span set changes; lets the fleet manager (and
+        the snapshot memo) skip untouched sessions on a tick."""
+        self._drain()
+        return self._version
+
+    @property
+    def counters(self) -> SessionCounters:
+        """Ingest counters, with every pending fix accounted for."""
+        self._drain()
+        return self._counters
+
+    @property
     def num_cleaned_points(self) -> int:
         """Fixes kept so far (the cleaned trajectory length)."""
+        self._drain()
         return len(self._scanner)
 
     @property
     def num_closed_stay_points(self) -> int:
+        self._drain()
         return len(self._spans)
 
     # ------------------------------------------------------------------
-    def ingest(self, lat: float, lng: float, t: float) -> int:
-        """Offer one raw ping; returns how many stay points closed.
+    def ingest(self, lat: float, lng: float, t: float) -> None:
+        """Offer one raw ping.
 
-        Never raises on hostile input: invalid fixes and too-late pings
-        are dropped and counted.  Raises ``ValueError`` only on API
-        misuse (ingesting into a finalized session).
+        Sanitizes and reorders the ping at once; the fixes the reorder
+        buffer releases wait for the next drain (see the module
+        docstring).  Never raises on hostile input: invalid fixes and
+        too-late pings are dropped and counted.  Raises ``ValueError``
+        only on API misuse (ingesting into a finalized session).
         """
         if self._finalized:
             raise ValueError(
                 f"session {self.truck_id}/{self.day} is finalized")
-        self.counters.pings_ingested += 1
+        counters = self._counters
+        counters.pings_ingested += 1
         lat, lng, t = float(lat), float(lng), float(t)
         if not _is_valid_fix(lat, lng, t):
-            self.counters.pings_dropped_invalid += 1
+            counters.pings_dropped_invalid += 1
             self._emit_drop("invalid", 1)
-            return 0
+            return
         stats = self._reorder.stats
         dropped, reordered = stats.dropped, stats.reordered
-        released = self._reorder.push(lat, lng, t)
+        self._pending.extend(self._reorder.push(lat, lng, t))
         late = stats.dropped - dropped
         if late:
             # Reorder-buffer loss was previously visible only in local
             # counters; the event makes it auditable fleet-wide.
-            self.counters.pings_dropped_late += late
+            counters.pings_dropped_late += late
             self._emit_drop("late", late)
-        self.counters.pings_reordered += stats.reordered - reordered
-        if len(released) == 1:
-            # The common in-order case: one fix in, one fix out.  The
-            # scalar lane beats array setup overhead at batch size 1.
-            return self._accept(*released[0])
-        return self._accept_batch(released)
+        counters.pings_reordered += stats.reordered - reordered
 
-    def ingest_batch(self, lats, lngs, ts) -> int:
-        """Offer many raw pings at once; returns stay points closed.
+    def ingest_batch(self, lats, lngs, ts) -> None:
+        """Offer many raw pings at once.
 
         Semantically identical to calling :meth:`ingest` per ping — the
         sanitize predicate, reorder buffer, noise filter, and scanner
         see the same fixes in the same order and end in the same state
-        (checkpoints match bit for bit).  The heavy stages run
-        array-at-a-time: one vectorized sanitize mask, one noise-filter
-        pass, one :meth:`~repro.processing.StayPointScanner.feed_batch`
-        call for the whole released stretch.
+        (checkpoints match bit for bit).  Sanitizing is one vectorized
+        mask, and the released stretch is drained at once.
         """
         if self._finalized:
             raise ValueError(
@@ -173,28 +196,26 @@ class TruckSession:
         if not (lats.shape == lngs.shape == ts.shape) or lats.ndim != 1:
             raise ValueError("ingest_batch needs equal-length 1-D arrays")
         count = int(ts.size)
-        self.counters.pings_ingested += count
-        if count == 0:
-            return 0
-        valid = (np.isfinite(lats) & np.isfinite(lngs) & np.isfinite(ts)
-                 & (np.abs(lats) <= 90.0) & (np.abs(lngs) <= 180.0))
+        counters = self._counters
+        counters.pings_ingested += count
+        valid = _usable_mask(lats, lngs, ts)
         invalid = count - int(valid.sum())
         if invalid:
-            self.counters.pings_dropped_invalid += invalid
+            counters.pings_dropped_invalid += invalid
             self._emit_drop("invalid", invalid)
         stats = self._reorder.stats
         dropped, reordered = stats.dropped, stats.reordered
-        released: list[tuple[float, float, float]] = []
+        pending = self._pending
         push = self._reorder.push
         for i in np.flatnonzero(valid):
-            released.extend(push(float(lats[i]), float(lngs[i]),
-                                 float(ts[i])))
+            pending.extend(push(float(lats[i]), float(lngs[i]),
+                                float(ts[i])))
         late = stats.dropped - dropped
         if late:
-            self.counters.pings_dropped_late += late
+            counters.pings_dropped_late += late
             self._emit_drop("late", late)
-        self.counters.pings_reordered += stats.reordered - reordered
-        return self._accept_batch(released)
+        counters.pings_reordered += stats.reordered - reordered
+        self._drain()
 
     def _emit_drop(self, reason: str, count: int) -> None:
         """Structured audit trail for data loss (no-op without telemetry).
@@ -207,38 +228,18 @@ class TruckSession:
         obs_event("stream.ping_dropped", truck_id=self.truck_id,
                   day=self.day, reason=reason, count=count)
 
-    def _accept(self, lat: float, lng: float, t: float) -> int:
-        """One sanitized, in-order fix: noise filter then scanner."""
-        kept = self._last_kept
-        if kept is not None:
-            distance = haversine_m(kept[0], kept[1], lat, lng)
-            if (speed_kmh(distance, t - kept[2])
-                    > self.processor.noise_filter.max_speed_kmh):
-                self.counters.pings_dropped_noise += 1
-                return 0
-        self._last_kept = (lat, lng, t)
-        self.counters.pings_kept += 1
-        spans = self._scanner.feed(lat, lng, t)
-        self._record_spans(spans)
-        self.version += 1
-        return len(spans)
-
-    def _accept_batch(self, fixes: list[tuple[float, float, float]]) -> int:
-        """Batched :meth:`_accept`: same kept set, same spans, same
-        counters and version — the noise filter and scanner just see
-        the whole released stretch as arrays instead of one fix at a
-        time."""
+    def _drain(self) -> int:
+        """Run the pending fixes through the noise filter and scanner,
+        as arrays.  Returns how many stay points closed."""
+        fixes = self._pending
         if not fixes:
             return 0
-        lats = np.fromiter((f[0] for f in fixes), dtype=np.float64,
-                           count=len(fixes))
-        lngs = np.fromiter((f[1] for f in fixes), dtype=np.float64,
-                           count=len(fixes))
-        ts = np.fromiter((f[2] for f in fixes), dtype=np.float64,
-                         count=len(fixes))
+        self._pending = []
+        lats, lngs, ts = np.array(fixes, dtype=np.float64).T
         kept = self.processor.noise_filter.kept_indices(
             lats, lngs, ts, prev=self._last_kept)
-        self.counters.pings_dropped_noise += len(fixes) - int(kept.size)
+        counters = self._counters
+        counters.pings_dropped_noise += len(fixes) - int(kept.size)
         if kept.size == 0:
             return 0
         kept_lats = lats[kept]
@@ -246,12 +247,12 @@ class TruckSession:
         kept_ts = ts[kept]
         self._last_kept = (float(kept_lats[-1]), float(kept_lngs[-1]),
                            float(kept_ts[-1]))
-        self.counters.pings_kept += int(kept.size)
+        counters.pings_kept += int(kept.size)
         spans = self._scanner.feed_batch(kept_lats, kept_lngs, kept_ts)
         self._record_spans(spans)
-        # One bump per kept fix, exactly like the per-ping lane, so a
-        # checkpoint taken after a bulk ingest equals the per-ping one.
-        self.version += int(kept.size)
+        # One bump per kept fix, so the revision does not depend on how
+        # the fixes were split into drains.
+        self._version += int(kept.size)
         return len(spans)
 
     def _record_spans(self, spans: list[tuple[int, int]]) -> None:
@@ -260,13 +261,13 @@ class TruckSession:
             # run had already qualified; any further spans in the same
             # burst opened and closed within it.
             newly_opened = len(spans) - (1 if self._open_qualified else 0)
-            self.counters.staypoints_opened += max(0, newly_opened)
-            self.counters.staypoints_closed += len(spans)
+            self._counters.staypoints_opened += max(0, newly_opened)
+            self._counters.staypoints_closed += len(spans)
             self._spans.extend(spans)
             self._open_qualified = False
         if not self._open_qualified and self._scanner.open_run_qualifies():
             self._open_qualified = True
-            self.counters.staypoints_opened += 1
+            self._counters.staypoints_opened += 1
 
     def finalize(self) -> int:
         """End of day: drain the reorder buffer, close the open run.
@@ -275,24 +276,27 @@ class TruckSession:
         """
         if self._finalized:
             return 0
-        closed = self._accept_batch(self._reorder.flush())
+        self._drain()
+        self._pending = self._reorder.flush()
+        closed = self._drain()
         spans = self._scanner.finish()
         self._record_spans(spans)
         closed += len(spans)
         self._finalized = True
-        self.version += 1
+        self._version += 1
         return closed
 
     # ------------------------------------------------------------------
     def sanitize_notes(self) -> list[str]:
         """Provenance notes matching the offline ``sanitize_trajectory``."""
-        dropped = self.counters.pings_dropped_invalid
+        dropped = self._counters.pings_dropped_invalid
         if dropped:
             return [f"dropped {dropped} non-finite/out-of-range fixes"]
         return []
 
     def cleaned_trajectory(self) -> Trajectory:
         """The cleaned trajectory accumulated so far (a copy)."""
+        self._drain()
         return Trajectory(np.asarray(self._scanner.lats, dtype=np.float64),
                           np.asarray(self._scanner.lngs, dtype=np.float64),
                           np.asarray(self._scanner.ts, dtype=np.float64),
@@ -308,11 +312,12 @@ class TruckSession:
         ticks without new pings reuse one object (and with it, the
         slice-fingerprint memo of the feature cache).
         """
+        self._drain()
         memo = self._snapshot_memo
-        if memo is not None and memo[0] == self.version:
+        if memo is not None and memo[0] == self._version:
             return memo[1]
         snapshot = self._build_snapshot()
-        self._snapshot_memo = (self.version, snapshot)
+        self._snapshot_memo = (self._version, snapshot)
         return snapshot
 
     def _build_snapshot(self) -> ProcessedTrajectory | None:
@@ -336,7 +341,11 @@ class TruckSession:
 
     # ------------------------------------------------------------------
     def state(self) -> dict:
-        """Checkpointable state (JSON-safe; exact resume)."""
+        """Checkpointable state (JSON-safe; exact resume).
+
+        Drains first, so pending fixes are never part of a checkpoint.
+        """
+        self._drain()
         return {
             "schema": 1,
             "truck_id": self.truck_id,
@@ -348,8 +357,8 @@ class TruckSession:
                           else list(self._last_kept)),
             "open_qualified": self._open_qualified,
             "finalized": self._finalized,
-            "version": self.version,
-            "counters": self.counters.as_dict(),
+            "version": self._version,
+            "counters": self._counters.as_dict(),
         }
 
     @classmethod
@@ -372,6 +381,6 @@ class TruckSession:
             float(kept[0]), float(kept[1]), float(kept[2]))
         session._open_qualified = bool(state["open_qualified"])
         session._finalized = bool(state["finalized"])
-        session.version = int(state["version"])
-        session.counters = SessionCounters.from_dict(state["counters"])
+        session._version = int(state["version"])
+        session._counters = SessionCounters.from_dict(state["counters"])
         return session

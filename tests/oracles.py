@@ -1,6 +1,6 @@
 """Reference implementations that exist only to check production code.
 
-Three oracles live here, each the code the production path replaced:
+Four oracles live here, each the code the production path replaced:
 
 * :func:`group_distribution` — single-trajectory inference through the
   Group layout: encode one trajectory's candidates, run each detector
@@ -18,6 +18,14 @@ Three oracles live here, each the code the production path replaced:
   modules build one tape node per elementary op; the fused kernels of
   :mod:`repro.nn.fused` must match its forward values bit for bit and
   its gradients at ``rtol=1e-9``.
+* :class:`ScalarStayPointScanner`, :func:`scalar_kept_indices` /
+  :func:`filter_scalar` and :func:`count_categories_bruteforce` — the
+  per-fix front-end: the stay-point rule loop one fix at a time, the
+  last-kept noise-filter walk one point at a time, and POI counting
+  against every POI with no grid.  The array lanes
+  (``StayPointScanner.feed_batch``, ``NoiseFilter.filter`` /
+  ``kept_indices``, ``POIDatabase.count_categories_batch``) must match
+  them exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +37,10 @@ import numpy as np
 from repro.detection import (build_backward_group, build_forward_group,
                              merge_distributions)
 from repro.encoding import operators
+from repro.data.poi import POI_CATEGORIES
 from repro.features import CandidateFeatures, SegmentKind
+from repro.geo import haversine_m, speed_kmh
+from repro.model import Trajectory
 from repro.nn import (GRU, LSTM, Linear, LSTMDecoder,
                       SelfAttentionAggregator, Tensor, concat, losses,
                       mse_loss, no_grad)
@@ -39,7 +50,9 @@ from repro.nn.rnn import sequence_mask
 from repro.nn.tensor import stack
 
 __all__ = ["group_distribution", "compress", "reconstruction_loss",
-           "per_candidate_cvecs", "tape_path"]
+           "per_candidate_cvecs", "tape_path", "ScalarStayPointScanner",
+           "scalar_kept_indices", "filter_scalar",
+           "count_categories_bruteforce"]
 
 
 # ----------------------------------------------------------------------
@@ -147,6 +160,165 @@ def per_candidate_cvecs(model, stay_segments, move_segments,
             compress(model, _candidate_features(stay_segments,
                                                 move_segments, pair)).numpy()
             for pair in pairs], axis=0)
+
+
+# ----------------------------------------------------------------------
+# Per-fix front-end
+# ----------------------------------------------------------------------
+class ScalarStayPointScanner:
+    """The stay-point rule loop (paper §III), one fix at a time.
+
+    Same pointers (``_anchor``, ``_last``, ``_scan``, ``_emitted``) and
+    the same :meth:`state` layout as ``StayPointScanner``; each run break
+    is found by one :func:`~repro.geo.haversine_m` call per fix.
+    """
+
+    def __init__(self, max_distance_m: float = 500.0,
+                 min_duration_s: float = 15.0 * 60.0) -> None:
+        self.max_distance_m = max_distance_m
+        self.min_duration_s = min_duration_s
+        self.lats: list[float] = []
+        self.lngs: list[float] = []
+        self.ts: list[float] = []
+        self._anchor = 0
+        self._last = 0
+        self._scan = 1
+        self._emitted = 0
+        self._finished = False
+
+    def _close_run(self) -> tuple[int, int] | None:
+        anchor, last = self._anchor, self._last
+        span = None
+        if (last > anchor
+                and self.ts[last] - self.ts[anchor] >= self.min_duration_s):
+            span = (anchor, last)
+            self._emitted += 1
+            self._anchor = last + 1
+        else:
+            self._anchor = anchor + 1
+        self._last = self._anchor
+        self._scan = self._anchor + 1
+        return span
+
+    def _advance(self, final: bool) -> list[tuple[int, int]]:
+        spans: list[tuple[int, int]] = []
+        n = len(self.ts)
+        while True:
+            broke = False
+            while self._scan < n:
+                k = self._scan
+                if haversine_m(self.lats[self._anchor],
+                               self.lngs[self._anchor], self.lats[k],
+                               self.lngs[k]) > self.max_distance_m:
+                    broke = True
+                    break
+                self._last = k
+                self._scan = k + 1
+            if not broke:
+                if not final or self._anchor >= n - 1:
+                    return spans
+            span = self._close_run()
+            if span is not None:
+                spans.append(span)
+
+    def feed(self, lat: float, lng: float, t: float
+             ) -> list[tuple[int, int]]:
+        """Ingest one fix; return the spans that became decidable."""
+        if self._finished:
+            raise ValueError("scanner already finished")
+        if self.ts and t <= self.ts[-1]:
+            raise ValueError("scanner requires strictly increasing "
+                             "timestamps")
+        self.lats.append(float(lat))
+        self.lngs.append(float(lng))
+        self.ts.append(float(t))
+        return self._advance(final=False)
+
+    def finish(self) -> list[tuple[int, int]]:
+        """End of stream: decide everything still open (idempotent)."""
+        if self._finished:
+            return []
+        self._finished = True
+        return self._advance(final=True)
+
+    def state(self) -> dict:
+        return {
+            "max_distance_m": self.max_distance_m,
+            "min_duration_s": self.min_duration_s,
+            "lats": list(self.lats), "lngs": list(self.lngs),
+            "ts": list(self.ts),
+            "anchor": self._anchor, "last": self._last, "scan": self._scan,
+            "emitted": self._emitted, "finished": self._finished,
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "ScalarStayPointScanner":
+        scanner = cls(state["max_distance_m"], state["min_duration_s"])
+        scanner.lats = [float(v) for v in state["lats"]]
+        scanner.lngs = [float(v) for v in state["lngs"]]
+        scanner.ts = [float(v) for v in state["ts"]]
+        scanner._anchor = int(state["anchor"])
+        scanner._last = int(state["last"])
+        scanner._scan = int(state["scan"])
+        scanner._emitted = int(state["emitted"])
+        scanner._finished = bool(state["finished"])
+        return scanner
+
+
+def scalar_kept_indices(max_speed_kmh: float, lats, lngs, ts,
+                        prev: tuple[float, float, float] | None = None
+                        ) -> list[int]:
+    """The last-kept noise-filter rule, one point at a time.
+
+    A point is kept iff its speed from the last kept point (``prev``
+    before the first one) is at most ``max_speed_kmh``; with no
+    ``prev`` the first point is kept unconditionally.
+    """
+    keep: list[int] = []
+    last = prev
+    for i in range(len(ts)):
+        lat, lng, t = float(lats[i]), float(lngs[i]), float(ts[i])
+        if last is None or speed_kmh(haversine_m(last[0], last[1], lat, lng),
+                                     t - last[2]) <= max_speed_kmh:
+            keep.append(i)
+            last = (lat, lng, t)
+    return keep
+
+
+def filter_scalar(noise_filter, trajectory: Trajectory) -> Trajectory:
+    """``noise_filter.filter(trajectory)`` through the per-point walk."""
+    index = np.asarray(scalar_kept_indices(
+        noise_filter.max_speed_kmh, trajectory.lats, trajectory.lngs,
+        trajectory.ts), dtype=np.intp)
+    return Trajectory(trajectory.lats[index], trajectory.lngs[index],
+                      trajectory.ts[index], truck_id=trajectory.truck_id,
+                      day=trajectory.day)
+
+
+def count_categories_bruteforce(db, lats, lngs, radius_m: float,
+                                chunk: int = 512) -> np.ndarray:
+    """Per-category POI counts, ``(n, 29)``, tested against every POI.
+
+    No grid: each query is compared with every POI by the same squared
+    planar distance the production index uses.
+    """
+    lats = np.asarray(lats, dtype=np.float64)
+    lngs = np.asarray(lngs, dtype=np.float64)
+    counts = np.zeros((lats.size, len(POI_CATEGORIES)))
+    if lats.size == 0 or len(db) == 0:
+        return counts
+    x, y = db._projection.to_xy(lats, lngs)
+    poi_x, poi_y = db._xy[:, 0], db._xy[:, 1]
+    codes = np.asarray([poi.category_index for poi in db])
+    for start in range(0, lats.size, chunk):
+        stop = start + chunk
+        dx = poi_x[None, :] - x[start:stop, None]
+        dy = poi_y[None, :] - y[start:stop, None]
+        hit = dx ** 2 + dy ** 2 <= radius_m ** 2
+        for category in range(len(POI_CATEGORIES)):
+            counts[start:stop, category] = hit[:, codes == category].sum(
+                axis=1)
+    return counts
 
 
 # ----------------------------------------------------------------------

@@ -66,7 +66,10 @@ class TestPOIDatabase:
             pois.append(poi)
             db.add(poi)
         radius = 400.0
-        got = {p.poi_id for p in db.query_radius(*center, radius)}
+        hits = db.query_radius(*center, radius)
+        # Hits come in POI index (insertion) order; ids equal indices.
+        assert [p.poi_id for p in hits] == sorted(p.poi_id for p in hits)
+        got = {p.poi_id for p in hits}
         # The grid works in a planar projection; allow a tiny tolerance
         # band around the radius when comparing with spherical distance.
         must_have = {p.poi_id for p in pois

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from repro.model import Trajectory
 from repro.processing import (CandidateGenerator, NoiseFilter,
                               RawTrajectoryProcessor, StayPointExtractor,
                               StayPointScanner, extract_move_points)
+
+from .oracles import ScalarStayPointScanner
 
 METERS_PER_DEG = 111_000.0
 
@@ -169,21 +173,36 @@ class TestStayPointExtractor:
 
 
 class TestStayPointScanner:
-    """The offline extractor is a replay of the online scanner."""
+    """The offline extractor is a replay of the online scanner, and both
+    equal the per-fix rule loop of the oracle."""
 
     def _replay_spans(self, extractor, trajectory, checkpoint_every=None):
-        """Feed point-by-point; optionally round-trip state as it goes."""
+        """Feed the oracle point-by-point; optionally round-trip state."""
+        scanner = ScalarStayPointScanner(extractor.max_distance_m,
+                                         extractor.min_duration_s)
+        spans = []
+        for k, (lat, lng, t) in enumerate(zip(trajectory.lats,
+                                              trajectory.lngs,
+                                              trajectory.ts)):
+            if checkpoint_every and k % checkpoint_every == 0:
+                state = json.loads(json.dumps(scanner.state()))
+                scanner = ScalarStayPointScanner.from_state(state)
+            spans.extend(scanner.feed(float(lat), float(lng), float(t)))
+        spans.extend(scanner.finish())
+        return spans
+
+    def _stream_spans(self, extractor, trajectory, checkpoint_every=None):
+        """Feed the production scanner one fix per ``feed_batch`` call;
+        optionally round-trip its state through JSON as it goes."""
         scanner = extractor.scanner()
         spans = []
         for k, (lat, lng, t) in enumerate(zip(trajectory.lats,
                                               trajectory.lngs,
                                               trajectory.ts)):
             if checkpoint_every and k % checkpoint_every == 0:
-                state = scanner.state()
-                import json as _json
-                state = _json.loads(_json.dumps(state))
+                state = json.loads(json.dumps(scanner.state()))
                 scanner = StayPointScanner.from_state(state)
-            spans.extend(scanner.feed(float(lat), float(lng), float(t)))
+            spans.extend(scanner.feed_batch([lat], [lng], [t]))
         spans.extend(scanner.finish())
         return spans
 
@@ -193,6 +212,7 @@ class TestStayPointScanner:
             tr = trajectory_with_stays(num_stays=num_stays)
             offline = [(sp.start, sp.end) for sp in extractor.extract(tr)]
             assert self._replay_spans(extractor, tr) == offline
+            assert self._stream_spans(extractor, tr) == offline
 
     def test_replay_matches_extract_on_simulated_fleet(self):
         dataset = generate_dataset(DatasetConfig(
@@ -212,8 +232,10 @@ class TestStayPointScanner:
         extractor = StayPointExtractor()
         tr = trajectory_with_stays(num_stays=4)
         direct = self._replay_spans(extractor, tr)
-        resumed = self._replay_spans(extractor, tr, checkpoint_every=7)
-        assert resumed == direct
+        assert self._replay_spans(extractor, tr, checkpoint_every=7) \
+            == direct
+        assert self._stream_spans(extractor, tr, checkpoint_every=7) \
+            == direct
 
     def test_mid_stream_spans_are_final(self):
         """Spans emitted before the flush never change afterwards."""
@@ -223,7 +245,7 @@ class TestStayPointScanner:
         seen = []
         for lat, lng, t in zip(tr.lats, tr.lngs, tr.ts):
             before = list(seen)
-            seen.extend(scanner.feed(float(lat), float(lng), float(t)))
+            seen.extend(scanner.feed_batch([lat], [lng], [t]))
             assert seen[:len(before)] == before
         final = seen + scanner.finish()
         offline = [(sp.start, sp.end) for sp in extractor.extract(tr)]
@@ -231,15 +253,16 @@ class TestStayPointScanner:
 
     def test_feed_requires_increasing_time(self):
         scanner = StayPointExtractor().scanner()
-        scanner.feed(31.9, 120.8, 0.0)
+        scanner.feed_batch([31.9], [120.8], [0.0])
         with pytest.raises(ValueError):
-            scanner.feed(31.9, 120.8, 0.0)
+            scanner.feed_batch([31.9], [120.8], [0.0])
+        with pytest.raises(ValueError):
+            scanner.feed_batch([31.9, 31.9], [120.8, 120.8], [5.0, 5.0])
 
     def test_finish_is_idempotent(self):
         tr = make_trajectory([(31.9, 120.8, 20)])
         scanner = StayPointExtractor().scanner()
-        for lat, lng, t in zip(tr.lats, tr.lngs, tr.ts):
-            scanner.feed(float(lat), float(lng), float(t))
+        scanner.feed_batch(tr.lats, tr.lngs, tr.ts)
         first = scanner.finish()
         assert len(first) == 1
         assert scanner.finish() == []

@@ -28,8 +28,8 @@ from repro.encoding import AutoencoderTrainingConfig
 from repro.model import Trajectory
 from repro.pipeline import LEAD, LEADConfig
 from repro.processing import ReorderBuffer, monotonize_stream
-from repro.stream import (FleetConfig, FleetSessionManager, TruckSession,
-                          confidence_tier, dataset_ping_stream,
+from repro.stream import (FleetConfig, FleetSessionManager, Ping,
+                          TruckSession, confidence_tier, dataset_ping_stream,
                           scramble_stream)
 
 
@@ -277,6 +277,154 @@ class TestTicks:
         assert all(v.pair is None and v.confidence == "none"
                    for v in verdicts)
         assert all(v.num_stay_points > 0 for v in verdicts)
+
+
+# ---------------------------------------------------------------------------
+# 2b. Deferred drain: reads between per-ping ingests change nothing
+# ---------------------------------------------------------------------------
+def hostile_feed(samples, window: int, rng) -> list[Ping]:
+    """A scrambled fleet feed with invalid, duplicate and stale pings."""
+    pings = scramble_stream(dataset_ping_stream(samples), window=window,
+                            seed=int(rng.integers(1 << 30)))
+    feed: list[Ping] = []
+    for ping in pings:
+        roll = rng.random()
+        if roll < 0.02:
+            feed.append(Ping(ping.truck_id, ping.day, float("nan"),
+                             ping.lng, ping.t))
+        elif roll < 0.04:
+            feed.append(Ping(ping.truck_id, ping.day, 95.0, ping.lng,
+                             ping.t))
+        elif roll < 0.06:
+            feed.append(Ping(ping.truck_id, ping.day, ping.lat, ping.lng,
+                             ping.t - 3600.0))      # behind the horizon
+        feed.append(ping)
+        if rng.random() < 0.03:
+            feed.append(ping)                       # duplicate timestamp
+    return feed
+
+
+class TestDeferredDrain:
+    """Per-ping ingest defers the noise filter and scanner to the next
+    read; where the reads fall must not change any outcome."""
+
+    @staticmethod
+    def _final(manager, keys):
+        finals = {}
+        for key in keys:
+            session = manager.session(*key)
+            finals[key] = (json.dumps(session.state()),
+                           session.counters.as_dict(), session.version)
+        verdicts = {(v.truck_id, v.day): v for v in manager.flush_all()}
+        return finals, verdicts
+
+    @settings(max_examples=8, deadline=None)
+    @given(window=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
+    def test_interleaved_reads_change_nothing(self, world_and_data, fitted,
+                                              window, seed):
+        _, dataset = world_and_data
+        rng = np.random.default_rng(seed)
+        samples = dataset.samples[11:14]
+        feed = hostile_feed(samples, window, rng)
+        keys = sorted({(p.truck_id, p.day) for p in feed})
+        config = FleetConfig(reorder_capacity=4)
+
+        quiet = FleetSessionManager(fitted, config)
+        for ping in feed:
+            quiet.ingest(ping.truck_id, ping.lat, ping.lng, ping.t,
+                         day=ping.day)
+        expected, expected_verdicts = self._final(quiet, keys)
+
+        busy = FleetSessionManager(fitted, config)
+        for ping in feed:
+            busy.ingest(ping.truck_id, ping.lat, ping.lng, ping.t,
+                        day=ping.day)
+            if rng.random() >= 0.2:
+                continue
+            key = (ping.truck_id, ping.day)
+            session = busy.session(*key)
+            read = rng.integers(5)
+            if read == 0:
+                session.version
+            elif read == 1:
+                session.counters
+            elif read == 2:
+                session.snapshot()
+            elif read == 3:
+                # An evict/restore cycle: JSON checkpoint, fresh session.
+                state = json.loads(json.dumps(session.state()))
+                busy._sessions[key] = TruckSession.from_state(
+                    state, processor=busy.processor)
+            else:
+                json.dumps(busy.stats())
+        got, got_verdicts = self._final(busy, keys)
+
+        bulk = FleetSessionManager(fitted, config)
+        for key in keys:
+            mine = [p for p in feed if (p.truck_id, p.day) == key]
+            start = 0
+            while start < len(mine):
+                stop = start + int(rng.integers(1, 40))
+                chunk = mine[start:stop]
+                bulk.ingest_batch(key[0], [p.lat for p in chunk],
+                                  [p.lng for p in chunk],
+                                  [p.t for p in chunk], day=key[1])
+                start = stop
+        batched, batched_verdicts = self._final(bulk, keys)
+
+        assert got == expected
+        assert batched == expected
+        for verdicts in (got_verdicts, batched_verdicts):
+            assert verdicts.keys() == expected_verdicts.keys()
+            for key, verdict in verdicts.items():
+                want = expected_verdicts[key]
+                assert (verdict.pair, verdict.confidence,
+                        verdict.num_stay_points, verdict.provenance) == \
+                    (want.pair, want.confidence, want.num_stay_points,
+                     want.provenance)
+                assert (verdict.distribution is None) == \
+                    (want.distribution is None)
+                if want.distribution is not None:
+                    assert np.array_equal(verdict.distribution,
+                                          want.distribution)
+
+    def test_checkpoint_format_is_unchanged(self):
+        """Schema 1, no pending fixes: a checkpoint written before the
+        drain was deferred restores, and a deferred session writes it
+        byte for byte."""
+        session = TruckSession("t", "d", reorder_capacity=2)
+        for k in range(6):
+            session.ingest(31.9, 120.8 + 1e-5 * k, 60.0 * k)
+        assert json.dumps(session.state()) == SCHEMA_1_CHECKPOINT
+        resumed = TruckSession.from_state(json.loads(SCHEMA_1_CHECKPOINT))
+        for k in range(6, 40):
+            session.ingest(31.9, 120.8 + 1e-5 * k, 60.0 * k)
+            resumed.ingest(31.9, 120.8 + 1e-5 * k, 60.0 * k)
+        session.finalize()
+        resumed.finalize()
+        assert resumed.state() == session.state()
+        assert session.num_closed_stay_points == 1
+
+
+#: ``TruckSession.state()`` after six in-order pings into a
+#: ``reorder_capacity=2`` session, as written by the per-ping scanner
+#: lane this module's deferred drain replaced.
+SCHEMA_1_CHECKPOINT = (
+    '{"schema": 1, "truck_id": "t", "day": "d", "scanner": '
+    '{"max_distance_m": 500.0, "min_duration_s": 900.0, "lats": '
+    '[31.9, 31.9, 31.9, 31.9], "lngs": [120.8, 120.80001, 120.80002, '
+    '120.80002999999999], "ts": [0.0, 60.0, 120.0, 180.0], "anchor": 0, '
+    '"last": 3, "scan": 4, "emitted": 0, "finished": false}, "reorder": '
+    '{"capacity": 2, "policy": "reorder", "heap": [[240.0, 4, 31.9, '
+    '120.80004], [300.0, 5, 31.9, 120.80005]], "seq": 6, '
+    '"last_released": 180.0, "max_seen": 300.0, "stats": {"pushed": 6, '
+    '"released": 4, "reordered": 0, "dropped": 0}}, "spans": [], '
+    '"last_kept": [31.9, 120.80002999999999, 180.0], "open_qualified": '
+    'false, "finalized": false, "version": 4, "counters": '
+    '{"pings_ingested": 6, "pings_dropped_invalid": 0, '
+    '"pings_dropped_late": 0, "pings_reordered": 0, '
+    '"pings_dropped_noise": 0, "pings_kept": 4, "staypoints_opened": 0, '
+    '"staypoints_closed": 0}}')
 
 
 # ---------------------------------------------------------------------------

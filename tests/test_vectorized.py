@@ -1,13 +1,15 @@
-"""Property tests: the vectorized preprocessing lanes equal the scalar ones.
+"""Property tests: the array front-end lanes equal the per-fix oracles.
 
-Every front-end stage of this release has two implementations — a
-per-fix scalar reference and an array-at-a-time production lane — and
-the contract is exact agreement: bit-identical stay-point spans and
-scanner pointers, identical noise-filter kept sets, POI counts equal to
-the scalar queries.  Hypothesis drives adversarially shaped trajectories
-(duplicate-adjacent fixes, teleporting outliers, all-stay, all-move,
-single-point, empty) through both lanes, including random batch splits
-and mid-stream checkpoint round-trips.
+Every front-end stage has one production lane in ``src/`` — array at a
+time — and a per-fix reference in ``tests/oracles.py``.  The contract is
+exact agreement: bit-identical stay-point spans and scanner pointers,
+identical noise-filter kept sets, POI counts equal to a brute-force
+count over every POI.  Hypothesis drives adversarially shaped
+trajectories (duplicate-adjacent fixes, teleporting outliers, all-stay,
+all-move, single-point, empty) through both, including random batch
+splits and mid-stream checkpoint round-trips; a simulated fleet pins the
+same three equalities on realistic days.  The streaming session's
+deferred drain is pinned here too: per-ping ingest never scans.
 """
 
 from __future__ import annotations
@@ -15,13 +17,20 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
+                        generate_dataset)
 from repro.data.poi import POI, POI_CATEGORIES, POIDatabase
 from repro.model import Trajectory
 from repro.processing import NoiseFilter, StayPointExtractor
 from repro.processing.staypoints import StayPointScanner
+from repro.stream import TruckSession
+
+from .oracles import (ScalarStayPointScanner, count_categories_bruteforce,
+                      filter_scalar, scalar_kept_indices)
 
 BASE_LAT, BASE_LNG = 31.95, 120.85
 
@@ -70,7 +79,7 @@ class TestScannerEquivalence:
     def test_feed_batch_equals_feed(self, trajectory, rnd):
         """Random batch splits emit the scalar spans and pointers."""
         n = len(trajectory)
-        ref = StayPointScanner()
+        ref = ScalarStayPointScanner()
         ref_spans = []
         for lat, lng, t in zip(trajectory.lats, trajectory.lngs,
                                trajectory.ts):
@@ -92,18 +101,19 @@ class TestScannerEquivalence:
                     json.loads(json.dumps(bat.state())))
                 assert resumed.state() == bat.state()
                 bat = resumed
-                bat._batch_lane = True
         bat_spans.extend(bat.finish())
 
         assert bat_spans == ref_spans
         assert (bat._anchor, bat._last, bat._scan, bat._emitted) \
             == (ref._anchor, ref._last, ref._scan, ref._emitted)
+        assert bat.state() == ref.state()
 
     @settings(max_examples=25, deadline=None)
     @given(trajectories(min_points=1))
     def test_extract_equals_scalar_replay(self, trajectory):
         extractor = StayPointExtractor()
-        scanner = extractor.scanner()
+        scanner = ScalarStayPointScanner(extractor.max_distance_m,
+                                         extractor.min_duration_s)
         spans = []
         for lat, lng, t in zip(trajectory.lats, trajectory.lngs,
                                trajectory.ts):
@@ -143,7 +153,7 @@ class TestNoiseFilterEquivalence:
     def test_filter_equals_scalar(self, trajectory):
         nf = NoiseFilter()
         fast = nf.filter(trajectory)
-        slow = nf.filter_scalar(trajectory)
+        slow = filter_scalar(nf, trajectory)
         assert np.array_equal(fast.ts, slow.ts)
         assert np.array_equal(fast.lats, slow.lats)
         assert np.array_equal(fast.lngs, slow.lngs)
@@ -151,22 +161,13 @@ class TestNoiseFilterEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(trajectories(), st.booleans())
     def test_kept_indices_equals_scalar_walk(self, trajectory, with_prev):
-        from repro.geo import haversine_m, speed_kmh
         nf = NoiseFilter()
         prev = (BASE_LAT, BASE_LNG, -60.0) if with_prev else None
         kept = nf.kept_indices(trajectory.lats, trajectory.lngs,
                                trajectory.ts, prev=prev)
-        reference, last = [], prev
-        for i in range(len(trajectory)):
-            lat = float(trajectory.lats[i])
-            lng = float(trajectory.lngs[i])
-            t = float(trajectory.ts[i])
-            if last is None or speed_kmh(
-                    haversine_m(last[0], last[1], lat, lng),
-                    t - last[2]) <= nf.max_speed_kmh:
-                reference.append(i)
-                last = (lat, lng, t)
-        assert kept.tolist() == reference
+        assert kept.tolist() == scalar_kept_indices(
+            nf.max_speed_kmh, trajectory.lats, trajectory.lngs,
+            trajectory.ts, prev=prev)
 
 
 class TestPOICountEquivalence:
@@ -185,11 +186,13 @@ class TestPOICountEquivalence:
         batch = db.count_categories_batch(trajectory.lats, trajectory.lngs,
                                           radius_m=radius)
         assert batch.shape == (len(trajectory), len(POI_CATEGORIES))
-        scalar = [db.count_categories(float(lat), float(lng),
-                                      radius_m=radius)
-                  for lat, lng in zip(trajectory.lats, trajectory.lngs)]
-        if scalar:
-            assert np.allclose(batch, np.stack(scalar), rtol=1e-9, atol=0.0)
+        reference = count_categories_bruteforce(
+            db, trajectory.lats, trajectory.lngs, radius)
+        assert np.allclose(batch, reference, rtol=1e-9, atol=0.0)
+        for k in range(min(len(trajectory), 3)):
+            assert np.array_equal(db.count_categories(
+                float(trajectory.lats[k]), float(trajectory.lngs[k]),
+                radius_m=radius), reference[k])
 
     def test_empty_query_and_empty_db(self):
         db = POIDatabase()
@@ -198,3 +201,82 @@ class TestPOICountEquivalence:
         assert db.count_categories_batch(
             [BASE_LAT], [BASE_LNG], radius_m=100.0).shape \
             == (1, len(POI_CATEGORIES))
+
+
+# ---------------------------------------------------------------------------
+class TestFrontEndOnSimulatedFleet:
+    """The three production lanes equal their oracles on simulated days."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        world = SyntheticWorld(WorldConfig(seed=11))
+        dataset = generate_dataset(DatasetConfig(
+            num_trajectories=30, num_trucks=10, seed=11), world=world)
+        return world.pois, [s.trajectory for s in dataset.samples]
+
+    def test_noise_filter_keeps_the_oracle_set(self, fleet):
+        _, raw = fleet
+        nf = NoiseFilter()
+        dropped = 0
+        for trajectory in raw:
+            kept = nf.kept_indices(trajectory.lats, trajectory.lngs,
+                                   trajectory.ts)
+            assert kept.tolist() == scalar_kept_indices(
+                nf.max_speed_kmh, trajectory.lats, trajectory.lngs,
+                trajectory.ts)
+            assert np.array_equal(nf.filter(trajectory).ts,
+                                  filter_scalar(nf, trajectory).ts)
+            dropped += len(trajectory) - kept.size
+        assert len(raw) == 30
+        assert dropped > 0
+
+    def test_extract_emits_the_oracle_spans(self, fleet):
+        _, raw = fleet
+        nf, extractor = NoiseFilter(), StayPointExtractor()
+        for trajectory in raw:
+            cleaned = nf.filter(trajectory)
+            oracle = ScalarStayPointScanner(extractor.max_distance_m,
+                                            extractor.min_duration_s)
+            spans = []
+            for lat, lng, t in zip(cleaned.lats, cleaned.lngs, cleaned.ts):
+                spans.extend(oracle.feed(lat, lng, t))
+            spans.extend(oracle.finish())
+            assert [(sp.start, sp.end)
+                    for sp in extractor.extract(cleaned)] == spans
+            assert spans
+
+    def test_poi_counts_equal_bruteforce(self, fleet):
+        pois, raw = fleet
+        nf = NoiseFilter()
+        hits = 0
+        for trajectory in raw:
+            cleaned = nf.filter(trajectory)
+            counts = pois.count_categories_batch(cleaned.lats, cleaned.lngs,
+                                                 radius_m=100.0)
+            assert np.array_equal(counts, count_categories_bruteforce(
+                pois, cleaned.lats, cleaned.lngs, 100.0))
+            hits += int(counts.sum())
+        assert hits > 0
+
+
+# ---------------------------------------------------------------------------
+class TestDeferredSessionLane:
+    """Per-ping ingest only sanitizes and reorders; reads drain."""
+
+    def test_ingest_never_scans_until_a_read(self, monkeypatch):
+        calls = []
+        original = StayPointScanner.feed_batch
+
+        def counting(self, *args):
+            calls.append(len(args[0]))
+            return original(self, *args)
+
+        monkeypatch.setattr(StayPointScanner, "feed_batch", counting)
+        session = TruckSession("t", "d")
+        for k in range(50):
+            session.ingest(BASE_LAT + 1e-5 * (k % 3), BASE_LNG, 30.0 * k)
+        assert calls == []
+        session.snapshot()
+        assert len(calls) == 1
+        session.snapshot()
+        assert len(calls) == 1
