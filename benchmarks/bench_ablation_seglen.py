@@ -12,8 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.features import (CandidateFeaturizer, FeatureConfig,
-                            FeatureExtractor, ZScoreNormalizer)
-from repro.pipeline import LEAD
+                            FeatureExtractor)
 
 
 @pytest.mark.parametrize("seg_len", [4, 8, 16, 32])

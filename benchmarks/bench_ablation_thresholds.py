@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.processing import StayPointExtractor, extract_move_points
+from repro.processing import StayPointExtractor
 
 SWEEP = [
     (250.0, 15 * 60.0),

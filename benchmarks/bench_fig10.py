@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.detection import (DetectorSample, build_forward_group,
-                             pair_to_index, smooth_label)
+from repro.detection import forward_index_maps, pair_to_index, smooth_label
 from repro.eval import format_loss_curves
-from repro.nn import Adam, kld_loss
+from repro.nn import Adam, Tensor, kld_loss
 
 
 def test_fig10_detector_curves(experiment, trained_lead, benchmark):
@@ -29,15 +28,15 @@ def test_fig10_detector_curves(experiment, trained_lead, benchmark):
     test_set = experiment.test_set()
     processed, pair = test_set[0]
     cvecs = trained_lead.encode_candidates_batch([processed])[0]
-    target = pair_to_index(processed.num_stay_points, pair)
-    sample = DetectorSample(cvecs, processed.num_stay_points, target)
+    n = processed.num_stay_points
+    target = pair_to_index(n, pair)
     detector = trained_lead.forward_detector
     optimizer = Adam(detector.parameters(), lr=1e-5)
-    label = smooth_label(len(sample.cvecs), sample.target_index)
+    label = smooth_label(len(cvecs), target)
 
     def step():
-        group = build_forward_group(sample.cvecs, sample.num_stay_points)
-        loss = kld_loss(label, detector(group))
+        loss = kld_loss(label, detector.score_indexed(
+            Tensor(cvecs), forward_index_maps(n)))
         optimizer.zero_grad()
         loss.backward()
         optimizer.step()

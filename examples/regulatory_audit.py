@@ -11,8 +11,6 @@ Usage::
     python examples/regulatory_audit.py
 """
 
-import numpy as np
-
 from repro import (DatasetConfig, LEAD, LEADConfig, SyntheticWorld,
                    WorldConfig, generate_dataset)
 from repro.detection import DetectorTrainingConfig

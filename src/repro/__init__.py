@@ -55,7 +55,6 @@ _LEGACY = {
     "AutoencoderTrainer": "encoding",
     "AutoencoderTrainingConfig": "encoding",
     "GroupDetector": "detection", "IndependentDetector": "detection",
-    "DetectorSample": "detection", "DetectorTrainer": "detection",
     "DetectorTrainingConfig": "detection",
     # baselines / eval / analysis
     "SPRDetector": "baselines", "SPNNDetector": "baselines",

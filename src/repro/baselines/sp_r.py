@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..geo import haversine_m
 from ..model import LoadedLabel
 from ..processing import ProcessedTrajectory

@@ -4,25 +4,20 @@ Group generation, forward/backward stacked-BiLSTM detectors, label
 processing, and distribution merging (DESIGN.md S16-S18).
 """
 
-from .grouping import (Group, backward_index_maps, build_backward_group,
-                       build_forward_group, enumerate_pairs,
-                       forward_index_maps, index_to_pair, merge_groups,
-                       pair_to_index)
+from .grouping import (backward_index_maps, enumerate_pairs,
+                       forward_index_maps, index_to_pair, pair_to_index)
 from .labels import DEFAULT_EPSILON, smooth_label
 from .detectors import GroupDetector, IndependentDetector
 from .merge import argmax_pair, merge_distributions
-from .trainer import (DetectorSample, DetectorTrainer,
-                      DetectorTrainingConfig, IndependentDetectorTrainer)
+from .trainer import DetectorTrainingConfig
 from .joint import JointDetectorTrainer, TrajectorySpec
 
 __all__ = [
-    "Group", "build_forward_group", "build_backward_group",
-    "enumerate_pairs", "pair_to_index", "index_to_pair", "merge_groups",
+    "enumerate_pairs", "pair_to_index", "index_to_pair",
     "forward_index_maps", "backward_index_maps",
     "smooth_label", "DEFAULT_EPSILON",
     "GroupDetector", "IndependentDetector",
     "merge_distributions", "argmax_pair",
-    "DetectorSample", "DetectorTrainer", "DetectorTrainingConfig",
-    "IndependentDetectorTrainer",
+    "DetectorTrainingConfig",
     "JointDetectorTrainer", "TrajectorySpec",
 ]

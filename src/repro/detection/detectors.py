@@ -2,19 +2,16 @@
 
 Each detector is a stacked BiLSTM over the subgroups of a group; every
 subgroup is an independent sequence (batched with padding), position
-scores come from a 1-unit fully connected layer, and a per-subgroup softmax
-yields the probability vector of the subgroup (Eq. 10).
+scores come from a 1-unit fully connected layer, and one softmax over
+each trajectory's candidates yields the group's probability vector
+(Eq. 10-11).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn import (Linear, Module, Sequential, StackedBiLSTM, Tensor, concat,
-                  masked_softmax)
-from ..nn.padding import pad_sequences
-from ..nn.rnn import sequence_mask
-from .grouping import Group
+from ..nn import Linear, Module, StackedBiLSTM, Tensor, concat
 
 __all__ = ["GroupDetector", "IndependentDetector"]
 
@@ -24,104 +21,53 @@ class GroupDetector(Module):
 
     Output: a probability Tensor of shape ``(N,)`` indexed by *candidate
     enumeration order* (the detector scatters its per-subgroup outputs back
-    through the group's index maps), where each subgroup's entries form a
-    softmax distribution.
+    through the group's index maps).
+
+    Eq. (10) reads as a softmax per subgroup, but the detector's output is
+    compared by KLD against a label that sums to 1 (Eq. 11), and
+    single-detector ablations (NoFor/NoBac) only produce meaningful
+    argmaxes when the distribution is normalized over the whole group: a
+    per-subgroup softmax pins every single-element subgroup at
+    probability 1.0.  The softmax is therefore flat over all candidates
+    of a trajectory (EXPERIMENTS.md records the deviation).
     """
 
     def __init__(self, input_dim: int = 64, hidden_size: int = 64,
                  num_layers: int = 4,
-                 rng: np.random.Generator | None = None,
-                 subgroup_softmax: bool = False) -> None:
+                 rng: np.random.Generator | None = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng()
         self.input_dim = input_dim
         self.backbone = StackedBiLSTM(input_dim, hidden_size, num_layers, rng)
         self.score = Linear(hidden_size, 1, rng)
-        #: Eq. (10) reads as a softmax per subgroup, but the detector's
-        #: output is compared by KLD against a label that sums to 1
-        #: (Eq. 11), and single-detector ablations (NoFor/NoBac) only
-        #: produce meaningful argmaxes when the distribution is normalized
-        #: over the whole group: a per-subgroup softmax pins every
-        #: single-element subgroup at probability 1.0.  The default is
-        #: therefore a flat softmax over all candidates of the group; set
-        #: ``subgroup_softmax=True`` for the literal per-subgroup reading.
-        self.subgroup_softmax = subgroup_softmax
-
-    def forward(self, group: Group) -> Tensor:
-        batch, lengths = pad_sequences(group.subgroups)
-        if batch.shape[2] != self.input_dim:
-            raise ValueError(
-                f"expected c-vec dim {self.input_dim}, got {batch.shape[2]}")
-        return self._probabilities(Tensor(batch), lengths,
-                                   group.flat_indices(), segments=None)
 
     def score_indexed(self, cvecs: Tensor, index_maps: list[np.ndarray],
                       segments: np.ndarray | None = None,
                       bucket: bool = False) -> Tensor:
-        """Differentiable variant of :meth:`forward`.
+        """Probabilities of the candidates addressed by ``index_maps``.
 
-        ``cvecs`` is the ``(N, D)`` tensor of compressed vectors (typically
-        fresh out of the compressor, with gradients attached) and
-        ``index_maps`` are the subgroup index maps of a (merged) group.
-        Rows are gathered into a padded subgroup batch with one fancy
-        index, so gradients flow back into the encoder — the joint
-        fine-tuning path.  When several trajectories' groups were merged,
+        ``cvecs`` is the ``(N, D)`` tensor of compressed vectors (with
+        gradients attached when training through the compressor) and
+        ``index_maps`` are the subgroup index maps of one trajectory's
+        group, or of several trajectories' groups offset into one
+        ``cvecs``.  Rows are gathered into padded subgroup batches with
+        one fancy index each, so gradients flow back into the encoder.
         ``segments`` gives the candidate count of each trajectory so the
         flat softmax normalizes per trajectory, never across them.
 
-        ``bucket=True`` groups the subgroup sequences by power-of-two
-        length before the BiLSTM pass so short subgroups are not padded
-        to the longest subgroup of the whole (merged) batch.  The
-        freeze-masked BiLSTM makes the hidden states of valid positions
-        padding-length invariant, so this changes nothing but wasted
-        arithmetic; it pays off when many trajectories' groups were
-        merged and is a no-op for single-subgroup calls.
+        ``bucket`` only chooses the batches: ``False`` pads every subgroup
+        to the longest one in one BiLSTM pass; ``True`` bins subgroups by
+        the power-of-two ceiling of their length, one pass per bin padded
+        to the bin's own maximum.  The freeze-masked BiLSTM makes the
+        hidden states of valid positions padding-length invariant, so the
+        choice changes wasted arithmetic, not answers.
         """
         if cvecs.shape[-1] != self.input_dim:
             raise ValueError(
                 f"expected c-vec dim {self.input_dim}, got {cvecs.shape}")
         lengths = np.array([len(m) for m in index_maps], dtype=np.int64)
-        flat_indices = np.concatenate(index_maps)
-        if bucket and len(index_maps) > 1 and not self.subgroup_softmax:
-            return self._probabilities_bucketed(cvecs, index_maps, lengths,
-                                                flat_indices, segments)
-        index = np.zeros((len(index_maps), int(lengths.max())),
-                         dtype=np.int64)
-        for row, indices in enumerate(index_maps):
-            index[row, :len(indices)] = indices
-        return self._probabilities(cvecs[index], lengths, flat_indices,
-                                   segments)
-
-    def _probabilities(self, batch: Tensor, lengths: np.ndarray,
-                       flat_indices: np.ndarray,
-                       segments: np.ndarray | None) -> Tensor:
-        hidden = self.backbone(batch, lengths)                # (B, T, H)
-        scores = self.score(hidden).reshape(batch.shape[0], batch.shape[1])
-        order = np.argsort(flat_indices)
-        if self.subgroup_softmax:
-            mask = sequence_mask(lengths, batch.shape[1])
-            probs = masked_softmax(scores, mask, axis=1)      # (B, T)
-            pieces = [probs[b, :int(lengths[b])]
-                      for b in range(batch.shape[0])]
-            return concat(pieces, axis=0)[order]
-        # Flat normalization: one softmax per trajectory's candidates.
-        pieces = [scores[b, :int(lengths[b])]
-                  for b in range(batch.shape[0])]
-        return self._normalize_flat(concat(pieces, axis=0)[order], segments)
-
-    def _probabilities_bucketed(self, cvecs: Tensor,
-                                index_maps: list[np.ndarray],
-                                lengths: np.ndarray,
-                                flat_indices: np.ndarray,
-                                segments: np.ndarray | None) -> Tensor:
-        """Flat-softmax scoring with length-bucketed BiLSTM passes.
-
-        Subgroups are binned by the power-of-two ceiling of their length;
-        each bin runs one backbone forward padded only to the bin's own
-        maximum, and the per-subgroup score slices are reassembled in the
-        original subgroup order before normalization.
-        """
-        keys = 2 ** np.ceil(np.log2(np.maximum(lengths, 1))).astype(np.int64)
+        keys = (2 ** np.ceil(np.log2(np.maximum(lengths, 1))).astype(np.int64)
+                if bucket else np.zeros_like(lengths))
         pieces: list[Tensor | None] = [None] * len(index_maps)
         for key in np.unique(keys):
             rows = np.nonzero(keys == key)[0]
@@ -129,21 +75,17 @@ class GroupDetector(Module):
             index = np.zeros((len(rows), width), dtype=np.int64)
             for r, row in enumerate(rows):
                 index[r, :int(lengths[row])] = index_maps[row]
-            hidden = self.backbone(cvecs[index], lengths[rows])
+            hidden = self.backbone(cvecs[index], lengths[rows])  # (B, T, H)
             scores = self.score(hidden).reshape(len(rows), width)
             for r, row in enumerate(rows):
                 pieces[row] = scores[r, :int(lengths[row])]
-        order = np.argsort(flat_indices)
-        return self._normalize_flat(concat(pieces, axis=0)[order], segments)
-
-    def _normalize_flat(self, flat_scores: Tensor,
-                        segments: np.ndarray | None) -> Tensor:
+        order = np.argsort(np.concatenate(index_maps))
+        flat_scores = concat(pieces, axis=0)[order]
         if segments is None:
             return flat_scores.softmax(axis=0)
         bounds = np.concatenate([[0], np.cumsum(segments)])
-        parts = [flat_scores[int(a):int(b)].softmax(axis=0)
-                 for a, b in zip(bounds[:-1], bounds[1:])]
-        return concat(parts, axis=0)
+        return concat([flat_scores[int(a):int(b)].softmax(axis=0)
+                       for a, b in zip(bounds[:-1], bounds[1:])], axis=0)
 
 
 class IndependentDetector(Module):

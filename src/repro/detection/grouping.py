@@ -13,13 +13,10 @@ the relationships the BiLSTM detectors exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = ["pair_to_index", "index_to_pair", "enumerate_pairs",
-           "Group", "build_forward_group", "build_backward_group",
-           "forward_index_maps", "backward_index_maps", "merge_groups"]
+           "forward_index_maps", "backward_index_maps"]
 
 
 def enumerate_pairs(num_stay_points: int) -> list[tuple[int, int]]:
@@ -55,40 +52,11 @@ def index_to_pair(num_stay_points: int, index: int) -> tuple[int, int]:
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
-class Group:
-    """A forward or backward group.
-
-    ``subgroups[k]`` is a ``(L_k, D)`` matrix of compressed vectors;
-    ``index_maps[k]`` gives, for each row, the candidate's flat index in
-    forward-group (enumeration) order, so detector outputs can be scattered
-    back into a common indexing.
-    """
-
-    subgroups: tuple[np.ndarray, ...]
-    index_maps: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.subgroups) != len(self.index_maps):
-            raise ValueError("subgroups/index_maps length mismatch")
-        for matrix, indices in zip(self.subgroups, self.index_maps):
-            if len(matrix) != len(indices):
-                raise ValueError("subgroup and index map sizes differ")
-
-    @property
-    def num_candidates(self) -> int:
-        return int(sum(len(m) for m in self.subgroups))
-
-    def flat_indices(self) -> np.ndarray:
-        """Candidate indices in subgroup-concatenation order."""
-        return np.concatenate(self.index_maps)
-
-
 #: Index maps are pure functions of ``n`` and are rebuilt for every
 #: trajectory of every detect call; stay-point counts repeat heavily
 #: across a fleet, so a small memo removes the quadratic Python loop
 #: from the online path.  Cached arrays are frozen — consumers that
-#: offset them (``merge_groups``, the batched detector path) already
+#: offset them (the batched inference core, the joint trainer) already
 #: produce fresh arrays via ``indices + offset``.
 _INDEX_MAP_MEMO: dict[tuple[str, int], list[np.ndarray]] = {}
 _INDEX_MAP_MEMO_MAX = 1024
@@ -129,50 +97,3 @@ def _backward_index_maps(num_stay_points: int) -> list[np.ndarray]:
     n = num_stay_points
     return [np.array([pair_to_index(n, (i, j)) for i in range(j - 1, 0, -1)])
             for j in range(2, n + 1)]
-
-
-def build_forward_group(cvecs: np.ndarray, num_stay_points: int) -> Group:
-    """Subgroups g_1..g_{n-1}: same starting index, ascending ending index."""
-    _validate(cvecs, num_stay_points)
-    index_maps = forward_index_maps(num_stay_points)
-    return Group(tuple(cvecs[indices] for indices in index_maps),
-                 tuple(index_maps))
-
-
-def build_backward_group(cvecs: np.ndarray, num_stay_points: int) -> Group:
-    """Subgroups ḡ_2..ḡ_n: same ending index, descending starting index."""
-    _validate(cvecs, num_stay_points)
-    index_maps = backward_index_maps(num_stay_points)
-    return Group(tuple(cvecs[indices] for indices in index_maps),
-                 tuple(index_maps))
-
-
-def merge_groups(groups: list[Group]) -> Group:
-    """Concatenate groups of several raw trajectories into one.
-
-    Index maps are offset by the cumulative candidate counts, so the merged
-    detector output is the concatenation of the per-trajectory outputs in
-    enumeration order.  Subgroups remain independent sequences, which makes
-    one detector forward over the merged group mathematically identical to
-    one forward per trajectory — but far cheaper on CPU.
-    """
-    if not groups:
-        raise ValueError("no groups to merge")
-    subgroups: list[np.ndarray] = []
-    index_maps: list[np.ndarray] = []
-    offset = 0
-    for group in groups:
-        subgroups.extend(group.subgroups)
-        index_maps.extend(indices + offset for indices in group.index_maps)
-        offset += group.num_candidates
-    return Group(tuple(subgroups), tuple(index_maps))
-
-
-def _validate(cvecs: np.ndarray, num_stay_points: int) -> None:
-    expected = num_stay_points * (num_stay_points - 1) // 2
-    if num_stay_points < 2:
-        raise ValueError("need at least two stay points")
-    if cvecs.ndim != 2 or len(cvecs) != expected:
-        raise ValueError(
-            f"expected ({expected}, D) compressed vectors for "
-            f"n={num_stay_points}, got {cvecs.shape}")

@@ -51,7 +51,12 @@ class TrajectorySpec:
 
 
 class JointDetectorTrainer:
-    """Trains detectors (and optionally the compressor) end to end."""
+    """Trains detectors (and optionally the compressor) end to end.
+
+    The only detector trainer: ``finetune_encoder=False`` keeps the
+    compressor frozen (the paper's protocol), and ``independent`` trains
+    the LEAD-NoGro MLP with per-candidate binary cross entropy.
+    """
 
     def __init__(self, autoencoder: HierarchicalAutoencoder,
                  forward: GroupDetector | None,

@@ -13,7 +13,7 @@ environment variable:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..data import DatasetConfig, SimulatorConfig, WorldConfig

@@ -17,7 +17,6 @@ Variant economics on one CPU core (see DESIGN.md):
 from __future__ import annotations
 
 import shutil
-from pathlib import Path
 
 from ..baselines import SPNNDetector, SPNNTrainingConfig, SPRDetector
 from ..data import HCTDataset, SyntheticWorld, generate_dataset

@@ -5,7 +5,7 @@ package is a from-scratch replacement providing exactly the pieces LEAD
 needs (see DESIGN.md S1-S4).
 """
 
-from .attention import SelfAttentionAggregator, masked_softmax
+from .attention import SelfAttentionAggregator
 from .checkpoint import CheckpointManager, CheckpointState
 from .fused import gru_sequence, lstm_decode, lstm_sequence
 from .init import orthogonal, xavier_uniform
@@ -31,7 +31,7 @@ __all__ = [
     "inference_dtype", "active_dtype", "active_dtype_name", "VALID_DTYPES",
     "weight_view", "weight_view_stats",
     "clear_weight_views",
-    "SelfAttentionAggregator", "masked_softmax",
+    "SelfAttentionAggregator",
     "mse_loss", "kld_loss", "bce_loss",
     "Optimizer", "SGD", "Adam", "clip_grad_norm",
     "EarlyStopping", "GradientAccumulator", "TrainingHistory",

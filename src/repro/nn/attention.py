@@ -14,24 +14,9 @@ from .layers import Linear
 from .module import Module
 from .tensor import Tensor
 
-__all__ = ["SelfAttentionAggregator", "masked_softmax"]
+__all__ = ["SelfAttentionAggregator"]
 
 _NEG_INF = -1e9
-
-
-def masked_softmax(scores: Tensor, mask: np.ndarray | None, axis: int = -1
-                   ) -> Tensor:
-    """Softmax that assigns zero probability to masked-out positions.
-
-    ``mask`` contains 1.0 at valid positions; invalid positions receive a
-    large negative additive bias before the softmax.
-    """
-    if mask is not None:
-        bias = (1.0 - mask) * _NEG_INF
-        if isinstance(bias, np.ndarray) and bias.dtype != scores.data.dtype:
-            bias = bias.astype(scores.data.dtype)
-        scores = scores + bias
-    return scores.softmax(axis=axis)
 
 
 class SelfAttentionAggregator(Module):

@@ -46,9 +46,6 @@ class LEADConfig(ConfigMixin):
     #: way at this repository's CPU scale, L = 1 wins (deeper stacks do
     #: not train on hundreds of trajectories).
     detector_layers: int = 1
-    #: Literal per-subgroup softmax (Eq. 10) instead of the flat per-
-    #: trajectory normalization; see GroupDetector.subgroup_softmax.
-    subgroup_softmax: bool = False
     use_grouping: bool = True
     use_forward: bool = True
     use_backward: bool = True

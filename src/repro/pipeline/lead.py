@@ -158,12 +158,10 @@ class LEAD:
         cvec_dim = cfg.encoder.cvec_dim
         if cfg.use_grouping:
             self.forward_detector = GroupDetector(
-                cvec_dim, cfg.detector_hidden, cfg.detector_layers, rng,
-                subgroup_softmax=cfg.subgroup_softmax) \
+                cvec_dim, cfg.detector_hidden, cfg.detector_layers, rng) \
                 if cfg.use_forward else None
             self.backward_detector = GroupDetector(
-                cvec_dim, cfg.detector_hidden, cfg.detector_layers, rng,
-                subgroup_softmax=cfg.subgroup_softmax) \
+                cvec_dim, cfg.detector_hidden, cfg.detector_layers, rng) \
                 if cfg.use_backward else None
             self.independent_detector = None
         else:

@@ -1,12 +1,17 @@
 """Reference implementations that exist only to check production code.
 
-Four oracles live here, each the code the production path replaced:
+Four oracles live here, each the code the production path replaced,
+plus :func:`masked_softmax`, which the tape oracle's attention uses:
 
-* :func:`group_distribution` — single-trajectory inference through the
-  Group layout: encode one trajectory's candidates, run each detector
-  over its padded forward/backward group and merge (Eq. 13).  The
-  inference core (``LEAD._predict_many``) must match it bit for bit on
-  a batch of one and at ``rtol=1e-9`` on multi-trajectory batches.
+* :func:`group_distribution` (with :func:`padded_group_scores`) —
+  single-trajectory inference through the padded subgroup layout:
+  encode one trajectory's candidates, gather each forward/backward
+  subgroup's c-vec matrix, pad them into one batch, run each
+  detector's backbone and score layer, reorder to enumeration order,
+  take one flat softmax and merge (Eq. 10-13).  The
+  inference core (``LEAD._predict_many``, which scores through
+  ``GroupDetector.score_indexed``) must match it bit for bit on a batch
+  of one and at ``rtol=1e-9`` on multi-trajectory batches.
 * :func:`per_candidate_cvecs` (with :func:`compress`,
   :func:`reconstruction_loss`) — the per-candidate encoder: every
   candidate's phase-2 sequences are compressed on their own.  The
@@ -34,7 +39,7 @@ import contextlib
 
 import numpy as np
 
-from repro.detection import (build_backward_group, build_forward_group,
+from repro.detection import (backward_index_maps, forward_index_maps,
                              merge_distributions)
 from repro.encoding import operators
 from repro.data.poi import POI_CATEGORIES
@@ -44,19 +49,20 @@ from repro.model import Trajectory
 from repro.nn import (GRU, LSTM, Linear, LSTMDecoder,
                       SelfAttentionAggregator, Tensor, concat, losses,
                       mse_loss, no_grad)
-from repro.nn.attention import masked_softmax
+from repro.nn.attention import _NEG_INF
 from repro.nn.padding import pad_sequences
 from repro.nn.rnn import sequence_mask
 from repro.nn.tensor import stack
 
-__all__ = ["group_distribution", "compress", "reconstruction_loss",
+__all__ = ["group_distribution", "padded_group_scores", "masked_softmax",
+           "compress", "reconstruction_loss",
            "per_candidate_cvecs", "tape_path", "ScalarStayPointScanner",
            "scalar_kept_indices", "filter_scalar",
            "count_categories_bruteforce"]
 
 
 # ----------------------------------------------------------------------
-# Group-based single-trajectory inference
+# Padded-subgroup single-trajectory inference
 # ----------------------------------------------------------------------
 def group_distribution(lead, processed, direction: str = "both", *,
                        per_candidate: bool = False) -> np.ndarray:
@@ -80,15 +86,27 @@ def group_distribution(lead, processed, direction: str = "both", *,
         forward = backward = None
         if lead.forward_detector is not None and direction in (
                 "both", "forward"):
-            forward = lead.forward_detector(
-                build_forward_group(cvecs, n)).numpy()
+            forward = padded_group_scores(lead.forward_detector, cvecs,
+                                           forward_index_maps(n))
         if lead.backward_detector is not None and direction in (
                 "both", "backward"):
-            backward = lead.backward_detector(
-                build_backward_group(cvecs, n)).numpy()
+            backward = padded_group_scores(lead.backward_detector, cvecs,
+                                            backward_index_maps(n))
     if forward is None:
         return merge_distributions(backward)
     return merge_distributions(forward, backward)
+
+
+def padded_group_scores(detector, cvecs: np.ndarray,
+                         index_maps: list[np.ndarray]) -> np.ndarray:
+    """One detector over one trajectory's group: the subgroup matrices
+    padded into one batch, a flat softmax over enumeration order."""
+    batch, lengths = pad_sequences([cvecs[m] for m in index_maps])
+    hidden = detector.backbone(Tensor(batch), lengths)    # (B, T, H)
+    scores = detector.score(hidden).reshape(*batch.shape[:2])
+    pieces = [scores[b, :int(lengths[b])] for b in range(len(lengths))]
+    order = np.argsort(np.concatenate(index_maps))
+    return concat(pieces, axis=0)[order].softmax(axis=0).numpy()
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +424,22 @@ def _tape_decoder(self, v: Tensor, steps: int, lengths=None) -> Tensor:
                           None if mask is None else mask[:, t])
         outputs.append(h)
     return stack(outputs, axis=1)
+
+
+def masked_softmax(scores: Tensor, mask: np.ndarray | None, axis: int = -1
+                   ) -> Tensor:
+    """Softmax that assigns zero probability to masked-out positions.
+
+    ``mask`` contains 1.0 at valid positions; invalid positions receive
+    the same large negative additive bias the fused attention kernel
+    uses, before the softmax.
+    """
+    if mask is not None:
+        bias = (1.0 - mask) * _NEG_INF
+        if isinstance(bias, np.ndarray) and bias.dtype != scores.data.dtype:
+            bias = bias.astype(scores.data.dtype)
+        scores = scores + bias
+    return scores.softmax(axis=axis)
 
 
 def _tape_linear(self, x: Tensor) -> Tensor:

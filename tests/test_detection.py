@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.detection import (DetectorSample, DetectorTrainer,
-                             DetectorTrainingConfig, GroupDetector,
-                             IndependentDetector, IndependentDetectorTrainer,
+from repro.detection import (DetectorTrainingConfig, GroupDetector,
+                             IndependentDetector, JointDetectorTrainer,
                              argmax_pair, backward_index_maps,
-                             build_backward_group, build_forward_group,
                              enumerate_pairs, forward_index_maps,
                              index_to_pair, merge_distributions,
                              pair_to_index, smooth_label)
+from repro.encoding import EncoderConfig, HierarchicalAutoencoder
+from repro.nn import Adam, Tensor, clip_grad_norm, kld_loss
+
+from .test_joint import make_specs, merged_maps
 
 RNG = np.random.default_rng(53)
 
@@ -48,48 +50,58 @@ class TestPairIndexing:
 
 
 class TestGroups:
+    """Table II groups as index maps over the enumeration order."""
+
     def test_forward_group_structure(self):
         n = 5
-        cvecs = RNG.normal(size=(candidate_count(n), 8))
-        group = build_forward_group(cvecs, n)
-        assert len(group.subgroups) == n - 1
-        assert [len(s) for s in group.subgroups] == [4, 3, 2, 1]
+        maps = forward_index_maps(n)
+        assert len(maps) == n - 1
+        assert [len(m) for m in maps] == [4, 3, 2, 1]
         # g_1 = <(1,2), (1,3), (1,4), (1,5)> — ascending ending index.
-        np.testing.assert_array_equal(group.index_maps[0], [0, 1, 2, 3])
-        assert group.num_candidates == 10
+        np.testing.assert_array_equal(maps[0], [0, 1, 2, 3])
+        assert sum(len(m) for m in maps) == 10
 
     def test_backward_group_structure(self):
         n = 5
-        cvecs = RNG.normal(size=(candidate_count(n), 8))
-        group = build_backward_group(cvecs, n)
-        assert len(group.subgroups) == n - 1
-        assert [len(s) for s in group.subgroups] == [1, 2, 3, 4]
+        maps = backward_index_maps(n)
+        assert len(maps) == n - 1
+        assert [len(m) for m in maps] == [1, 2, 3, 4]
         # ḡ_5 = <(4,5), (3,5), (2,5), (1,5)> — descending starting index.
         expected = [pair_to_index(n, p)
                     for p in [(4, 5), (3, 5), (2, 5), (1, 5)]]
-        np.testing.assert_array_equal(group.index_maps[-1], expected)
+        np.testing.assert_array_equal(maps[-1], expected)
 
     def test_groups_cover_all_candidates_once(self):
         n = 7
-        cvecs = RNG.normal(size=(candidate_count(n), 4))
-        for builder in (build_forward_group, build_backward_group):
-            group = builder(cvecs, n)
-            indices = np.sort(group.flat_indices())
+        for builder in (forward_index_maps, backward_index_maps):
+            indices = np.sort(np.concatenate(builder(n)))
             np.testing.assert_array_equal(indices,
                                           np.arange(candidate_count(n)))
 
     def test_subgroup_contents_match_cvecs(self):
+        """Each padded row the detector gathers is its subgroup's c-vecs:
+        scoring one subgroup's rows alone equals scoring the gathered
+        matrix as a one-trajectory group."""
         n = 4
         cvecs = RNG.normal(size=(candidate_count(n), 3))
-        group = build_backward_group(cvecs, n)
-        for matrix, indices in zip(group.subgroups, group.index_maps):
-            np.testing.assert_array_equal(matrix, cvecs[indices])
+        detector = GroupDetector(input_dim=3, hidden_size=4, num_layers=1,
+                                 rng=np.random.default_rng(0))
+        for indices in backward_index_maps(n):
+            gathered = detector.score_indexed(Tensor(cvecs), [indices])
+            alone = detector.score_indexed(
+                Tensor(cvecs[indices]), [np.arange(len(indices))])
+            np.testing.assert_array_equal(
+                gathered.numpy(), alone.numpy()[np.argsort(indices)])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            build_forward_group(RNG.normal(size=(5, 3)), 5)  # wrong count
-        with pytest.raises(ValueError):
-            build_forward_group(RNG.normal(size=(0, 3)), 1)
+        detector = GroupDetector(input_dim=3, hidden_size=4, num_layers=1,
+                                 rng=RNG)
+        with pytest.raises(IndexError):   # maps address 10 rows, got 5
+            detector.score_indexed(Tensor(RNG.normal(size=(5, 3))),
+                                   forward_index_maps(5))
+        with pytest.raises(ValueError):   # one stay point: no subgroups
+            detector.score_indexed(Tensor(RNG.normal(size=(0, 3))),
+                                   forward_index_maps(1))
 
 
 class TestIndexMapProperties:
@@ -145,6 +157,30 @@ class TestIndexMapProperties:
                                backward_index_maps(n)), expected):
             for got, ref in zip(maps, want):
                 np.testing.assert_array_equal(got, ref)
+
+
+class TestScoreIndexedBucketing:
+    """``bucket`` picks the BiLSTM batches, never the answer."""
+
+    DETECTOR = GroupDetector(input_dim=6, hidden_size=5, num_layers=2,
+                             rng=np.random.default_rng(11))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(2, 14), min_size=1, max_size=5),
+           st.sampled_from([forward_index_maps, backward_index_maps]),
+           st.integers(0, 2**32 - 1))
+    @example([2], forward_index_maps, 0)
+    @example([2, 9, 2], backward_index_maps, 1)
+    def test_bucketed_equals_one_padded_pass(self, ns, builder, seed):
+        maps = merged_maps(ns, builder)
+        segments = np.array([candidate_count(n) for n in ns])
+        cvecs = Tensor(np.random.default_rng(seed).normal(
+            size=(segments.sum(), 6)))
+        padded = self.DETECTOR.score_indexed(cvecs, maps, segments)
+        bucketed = self.DETECTOR.score_indexed(cvecs, maps, segments,
+                                               bucket=True)
+        np.testing.assert_allclose(bucketed.numpy(), padded.numpy(),
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestLabels:
@@ -205,38 +241,30 @@ class TestDetectors:
         cvecs = RNG.normal(size=(candidate_count(n), 16))
         detector = GroupDetector(input_dim=16, hidden_size=8, num_layers=2,
                                  rng=RNG)
-        probs = detector(build_forward_group(cvecs, n)).numpy()
+        probs = detector.score_indexed(Tensor(cvecs),
+                                       forward_index_maps(n)).numpy()
         assert probs.shape == (candidate_count(n),)
         assert probs.sum() == pytest.approx(1.0)
         assert (probs > 0).all()
-
-    def test_subgroup_softmax_sums_per_subgroup(self):
-        n = 5
-        cvecs = RNG.normal(size=(candidate_count(n), 16))
-        detector = GroupDetector(input_dim=16, hidden_size=8, num_layers=2,
-                                 rng=RNG, subgroup_softmax=True)
-        group = build_forward_group(cvecs, n)
-        probs = detector(group).numpy()
-        # Each forward subgroup's probabilities sum to 1 (literal Eq. 10).
-        for indices in group.index_maps:
-            assert probs[indices].sum() == pytest.approx(1.0)
 
     def test_group_detector_backward_group(self):
         n = 4
         cvecs = RNG.normal(size=(candidate_count(n), 16))
         detector = GroupDetector(input_dim=16, hidden_size=8, num_layers=1,
-                                 rng=RNG, subgroup_softmax=True)
-        group = build_backward_group(cvecs, n)
-        probs = detector(group).numpy()
-        for indices in group.index_maps:
-            assert probs[indices].sum() == pytest.approx(1.0)
+                                 rng=RNG)
+        probs = detector.score_indexed(Tensor(cvecs),
+                                       backward_index_maps(n)).numpy()
+        assert probs.shape == (candidate_count(n),)
+        assert probs.sum() == pytest.approx(1.0)
+        # The flat softmax never pins a one-element subgroup (ḡ_2) at 1.
+        assert probs[backward_index_maps(n)[0]].sum() < 1.0
 
     def test_group_detector_rejects_wrong_dim(self):
         detector = GroupDetector(input_dim=16, hidden_size=8, num_layers=1,
                                  rng=RNG)
-        group = build_forward_group(RNG.normal(size=(3, 8)), 3)
         with pytest.raises(ValueError):
-            detector(group)
+            detector.score_indexed(Tensor(RNG.normal(size=(3, 8))),
+                                   forward_index_maps(3))
 
     def test_independent_detector_range(self):
         detector = IndependentDetector(input_dim=16, rng=RNG)
@@ -251,7 +279,10 @@ class TestDetectors:
 
 
 def synthetic_detector_samples(num_samples=40, n=4, dim=16, seed=0):
-    """Toy detection problem: the target candidate's c-vec has a marker."""
+    """Toy detection problem: the target candidate's c-vec has a marker.
+
+    Returns ``(cvecs, target_index)`` pairs of ``n``-stay-point
+    trajectories."""
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(num_samples):
@@ -259,17 +290,44 @@ def synthetic_detector_samples(num_samples=40, n=4, dim=16, seed=0):
         cvecs = rng.normal(0.0, 0.3, size=(count, dim))
         target = int(rng.integers(count))
         cvecs[target, :4] += 2.0  # distinctive signature
-        samples.append(DetectorSample(cvecs, n, target))
+        samples.append((cvecs, target))
     return samples
 
 
-class TestTraining:
-    def test_detector_sample_validation(self):
-        with pytest.raises(ValueError):
-            DetectorSample(RNG.normal(size=(5, 4)), 4, 0)  # wrong count
-        with pytest.raises(ValueError):
-            DetectorSample(RNG.normal(size=(6, 4)), 4, 6)  # bad target
+def train_pair(forward, backward, samples, epochs=10, batch_size=8):
+    """Fit each detector on fixed c-vecs (4 stay points) with its own
+    Adam, batches of trajectories offset into one ``score_indexed`` pass;
+    returns the two per-epoch mean KLD curves."""
+    rng = np.random.default_rng(0)
+    optimizers = (Adam(forward.parameters(), lr=3e-3),
+                  Adam(backward.parameters(), lr=3e-3))
+    curves = ([], [])
+    count = candidate_count(4)
+    for _ in range(epochs):
+        order = rng.permutation(len(samples))
+        totals = [0.0, 0.0]
+        for start in range(0, len(order), batch_size):
+            batch = [samples[int(c)] for c in order[start:start + batch_size]]
+            cvecs = Tensor(np.concatenate([c for c, _ in batch], axis=0))
+            label = np.concatenate([smooth_label(count, t) for _, t in batch])
+            segments = np.full(len(batch), count)
+            for d, (detector, builder) in enumerate((
+                    (forward, forward_index_maps),
+                    (backward, backward_index_maps))):
+                maps = merged_maps([4] * len(batch), builder)
+                probs = detector.score_indexed(cvecs, maps, segments)
+                loss = kld_loss(label, probs) * (1.0 / len(batch))
+                totals[d] += loss.item() * len(batch)
+                optimizers[d].zero_grad()
+                loss.backward()
+                clip_grad_norm(optimizers[d].parameters, 5.0)
+                optimizers[d].step()
+        for d in range(2):
+            curves[d].append(totals[d] / len(order))
+    return curves
 
+
+class TestTraining:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DetectorTrainingConfig(epochs=0)
@@ -281,36 +339,41 @@ class TestTraining:
                                 rng=rng)
         backward = GroupDetector(input_dim=16, hidden_size=16, num_layers=2,
                                  rng=rng)
-        trainer = DetectorTrainer(forward, backward, DetectorTrainingConfig(
-            epochs=10, learning_rate=3e-3, batch_size=8, patience=10))
-        hist_f, hist_b = trainer.fit(samples)
-        assert hist_f.final_loss < hist_f.epoch_losses[0]
-        assert hist_b.final_loss < hist_b.epoch_losses[0]
+        curve_f, curve_b = train_pair(forward, backward, samples)
+        assert curve_f[-1] < curve_f[0]
+        assert curve_b[-1] < curve_b[0]
         # The trained pair should now solve unseen toy samples.
         test_samples = synthetic_detector_samples(num_samples=10, seed=99)
         hits = 0
-        for sample in test_samples:
-            pf = forward(build_forward_group(sample.cvecs, 4)).numpy()
-            pb = backward(build_backward_group(sample.cvecs, 4)).numpy()
-            if int(np.argmax(merge_distributions(pf, pb))) == \
-                    sample.target_index:
+        for cvecs, target in test_samples:
+            pf = forward.score_indexed(Tensor(cvecs),
+                                       forward_index_maps(4)).numpy()
+            pb = backward.score_indexed(Tensor(cvecs),
+                                        backward_index_maps(4)).numpy()
+            if int(np.argmax(merge_distributions(pf, pb))) == target:
                 hits += 1
         assert hits >= 7
 
     def test_independent_training_reduces_loss(self):
-        samples = synthetic_detector_samples(num_samples=20)
-        detector = IndependentDetector(input_dim=16,
+        """LEAD-NoGro's MLP trains through the one detector trainer."""
+        ae = HierarchicalAutoencoder(EncoderConfig(seed=2))
+        detector = IndependentDetector(input_dim=64,
                                        rng=np.random.default_rng(2))
-        trainer = IndependentDetectorTrainer(
-            detector, DetectorTrainingConfig(epochs=6, learning_rate=3e-3,
-                                             batch_size=8, patience=10))
-        history = trainer.fit(samples)
-        assert history.final_loss < history.epoch_losses[0]
+        trainer = JointDetectorTrainer(
+            ae, None, None, detector, DetectorTrainingConfig(
+                epochs=6, learning_rate=3e-3, batch_size=8, patience=10),
+            finetune_encoder=False)
+        histories = trainer.fit(make_specs(np.random.default_rng(3),
+                                           n_specs=20))
+        assert [h.name for h in histories] == ["independent-detector"]
+        assert histories[0].final_loss < histories[0].epoch_losses[0]
 
     def test_fit_rejects_empty(self):
-        forward = GroupDetector(input_dim=4, hidden_size=4, num_layers=1)
-        backward = GroupDetector(input_dim=4, hidden_size=4, num_layers=1)
+        ae = HierarchicalAutoencoder(EncoderConfig())
+        forward = GroupDetector(input_dim=64, hidden_size=4, num_layers=1)
+        backward = GroupDetector(input_dim=64, hidden_size=4, num_layers=1)
         with pytest.raises(ValueError):
-            DetectorTrainer(forward, backward).fit([])
+            JointDetectorTrainer(ae, forward, backward).fit([])
         with pytest.raises(ValueError):
-            IndependentDetectorTrainer(IndependentDetector(4)).fit([])
+            JointDetectorTrainer(ae, None, None,
+                                 IndependentDetector(64)).fit([])

@@ -66,10 +66,8 @@ class TestMetrics:
 
 class TestHarness:
     def test_evaluate_detector_records_and_times(self):
-        from repro.processing import ProcessedTrajectory
         # A minimal fake "processed" stand-in via real processing.
         from repro.data import DatasetConfig, generate_dataset
-        from repro.processing import RawTrajectoryProcessor
         dataset = generate_dataset(DatasetConfig(
             num_trajectories=3, num_trucks=2, seed=9))
         test_set = prepare_test_set(dataset)

@@ -1,6 +1,6 @@
 """One inference core behind every LEAD detection entry point.
 
-* A batch of one is bit-identical to the Group-based single-trajectory
+* A batch of one is bit-identical to the padded-subgroup single-trajectory
   oracle (``tests/oracles.py``) in every direction; multi-trajectory
   batches match it at ``rtol=1e-9``.
 * ``detect(t)`` and ``detect_batch([t])[0]`` agree exactly — pair,

@@ -1,4 +1,4 @@
-"""Tests for joint fine-tuning machinery: merged groups, indexed scoring."""
+"""Tests for joint fine-tuning: offset index maps, indexed scoring."""
 
 from __future__ import annotations
 
@@ -8,12 +8,13 @@ import pytest
 from repro.detection import (DetectorTrainingConfig, GroupDetector,
                              IndependentDetector, JointDetectorTrainer,
                              TrajectorySpec, backward_index_maps,
-                             build_backward_group, build_forward_group,
                              enumerate_pairs, forward_index_maps,
-                             merge_groups)
+                             pair_to_index)
 from repro.encoding import EncoderConfig, HierarchicalAutoencoder
-from repro.nn import Parameter, SGD, Tensor
+from repro.nn import Parameter, Tensor
 from repro.nn.optim import Adam
+
+from .oracles import padded_group_scores
 
 RNG = np.random.default_rng(71)
 
@@ -22,49 +23,48 @@ def candidate_count(n):
     return n * (n - 1) // 2
 
 
+def merged_maps(ns, builder=forward_index_maps):
+    """Several trajectories' index maps offset into one c-vec matrix."""
+    maps: list[np.ndarray] = []
+    offset = 0
+    for n in ns:
+        maps.extend(m + offset for m in builder(n))
+        offset += candidate_count(n)
+    return maps
+
+
 class TestIndexMaps:
     def test_forward_maps_match_group_builder(self):
+        """g_i holds (i, j) for ascending j (Table II forward group)."""
         n = 6
-        cvecs = RNG.normal(size=(candidate_count(n), 4))
-        group = build_forward_group(cvecs, n)
         maps = forward_index_maps(n)
-        for a, b in zip(group.index_maps, maps):
-            np.testing.assert_array_equal(a, b)
+        for i, indices in enumerate(maps, start=1):
+            np.testing.assert_array_equal(
+                indices, [pair_to_index(n, (i, j))
+                          for j in range(i + 1, n + 1)])
 
     def test_backward_maps_match_group_builder(self):
+        """ḡ_j holds (i, j) for descending i (Table II backward group)."""
         n = 6
-        cvecs = RNG.normal(size=(candidate_count(n), 4))
-        group = build_backward_group(cvecs, n)
         maps = backward_index_maps(n)
-        for a, b in zip(group.index_maps, maps):
-            np.testing.assert_array_equal(a, b)
+        for j, indices in enumerate(maps, start=2):
+            np.testing.assert_array_equal(
+                indices, [pair_to_index(n, (i, j))
+                          for i in range(j - 1, 0, -1)])
 
 
 class TestMergeGroups:
     def test_merge_offsets_indices(self):
-        a = build_forward_group(RNG.normal(size=(3, 4)), 3)   # 3 candidates
-        b = build_forward_group(RNG.normal(size=(6, 4)), 4)   # 6 candidates
-        merged = merge_groups([a, b])
-        assert merged.num_candidates == 9
-        indices = np.sort(merged.flat_indices())
+        maps = merged_maps([3, 4])             # 3 + 6 candidates
+        assert sum(len(m) for m in maps) == 9
+        indices = np.sort(np.concatenate(maps))
         np.testing.assert_array_equal(indices, np.arange(9))
 
     def test_merge_empty_rejected(self):
+        detector = GroupDetector(input_dim=4, hidden_size=6, num_layers=1,
+                                 rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            merge_groups([])
-
-    def test_merged_detector_equals_separate_subgroup_mode(self):
-        """One forward over a merged group == per-trajectory forwards."""
-        detector = GroupDetector(input_dim=4, hidden_size=6, num_layers=2,
-                                 rng=np.random.default_rng(0),
-                                 subgroup_softmax=True)
-        ga = build_forward_group(RNG.normal(size=(3, 4)), 3)
-        gb = build_forward_group(RNG.normal(size=(10, 4)), 5)
-        merged_probs = detector(merge_groups([ga, gb])).numpy()
-        pa = detector(ga).numpy()
-        pb = detector(gb).numpy()
-        np.testing.assert_allclose(merged_probs, np.concatenate([pa, pb]),
-                                   atol=1e-12)
+            detector.score_indexed(Tensor(RNG.normal(size=(3, 4))), [])
 
     def test_merged_flat_softmax_with_segments_equals_separate(self):
         """Flat softmax with segment boundaries == per-trajectory runs."""
@@ -72,15 +72,14 @@ class TestMergeGroups:
                                  rng=np.random.default_rng(0))
         cvecs_a = RNG.normal(size=(3, 4))
         cvecs_b = RNG.normal(size=(10, 4))
-        ga = build_forward_group(cvecs_a, 3)
-        gb = build_forward_group(cvecs_b, 5)
-        merged = merge_groups([ga, gb])
         all_cvecs = np.concatenate([cvecs_a, cvecs_b], axis=0)
         merged_probs = detector.score_indexed(
-            Tensor(all_cvecs), list(merged.index_maps),
+            Tensor(all_cvecs), merged_maps([3, 5]),
             segments=np.array([3, 10])).numpy()
-        pa = detector(ga).numpy()
-        pb = detector(gb).numpy()
+        pa = detector.score_indexed(Tensor(cvecs_a),
+                                    forward_index_maps(3)).numpy()
+        pb = detector.score_indexed(Tensor(cvecs_b),
+                                    forward_index_maps(5)).numpy()
         np.testing.assert_allclose(merged_probs, np.concatenate([pa, pb]),
                                    atol=1e-12)
         # And each trajectory's slice is itself a distribution.
@@ -90,12 +89,13 @@ class TestMergeGroups:
 
 class TestScoreIndexed:
     def test_matches_forward_on_group(self):
+        """The index gather equals the padded subgroup-matrix oracle."""
         n = 5
         cvecs = RNG.normal(size=(candidate_count(n), 8))
         detector = GroupDetector(input_dim=8, hidden_size=6, num_layers=2,
                                  rng=np.random.default_rng(1))
-        group = build_forward_group(cvecs, n)
-        via_group = detector(group).numpy()
+        via_group = padded_group_scores(detector, cvecs,
+                                        forward_index_maps(n))
         via_index = detector.score_indexed(
             Tensor(cvecs), forward_index_maps(n)).numpy()
         np.testing.assert_allclose(via_group, via_index, atol=1e-12)

@@ -27,8 +27,8 @@ from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
 from repro.detection import DetectorTrainingConfig
 from repro.encoding import AutoencoderTrainingConfig
 from repro.encoding.autoencoder import prefix_runs
-from repro.perf import (LRUCache, SegmentFeatureCache, compare_to_baseline,
-                        effective_workers, parallel_map, spawn_rng)
+from repro.perf import (LRUCache, compare_to_baseline, effective_workers,
+                        parallel_map, spawn_rng)
 from repro.nn import no_grad
 from repro.pipeline import LEAD, LEADConfig
 

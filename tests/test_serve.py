@@ -306,6 +306,14 @@ class TestConfigSurface:
         with pytest.raises(ValueError, match="not_a_knob"):
             cls.from_dict({"not_a_knob": 1})
 
+    def test_retired_subgroup_softmax_key_fails(self):
+        """The literal per-subgroup Eq. 10 mode was removed; a saved
+        config that still sets it is refused, not silently ignored."""
+        data = tiny_lead_config().to_dict()
+        data["subgroup_softmax"] = False
+        with pytest.raises(ValueError, match="subgroup_softmax"):
+            LEADConfig.from_dict(data)
+
     def test_nested_unknown_key_fails(self):
         with pytest.raises(ValueError, match="bogus"):
             ServeConfig.from_dict({"fleet": {"bogus": 2}})
