@@ -71,7 +71,7 @@ _LEGACY = {
     "NumericalInstabilityError": "errors", "TaskFailedError": "errors",
     # perf / supervise / chaos
     "LRUCache": "perf", "SegmentFeatureCache": "perf",
-    "parallel_map": "perf", "spawn_rng": "perf", "run_bench": "perf",
+    "parallel_map": "perf", "spawn_rng": "perf",
     "Quarantine": "supervise", "QuarantineEntry": "supervise",
     "InjectedFault": "chaos",
 }

@@ -8,7 +8,6 @@ Subcommands::
     python -m repro.cli evaluate --data data.json.gz --model model/
     python -m repro.cli verify   --model model/
     python -m repro.cli tables   --scale small
-    python -m repro.cli bench    --scale tiny --out BENCH_lead.json
     python -m repro.cli stream   --data data.json.gz --model model/
     python -m repro.cli serve    --data data.json.gz --model model/ --shards 4
     python -m repro.cli serve    --soak --shards 4 --kill-shard 1
@@ -374,41 +373,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    from .io import atomic_write_json
-    from .perf import compare_to_baseline, format_bench_table, run_bench
-    if args.quick:
-        # Smoke mode: tiny scale, one repeat, no train wall-clock, and
-        # nothing written — a seconds-long end-to-end sanity pass.
-        payload = run_bench(scale="tiny", repeats=1, train_wall=False)
-    else:
-        payload = run_bench(scale=args.scale, repeats=args.repeats,
-                            train_wall=not args.skip_train)
-    print(format_bench_table(payload))
-    if args.cache_stats:
-        print(_format_cache_stats(payload.get("feature_cache")))
-    if not args.quick:
-        atomic_write_json(args.out, payload)
-        print(f"wrote {args.out}")
-    if not payload["equivalence"]["allclose"]:
-        print("FAIL: batched detection diverges from batch-of-one "
-              "results", file=sys.stderr)
-        return 2
-    if args.baseline is not None:
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        failures = compare_to_baseline(payload, baseline,
-                                       max_regression=args.max_regression)
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 2
-        print(f"no regression vs {args.baseline} "
-              f"(threshold {args.max_regression:g}x)")
-    return 0
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
     from .obs import read_jsonl, render_span_tree, render_tables
     records = read_jsonl(args.path)
@@ -445,21 +409,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                                     for k in sorted(fields))
                 print(f"{event['id']}  {event['name']}  {rendered}")
     return 0
-
-
-def _format_cache_stats(cache: dict | None) -> str:
-    """One readable line of feature-cache counters (``--cache-stats``)."""
-    if not cache:
-        return "feature cache: disabled"
-    line = (f"feature cache: hits={cache['hits']}  misses={cache['misses']}  "
-            f"evictions={cache['evictions']}  "
-            f"hit_rate={cache['hit_rate']:.2f}")
-    dtype_keys = cache.get("dtype_keys")
-    if dtype_keys:
-        per_dtype = "  ".join(f"{name}={count}"
-                              for name, count in sorted(dtype_keys.items()))
-        line += f"\nfeature cache entries by dtype: {per_dtype}"
-    return line
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -634,31 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--telemetry", default=None, metavar="PATH",
                    help=telemetry_help)
     p.set_defaults(func=_cmd_chaos)
-
-    p = sub.add_parser("bench",
-                       help="measure encode/detect throughput and write "
-                            "a BENCH json")
-    p.add_argument("--scale", default=None,
-                   choices=["tiny", "small", "default"],
-                   help="experiment scale (default: REPRO_SCALE or "
-                        "'default')")
-    p.add_argument("--out", default="BENCH_lead.json")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timing repetitions; best-of wins")
-    p.add_argument("--skip-train", action="store_true",
-                   help="skip the tiny-scale train wall-clock measurement")
-    p.add_argument("--baseline", default=None,
-                   help="committed BENCH json to gate against; exits 2 "
-                        "when throughput regresses past --max-regression")
-    p.add_argument("--max-regression", type=float, default=2.0,
-                   help="allowed throughput drop factor vs the baseline")
-    p.add_argument("--quick", action="store_true",
-                   help="tiny-scale smoke run: one repeat, prints the "
-                        "table, writes no BENCH files")
-    p.add_argument("--cache-stats", dest="cache_stats", action="store_true",
-                   help="print feature-cache hit/miss/eviction counters "
-                        "and per-dtype entry counts")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("obs",
                        help="inspect a JSONL telemetry trace written by "

@@ -1,18 +1,17 @@
-"""Throughput layer: caching, deterministic parallelism, benchmarks.
+"""Throughput layer: caching and deterministic parallelism.
 
 This package holds the machinery that makes LEAD fast without changing
 what it computes:
 
 * :mod:`repro.perf.cache` — content-keyed LRU caches for featurization;
 * :mod:`repro.perf.parallel` — order-preserving, deterministically
-  seeded process-parallel map for the offline stages;
-* :mod:`repro.perf.bench` — the ``repro bench`` harness that measures
-  trajectories/sec and writes ``BENCH_lead.json``.
+  seeded process-parallel map for the offline stages.
+
+Its speed is measured end to end, raw pings in to final verdicts out,
+by ``benchmarks/e2e`` (host-speed-scaled, paired parent/change runs,
+``history.jsonl``); its equivalence contracts are tier-1 tests.
 """
 
-from .bench import (STREAM_GATED_METRICS, compare_to_baseline,
-                    format_bench_table, format_stream_bench_table,
-                    run_bench, run_stream_bench)
 from .cache import CacheStats, LRUCache, SegmentFeatureCache, \
     TrajectoryFingerprinter
 from .parallel import effective_workers, parallel_map, spawn_rng
@@ -21,7 +20,4 @@ __all__ = [
     "CacheStats", "LRUCache", "SegmentFeatureCache",
     "TrajectoryFingerprinter",
     "effective_workers", "parallel_map", "spawn_rng",
-    "run_bench", "run_stream_bench", "compare_to_baseline",
-    "format_bench_table", "format_stream_bench_table",
-    "STREAM_GATED_METRICS",
 ]

@@ -345,3 +345,20 @@ class TestEndTask:
                                         per_candidate=True)
             assert result.processed.candidates[
                 int(np.argmax(oracle))].pair == result.pair
+
+    def test_float32_agrees_with_float64_on_every_day(self, end_task):
+        """The parity gate checks a calibration slice; float32 inference
+        must hold the verdict and the margin on the whole held-out set."""
+        lead, _, results = end_task
+        processed = [r.processed for r in results if r is not None]
+        assert len(processed) >= 20
+        with inference_dtype("float64"):
+            reference = lead._predict_many(processed)
+        with inference_dtype("float32"):
+            candidate = lead._predict_many(processed)
+        divergence = 0.0
+        for item, ref, got in zip(processed, reference, candidate):
+            assert item.candidates[int(np.argmax(got))].pair == \
+                item.candidates[int(np.argmax(ref))].pair
+            divergence = max(divergence, float(np.abs(ref - got).max()))
+        assert divergence <= lead.config.precision_margin

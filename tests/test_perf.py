@@ -27,8 +27,7 @@ from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
 from repro.detection import DetectorTrainingConfig
 from repro.encoding import AutoencoderTrainingConfig
 from repro.encoding.autoencoder import prefix_runs
-from repro.perf import (LRUCache, compare_to_baseline, effective_workers,
-                        parallel_map, spawn_rng)
+from repro.perf import LRUCache, effective_workers, parallel_map, spawn_rng
 from repro.nn import no_grad
 from repro.pipeline import LEAD, LEADConfig
 
@@ -398,37 +397,3 @@ class TestPrefixRuns:
         runs = _check_runs(pairs_lists, counts)
         full = [n - i + 1 for n in counts[:3] for i in range(1, n)]
         assert runs.sp_lengths.tolist() == full + [4, 2]
-
-
-# ---------------------------------------------------------------------------
-# 5. Regression-gate plumbing
-# ---------------------------------------------------------------------------
-class TestCompareToBaseline:
-    PAYLOAD = {
-        "scale": "tiny",
-        "metrics": {"encode_single_tps": 100.0, "encode_batch_tps": 300.0,
-                    "detect_single_tps": 50.0, "detect_batch_tps": 200.0},
-        "equivalence": {"allclose": True, "max_abs_diff": 1e-15},
-    }
-
-    def test_self_comparison_passes(self):
-        assert compare_to_baseline(self.PAYLOAD, self.PAYLOAD) == []
-
-    def test_large_regression_fails(self):
-        slow = json.loads(json.dumps(self.PAYLOAD))
-        slow["metrics"]["detect_batch_tps"] = 50.0  # 4x below baseline
-        failures = compare_to_baseline(slow, self.PAYLOAD,
-                                       max_regression=2.0)
-        assert len(failures) == 1 and "detect_batch_tps" in failures[0]
-
-    def test_scale_mismatch_fails(self):
-        other = json.loads(json.dumps(self.PAYLOAD))
-        other["scale"] = "default"
-        assert any("scale mismatch" in f
-                   for f in compare_to_baseline(other, self.PAYLOAD))
-
-    def test_equivalence_breakage_fails(self):
-        broken = json.loads(json.dumps(self.PAYLOAD))
-        broken["equivalence"]["allclose"] = False
-        assert any("no longer matches" in f
-                   for f in compare_to_baseline(broken, self.PAYLOAD))
