@@ -25,9 +25,9 @@ def test_encode_cost_vs_segment_length(experiment, trained_lead,
     featurizer = CandidateFeaturizer(extractor,
                                      trained_lead.featurizer.normalizer)
     model = trained_lead.autoencoder
-    stay = [featurizer._segment_features(sp)
+    stay = [featurizer.segment_features(sp)
             for sp in sample_processed.stay_points]
-    move = [featurizer._segment_features(mp)
+    move = [featurizer.segment_features(mp)
             for mp in sample_processed.move_points]
     pairs = [c.pair for c in sample_processed.candidates]
     retained = sum(len(s) for s in stay) + sum(len(s) for s in move)

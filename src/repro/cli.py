@@ -388,8 +388,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         snaps = [r for r in records if r.get("kind") == "metrics"]
         if snaps:
             # One shared width across the counter/gauge/histogram
-            # sections, so multi-label rows (e.g. per-shard serve
-            # metrics) stay aligned with everything else.
+            # sections, so multi-label rows stay aligned with
+            # everything else.
             print(render_tables([("metrics", snaps[-1]["metrics"])]),
                   end="")
     if want in ("all", "spans"):

@@ -114,9 +114,7 @@ class FeatureExtractor:
         # the front).
         self._cache: OrderedDict[int, tuple[Trajectory, np.ndarray]] \
             = OrderedDict()
-        # Hit/miss/eviction counts live on the shared metrics registry
-        # (repro.obs), same as SegmentFeatureCache and the weight-view
-        # LRU; ``stats`` is the per-instance view.
+        # Hit/miss/eviction counts, same struct as SegmentFeatureCache.
         self.stats = CacheStats(name="trajectory_features")
 
     def trajectory_features(self, trajectory: Trajectory) -> np.ndarray:

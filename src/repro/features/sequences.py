@@ -172,10 +172,6 @@ class CandidateFeaturizer:
         cache.put(segment, context, value, dtype_name)
         return value
 
-    #: Backwards-compatible alias of :meth:`segment_features` (the method
-    #: was private before the throughput layer made it a public contract).
-    _segment_features = segment_features
-
     _NORMALIZED_MEMO_MAX = 256
 
     def _normalized_features(self, trajectory) -> np.ndarray:

@@ -20,7 +20,9 @@ per-thread policy instead of a hard-coded constant:
 
 Master weights always stay float64 — ``state_dict`` never sees a cast
 view, so checkpoints written under an active float32 context are
-byte-identical to ones written outside it.
+byte-identical to ones written outside it.  The view cache counts its
+hits, misses and invalidations in module integers guarded by its lock;
+:func:`weight_view_stats` reads them there.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..obs.metrics import default_registry
 from .tensor import Tensor, _PRECISION_STATE, active_dtype_name
 
 __all__ = ["VALID_DTYPES", "inference_dtype", "active_dtype",
@@ -104,20 +105,8 @@ def compute_dtype_for(*arrays: np.ndarray) -> np.dtype:
 _VIEW_CACHE: OrderedDict[int, tuple[Tensor, np.ndarray, int, np.ndarray]] \
     = OrderedDict()
 _VIEW_CACHE_MAX = 1024
-# Hit/miss/invalidation counts live on the process-wide metrics
-# registry (repro.obs), so Prometheus exposition and the legacy
-# ``weight_view_stats()`` accessor read the same instruments.
-_VIEW_LABELS = {"cache": "weight_view"}
-_VIEW_HITS = default_registry().counter(
-    "cache_hits_total", help="cache lookups served from cache",
-    labels=_VIEW_LABELS)
-_VIEW_MISSES = default_registry().counter(
-    "cache_misses_total", help="cache lookups that missed",
-    labels=_VIEW_LABELS)
-_VIEW_INVALIDATIONS = default_registry().counter(
-    "weight_view_invalidations_total",
-    help="cached weight views dropped after parameter mutation",
-    labels=_VIEW_LABELS)
+#: Hit/miss/invalidation counts, mutated under :data:`_VIEW_LOCK`.
+_VIEW_COUNTS = {"hits": 0, "misses": 0, "invalidations": 0}
 #: The cache is shared by every thread (inference workers and a
 #: concurrently training thread see the same master weights), so all
 #: OrderedDict/stats mutation happens under one lock — get +
@@ -150,10 +139,10 @@ def weight_view(tensor: Tensor, dtype: np.dtype | None = None) -> np.ndarray:
             if (entry[0] is tensor and entry[1] is data
                     and entry[2] == version and entry[3].dtype == dtype):
                 _VIEW_CACHE.move_to_end(key)
-                _VIEW_HITS.inc()
+                _VIEW_COUNTS["hits"] += 1
                 return entry[3]
-            _VIEW_INVALIDATIONS.inc()
-        _VIEW_MISSES.inc()
+            _VIEW_COUNTS["invalidations"] += 1
+        _VIEW_COUNTS["misses"] += 1
         view = np.asarray(data, dtype=dtype)
         view.setflags(write=False)
         _VIEW_CACHE[key] = (tensor, data, version, view)
@@ -163,22 +152,13 @@ def weight_view(tensor: Tensor, dtype: np.dtype | None = None) -> np.ndarray:
 
 
 def weight_view_stats() -> dict[str, int]:
-    """Hit/miss/invalidation counters plus the current entry count.
-
-    A thin view over the registry counters; the payload shape is
-    unchanged from the pre-registry dict.
-    """
+    """Hit/miss/invalidation counts plus the current entry count."""
     with _VIEW_LOCK:
-        entries = len(_VIEW_CACHE)
-    return {"hits": _VIEW_HITS.value, "misses": _VIEW_MISSES.value,
-            "invalidations": _VIEW_INVALIDATIONS.value,
-            "entries": entries}
+        return {**_VIEW_COUNTS, "entries": len(_VIEW_CACHE)}
 
 
 def clear_weight_views() -> None:
     """Drop every cached view (tests and cold benches)."""
     with _VIEW_LOCK:
         _VIEW_CACHE.clear()
-    _VIEW_HITS.reset()
-    _VIEW_MISSES.reset()
-    _VIEW_INVALIDATIONS.reset()
+        _VIEW_COUNTS.update(dict.fromkeys(_VIEW_COUNTS, 0))

@@ -6,47 +6,27 @@ lock (the thread-safety hammer in ``tests/test_obs.py`` hits them from
 many threads); the registry's own lock only covers get-or-create, so
 steady-state increments never contend on a global.
 
-Two registries matter in practice:
-
-* the **default registry** (:func:`default_registry`) — a process-wide,
-  always-on home for infrastructure stats that predate this subsystem
-  (feature-cache hit/miss/eviction counters, the weight-view LRU).
-  Their legacy ``stats()`` accessors are now thin views over these
-  instruments;
-* a **session registry** owned by an
-  :class:`~repro.obs.core.Observability` bundle, activated around one
-  run (a detect call, a fleet replay, a training job) and exported via
-  snapshots / JSONL / Prometheus-style text.
-
-Instruments are picklable (the lock is dropped and rebuilt), because
-objects holding them — featurizers, caches — travel into
-:func:`repro.perf.parallel.parallel_map` worker processes.  A worker's
-copy is detached from the parent registry; its increments stay in the
-worker, exactly like the caches it instruments.
+There is no process-wide registry: each
+:class:`~repro.obs.core.Observability` bundle owns one, activated around
+one run (a detect call, a fleet replay, a training job) and exported via
+snapshots / JSONL / Prometheus-style text.  It holds only what telemetry
+alone measures (latency histograms, verdict counts).  Counts that an
+object keeps for its own ``stats()`` — cache hits, fleet and serve
+counters, retry tallies — stay plain integers on that object.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "default_registry", "DEFAULT_LATENCY_BUCKETS_S"]
+           "DEFAULT_LATENCY_BUCKETS_S"]
 
 #: Default histogram buckets for wall-clock latencies (seconds): tuned
 #: for the repository's observed range — sub-millisecond cache lookups
 #: up to multi-second offline fits.
 DEFAULT_LATENCY_BUCKETS_S = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1,
                              0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
-
-#: Monotone instance ids for per-object instrument label sets (each
-#: cache instance owns its own counters; see :mod:`repro.perf.cache`).
-_INSTANCE_IDS = itertools.count()
-
-
-def next_instance_id() -> int:
-    """A process-unique small integer for per-instance metric labels."""
-    return next(_INSTANCE_IDS)
 
 
 def _render_labels(labels: dict[str, str] | None) -> str:
@@ -58,7 +38,7 @@ def _render_labels(labels: dict[str, str] | None) -> str:
 
 
 class _Instrument:
-    """Shared base: identity, lock, pickling discipline."""
+    """Shared base: identity and lock."""
 
     kind = "untyped"
 
@@ -74,20 +54,9 @@ class _Instrument:
         """Stable identity string: ``name{label="value",...}``."""
         return self.name + _render_labels(self.labels)
 
-    # Locks are unpicklable; instruments travel into worker processes
-    # inside featurizers/caches, so drop and rebuild.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
 
 class Counter(_Instrument):
-    """A monotonically increasing count (resettable for legacy views)."""
+    """A monotonically increasing count."""
 
     kind = "counter"
 
@@ -105,11 +74,6 @@ class Counter(_Instrument):
     @property
     def value(self) -> int:
         return self._value
-
-    def reset(self) -> None:
-        """Zero the counter (legacy ``clear()``-style accessors only)."""
-        with self._lock:
-            self._value = 0
 
 
 class Gauge(_Instrument):
@@ -203,19 +167,11 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[str, _Instrument] = {}
-        # Keys queued by :meth:`unregister`, dropped under the lock.
-        self._pending_removals: list[str] = []
-
-    def _purge_pending(self) -> None:
-        """Drop queued keys; the caller holds ``self._lock``."""
-        while self._pending_removals:
-            self._instruments.pop(self._pending_removals.pop(), None)
 
     def _get_or_create(self, cls, name: str, help: str,
                        labels: dict[str, str] | None, **kwargs):
         key = name + _render_labels(labels)
         with self._lock:
-            self._purge_pending()
             existing = self._instruments.get(key)
             if existing is not None:
                 if not isinstance(existing, cls):
@@ -242,22 +198,10 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help, labels,
                                    buckets=buckets)
 
-    def unregister(self, *keys: str) -> None:
-        """Drop the instruments with these identity keys (missing: no-op).
-
-        The keys are only queued here and leave the registry at its next
-        access.  This runs from garbage-collection finalizers, and a
-        collection can start inside this registry's own locked section
-        on the same thread, so taking the (non-reentrant) lock here
-        would deadlock; ``list.extend`` is atomic and needs no lock.
-        """
-        self._pending_removals.extend(keys)
-
     # ------------------------------------------------------------------
     def instruments(self) -> list[_Instrument]:
         """Every registered instrument, sorted by identity key."""
         with self._lock:
-            self._purge_pending()
             return [self._instruments[k]
                     for k in sorted(self._instruments)]
 
@@ -275,12 +219,3 @@ class MetricsRegistry:
                 histograms[instrument.key] = instrument.snapshot()
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
-
-
-#: The process-wide always-on registry (see module docstring).
-_DEFAULT = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry infrastructure stats live in."""
-    return _DEFAULT

@@ -19,90 +19,55 @@ and a refitted normalizer silently invalidates every stale entry because
 the context fingerprint changes.
 
 The cache is bounded (LRU) and purely additive: with ``maxsize=0`` every
-lookup misses and behaviour is bit-for-bit the uncached code path.
+lookup misses and behaviour is bit-for-bit the uncached code path.  Each
+cache counts its own hits, misses and evictions in a :class:`CacheStats`
+of plain integers; ``stats()`` payloads read them there, and telemetry
+sees only the ``cache.evicted`` event.
 """
 
 from __future__ import annotations
 
 import hashlib
-import weakref
 from collections import OrderedDict
 from typing import Hashable
 
 import numpy as np
 
 from ..obs.core import obs_event
-from ..obs.metrics import default_registry, next_instance_id
 
 __all__ = ["CacheStats", "LRUCache", "TrajectoryFingerprinter",
            "SegmentFeatureCache"]
 
 
 class CacheStats:
-    """Hit/miss/eviction counters of one cache instance.
+    """Hit/miss/eviction counts of one cache instance.
 
-    Since the observability subsystem landed, this is a *view*: the
-    counts live in :func:`repro.obs.metrics.default_registry` as
-    ``cache_{hits,misses,evictions}_total`` counters labelled with the
-    cache name and a per-instance id, so Prometheus exposition and the
-    legacy ``stats`` attribute read the same numbers.  The attribute
-    surface (``hits`` / ``misses`` / ``evictions`` / ``hit_rate`` /
-    ``as_dict``) is unchanged, and ``as_dict`` payloads stay
-    byte-compatible with the pre-registry dataclass.
-
-    The counters leave the registry when this object is collected, so a
-    process that keeps building caches (a LEAD per test, a restarted
-    worker) does not grow its registry and every exposition without
-    bound.
+    Three plain integers owned by the cache; ``as_dict`` is the payload
+    every ``stats()`` surface prints.
     """
 
-    __slots__ = ("_hits", "_misses", "_evictions", "cache_name",
-                 "__weakref__")
+    __slots__ = ("hits", "misses", "evictions", "cache_name")
 
-    def __init__(self, name: str = "cache", registry=None) -> None:
-        reg = registry if registry is not None else default_registry()
-        labels = {"cache": name, "instance": str(next_instance_id())}
+    def __init__(self, name: str = "cache") -> None:
         self.cache_name = name
-        self._hits = reg.counter(
-            "cache_hits_total", help="cache lookups served from cache",
-            labels=labels)
-        self._misses = reg.counter(
-            "cache_misses_total", help="cache lookups that missed",
-            labels=labels)
-        self._evictions = reg.counter(
-            "cache_evictions_total", help="entries evicted by LRU",
-            labels=labels)
-        release = weakref.finalize(
-            self, reg.unregister, self._hits.key, self._misses.key,
-            self._evictions.key)
-        release.atexit = False
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
 
     # -- recording (cache-internal) ------------------------------------
     def record_hit(self) -> None:
-        self._hits.inc()
+        self.hits += 1
 
     def record_miss(self) -> None:
-        self._misses.inc()
+        self.misses += 1
 
     def record_eviction(self) -> None:
-        self._evictions.inc()
+        self.evictions += 1
         # Visible to operators only while telemetry is active; the
-        # counter above is unconditional.
+        # count above is unconditional.
         obs_event("cache.evicted", cache=self.cache_name)
 
-    # -- legacy read surface -------------------------------------------
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
+    # -- read surface --------------------------------------------------
     @property
     def lookups(self) -> int:
         return self.hits + self.misses

@@ -242,12 +242,14 @@ def _map_impl(fn, items, count, chunksize, retry, verify,
         # worker, missing fork support).  The tasks are schedule-
         # independent by contract, so a serial rerun is bit-identical.
         _bump(counters, "pool_failures")
-        return _run_serial(calls, items, counters=counters)
+        return _run_serial(calls, items, verify=verify,
+                           counters=counters)
     except Exception:
         # A task raised.  pool.map cannot say which, so re-run serially:
         # the tasks are deterministic, so the same input fails again and
         # the serial path attaches its index to the TaskFailedError.
-        return _run_serial(calls, items, counters=counters)
+        return _run_serial(calls, items, verify=verify,
+                           counters=counters)
     if verify is not None:
         for index, value in enumerate(results):
             if not verify(value):

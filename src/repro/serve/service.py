@@ -62,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from ..chaos.core import chaos_point
-from ..obs.core import active_obs, obs_event, obs_span
+from ..obs.core import obs_event, obs_span
 from ..stream.fleet import FleetSessionManager
 from ..stream.verdict import ProvisionalVerdict
 from ..supervise import CircuitBreaker
@@ -542,7 +542,6 @@ class FleetService:
             self.counters.submitted_pings += len(pings)
             self.counters.accepted_pings += accepted
             self.counters.rejected_pings += len(rejected)
-            self._publish_metrics()
         return SubmitResult(accepted=accepted, rejected=len(rejected),
                             rejected_pings=tuple(rejected),
                             reasons=tuple(reasons))
@@ -584,7 +583,6 @@ class FleetService:
             verdicts: list[ProvisionalVerdict] = []
             for shard, command in commands:
                 verdicts.extend(self._await(shard, command))
-            self._publish_metrics()
         return sorted(verdicts, key=lambda v: (v.day, v.truck_id))
 
     def wait(self) -> None:
@@ -632,7 +630,6 @@ class FleetService:
                 "breaker": shard.breaker.stats(),
                 "fleet": fleet_stats,
             }
-        self._publish_metrics()
         return {
             "num_shards": self.config.num_shards,
             "backend": self.config.backend,
@@ -655,26 +652,8 @@ class FleetService:
         return False
 
     # ------------------------------------------------------------------
-    # Telemetry + shutdown
+    # Shutdown
     # ------------------------------------------------------------------
-    def _publish_metrics(self) -> None:
-        ob = active_obs()
-        if ob is None:
-            return
-        registry = ob.registry
-        for shard in self._shards:
-            registry.gauge("serve_queue_depth",
-                           help="un-acked commands per shard",
-                           labels={"shard": str(shard.index)}).set(
-                               shard.inflight)
-            registry.gauge("serve_journal_entries",
-                           help="journaled commands per shard",
-                           labels={"shard": str(shard.index)}).set(
-                               len(shard.journal))
-        for name, value in self.counters.as_dict().items():
-            registry.gauge(f"serve_{name}",
-                           help="ServeCounters mirror").set(value)
-
     def close(self) -> None:
         """Stop every worker; the service rejects calls afterwards."""
         if self._closed:

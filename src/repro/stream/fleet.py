@@ -39,7 +39,7 @@ from __future__ import annotations
 import time
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import quote, unquote
 
@@ -49,7 +49,8 @@ from ..errors import ArtifactCorruptedError
 from ..io import atomic_write_bytes, atomic_write_json, load_checked_json
 from ..obs.core import active_obs, obs_event
 from ..processing import RawTrajectoryProcessor
-from ..supervise import CircuitBreaker, Quarantine, RetryPolicy
+from ..supervise import (CircuitBreaker, Quarantine, RetryCounters,
+                         RetryPolicy)
 from .session import SessionCounters, TruckSession
 from .verdict import ProvisionalVerdict, confidence_tier
 
@@ -148,6 +149,10 @@ class FleetSessionManager:
                 or RawTrajectoryProcessor()
         self.processor = processor
         self.counters = FleetCounters()
+        # The config's policy with this manager's own tally: managers
+        # built from one config (serve shards) must not share counts.
+        self.io_retry = replace(self.config.io_retry,
+                                counters=RetryCounters())
         self.quarantine = Quarantine(self.config.quarantine_dir)
         self.detector_breaker = CircuitBreaker(
             "detector", self.config.detector_breaker_failures,
@@ -212,7 +217,7 @@ class FleetSessionManager:
     def _restore(self, key: SessionKey) -> TruckSession | None:
         """Restore an evicted session; degrade to fresh on bad spills.
 
-        Transient read failures are retried under ``config.io_retry``;
+        Transient read failures are retried under :attr:`io_retry`;
         a spill that stays unreadable (or will not parse back into a
         session) is quarantined with the path for forensics, deleted,
         and the truck restarts from a fresh session — degraded and
@@ -222,7 +227,7 @@ class FleetSessionManager:
         if path is None or not path.exists():
             return None
         try:
-            state = self.config.io_retry.call(load_checked_json, path)
+            state = self.io_retry.call(load_checked_json, path)
             session = TruckSession.from_state(state,
                                               processor=self.processor)
         except (ArtifactCorruptedError, OSError, KeyError, TypeError,
@@ -271,8 +276,8 @@ class FleetSessionManager:
                 self._keep_resident(key, session)
                 return
             try:
-                self.config.io_retry.call(atomic_write_json, path,
-                                          session.state())
+                self.io_retry.call(atomic_write_json, path,
+                                   session.state())
             except OSError as exc:
                 self.spill_breaker.record_failure()
                 self.counters.spill_failures += 1
@@ -334,7 +339,6 @@ class FleetSessionManager:
             "fleet_tick_seconds",
             help="wall time of fleet detection ticks").observe(
                 time.perf_counter() - start)
-        self._publish_metrics(ob)
         return verdicts
 
     def _tick_impl(self) -> list[ProvisionalVerdict]:
@@ -572,7 +576,6 @@ class FleetSessionManager:
             "fleet_flush_seconds",
             help="wall time of fleet flush chunks").observe(
                 time.perf_counter() - start)
-        self._publish_metrics(ob)
         return verdicts
 
     def _flush_keys_impl(self, keys: list[SessionKey]
@@ -619,7 +622,7 @@ class FleetSessionManager:
         target.mkdir(parents=True, exist_ok=True)
         captured = 0
         for key, session in self._sessions.items():
-            self.config.io_retry.call(
+            self.io_retry.call(
                 atomic_write_json, target / self._spill_name(key),
                 session.state())
             captured += 1
@@ -631,7 +634,7 @@ class FleetSessionManager:
                     continue
                 spill = source / self._spill_name(key)
                 if spill.exists():
-                    self.config.io_retry.call(
+                    self.io_retry.call(
                         atomic_write_bytes, target / self._spill_name(key),
                         spill.read_bytes())
                     captured += 1
@@ -662,28 +665,6 @@ class FleetSessionManager:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _publish_metrics(self, ob) -> None:
-        """Mirror the manager's counters onto the active registry.
-
-        Gauges are *set* from the authoritative counter structs (rather
-        than incremented in line) so one publish after each tick/flush
-        is both cheap and always consistent with ``stats()``.
-        """
-        registry = ob.registry
-        registry.gauge("fleet_resident_sessions",
-                       help="sessions currently in memory").set(
-                           len(self._sessions))
-        registry.gauge("fleet_known_sessions",
-                       help="unflushed sessions ever seen").set(
-                           len(self._known))
-        for name, value in self.counters.as_dict().items():
-            registry.gauge(f"fleet_{name}",
-                           help="FleetCounters mirror").set(value)
-        for name, value in self.session_totals().as_dict().items():
-            registry.gauge(f"fleet_sessions_{name}",
-                           help="aggregate SessionCounters mirror").set(
-                               value)
-
     def session_totals(self) -> SessionCounters:
         """Aggregated session counters (flushed + resident sessions)."""
         totals = SessionCounters()
@@ -704,7 +685,7 @@ class FleetSessionManager:
                 "detector": self.detector_breaker.stats(),
                 "session_spill": self.spill_breaker.stats(),
             },
-            "io_retry": self.config.io_retry.counters.as_dict(),
+            "io_retry": self.io_retry.counters.as_dict(),
         }
         cache = getattr(self.detector, "feature_cache", None)
         if cache is not None:

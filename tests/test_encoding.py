@@ -110,9 +110,9 @@ class TestHierarchicalAutoencoder:
         processed, featurizer = pipeline
         model = HierarchicalAutoencoder(EncoderConfig())
         p0 = processed[0]
-        stay_segments = [featurizer._segment_features(sp)
+        stay_segments = [featurizer.segment_features(sp)
                          for sp in p0.stay_points]
-        move_segments = [featurizer._segment_features(mp)
+        move_segments = [featurizer.segment_features(mp)
                          for mp in p0.move_points]
         pairs = [c.pair for c in p0.candidates]
         batch = model.encode_trajectories(
@@ -144,9 +144,9 @@ class TestHierarchicalAutoencoder:
         loss = model.reconstruction_loss_batch([features])
         assert np.isfinite(loss.item())
         p0 = processed[0]
-        stay_segments = [featurizer._segment_features(sp)
+        stay_segments = [featurizer.segment_features(sp)
                          for sp in p0.stay_points]
-        move_segments = [featurizer._segment_features(mp)
+        move_segments = [featurizer.segment_features(mp)
                          for mp in p0.move_points]
         pairs = [c.pair for c in p0.candidates]
         batch = model.encode_trajectories(

@@ -13,9 +13,7 @@ Covers the four contracts the subsystem makes:
 
 from __future__ import annotations
 
-import gc
 import json
-import pickle
 import threading
 
 import numpy as np
@@ -25,16 +23,17 @@ from repro.chaos import ChaosEngine, FaultSpec
 from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
                         generate_dataset)
 from repro.detection import DetectorTrainingConfig
-from repro.encoding import AutoencoderTrainingConfig, EncoderConfig
+from repro.encoding import AutoencoderTrainingConfig
 from repro.obs import (EventLog, MetricsRegistry, Observability,
                        active_obs, flatten, obs_event, obs_span, observe,
                        read_jsonl, render_prometheus, render_span_tree,
                        render_table)
 from repro.obs.core import _NULL_SPAN
-from repro.obs.metrics import default_registry
 from repro.obs.trace import Tracer
-from repro.perf import parallel_map
+from repro.perf import SegmentFeatureCache, parallel_map
 from repro.pipeline import LEAD, LEADConfig
+from repro.serve import FleetService, ServeConfig
+from repro.stream import FleetConfig, FleetSessionManager, dataset_ping_stream
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +97,6 @@ class TestMetrics:
         assert counter.value == threads * per_thread
         assert hist.count == threads * per_thread
         assert hist.snapshot()["buckets"]["0.5"] == threads * per_thread
-
-    def test_instruments_pickle_without_lock(self):
-        counter = MetricsRegistry().counter("c", labels={"k": "v"})
-        counter.inc(7)
-        clone = pickle.loads(pickle.dumps(counter))
-        assert clone.value == 7
-        clone.inc()          # the rebuilt lock works
-        assert clone.value == 8
-        assert counter.value == 7      # detached copy
 
 
 # ---------------------------------------------------------------------------
@@ -335,49 +325,76 @@ class TestNoOpBitIdentity:
         assert set(stats) == {"hits", "misses", "evictions", "hit_rate"}
         assert isinstance(stats["hits"], int)
         assert isinstance(stats["hit_rate"], float)
+        live = SegmentFeatureCache(maxsize=4)
+        live.stats.record_hit()
+        assert json.dumps(live.stats.as_dict()) == (
+            '{"hits": 1, "misses": 0, "evictions": 0, "hit_rate": 1.0}')
 
 
-class TestRegistryIsBounded:
-    def test_lead_constructions_leave_registry_flat(self, obs_fitted_lead):
-        """Each LEAD registers per-instance cache counters; collecting
-        the LEAD must release them."""
-        lead, _ = obs_fitted_lead
-        registry = default_registry()
-        config = LEADConfig(encoder=EncoderConfig(hidden_size=2),
-                            detector_hidden=2, detector_layers=1)
-        gc.collect()
-        before = len(registry.instruments())
-        for _ in range(1000):
-            LEAD(lead.extractor.pois, config)
-        gc.collect()
-        assert len(registry.instruments()) == before
-        # A live cache keeps its counters and its legacy payload.
-        live = LEAD(lead.extractor.pois, config)
-        assert len(registry.instruments()) == before + 6
-        live.feature_cache.stats.record_hit()
-        assert live.feature_cache.stats.as_dict() == {
-            "hits": 1, "misses": 0, "evictions": 0, "hit_rate": 1.0}
-        del live
-        gc.collect()
-        assert len(registry.instruments()) == before
+def _without_feature_cache(stats: dict) -> dict:
+    """Fleet stats minus the detector's shared, cumulative cache counts."""
+    return {k: v for k, v in stats.items() if k != "feature_cache"}
 
-    def test_unregister_inside_locked_section_does_not_deadlock(self):
-        """A collection can run a cache's finalizer while this thread is
-        inside the registry's own locked section (``_get_or_create``
-        allocates under the lock); releasing there must not block."""
-        registry = MetricsRegistry()
-        counter = registry.counter("x_total")
 
-        def finalizer_fires_under_lock():
-            with registry._lock:
-                registry.unregister(counter.key)
+def _fleet_replay(lead, pings, directory) -> dict:
+    manager = FleetSessionManager(lead, FleetConfig(
+        max_sessions=2, checkpoint_dir=directory))
+    for index, ping in enumerate(pings):
+        manager.ingest(ping.truck_id, ping.lat, ping.lng, ping.t,
+                       day=ping.day)
+        if index % 400 == 399:
+            manager.tick()
+    manager.flush_all()
+    return _without_feature_cache(manager.stats())
 
-        worker = threading.Thread(target=finalizer_fires_under_lock,
-                                  daemon=True)
-        worker.start()
-        worker.join(timeout=10.0)
-        assert not worker.is_alive()
-        assert registry.instruments() == []
+
+def _inline_service_run(lead, pings) -> dict:
+    config = ServeConfig(num_shards=2, backend="inline")
+    with FleetService(lead, config=config) as service:
+        for start in range(0, len(pings), 400):
+            service.submit(pings[start:start + 400])
+            service.tick()
+        service.drain()
+        stats = service.stats()
+    for shard in stats["shards"].values():
+        shard["fleet"] = _without_feature_cache(shard["fleet"])
+    return stats
+
+
+class TestTelemetryKeepsNoCounts:
+    """Counts live on their owners; telemetry only adds what it alone
+    measures (span timings), so it neither changes ``stats()`` nor
+    mirrors those counts into gauges."""
+
+    @staticmethod
+    def _assert_timings_only(ob: Observability) -> None:
+        snapshot = ob.registry.snapshot()
+        assert {"fleet_tick_seconds", "fleet_flush_seconds"} \
+            <= set(snapshot["histograms"])
+        assert not [key for key in snapshot["gauges"]
+                    if key.startswith(("fleet_", "serve_"))]
+
+    def test_fleet_replay_stats_unchanged(self, obs_fitted_lead, tmp_path):
+        lead, dataset = obs_fitted_lead
+        pings = dataset_ping_stream(dataset.samples)
+        off = _fleet_replay(lead, pings, tmp_path / "off")
+        ob = Observability(seed=0)
+        with observe(ob):
+            on = _fleet_replay(lead, pings, tmp_path / "on")
+        assert on == off
+        assert off["io_retry"]["calls"] > 0
+        self._assert_timings_only(ob)
+
+    def test_inline_service_stats_unchanged(self, obs_fitted_lead):
+        lead, dataset = obs_fitted_lead
+        pings = dataset_ping_stream(dataset.samples)
+        off = _inline_service_run(lead, pings)
+        ob = Observability(seed=0)
+        with observe(ob):
+            on = _inline_service_run(lead, pings)
+        assert on == off
+        assert off["frontend"]["accepted_pings"] == len(pings)
+        self._assert_timings_only(ob)
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,32 @@ class TestBackpressure:
         assert fleet["sessions"]["pings_ingested"] == 10
 
 
+class TestShardStats:
+    def test_each_shard_tallies_its_own_io_retry(self, tmp_path):
+        """Shards share one FleetConfig, not one retry tally: only the
+        shard that spills reports IO calls."""
+        spilling = [f"T{i:03d}" for i in range(20)
+                    if shard_for(f"T{i:03d}", 2) == 0][:2]
+        quiet = next(f"T{i:03d}" for i in range(20)
+                     if shard_for(f"T{i:03d}", 2) == 1)
+        config = ServeConfig(num_shards=2, backend="inline",
+                             checkpoint_dir=tmp_path,
+                             checkpoint_every=1000,
+                             fleet=FleetConfig(max_sessions=1))
+
+        def rows(truck):
+            return [(truck, "d", 1.0 + i * 1e-4, 2.0, float(i))
+                    for i in range(5)]
+
+        with FleetService(None, config=config) as service:
+            for truck in (*spilling, quiet):
+                service.submit(rows(truck))
+            stats = service.stats()
+        calls = {index: shard["fleet"]["io_retry"]["calls"]
+                 for index, shard in stats["shards"].items()}
+        assert calls == {"0": 1, "1": 0}
+
+
 # ---------------------------------------------------------------------------
 # 4. Uniform config surface (from_dict / to_dict, unknown keys fail)
 # ---------------------------------------------------------------------------

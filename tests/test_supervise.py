@@ -223,6 +223,16 @@ def _fails_on_three(x: int) -> int:
     return x * x
 
 
+_PARENT_PID = os.getpid()
+
+
+def _fails_in_workers(x: int) -> int:
+    """Raises in a pool worker only, so the serial rerun succeeds."""
+    if os.getpid() != _PARENT_PID:
+        raise ValueError("worker-only failure")
+    return x * x
+
+
 class TestParallelSupervision:
     def test_serial_and_pool_raise_identical_errors(self):
         """Satellite: both paths surface TaskFailedError with the index."""
@@ -281,6 +291,28 @@ class TestParallelSupervision:
                 verify=lambda value: isinstance(value, int),
                 counters=counters)
         assert results == [0, 1, 4, 9]
+
+    def test_serial_fallbacks_keep_verify(self, monkeypatch):
+        """Both serial reruns (broken pool, task raised in the pool)
+        still reject results that fail ``verify``."""
+        with pytest.raises(TaskFailedError, match="verify"):
+            parallel_map(_fails_in_workers, range(4), workers=2,
+                         verify=lambda value: False)
+        assert parallel_map(_fails_in_workers, range(4), workers=2,
+                            verify=lambda value: True) == [0, 1, 4, 9]
+
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        counters: dict[str, int] = {}
+        with pytest.raises(TaskFailedError, match="verify"):
+            parallel_map(_square, range(4), workers=2,
+                         verify=lambda value: False, counters=counters)
+        assert counters["pool_failures"] == 1
 
     def test_deterministic_results_match_serial(self):
         with ChaosEngine(9, [FaultSpec("parallel.task", "crash",
@@ -440,6 +472,19 @@ class TestFleetIsolation:
         assert manager.counters.sessions_quarantined == 1
         assert manager.quarantine.get("t2|d0").stage == "flush-detect"
         assert len(manager) == 0
+
+    def test_managers_on_one_config_tally_io_retry_apart(self, tmp_path):
+        config = FleetConfig(max_sessions=1,
+                             checkpoint_dir=tmp_path / "ckpt")
+        spilling = FleetSessionManager(None, config)
+        quiet = FleetSessionManager(None, config)
+        _feed(spilling, "truck-a")
+        _feed(spilling, "truck-b")              # spills truck-a
+        _feed(spilling, "truck-a", t0=500.0)    # restores a, spills b
+        _feed(quiet, "truck-c")
+        assert spilling.stats()["io_retry"]["calls"] == 3
+        assert quiet.stats()["io_retry"]["calls"] == 0
+        assert config.io_retry.counters.calls == 0
 
     def test_stats_exposes_supervision_state(self):
         manager = FleetSessionManager(None, FleetConfig())
