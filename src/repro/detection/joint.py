@@ -9,16 +9,21 @@ continue to backpropagate the detectors' KLD losses *through the
 compressor* (standard pretrain-then-fine-tune).  Every architectural
 component and loss of the paper is unchanged; only the freeze is lifted.
 See DESIGN.md §2 for the substitution record.
+
+A non-finite batch loss raises :class:`~repro.errors.NumericalInstabilityError`
+before ``backward``, so NaN never reaches the weights.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..encoding import HierarchicalAutoencoder
+from ..errors import NumericalInstabilityError
 from ..nn import (Adam, CheckpointManager, EarlyStopping, TrainingHistory,
                   bce_loss, clip_grad_norm, concat, kld_loss)
 from ..obs.core import active_obs
@@ -135,6 +140,10 @@ class JointDetectorTrainer:
                 total_loss = losses[0]
                 for extra in losses[1:]:
                     total_loss = total_loss + extra
+                if not math.isfinite(total_loss.item()):
+                    raise NumericalInstabilityError(
+                        f"non-finite detector loss in epoch {epoch}; "
+                        "check the training features for NaN/Inf")
                 optimizer.zero_grad()
                 (total_loss * (1.0 / len(batch))).backward()
                 clip_grad_norm(optimizer.parameters, cfg.max_grad_norm)

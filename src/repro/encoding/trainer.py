@@ -5,17 +5,23 @@ epoch and the MSE reconstruction loss is minimized with Adam and early
 stopping.  The paper trains with batch size 1 and averages gradients over
 B = 64 consecutive samples; on one CPU core we compute the mathematically
 equivalent mean loss over a padded mini-batch instead, which replaces
-hundreds of small matmuls per update with a few large ones.
+hundreds of small matmuls per update with a few large ones.  Each
+epoch's shuffled order is stably sorted by candidate size so batches
+group similarly-sized candidates, which cuts wasted padded timesteps.
+A non-finite batch loss raises :class:`~repro.errors.NumericalInstabilityError`
+before it can reach the weights.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..configbase import ConfigMixin
+from ..errors import NumericalInstabilityError
 from ..features import CandidateFeatures
 from ..nn import (Adam, CheckpointManager, EarlyStopping, TrainingHistory,
                   clip_grad_norm)
@@ -36,11 +42,6 @@ class AutoencoderTrainingConfig(ConfigMixin):
     max_samples_per_epoch: int | None = None
     max_grad_norm: float = 5.0
     seed: int = 0
-    #: Group similarly-sized candidates into the same mini-batch (stable
-    #: sort of each epoch's shuffled order by stay count, then by longest
-    #: segment).  Cuts wasted padded timesteps substantially on real
-    #: data; ``False`` preserves the exact historical batch stream.
-    bucket_batches: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -88,15 +89,12 @@ class AutoencoderTrainer:
                     optimizer=optimizer, rng=rng, stopper=stopper)
                 if state.histories:
                     history = state.histories[0]
-        size_keys = None
-        if cfg.bucket_batches:
-            # (segment count, longest segment): the segment count is
-            # monotone in the stay count driving the phase-2 sequence
-            # length; the longest segment drives the phase-1 padded
-            # width.
-            size_keys = np.array(
-                [(len(s.segments), max(len(seg) for seg in s.segments))
-                 for s in samples])
+        # (segment count, longest segment): the segment count is
+        # monotone in the stay count driving the phase-2 sequence
+        # length; the longest segment drives the phase-1 padded width.
+        size_keys = np.array(
+            [(len(s.segments), max(len(seg) for seg in s.segments))
+             for s in samples])
         self.model.train()
         self._run_epochs(samples, cfg, rng, optimizer, stopper, history,
                          start_epoch, size_keys, verbose, checkpoint)
@@ -114,7 +112,7 @@ class AutoencoderTrainer:
             order = rng.permutation(len(samples))
             if cfg.max_samples_per_epoch is not None:
                 order = order[:cfg.max_samples_per_epoch]
-            if size_keys is not None and len(order) > cfg.batch_size:
+            if len(order) > cfg.batch_size:
                 # Stable sort of the *shuffled* order: batches group
                 # similarly-sized samples while ties keep this epoch's
                 # random order, so epochs still differ.
@@ -126,6 +124,10 @@ class AutoencoderTrainer:
                 chosen = order[start:start + cfg.batch_size]
                 batch = [samples[int(c)] for c in chosen]
                 loss = self.model.reconstruction_loss_batch(batch)
+                if not math.isfinite(loss.item()):
+                    raise NumericalInstabilityError(
+                        f"non-finite reconstruction loss in epoch {epoch}; "
+                        "check the training features for NaN/Inf")
                 optimizer.zero_grad()
                 loss.backward()
                 clip_grad_norm(optimizer.parameters, cfg.max_grad_norm)

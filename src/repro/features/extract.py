@@ -34,19 +34,19 @@ class FeatureConfig(ConfigMixin):
     #: LEAD-NoPoi ablation: zero out the 29 POI columns (the feature
     #: dimension stays 32, matching the paper's zero-padding).
     use_poi: bool = True
-    #: Upper bound on the extractor's per-trajectory feature memo
-    #: (entries, LRU-evicted).  A day-long fleet run touches far more
-    #: distinct trajectory objects than any one detection call reuses,
-    #: so an unbounded memo is a slow leak; 0 disables caching.
-    trajectory_cache_size: int = 1024
 
     def __post_init__(self) -> None:
         if self.poi_radius_m <= 0:
             raise ValueError("poi_radius_m must be positive")
         if self.max_segment_len < 2:
             raise ValueError("max_segment_len must be >= 2")
-        if self.trajectory_cache_size < 0:
-            raise ValueError("trajectory_cache_size must be >= 0")
+
+
+#: Upper bound on the extractor's per-trajectory feature memo (entries,
+#: LRU-evicted).  A day-long fleet run touches far more distinct
+#: trajectory objects than any one detection call reuses, so an
+#: unbounded memo would be a slow leak.
+TRAJECTORY_CACHE_SIZE = 1024
 
 
 #: Memo for :func:`subsample_indices`: segment ranges repeat across the
@@ -99,7 +99,7 @@ class FeatureExtractor:
 
     The extractor memoizes POI counts per trajectory, because the same GPS
     points appear in many candidate trajectories of the same day.  The
-    memo is LRU-bounded (``FeatureConfig.trajectory_cache_size``): the
+    memo is LRU-bounded (:data:`TRAJECTORY_CACHE_SIZE`): the
     hot set of one detection call stays resident, while long fleet runs
     cannot grow it without bound.
     """
@@ -134,12 +134,10 @@ class FeatureExtractor:
             poi_counts = np.zeros((len(trajectory), FEATURE_DIM - 3))
         features = np.column_stack([trajectory.lats, trajectory.lngs,
                                     trajectory.ts, poi_counts])
-        capacity = self.config.trajectory_cache_size
-        if capacity > 0:
-            self._cache[key] = (trajectory, features)
-            while len(self._cache) > capacity:
-                self._cache.popitem(last=False)
-                self.stats.record_eviction()
+        self._cache[key] = (trajectory, features)
+        while len(self._cache) > TRAJECTORY_CACHE_SIZE:
+            self._cache.popitem(last=False)
+            self.stats.record_eviction()
         return features
 
     def point_features(self, trajectory: Trajectory,

@@ -85,16 +85,14 @@ class CandidateFeaturizer:
 
     def __init__(self, extractor: FeatureExtractor,
                  normalizer: ZScoreNormalizer,
-                 feature_scale: float = 1.0 / 3.0,
-                 cache: SegmentFeatureCache | None = None) -> None:
+                 feature_scale: float = 1.0 / 3.0) -> None:
         if feature_scale <= 0:
             raise ValueError("feature_scale must be positive")
         self.extractor = extractor
         self.normalizer = normalizer
         self.feature_scale = feature_scale
-        #: Optional content-keyed cache of per-segment feature matrices.
-        #: ``None`` disables caching; behaviour is identical either way.
-        self.cache = cache
+        #: Content-keyed cache of per-segment feature matrices.
+        self.cache = SegmentFeatureCache()
         self._context_memo: tuple | None = None
         # Whole-trajectory normalized feature matrices, memoized by object
         # identity + featurization context.  Normalization is elementwise,
@@ -146,21 +144,16 @@ class CandidateFeaturizer:
         """Z-scored, rescaled ``(L, F)`` feature matrix of one segment.
 
         This is the public hot-path entry point: the pipeline, the
-        baselines and the cache all route through it.  With a cache
-        attached, each (trajectory content, segment range, featurization
-        context, compute dtype) tuple is computed once; cached matrices
-        are returned read-only.  Under an active float32 inference
-        policy the matrix is cast once here — downstream padding and
-        kernels then stay in float32 without per-call casts — and lives
-        under a dtype-disjoint cache key.
+        baselines and the cache all route through it.  Each (trajectory
+        content, segment range, featurization context, compute dtype)
+        tuple is computed once; cached matrices are returned read-only.
+        Under an active float32 inference policy the matrix is cast once
+        here — downstream padding and kernels then stay in float32
+        without per-call casts — and lives under a dtype-disjoint cache
+        key.
         """
         dtype_name = active_dtype_name()
         cache = self.cache
-        if cache is None:
-            value = self._compute_segment_features(segment)
-            if dtype_name != "float64":
-                value = value.astype(dtype_name)
-            return value
         context = self.context_fingerprint()
         hit = cache.get(segment, context, dtype_name)
         if hit is not None:

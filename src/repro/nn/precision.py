@@ -39,9 +39,8 @@ __all__ = ["VALID_DTYPES", "inference_dtype", "active_dtype",
            "active_dtype_name", "weight_view", "compute_dtype_for",
            "weight_view_stats", "clear_weight_views"]
 
-#: The dtype names a precision context accepts.  Policy strings on the
-#: public config surface additionally allow ``"auto"``, which resolves
-#: to one of these after the parity gate runs.
+#: The dtype names a precision context accepts, and the inference
+#: policies ``LEADConfig.inference_dtype`` allows.
 VALID_DTYPES = ("float64", "float32")
 
 _DTYPES = {"float64": np.dtype(np.float64),

@@ -18,8 +18,8 @@ or re-deserialized trajectory with identical bytes hits the same entry,
 and a refitted normalizer silently invalidates every stale entry because
 the context fingerprint changes.
 
-The cache is bounded (LRU) and purely additive: with ``maxsize=0`` every
-lookup misses and behaviour is bit-for-bit the uncached code path.  Each
+The cache is bounded (LRU) and purely additive: a hit returns exactly
+the matrix a miss computes, so it changes speed, never answers.  Each
 cache counts its own hits, misses and evictions in a :class:`CacheStats`
 of plain integers; ``stats()`` payloads read them there, and telemetry
 sees only the ``cache.evicted`` event.

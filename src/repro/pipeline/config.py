@@ -8,6 +8,7 @@ from ..configbase import ConfigMixin
 from ..detection import DetectorTrainingConfig
 from ..encoding import AutoencoderTrainingConfig, EncoderConfig
 from ..features import FeatureConfig
+from ..nn import VALID_DTYPES
 from ..processing import (CandidateGenerator, NoiseFilter,
                           RawTrajectoryProcessor, StayPointExtractor)
 
@@ -57,15 +58,11 @@ class LEADConfig(ConfigMixin):
     stay_max_distance_m: float = 500.0   # Dmax
     stay_min_duration_s: float = 15.0 * 60.0  # Tmin
     max_autoencoder_samples: int | None = 3000
-    #: Capacity of the content-keyed per-segment feature cache shared by
-    #: training epochs and ``detect`` calls.  ``0`` disables caching
-    #: entirely (bit-for-bit the uncached code path, just slower).
-    feature_cache_size: int = 65536
     #: Inference compute dtype policy: ``"float64"`` (historical,
-    #: byte-identical), ``"float32"`` (reduced-precision hot path) or
-    #: ``"auto"`` (same as float32 today; both run the parity gate and
-    #: fall back to float64, provenance-noted, when it fails).  Training
-    #: always runs float64 regardless of this setting.
+    #: byte-identical) or ``"float32"`` (reduced-precision hot path; it
+    #: runs the parity gate and falls back to float64, provenance-noted,
+    #: when the gate fails).  Training always runs float64 regardless of
+    #: this setting.
     inference_dtype: str = "float64"
     #: Parity-gate budget: maximum raw absolute difference allowed
     #: between the float32 and float64 merged distributions on the
@@ -82,11 +79,9 @@ class LEADConfig(ConfigMixin):
             raise ValueError("at least one detector direction is required")
         if self.detector_layers < 1 or self.detector_hidden < 1:
             raise ValueError("invalid detector size")
-        if self.feature_cache_size < 0:
-            raise ValueError("feature_cache_size must be >= 0")
-        if self.inference_dtype not in ("float64", "float32", "auto"):
+        if self.inference_dtype not in VALID_DTYPES:
             raise ValueError(
-                "inference_dtype must be 'float64', 'float32' or 'auto', "
+                "inference_dtype must be 'float64' or 'float32', "
                 f"got {self.inference_dtype!r}")
         if not (0.0 < self.precision_margin <= 1.0):
             raise ValueError("precision_margin must be in (0, 1]")

@@ -51,10 +51,9 @@ from ..features import (CandidateFeaturizer, FeatureExtractor,
 from ..io import (atomic_write_json, load_checked_json, verify_manifest,
                   write_manifest)
 from ..model import Trajectory
-from ..nn import (CheckpointManager, Tensor, TrainingHistory, inference_dtype,
-                  load_module, no_grad, save_module)
+from ..nn import (VALID_DTYPES, CheckpointManager, Tensor, TrainingHistory,
+                  inference_dtype, load_module, no_grad, save_module)
 from ..obs.core import active_obs, obs_event, obs_span
-from ..perf.cache import SegmentFeatureCache
 from ..perf.parallel import parallel_map
 from ..processing import ProcessedTrajectory, sanitize_trajectory
 from .config import LEADConfig
@@ -80,8 +79,18 @@ def _bucketed(batch: Sequence[ProcessedTrajectory]) -> bool:
 
 
 def _process_sample(processor, sample: LabeledSample):
-    """Module-level worker task: process one labelled raw trajectory."""
-    return processor.process(sample.trajectory, sample.label)
+    """Module-level worker task: sanitize and process one labelled raw
+    trajectory; ``None`` for a day ``sanitize_trajectory`` cannot salvage.
+
+    Training takes the same front door as :meth:`LEAD.detect`: a clean
+    day comes back from ``sanitize_trajectory`` as the same object, so
+    sanitizing changes nothing for it.
+    """
+    try:
+        trajectory, _ = sanitize_trajectory(sample.trajectory)
+    except InvalidTrajectoryError:
+        return None
+    return processor.process(trajectory, sample.label)
 
 
 def _featurize_candidates(featurizer, processed: ProcessedTrajectory):
@@ -148,11 +157,11 @@ class LEAD:
         cfg = self.config
         self.processor = cfg.build_processor()
         self.extractor = FeatureExtractor(pois, cfg.feature)
-        self.feature_cache = (SegmentFeatureCache(cfg.feature_cache_size)
-                              if cfg.feature_cache_size else None)
         self.featurizer = CandidateFeaturizer(self.extractor,
-                                              ZScoreNormalizer(),
-                                              cache=self.feature_cache)
+                                              ZScoreNormalizer())
+        #: Content-keyed segment feature cache shared by training epochs
+        #: and ``detect`` calls (the featurizer's own).
+        self.feature_cache = self.featurizer.cache
         self.autoencoder = HierarchicalAutoencoder(cfg.encoder)
         rng = np.random.default_rng(cfg.seed)
         cvec_dim = cfg.encoder.cvec_dim
@@ -175,7 +184,7 @@ class LEAD:
         self._fitted = False
         self._load_notes: tuple[str, ...] = ()
         # Precision tier state: the effective compute dtype stays
-        # unresolved (None) for float32/auto policies until the parity
+        # unresolved (None) under the float32 policy until the parity
         # gate has compared float32 against float64 verdicts on a
         # calibration slice — at load time when calibration data is
         # provided, otherwise lazily on the first detect batch.
@@ -347,7 +356,7 @@ class LEAD:
         so the margin is relative to the decision scale without any
         further rescaling here.
 
-        For a ``"float32"``/``"auto"`` policy the outcome is committed:
+        For a ``"float32"`` policy the outcome is committed:
         a pass enables the float32 hot path for subsequent detect calls,
         a failure pins inference to float64 and records a
         degradation-style note that every later result carries in its
@@ -460,7 +469,7 @@ class LEAD:
 
         Called whenever the weights change (``fit`` retrains, ``load``
         rebinds) — a parity verdict reached against the old weights says
-        nothing about the new ones, so float32/auto policies go back to
+        nothing about the new ones, so a float32 policy goes back to
         "ungated" and the next detect call (or an explicit
         :meth:`run_parity_gate`) re-earns the float32 hot path.
         """
@@ -936,7 +945,7 @@ class LEAD:
                 notes.append(f"manifest verification failed: {exc.reason}")
         if manifest is not None:
             policy = manifest.meta.get("dtype_policy", "float64")
-            if policy not in ("float64", "float32", "auto"):
+            if policy not in VALID_DTYPES:
                 raise ArtifactCorruptedError(
                     directory / "manifest.json",
                     f"unknown recorded dtype policy {policy!r}")

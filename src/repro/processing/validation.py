@@ -151,27 +151,24 @@ class ReorderBuffer:
     the streaming ingest path and any caller feeding raw ping streams
     route fixes through this buffer first.
 
-    * ``policy="reorder"`` (default) holds up to ``capacity`` fixes in a
-      min-heap and releases the oldest one per overflow, so any ping
-      displaced by at most ``capacity`` positions is silently put back
-      in place (counted in :attr:`ReorderStats.reordered`).
-    * ``policy="drop"`` releases in-order pings immediately and drops
-      every late ping (``capacity`` is ignored).
-
-    In both policies a ping at or behind the newest *released* timestamp
-    can no longer be placed and is dropped (counted, never raised); the
-    released stream is strictly increasing by construction.  The offline
-    analogue — an unbounded full sort — lives in
-    :func:`trajectory_from_raw`.
+    The buffer holds up to ``capacity`` fixes in a min-heap and releases
+    the oldest one per overflow, so any ping displaced by at most
+    ``capacity`` positions is silently put back in place (counted in
+    :attr:`ReorderStats.reordered`).  A ping at or behind the newest
+    *released* timestamp can no longer be placed and is dropped
+    (counted, never raised); the released stream is strictly increasing
+    by construction.  The offline analogue — an unbounded full sort —
+    lives in :func:`trajectory_from_raw`.
     """
 
-    def __init__(self, capacity: int = 16, policy: str = "reorder") -> None:
+    #: The one release algorithm, as :meth:`state` records it (checkpoint
+    #: schema 1 carries the field).
+    POLICY = "reorder"
+
+    def __init__(self, capacity: int = 16) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if policy not in ("reorder", "drop"):
-            raise ValueError(f"unknown policy {policy!r}")
         self.capacity = capacity
-        self.policy = policy
         self.stats = ReorderStats()
         self._heap: list[tuple[float, int, float, float]] = []
         self._seq = 0                      # tie-break for equal timestamps
@@ -199,10 +196,6 @@ class ReorderBuffer:
         if not np.isfinite(t) or t <= self._last_released:
             self.stats.dropped += 1
             return []
-        if self.policy == "drop":
-            self._last_released = t
-            self.stats.released += 1
-            return [(float(lat), float(lng), t)]
         if t < self._max_seen:
             self.stats.reordered += 1
         else:
@@ -228,7 +221,7 @@ class ReorderBuffer:
     # ------------------------------------------------------------------
     def state(self) -> dict:
         """JSON-serializable resume state (exact float round-trip)."""
-        return {"capacity": self.capacity, "policy": self.policy,
+        return {"capacity": self.capacity, "policy": self.POLICY,
                 "heap": [list(item) for item in self._heap],
                 "seq": self._seq,
                 "last_released": (None if self._last_released == -np.inf
@@ -239,7 +232,12 @@ class ReorderBuffer:
 
     @classmethod
     def from_state(cls, state: dict) -> "ReorderBuffer":
-        buffer = cls(int(state["capacity"]), str(state["policy"]))
+        """Resume from :meth:`state`; a state recorded under any other
+        policy than :attr:`POLICY` raises ``ValueError``."""
+        if state["policy"] != cls.POLICY:
+            raise ValueError(
+                f"unknown reorder policy {state['policy']!r} in state")
+        buffer = cls(int(state["capacity"]))
         buffer._heap = [(float(t), int(seq), float(lat), float(lng))
                         for t, seq, lat, lng in state["heap"]]
         heapq.heapify(buffer._heap)
@@ -252,8 +250,7 @@ class ReorderBuffer:
         return buffer
 
 
-def monotonize_stream(lats, lngs, ts, capacity: int = 16,
-                      policy: str = "reorder"
+def monotonize_stream(lats, lngs, ts, capacity: int = 16
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                  ReorderStats]:
     """Repair a whole ping stream through a :class:`ReorderBuffer`.
@@ -269,7 +266,7 @@ def monotonize_stream(lats, lngs, ts, capacity: int = 16,
     if not (lats.shape == lngs.shape == ts.shape) or lats.ndim != 1:
         raise InvalidTrajectoryError(
             "lats, lngs, ts must be 1-D arrays of equal length")
-    buffer = ReorderBuffer(capacity=capacity, policy=policy)
+    buffer = ReorderBuffer(capacity=capacity)
     fixes: list[tuple[float, float, float]] = []
     for lat, lng, t in zip(lats, lngs, ts):
         fixes.extend(buffer.push(lat, lng, t))

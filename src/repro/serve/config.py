@@ -40,11 +40,6 @@ class ServeConfig(ConfigMixin):
     #: Seconds to wait for one shard response before the worker is
     #: declared hung and restarted.
     response_timeout_s: float = 30.0
-    #: Consecutive restart failures that trip a shard's breaker, and
-    #: how long (in restart attempts) it stays open; an open breaker
-    #: degrades the shard to the inline backend.
-    shard_breaker_failures: int = 3
-    shard_breaker_cooldown: int = 8
     #: Per-shard session-manager knobs.
     fleet: FleetConfig = field(default_factory=FleetConfig)
 

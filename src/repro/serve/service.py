@@ -75,6 +75,12 @@ __all__ = ["FleetService", "ServeCounters", "ServeError", "SubmitResult"]
 #: Command kinds the frontend journals (and therefore replays).
 _JOURNALED = frozenset({"ingest", "flush", "drain"})
 
+#: Consecutive restart failures that trip a shard's breaker, and how
+#: long (in restart attempts) it stays open; an open breaker degrades
+#: the shard to the inline backend.
+SHARD_BREAKER_FAILURES = 3
+SHARD_BREAKER_COOLDOWN = 8
+
 
 class ServeError(RuntimeError):
     """A shard reported a command failure, or the service is closed."""
@@ -173,10 +179,8 @@ class FleetService:
             fleet = replace(fleet, checkpoint_dir=str(sessions))
         shard = _Shard(index, fleet)
         shard.breaker = CircuitBreaker(
-            f"serve-shard-{index}",
-            self.config.shard_breaker_failures,
-            self.config.shard_breaker_cooldown,
-            clock=lambda: float(self._clock))
+            f"serve-shard-{index}", SHARD_BREAKER_FAILURES,
+            SHARD_BREAKER_COOLDOWN, clock=lambda: float(self._clock))
         return shard
 
     def _start_shard(self, shard: _Shard) -> None:

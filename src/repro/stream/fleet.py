@@ -65,6 +65,19 @@ def _default_io_retry() -> RetryPolicy:
     return RetryPolicy(max_attempts=3, backoff_base_s=0.0, jitter=0.0)
 
 
+#: Detection attempts per session before it is quarantined.
+DETECT_ATTEMPTS = 2
+#: Consecutive *batched* detector failures that trip the detector
+#: breaker, and how many ticks it stays open before a probe.
+DETECTOR_BREAKER_FAILURES = 3
+DETECTOR_BREAKER_COOLDOWN = 2
+#: Consecutive spill failures that trip the spill breaker (further
+#: evictions then keep sessions resident without touching disk), and
+#: how many spill attempts it stays open before a probe.
+SPILL_BREAKER_FAILURES = 3
+SPILL_BREAKER_COOLDOWN = 16
+
+
 @dataclass
 class FleetConfig(ConfigMixin):
     """Serving knobs of the fleet session manager."""
@@ -74,36 +87,20 @@ class FleetConfig(ConfigMixin):
     max_sessions: int = 1024
     #: Per-session reorder tolerance (see processing.ReorderBuffer).
     reorder_capacity: int = 16
-    reorder_policy: str = "reorder"
     #: Directory for evicted-session checkpoints; ``None`` disables
     #: persistence (evictions then lose state, counted).
     checkpoint_dir: str | Path | None = None
-    #: Confidence-tier thresholds on the leading candidate probability.
-    high_confidence: float = 0.75
-    medium_confidence: float = 0.4
     #: Directory for the quarantine dead-letter store; ``None`` keeps
     #: the ledger in memory only.
     quarantine_dir: str | Path | None = None
-    #: Detection attempts per session before it is quarantined.
-    detect_attempts: int = 2
-    #: Consecutive *batched* detector failures that trip the detector
-    #: breaker, and how many ticks it stays open before a probe.
-    detector_breaker_failures: int = 3
-    detector_breaker_cooldown: int = 2
-    #: Retry policy for session spill/restore IO, and the consecutive
-    #: spill failures that trip the spill breaker (further evictions
-    #: then keep sessions resident without touching disk).
+    #: Retry policy for session spill/restore IO.
     io_retry: RetryPolicy = field(default_factory=_default_io_retry)
-    spill_breaker_failures: int = 3
-    spill_breaker_cooldown: int = 16
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
-        if not 0.0 <= self.medium_confidence <= self.high_confidence <= 1.0:
-            raise ValueError("need 0 <= medium <= high <= 1")
-        if self.detect_attempts < 1:
-            raise ValueError("detect_attempts must be >= 1")
+        if self.reorder_capacity < 1:
+            raise ValueError("reorder_capacity must be >= 1")
 
 
 @dataclass
@@ -155,11 +152,9 @@ class FleetSessionManager:
                                 counters=RetryCounters())
         self.quarantine = Quarantine(self.config.quarantine_dir)
         self.detector_breaker = CircuitBreaker(
-            "detector", self.config.detector_breaker_failures,
-            self.config.detector_breaker_cooldown)
+            "detector", DETECTOR_BREAKER_FAILURES, DETECTOR_BREAKER_COOLDOWN)
         self.spill_breaker = CircuitBreaker(
-            "session-spill", self.config.spill_breaker_failures,
-            self.config.spill_breaker_cooldown)
+            "session-spill", SPILL_BREAKER_FAILURES, SPILL_BREAKER_COOLDOWN)
         self._sessions: OrderedDict[SessionKey, TruckSession] = OrderedDict()
         self._known: dict[SessionKey, None] = {}   # insertion-ordered set
         self._aggregate = SessionCounters()        # of flushed sessions
@@ -206,8 +201,7 @@ class FleetSessionManager:
         if session is None:
             session = TruckSession(
                 key[0], key[1], processor=self.processor,
-                reorder_capacity=self.config.reorder_capacity,
-                reorder_policy=self.config.reorder_policy)
+                reorder_capacity=self.config.reorder_capacity)
             self.counters.sessions_opened += 1
         self._sessions[key] = session
         self._known[key] = None
@@ -366,7 +360,7 @@ class FleetSessionManager:
         """
         key = self._chaos_key(session)
         failure: BaseException | None = None
-        for attempt in range(self.config.detect_attempts):
+        for attempt in range(DETECT_ATTEMPTS):
             if attempt:
                 self.counters.detect_retries += 1
             try:
@@ -383,7 +377,7 @@ class FleetSessionManager:
         """One session's detection under retry; raises after the budget."""
         key = self._chaos_key(session)
         failure: BaseException | None = None
-        for attempt in range(self.config.detect_attempts):
+        for attempt in range(DETECT_ATTEMPTS):
             if attempt:
                 self.counters.detect_retries += 1
             try:
@@ -413,7 +407,7 @@ class FleetSessionManager:
                   tick=self._tick_index)
         self.quarantine.record(
             self._chaos_key(session), stage, exc,
-            attempts=self.config.detect_attempts,
+            attempts=DETECT_ATTEMPTS,
             metadata={
                 "truck_id": session.truck_id,
                 "day": session.day,
@@ -477,9 +471,7 @@ class FleetSessionManager:
                 verdict = ProvisionalVerdict(
                     truck_id=session.truck_id, day=session.day,
                     pair=result.pair, probability=probability,
-                    confidence=confidence_tier(
-                        probability, self.config.high_confidence,
-                        self.config.medium_confidence),
+                    confidence=confidence_tier(probability),
                     final=final,
                     num_stay_points=snapshot.num_stay_points,
                     num_candidates=snapshot.num_candidates,

@@ -93,13 +93,12 @@ class TruckSession:
 
     def __init__(self, truck_id: str, day: str = "",
                  processor: RawTrajectoryProcessor | None = None,
-                 reorder_capacity: int = 16,
-                 reorder_policy: str = "reorder") -> None:
+                 reorder_capacity: int = 16) -> None:
         self.truck_id = truck_id
         self.day = day
         self.processor = processor or RawTrajectoryProcessor()
         self._counters = SessionCounters()
-        self._reorder = ReorderBuffer(reorder_capacity, reorder_policy)
+        self._reorder = ReorderBuffer(reorder_capacity)
         #: Sanitized, in-order fixes the noise filter has not seen yet.
         self._pending: list[tuple[float, float, float]] = []
         self._scanner = self.processor.extractor.scanner()

@@ -23,22 +23,23 @@ __all__ = ["CONFIDENCE_TIERS", "confidence_tier", "ProvisionalVerdict"]
 #: Confidence tiers in decreasing order of trust.
 CONFIDENCE_TIERS = ("high", "medium", "low", "none")
 
+#: Leading-candidate probability at or above which a verdict is
+#: ``"high"`` / ``"medium"`` confidence (fixed thresholds, not learned).
+HIGH_CONFIDENCE = 0.75
+MEDIUM_CONFIDENCE = 0.4
 
-def confidence_tier(probability: float | None, high: float = 0.75,
-                    medium: float = 0.4) -> str:
+
+def confidence_tier(probability: float | None) -> str:
     """Bucket a leading-candidate probability into a confidence tier.
 
     ``None`` (no candidate yet — fewer than two closed stay points)
-    maps to ``"none"``.  The thresholds are serving knobs, not learned
-    quantities; see :class:`~repro.stream.fleet.FleetConfig`.
+    maps to ``"none"``.
     """
     if probability is None:
         return "none"
-    if not 0.0 <= high <= 1.0 or not 0.0 <= medium <= high:
-        raise ValueError("need 0 <= medium <= high <= 1")
-    if probability >= high:
+    if probability >= HIGH_CONFIDENCE:
         return "high"
-    if probability >= medium:
+    if probability >= MEDIUM_CONFIDENCE:
         return "medium"
     return "low"
 

@@ -10,8 +10,9 @@ from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
 from repro.encoding import (AutoencoderTrainer, AutoencoderTrainingConfig,
                             CompressionOperator, DecompressionOperator,
                             EncoderConfig, HierarchicalAutoencoder)
-from repro.features import CandidateFeaturizer, FeatureExtractor, \
-    ZScoreNormalizer
+from repro.errors import NumericalInstabilityError
+from repro.features import (CandidateFeatures, CandidateFeaturizer,
+                            FeatureExtractor, SegmentKind, ZScoreNormalizer)
 from repro.nn import Tensor, load_module, no_grad, save_module
 from repro.processing import RawTrajectoryProcessor
 
@@ -193,3 +194,21 @@ class TestTrainer:
         model = HierarchicalAutoencoder(EncoderConfig())
         with pytest.raises(ValueError):
             AutoencoderTrainer(model).fit([])
+
+    def test_nonfinite_loss_raises_before_the_step(self):
+        rng = np.random.default_rng(12)
+        samples = []
+        for _ in range(12):
+            segments = tuple(rng.normal(size=(int(rng.integers(2, 6)), 32))
+                             for _ in range(3))
+            samples.append(CandidateFeatures(
+                pair=(1, 2), segments=segments,
+                kinds=(SegmentKind.STAY, SegmentKind.MOVE,
+                       SegmentKind.STAY)))
+        samples[5].segments[1][0, 4] = np.nan
+        model = HierarchicalAutoencoder(EncoderConfig(seed=12))
+        trainer = AutoencoderTrainer(model, AutoencoderTrainingConfig(
+            epochs=3, batch_size=4, seed=0))
+        with pytest.raises(NumericalInstabilityError, match="non-finite"):
+            trainer.fit(samples)
+        assert all(np.isfinite(p.data).all() for p in model.parameters())

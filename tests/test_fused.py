@@ -445,8 +445,7 @@ class TestTrainerEquivalence:
         losses = {}
         for tape in (False, True):
             model = HierarchicalAutoencoder(EncoderConfig(seed=21))
-            cfg = AutoencoderTrainingConfig(
-                epochs=2, batch_size=4, seed=3, bucket_batches=False)
+            cfg = AutoencoderTrainingConfig(epochs=2, batch_size=4, seed=3)
             with tape_path() if tape else contextlib.nullcontext():
                 history = AutoencoderTrainer(model, cfg).fit(samples)
             losses[tape] = history.epoch_losses
@@ -474,8 +473,7 @@ class TestTrainerEquivalence:
     def test_bucketed_batching_trains_and_history_is_finite(self):
         samples = _make_samples(12, np.random.default_rng(1))
         model = HierarchicalAutoencoder(EncoderConfig(seed=22))
-        cfg = AutoencoderTrainingConfig(epochs=2, batch_size=4, seed=3,
-                                        bucket_batches=True)
+        cfg = AutoencoderTrainingConfig(epochs=2, batch_size=4, seed=3)
         history = AutoencoderTrainer(model, cfg).fit(samples)
         assert len(history.epoch_losses) == 2
         assert np.all(np.isfinite(history.epoch_losses))

@@ -11,6 +11,7 @@ from repro.detection import (DetectorTrainingConfig, GroupDetector,
                              enumerate_pairs, forward_index_maps,
                              pair_to_index)
 from repro.encoding import EncoderConfig, HierarchicalAutoencoder
+from repro.errors import NumericalInstabilityError
 from repro.nn import Parameter, Tensor
 from repro.nn.optim import Adam
 
@@ -205,3 +206,19 @@ class TestJointTrainer:
         fwd = GroupDetector(64, 8, 1)
         with pytest.raises(ValueError):
             JointDetectorTrainer(ae, fwd, None).fit([])
+
+    def test_nonfinite_loss_raises_before_the_step(self):
+        ae = HierarchicalAutoencoder(EncoderConfig(seed=10))
+        fwd = GroupDetector(64, 8, 1, np.random.default_rng(11))
+        bwd = GroupDetector(64, 8, 1, np.random.default_rng(12))
+        trainer = JointDetectorTrainer(
+            ae, fwd, bwd, config=DetectorTrainingConfig(
+                epochs=2, batch_size=3, seed=0),
+            finetune_encoder=True)
+        specs = make_specs(np.random.default_rng(13))
+        specs[2].stay_segments[1][0, 0] = np.nan
+        with pytest.raises(NumericalInstabilityError, match="non-finite"):
+            trainer.fit(specs)
+        for module in (ae, fwd, bwd):
+            assert all(np.isfinite(p.data).all()
+                       for p in module.parameters())

@@ -233,17 +233,21 @@ class TestSegmentFeatureCache:
             featurizer.normalizer.std_ = std
         assert featurizer.context_fingerprint() == before
 
-    def test_disabled_cache_is_bit_identical(self, world_and_data, fitted):
-        world, dataset = world_and_data
-        lead, _ = fitted
-        bare = LEAD(world.pois, tiny_lead_config(feature_cache_size=0))
-        assert bare.feature_cache is None
-        bare.featurizer.normalizer = lead.featurizer.normalizer
+    def test_disabled_cache_is_bit_identical(self, fitted):
+        """Cold and warm featurization of one trajectory agree bit for
+        bit with the uncached computation of each segment."""
+        lead, dataset = fitted
         processed = lead.processor.process(dataset.samples[8].trajectory)
-        cached_stay, cached_move = lead._segments(processed)
-        bare_stay, bare_move = bare._segments(processed)
-        for a, b in zip(cached_stay + cached_move, bare_stay + bare_move):
-            assert np.array_equal(a, b)
+        segments = processed.stay_points + processed.move_points
+        lead.feature_cache.clear()
+        cold_stay, cold_move = lead._segments(processed)
+        warm_stay, warm_move = lead._segments(processed)
+        lead.featurizer.clear_memos()
+        for segment, cold, warm in zip(segments, cold_stay + cold_move,
+                                       warm_stay + warm_move):
+            direct = lead.featurizer._compute_segment_features(segment)
+            assert np.array_equal(cold, direct)
+            assert np.array_equal(warm, direct)
 
     def test_lru_bounds_and_stats(self):
         cache = LRUCache(maxsize=2)

@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
-                        generate_dataset)
+from repro.data import (DatasetConfig, LabeledSample, SyntheticWorld,
+                        WorldConfig, generate_dataset)
 from repro.detection import DetectorTrainingConfig
 from repro.encoding import AutoencoderTrainingConfig
+from repro.experiments import get_experiment_config
+from repro.model import Trajectory
 from repro.pipeline import (LEAD, LEADConfig, VARIANT_NAMES, variant_config)
+from repro.pipeline import lead as lead_module
 
 
 def tiny_lead_config(**overrides) -> LEADConfig:
@@ -130,6 +133,54 @@ class TestFitDetect:
         lead = LEAD(world.pois, tiny_lead_config())
         with pytest.raises(ValueError):
             lead.fit([])
+
+
+def _process_unsanitized(processor, sample):
+    """``lead._process_sample`` without its ``sanitize_trajectory``."""
+    return processor.process(sample.trajectory, sample.label)
+
+
+def _parameters(lead: LEAD) -> list[np.ndarray]:
+    return [p.data for module in lead._detector_modules().values()
+            for p in module.parameters()]
+
+
+class TestFitSanitizes:
+    """``fit`` takes ``detect``'s front door: ``sanitize_trajectory``."""
+
+    @pytest.fixture(scope="class")
+    def tiny_scale(self):
+        config = get_experiment_config("tiny")
+        world = SyntheticWorld(config.dataset.world)
+        return world, config, generate_dataset(config.dataset, world=world)
+
+    def test_nonfinite_fix_does_not_poison_the_model(self, tiny_scale):
+        world, config, dataset = tiny_scale
+        samples = list(dataset.samples)
+        day = samples[0]
+        lats = day.trajectory.lats.copy()
+        lats[len(lats) // 2] = np.nan
+        samples[0] = LabeledSample(
+            Trajectory(lats, day.trajectory.lngs, day.trajectory.ts,
+                       truck_id=day.trajectory.truck_id,
+                       day=day.trajectory.day), day.label)
+        lead = LEAD(world.pois, config.lead)
+        report = lead.fit(samples)
+        assert np.isfinite(report.autoencoder_history.epoch_losses).all()
+        assert all(np.isfinite(p).all() for p in _parameters(lead))
+
+    def test_clean_days_train_bit_identically(self, tiny_scale,
+                                              monkeypatch):
+        world, config, dataset = tiny_scale
+        sanitized = LEAD(world.pois, config.lead)
+        sanitized.fit(dataset.samples)
+        monkeypatch.setattr(lead_module, "_process_sample",
+                            _process_unsanitized)
+        unsanitized = LEAD(world.pois, config.lead)
+        unsanitized.fit(dataset.samples)
+        for a, b in zip(_parameters(sanitized), _parameters(unsanitized),
+                        strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestPersistence:

@@ -352,24 +352,16 @@ class TestPolicyAndProvenance:
         assert not any("precision" in note
                        for note in result.provenance.notes)
 
-    def test_auto_policy_resolves(self, world_and_data, fitted):
-        world, dataset = world_and_data
-        _, trajectories = fitted
-        lead = LEAD(world.pois, tiny_config(inference_dtype="auto"))
-        lead.fit(dataset.samples[:8])
-        result = lead.detect(trajectories[0])
-        assert result.provenance.compute_dtype in ("float32", "float64")
-        assert lead.parity_report is not None
-
     def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError, match="inference_dtype"):
-            tiny_config(inference_dtype="float16")
+        for policy in ("float16", "auto"):
+            with pytest.raises(ValueError, match="inference_dtype"):
+                tiny_config(inference_dtype=policy)
 
     def test_gate_degrades_when_detector_missing(self, world_and_data,
                                                  fitted, tmp_path):
         """A degraded model must not crash the lazy parity gate.
 
-        Regression: with a float32/auto policy and a detector lost to
+        Regression: with a float32 policy and a detector lost to
         ``load(strict=False)``, the gate's batched forward raised
         DetectorUnavailableError out of ``detect`` instead of pinning
         float64 and letting the tier chain answer.
@@ -460,12 +452,13 @@ class TestSerialization:
         directory = lead.save(tmp_path / "model")
         files = [p.name for p in directory.iterdir()
                  if p.name != "manifest.json"]
-        write_manifest(directory, files, kind="lead-model",
-                       meta={"dtype_policy": "bfloat16"})
-        fresh = LEAD(world.pois, tiny_config())
-        with pytest.raises(ArtifactCorruptedError,
-                           match="unknown recorded dtype policy"):
-            fresh.load(directory)
+        for policy in ("bfloat16", "auto"):
+            write_manifest(directory, files, kind="lead-model",
+                           meta={"dtype_policy": policy})
+            fresh = LEAD(world.pois, tiny_config())
+            with pytest.raises(ArtifactCorruptedError,
+                               match="unknown recorded dtype policy"):
+                fresh.load(directory)
 
     def test_load_runs_gate_on_calibration(self, world_and_data, fitted,
                                            tmp_path):

@@ -311,6 +311,23 @@ class TestShardStats:
 # ---------------------------------------------------------------------------
 # 4. Uniform config surface (from_dict / to_dict, unknown keys fail)
 # ---------------------------------------------------------------------------
+#: Config keys that left the surface, as (config class, path of the
+#: nested section, key).
+_RETIRED_KEYS = [
+    (LEADConfig, (), "subgroup_softmax"),
+    (LEADConfig, (), "feature_cache_size"),
+    (LEADConfig, ("feature",), "trajectory_cache_size"),
+    (LEADConfig, ("encoder_training",), "bucket_batches"),
+    *((ServeConfig, ("fleet",), key) for key in (
+        "reorder_policy", "high_confidence", "medium_confidence",
+        "detect_attempts", "detector_breaker_failures",
+        "detector_breaker_cooldown", "spill_breaker_failures",
+        "spill_breaker_cooldown")),
+    (ServeConfig, (), "shard_breaker_failures"),
+    (ServeConfig, (), "shard_breaker_cooldown"),
+]
+
+
 class TestConfigSurface:
     def test_serve_config_round_trips(self):
         config = ServeConfig(num_shards=7, queue_high_water=9,
@@ -332,13 +349,19 @@ class TestConfigSurface:
         with pytest.raises(ValueError, match="not_a_knob"):
             cls.from_dict({"not_a_knob": 1})
 
-    def test_retired_subgroup_softmax_key_fails(self):
-        """The literal per-subgroup Eq. 10 mode was removed; a saved
-        config that still sets it is refused, not silently ignored."""
-        data = tiny_lead_config().to_dict()
-        data["subgroup_softmax"] = False
-        with pytest.raises(ValueError, match="subgroup_softmax"):
-            LEADConfig.from_dict(data)
+    @pytest.mark.parametrize("cls, path, key", _RETIRED_KEYS,
+                             ids=[key for _, _, key in _RETIRED_KEYS])
+    def test_retired_key_fails(self, cls, path, key):
+        """Retired knobs (the literal per-subgroup Eq. 10 mode, and the
+        engineering knobs that became constants): a saved config that
+        still sets one is refused by name, not silently ignored."""
+        data = (tiny_lead_config() if cls is LEADConfig else cls()).to_dict()
+        section = data
+        for name in path:
+            section = section[name]
+        section[key] = 1
+        with pytest.raises(ValueError, match=key):
+            cls.from_dict(data)
 
     def test_nested_unknown_key_fails(self):
         with pytest.raises(ValueError, match="bogus"):

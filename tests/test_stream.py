@@ -28,6 +28,7 @@ from repro.encoding import AutoencoderTrainingConfig
 from repro.model import Trajectory
 from repro.pipeline import LEAD, LEADConfig
 from repro.processing import ReorderBuffer, monotonize_stream
+from repro.serve import ServeConfig
 from repro.stream import (FleetConfig, FleetSessionManager, Ping,
                           TruckSession, confidence_tier, dataset_ping_stream,
                           scramble_stream)
@@ -563,8 +564,12 @@ class TestFleetSoak:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FleetConfig(max_sessions=0)
-        with pytest.raises(ValueError):
-            FleetConfig(high_confidence=0.3, medium_confidence=0.5)
+        # Refused when the config is built, not at the first ingest
+        # (inside a serve worker).
+        with pytest.raises(ValueError, match="reorder_capacity"):
+            FleetConfig(reorder_capacity=0)
+        with pytest.raises(ValueError, match="reorder_capacity"):
+            ServeConfig.from_dict({"fleet": {"reorder_capacity": 0}})
 
 
 # ---------------------------------------------------------------------------
@@ -606,13 +611,6 @@ class TestReorderBuffer:
         assert buffer.push(0.0, 0.0, 5.0) == []  # behind the horizon
         assert buffer.stats.dropped == 1
 
-    def test_drop_policy_drops_out_of_order(self):
-        buffer = ReorderBuffer(capacity=4, policy="drop")
-        assert buffer.push(0.0, 0.0, 10.0) != []
-        assert buffer.push(0.0, 0.0, 5.0) == []
-        assert buffer.stats.dropped == 1
-        assert buffer.stats.reordered == 0
-
     def test_state_roundtrip_mid_stream(self):
         buffer = ReorderBuffer(capacity=4)
         for t in (3.0, 1.0, 2.0, 7.0):
@@ -635,8 +633,11 @@ class TestReorderBuffer:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ReorderBuffer(capacity=0)
-        with pytest.raises(ValueError):
-            ReorderBuffer(policy="mystery")
+        state = ReorderBuffer(capacity=4).state()
+        assert state["policy"] == "reorder"
+        state["policy"] = "drop"            # a retired release algorithm
+        with pytest.raises(ValueError, match="drop"):
+            ReorderBuffer.from_state(state)
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +650,6 @@ class TestVerdicts:
         assert confidence_tier(0.5) == "medium"
         assert confidence_tier(0.1) == "low"
         assert confidence_tier(0.75) == "high"   # inclusive boundary
-        with pytest.raises(ValueError):
-            confidence_tier(0.5, high=0.2, medium=0.6)
 
     def test_detect_many_validates_note_lengths(self, fitted):
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from repro.errors import (CheckpointCorruptedError, CircuitOpenError,
 from repro.nn import CheckpointManager, Linear
 from repro.perf import parallel_map
 from repro.stream import FleetConfig, FleetSessionManager
+from repro.stream.fleet import SPILL_BREAKER_COOLDOWN, SPILL_BREAKER_FAILURES
 from repro.supervise import (CircuitBreaker, Quarantine, QuarantineEntry,
                              RetryPolicy)
 
@@ -411,18 +412,21 @@ class TestFleetIsolation:
     def test_spill_breaker_stops_hammering_dead_disk(self, tmp_path):
         config = FleetConfig(
             max_sessions=1, checkpoint_dir=tmp_path / "ckpt",
-            spill_breaker_failures=2, spill_breaker_cooldown=10_000,
             io_retry=RetryPolicy(max_attempts=1, backoff_base_s=0.0))
         manager = FleetSessionManager(None, config)
+        # Enough feeds to trip the breaker and try again inside its
+        # cooldown, too few to reach the probe after it.
+        feeds = SPILL_BREAKER_FAILURES + 3
+        assert feeds < SPILL_BREAKER_FAILURES + SPILL_BREAKER_COOLDOWN
         with ChaosEngine(0, [FaultSpec("io.write", "fail", rate=1.0)]):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                for i in range(6):
+                for i in range(feeds):
                     _feed(manager, f"truck-{i}")
         assert manager.spill_breaker.state == "open"
         assert manager.counters.spill_skipped_breaker >= 1
         # Failures stop accumulating once the breaker opens.
-        assert manager.counters.spill_failures == 2
+        assert manager.counters.spill_failures == SPILL_BREAKER_FAILURES == 3
 
     def test_unreadable_spill_degrades_to_fresh_session(self, tmp_path):
         config = FleetConfig(max_sessions=1,
