@@ -18,8 +18,8 @@ import numpy as np
 
 from ..features import CandidateFeaturizer, FEATURE_DIM
 from ..model import StayPoint
-from ..nn import (Adam, EarlyStopping, GRU, Linear, LSTM, Module, Tensor,
-                  TrainingHistory, bce_loss, no_grad)
+from ..nn import (Adam, GRU, Linear, LSTM, Module, Tensor, TrainingHistory,
+                  bce_loss, no_grad, train_epochs)
 from ..nn.padding import pad_sequences
 from ..processing import ProcessedTrajectory
 from .base import greedy_selection
@@ -90,35 +90,26 @@ class SPNNDetector:
         if not sequences:
             raise ValueError("no training stay points")
         cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        optimizer = Adam(self.classifier.parameters(), lr=cfg.learning_rate)
-        stopper = EarlyStopping(patience=cfg.patience)
-        history = TrainingHistory(name=f"sp-{self.classifier.cell}")
         targets_arr = np.asarray(targets)
-        self.classifier.train()
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(len(sequences))
-            total = 0.0
-            batches = 0
-            for start in range(0, len(order), cfg.batch_size):
-                chosen = order[start:start + cfg.batch_size]
-                batch, lengths = pad_sequences(
-                    [sequences[int(c)] for c in chosen])
-                probs = self.classifier(Tensor(batch), lengths)
-                loss = bce_loss(probs, targets_arr[chosen])
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                total += loss.item()
-                batches += 1
-            epoch_loss = total / batches
-            history.record(epoch_loss)
-            if verbose:
-                print(f"[{history.name}] epoch {epoch}: bce={epoch_loss:.4f}")
-            if stopper.update(epoch_loss):
-                break
-        self.classifier.eval()
-        return history
+
+        def batch_loss(chosen: np.ndarray):
+            batch, lengths = pad_sequences(
+                [sequences[int(c)] for c in chosen])
+            probs = self.classifier(Tensor(batch), lengths)
+            loss = bce_loss(probs, targets_arr[chosen])
+            return loss, (loss.item(),), 1
+
+        histories = train_epochs(
+            name=f"sp-{self.classifier.cell}",
+            modules={"classifier": self.classifier},
+            optimizer=Adam(self.classifier.parameters(),
+                           lr=cfg.learning_rate),
+            histories=[TrainingHistory(name=f"sp-{self.classifier.cell}")],
+            batch_loss=batch_loss, num_samples=len(sequences),
+            epochs=cfg.epochs, batch_size=cfg.batch_size,
+            patience=cfg.patience, seed=cfg.seed, max_grad_norm=None,
+            checkpoint=None, verbose=verbose)
+        return histories[0]
 
     # ------------------------------------------------------------------
     def classify_stay_point(self, stay_point: StayPoint) -> float:

@@ -8,25 +8,19 @@ discriminative enough, so after the same self-supervised pretraining we
 continue to backpropagate the detectors' KLD losses *through the
 compressor* (standard pretrain-then-fine-tune).  Every architectural
 component and loss of the paper is unchanged; only the freeze is lifted.
-See DESIGN.md §2 for the substitution record.
-
-A non-finite batch loss raises :class:`~repro.errors.NumericalInstabilityError`
-before ``backward``, so NaN never reaches the weights.
+See DESIGN.md §2 for the substitution record.  The epochs run through
+the shared loop :func:`repro.nn.train_epochs`.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..encoding import HierarchicalAutoencoder
-from ..errors import NumericalInstabilityError
-from ..nn import (Adam, CheckpointManager, EarlyStopping, TrainingHistory,
-                  bce_loss, clip_grad_norm, concat, kld_loss)
-from ..obs.core import active_obs
+from ..nn import (Adam, CheckpointManager, TrainingHistory, bce_loss,
+                  concat, kld_loss, train_epochs)
 from .detectors import GroupDetector, IndependentDetector
 from .grouping import backward_index_maps, forward_index_maps
 from .labels import smooth_label
@@ -108,92 +102,25 @@ class JointDetectorTrainer:
         if not specs:
             raise ValueError("no training samples")
         cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        optimizer = Adam(self._parameters(), lr=cfg.learning_rate,
-                         weight_decay=cfg.weight_decay)
-        stopper = EarlyStopping(patience=cfg.patience)
-        histories = self._make_histories()
-        start_epoch = 0
-        if checkpoint is not None:
-            state = checkpoint.load()
-            if state is not None:
-                start_epoch = checkpoint.restore(
-                    state, modules=self._checkpoint_modules(),
-                    optimizer=optimizer, rng=rng, stopper=stopper)
-                if len(state.histories) == len(histories):
-                    histories = state.histories
-        modules = [m for m in (self.autoencoder, self.forward, self.backward,
-                               self.independent) if m is not None]
-        for module in modules:
-            module.train()
-        for epoch in range(start_epoch, cfg.epochs):
-            if stopper.should_stop:
-                break
-            epoch_start = time.perf_counter()
-            steps = 0
-            order = rng.permutation(len(specs))
-            totals = np.zeros(len(histories))
-            for start in range(0, len(order), cfg.batch_size):
-                batch = [specs[int(c)]
-                         for c in order[start:start + cfg.batch_size]]
-                losses = self._batch_losses(batch)
-                total_loss = losses[0]
-                for extra in losses[1:]:
-                    total_loss = total_loss + extra
-                if not math.isfinite(total_loss.item()):
-                    raise NumericalInstabilityError(
-                        f"non-finite detector loss in epoch {epoch}; "
-                        "check the training features for NaN/Inf")
-                optimizer.zero_grad()
-                (total_loss * (1.0 / len(batch))).backward()
-                clip_grad_norm(optimizer.parameters, cfg.max_grad_norm)
-                optimizer.step()
-                for d, loss in enumerate(losses):
-                    totals[d] += loss.item()
-                steps += 1
-            for d, history in enumerate(histories):
-                history.record(totals[d] / len(order))
-            self._publish_epoch(epoch, histories, steps,
-                                time.perf_counter() - epoch_start)
-            if verbose:
-                rendered = ", ".join(
-                    f"{h.name}={h.final_loss:.4f}" for h in histories)
-                print(f"[joint] epoch {epoch}: {rendered}")
-            should_stop = stopper.update(float(totals.sum()) / len(order))
-            if checkpoint is not None:
-                checkpoint.save(epoch=epoch,
-                                modules=self._checkpoint_modules(),
-                                optimizer=optimizer, rng=rng,
-                                stopper=stopper, histories=list(histories))
-            if should_stop:
-                break
-        for module in modules:
-            module.eval()
-        if checkpoint is not None:
-            checkpoint.clear()
-        return histories
 
-    @staticmethod
-    def _publish_epoch(epoch: int, histories: list[TrainingHistory],
-                       steps: int, elapsed_s: float) -> None:
-        """Per-epoch, per-detector training gauges when telemetry is on."""
-        ob = active_obs()
-        if ob is None:
-            return
-        for history in histories:
-            labels = {"model": "joint", "detector": history.name}
-            ob.registry.gauge("train_epoch",
-                              help="Last completed epoch index.",
-                              labels=labels).set(epoch)
-            ob.registry.gauge(
-                "train_epoch_loss",
-                help="Mean loss of the last completed epoch.",
-                labels=labels).set(history.final_loss)
-        if elapsed_s > 0.0:
-            ob.registry.gauge(
-                "train_steps_per_second",
-                help="Optimizer steps per second over the last epoch.",
-                labels={"model": "joint"}).set(steps / elapsed_s)
+        def batch_loss(chosen: np.ndarray):
+            batch = [specs[int(c)] for c in chosen]
+            losses = self._batch_losses(batch)
+            total_loss = losses[0]
+            for extra in losses[1:]:
+                total_loss = total_loss + extra
+            return (total_loss * (1.0 / len(batch)),
+                    [loss.item() for loss in losses], len(batch))
+
+        return train_epochs(
+            name="joint", modules=self._checkpoint_modules(),
+            optimizer=Adam(self._parameters(), lr=cfg.learning_rate,
+                           weight_decay=cfg.weight_decay),
+            histories=self._make_histories(), batch_loss=batch_loss,
+            num_samples=len(specs), epochs=cfg.epochs,
+            batch_size=cfg.batch_size, patience=cfg.patience,
+            seed=cfg.seed, max_grad_norm=cfg.max_grad_norm,
+            checkpoint=checkpoint, verbose=verbose)
 
     def _make_histories(self) -> list[TrainingHistory]:
         if self.independent is not None:

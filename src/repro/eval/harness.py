@@ -21,11 +21,12 @@ __all__ = ["prepare_test_set", "evaluate_detector"]
 def prepare_test_set(samples: Iterable[LabeledSample],
                      processor: RawTrajectoryProcessor | None = None
                      ) -> list[tuple[ProcessedTrajectory, tuple[int, int]]]:
-    """Process labelled samples; keep those with a mappable label."""
+    """Sanitize and process labelled samples; keep those with a mappable
+    label."""
     processor = processor or RawTrajectoryProcessor()
     prepared = []
     for sample in samples:
-        processed = processor.process(sample.trajectory, sample.label)
+        processed = processor.process_sample(sample)
         if processed is None or processed.label_pair is None:
             continue
         prepared.append((processed, processed.label_pair))

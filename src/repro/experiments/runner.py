@@ -190,8 +190,7 @@ class Experiment:
         lead = self.lead_variant("LEAD")
         pairs = []
         for sample in train.samples:
-            processed = lead.processor.process(sample.trajectory,
-                                               sample.label)
+            processed = lead.processor.process_sample(sample)
             if processed is not None:
                 pairs.append((processed, sample.label))
         detector.fit(pairs)

@@ -140,11 +140,6 @@ class FeatureExtractor:
             self.stats.record_eviction()
         return features
 
-    def point_features(self, trajectory: Trajectory,
-                       indices: np.ndarray) -> np.ndarray:
-        """Raw features of selected points, shape ``(len(indices), 32)``."""
-        return self.trajectory_features(trajectory)[np.asarray(indices)]
-
     def clear_cache(self) -> None:
         self._cache.clear()
 

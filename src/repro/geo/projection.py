@@ -41,8 +41,3 @@ class LocalProjection:
         lat = self.ref_lat + np.degrees(y / EARTH_RADIUS_M)
         lng = self.ref_lng + np.degrees(x / (EARTH_RADIUS_M * self._cos_ref))
         return lat, lng
-
-    def meters_per_degree(self) -> tuple[float, float]:
-        """(meters per degree latitude, meters per degree longitude here)."""
-        per_lat = np.radians(1.0) * EARTH_RADIUS_M
-        return float(per_lat), float(per_lat * self._cos_ref)

@@ -15,7 +15,7 @@ so that
 
 from .atomic import (atomic_write_bytes, atomic_write_json,
                      atomic_write_text, atomic_savez, replace_file)
-from .checksum import sha256_bytes, sha256_file
+from .checksum import sha256_file
 from .manifest import (MANIFEST_NAME, MANIFEST_SCHEMA_VERSION,
                        ArtifactManifest, load_checked_json,
                        load_checked_npz, verify_manifest, write_manifest)
@@ -23,7 +23,7 @@ from .manifest import (MANIFEST_NAME, MANIFEST_SCHEMA_VERSION,
 __all__ = [
     "atomic_write_bytes", "atomic_write_text", "atomic_write_json",
     "atomic_savez", "replace_file",
-    "sha256_bytes", "sha256_file",
+    "sha256_file",
     "MANIFEST_NAME", "MANIFEST_SCHEMA_VERSION", "ArtifactManifest",
     "write_manifest", "verify_manifest",
     "load_checked_json", "load_checked_npz",

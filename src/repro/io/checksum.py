@@ -5,14 +5,9 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-__all__ = ["sha256_bytes", "sha256_file"]
+__all__ = ["sha256_file"]
 
 _CHUNK = 1 << 20  # 1 MiB
-
-
-def sha256_bytes(data: bytes) -> str:
-    """Hex digest of a byte string."""
-    return hashlib.sha256(data).hexdigest()
 
 
 def sha256_file(path: str | Path) -> str:

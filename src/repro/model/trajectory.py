@@ -50,12 +50,6 @@ class Trajectory:
         self._radians: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_points(cls, points: Sequence[GPSPoint], truck_id: str = "",
-                    day: str = "") -> "Trajectory":
-        return cls([p.lat for p in points], [p.lng for p in points],
-                   [p.t for p in points], truck_id=truck_id, day=day)
-
     def __len__(self) -> int:
         return int(self.lats.size)
 

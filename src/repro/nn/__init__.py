@@ -12,7 +12,7 @@ from .init import orthogonal, xavier_uniform
 from .layers import Linear, Sequential
 from .losses import bce_loss, kld_loss, mse_loss
 from .module import Module, Parameter
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
+from .optim import Adam, Optimizer, clip_grad_norm
 from .precision import (VALID_DTYPES, active_dtype, active_dtype_name,
                         clear_weight_views, inference_dtype, weight_view,
                         weight_view_stats)
@@ -20,7 +20,7 @@ from .rnn import (BiLSTMLayer, GRU, GRUCell, LSTM, LSTMCell, LSTMDecoder,
                   StackedBiLSTM, sequence_mask)
 from .serialization import load_module, module_path, save_module
 from .tensor import Tensor, concat, is_grad_enabled, no_grad, stack
-from .training import EarlyStopping, GradientAccumulator, TrainingHistory
+from .training import EarlyStopping, TrainingHistory, train_epochs
 
 __all__ = [
     "Tensor", "concat", "stack", "no_grad", "is_grad_enabled",
@@ -33,8 +33,8 @@ __all__ = [
     "clear_weight_views",
     "SelfAttentionAggregator",
     "mse_loss", "kld_loss", "bce_loss",
-    "Optimizer", "SGD", "Adam", "clip_grad_norm",
-    "EarlyStopping", "GradientAccumulator", "TrainingHistory",
+    "Optimizer", "Adam", "clip_grad_norm",
+    "EarlyStopping", "TrainingHistory", "train_epochs",
     "CheckpointManager", "CheckpointState",
     "save_module", "load_module", "module_path",
     "xavier_uniform", "orthogonal",

@@ -20,25 +20,20 @@ metadata never points at missing arrays):
 A resumed ``fit()`` replays the remaining epochs bit-for-bit identically
 to an uninterrupted run (verified in ``tests/test_resilience.py``).
 
-Supervision (PR 6) is opt-in: pass a
-:class:`~repro.supervise.RetryPolicy` to retry transient IO failures on
-every save/load syscall, and a :class:`~repro.supervise.CircuitBreaker`
-to stop re-reading a slot that keeps parsing as corrupt — a disk that
-serves different garbage on every read should not get unlimited
-attempts.  Both default to ``None`` so crash-consistency tests observe
-raw failures.
+Every save and load touches the disk once: a failed write or read
+surfaces as-is (the atomic writes never leave a half-written slot
+behind), and a damaged slot raises :class:`CheckpointCorruptedError`
+naming the file.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import (ArtifactCorruptedError, CheckpointCorruptedError,
-                      CircuitOpenError)
+from ..errors import ArtifactCorruptedError, CheckpointCorruptedError
 from ..io import (atomic_savez, atomic_write_json, load_checked_json,
                   load_checked_npz, sha256_file)
 from .module import Module
@@ -56,11 +51,10 @@ class CheckpointState:
 
     epoch: int                                # last *completed* epoch
     module_states: dict[str, dict[str, np.ndarray]]
-    optimizer_state: dict[str, object] | None
-    rng_state: dict[str, object] | None
-    stopper_state: dict[str, object] | None
+    optimizer_state: dict[str, object]
+    rng_state: dict[str, object]
+    stopper_state: dict[str, object]
     histories: list[TrainingHistory]
-    extra: dict[str, object]
 
     @property
     def next_epoch(self) -> int:
@@ -72,28 +66,13 @@ class CheckpointManager:
 
     ``save`` overwrites the slot after each epoch; only the latest
     completed epoch is kept (resume never needs more).  A damaged slot
-    raises :class:`CheckpointCorruptedError` when ``strict`` (default),
-    otherwise it is discarded with a warning and training restarts.
+    raises :class:`CheckpointCorruptedError`.
     """
 
-    def __init__(self, directory: str | Path, name: str = "checkpoint",
-                 strict: bool = True, retry=None,
-                 corruption_breaker=None) -> None:
+    def __init__(self, directory: str | Path,
+                 name: str = "checkpoint") -> None:
         self.directory = Path(directory)
         self.name = name
-        self.strict = strict
-        #: Optional RetryPolicy applied around each save/load IO call.
-        self.retry = retry
-        #: Optional CircuitBreaker tripped by corrupt loads; while open,
-        #: ``load`` refuses to touch the slot (lenient → None + warning,
-        #: strict → CircuitOpenError).
-        self.corruption_breaker = corruption_breaker
-
-    def _io(self, fn, *args, **kwargs):
-        """One save/load syscall, retried when a policy is configured."""
-        if self.retry is None:
-            return fn(*args, **kwargs)
-        return self.retry.call(fn, *args, **kwargs)
 
     # ------------------------------------------------------------------
     @property
@@ -116,81 +95,50 @@ class CheckpointManager:
     # Save
     # ------------------------------------------------------------------
     def save(self, *, epoch: int, modules: dict[str, Module],
-             optimizer: Optimizer | None = None,
-             rng: np.random.Generator | None = None,
-             stopper: EarlyStopping | None = None,
-             histories: list[TrainingHistory] | None = None,
-             extra: dict[str, object] | None = None) -> None:
+             optimizer: Optimizer, rng: np.random.Generator,
+             stopper: EarlyStopping,
+             histories: list[TrainingHistory]) -> None:
         """Persist the state reached after completing ``epoch``."""
         self.directory.mkdir(parents=True, exist_ok=True)
         arrays: dict[str, np.ndarray] = {}
         for mod_name, module in modules.items():
             for key, value in module.state_dict().items():
                 arrays[f"module/{mod_name}/{key}"] = value
-        optimizer_scalars: dict[str, object] | None = None
-        if optimizer is not None:
-            state = optimizer.state_dict()
-            optimizer_scalars = dict(state.get("scalars", {}))
-            for slot, values in state.get("arrays", {}).items():
-                for i, value in enumerate(values):
-                    arrays[f"optim/{slot}/{i:04d}"] = value
-        self._io(atomic_savez, self.arrays_path, **arrays)
+        optimizer_state = optimizer.state_dict()
+        for slot, values in optimizer_state["arrays"].items():
+            for i, value in enumerate(values):
+                arrays[f"optim/{slot}/{i:04d}"] = value
+        atomic_savez(self.arrays_path, **arrays)
         meta = {
             "schema": _SCHEMA,
             "name": self.name,
             "epoch": int(epoch),
             "modules": sorted(modules),
-            "optimizer_scalars": optimizer_scalars,
-            "rng_state": _jsonable_rng_state(rng),
-            "stopper": stopper.state_dict() if stopper is not None else None,
-            "histories": [h.to_dict() for h in (histories or [])],
-            "extra": extra or {},
+            "optimizer_scalars": dict(optimizer_state["scalars"]),
+            "rng_state": _to_jsonable(rng.bit_generator.state),
+            "stopper": stopper.state_dict(),
+            "histories": [h.to_dict() for h in histories],
             "arrays_sha256": sha256_file(self.arrays_path),
         }
-        self._io(atomic_write_json, self.meta_path, meta)
+        atomic_write_json(self.meta_path, meta)
 
     # ------------------------------------------------------------------
     # Load / restore
     # ------------------------------------------------------------------
     def load(self) -> CheckpointState | None:
-        """Parse the slot; ``None`` when empty (or corrupt + lenient)."""
+        """Parse the slot; ``None`` when it is empty."""
         if not self.exists():
             return None
-        breaker = self.corruption_breaker
-        if breaker is not None and not breaker.allow():
-            if self.strict:
-                raise CircuitOpenError(breaker.name,
-                                       breaker.consecutive_failures)
-            warnings.warn(
-                f"checkpoint slot {self.meta_path} kept loading as "
-                "corrupt; breaker is open, restarting from scratch",
-                stacklevel=2)
-            return None
         try:
-            state = self._load_checked()
-        except CheckpointCorruptedError:
-            if breaker is not None:
-                breaker.record_failure()
-            if self.strict:
-                raise
-            warnings.warn(
-                f"discarding corrupted checkpoint {self.meta_path}; "
-                "training restarts from scratch", stacklevel=2)
-            self.clear()
-            return None
-        if breaker is not None:
-            breaker.record_success()
-        return state
-
-    def _load_checked(self) -> CheckpointState:
-        try:
-            meta = self._io(load_checked_json, self.meta_path)
+            meta = load_checked_json(self.meta_path)
         except CheckpointCorruptedError:
             raise
         except ArtifactCorruptedError as exc:
             raise CheckpointCorruptedError(self.meta_path,
                                            exc.reason) from exc
-        if not isinstance(meta, dict) or "epoch" not in meta:
+        if not isinstance(meta, dict) or "epoch" not in meta or any(
+                not isinstance(meta.get(key), dict)
+                for key in ("optimizer_scalars", "rng_state", "stopper")):
             raise CheckpointCorruptedError(
                 self.meta_path, "metadata is not a checkpoint object")
         if int(meta.get("schema", -1)) > _SCHEMA:
@@ -207,7 +155,7 @@ class CheckpointManager:
                 f"checksum mismatch: metadata says "
                 f"{meta.get('arrays_sha256')}, file hashes to {digest}")
         try:
-            arrays = self._io(load_checked_npz, self.arrays_path)
+            arrays = load_checked_npz(self.arrays_path)
         except Exception as exc:  # damaged despite matching digest
             raise CheckpointCorruptedError(self.arrays_path,
                                            str(exc)) from exc
@@ -221,28 +169,21 @@ class CheckpointManager:
             elif kind == "optim":
                 slot, _, index = rest.partition("/")
                 optim_arrays.setdefault(slot, []).append((int(index), value))
-        optimizer_state: dict[str, object] | None = None
-        if meta.get("optimizer_scalars") is not None:
-            optimizer_state = {
-                "scalars": meta["optimizer_scalars"],
-                "arrays": {slot: [v for _, v in sorted(vals)]
-                           for slot, vals in optim_arrays.items()},
-            }
         return CheckpointState(
             epoch=int(meta["epoch"]),
             module_states=module_states,
-            optimizer_state=optimizer_state,
-            rng_state=meta.get("rng_state"),
-            stopper_state=meta.get("stopper"),
+            optimizer_state={
+                "scalars": meta["optimizer_scalars"],
+                "arrays": {slot: [v for _, v in sorted(vals)]
+                           for slot, vals in optim_arrays.items()}},
+            rng_state=meta["rng_state"],
+            stopper_state=meta["stopper"],
             histories=[TrainingHistory.from_dict(h)
-                       for h in meta.get("histories", [])],
-            extra=dict(meta.get("extra", {})))
+                       for h in meta.get("histories", [])])
 
     def restore(self, state: CheckpointState, *,
-                modules: dict[str, Module],
-                optimizer: Optimizer | None = None,
-                rng: np.random.Generator | None = None,
-                stopper: EarlyStopping | None = None) -> int:
+                modules: dict[str, Module], optimizer: Optimizer,
+                rng: np.random.Generator, stopper: EarlyStopping) -> int:
         """Push a parsed checkpoint back into live objects.
 
         Returns the epoch index training should continue from.
@@ -259,30 +200,20 @@ class CheckpointManager:
                 raise CheckpointCorruptedError(
                     self.arrays_path,
                     f"module {mod_name!r} does not match: {exc}") from exc
-        if optimizer is not None and state.optimizer_state is not None:
-            try:
-                optimizer.load_state_dict(state.optimizer_state)
-            except ValueError as exc:
-                raise CheckpointCorruptedError(
-                    self.arrays_path,
-                    f"optimizer state does not match: {exc}") from exc
-        if rng is not None and state.rng_state is not None:
-            _restore_rng_state(rng, state.rng_state, self.meta_path)
-        if stopper is not None and state.stopper_state is not None:
-            stopper.load_state_dict(state.stopper_state)
+        try:
+            optimizer.load_state_dict(state.optimizer_state)
+        except ValueError as exc:
+            raise CheckpointCorruptedError(
+                self.arrays_path,
+                f"optimizer state does not match: {exc}") from exc
+        _restore_rng_state(rng, state.rng_state, self.meta_path)
+        stopper.load_state_dict(state.stopper_state)
         return state.next_epoch
 
 
 # ----------------------------------------------------------------------
 # RNG state (numpy Generator <-> JSON)
 # ----------------------------------------------------------------------
-def _jsonable_rng_state(rng: np.random.Generator | None
-                        ) -> dict[str, object] | None:
-    if rng is None:
-        return None
-    return _to_jsonable(rng.bit_generator.state)
-
-
 def _to_jsonable(value: object) -> object:
     if isinstance(value, dict):
         return {str(k): _to_jsonable(v) for k, v in value.items()}

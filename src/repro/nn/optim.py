@@ -8,7 +8,7 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
@@ -80,38 +80,6 @@ class Optimizer:
                     raise ValueError(
                         f"optimizer state shape mismatch in {name!r}")
                 current[...] = value
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-            # In-place update: invalidate cached precision weight views.
-            p.version = getattr(p, "version", 0) + 1
-
-    def state_dict(self) -> dict[str, object]:
-        return {"scalars": {"lr": self.lr, "momentum": self.momentum},
-                "arrays": {"_velocity": [v.copy() for v in self._velocity]}}
-
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        super().load_state_dict(state)
-        scalars = state.get("scalars", {})
-        self.momentum = float(scalars.get("momentum", self.momentum))
 
 
 class Adam(Optimizer):

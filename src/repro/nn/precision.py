@@ -36,7 +36,7 @@ import numpy as np
 from .tensor import Tensor, _PRECISION_STATE, active_dtype_name
 
 __all__ = ["VALID_DTYPES", "inference_dtype", "active_dtype",
-           "active_dtype_name", "weight_view", "compute_dtype_for",
+           "active_dtype_name", "weight_view",
            "weight_view_stats", "clear_weight_views"]
 
 #: The dtype names a precision context accepts, and the inference
@@ -80,18 +80,6 @@ def inference_dtype(name: str):
         yield
     finally:
         _PRECISION_STATE.dtype_name = previous
-
-
-def compute_dtype_for(*arrays: np.ndarray) -> np.dtype:
-    """The dtype inference kernels should compute in for these inputs.
-
-    float32 is used only when the active policy asks for it; otherwise
-    the kernels keep their historical float64 buffers even when handed
-    float32 inputs (nothing upstream produces them in that case).
-    """
-    if active_dtype_name() == "float32":
-        return _DTYPES["float32"]
-    return _DTYPES["float64"]
 
 
 # ----------------------------------------------------------------------

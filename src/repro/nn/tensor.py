@@ -109,12 +109,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_array(value: "Tensor | np.ndarray | float | int") -> np.ndarray:
-    if isinstance(value, Tensor):
-        return value.data
-    return _coerce_master_dtype(np.asarray(value))
-
-
 def _is_basic_index(key: object) -> bool:
     """True when ``key`` is pure basic (non-fancy) numpy indexing.
 

@@ -1,21 +1,42 @@
-"""Training utilities: early stopping, gradient accumulation, histories.
+"""The one training loop: epochs, early stopping, histories, checkpoints.
 
-The paper trains with batch size 1 (inputs have irregular shapes) but
-back-propagates the *average* loss of ``B = 64`` consecutive samples to
-emulate mini-batch training (§VI-A).  :class:`GradientAccumulator`
-implements exactly that protocol on top of any optimizer.
+The paper trains both LEAD components and the SP-GRU/SP-LSTM baselines
+the same way (§IV-B, §V-B, §VI-A): shuffled epochs, Adam and early
+stopping.  :func:`train_epochs` is that protocol, and every trainer in
+the package runs through it.  A trainer supplies only its modules, its
+optimizer and a batch loss; the loop owns the seeded epoch order,
+mini-batching, the finite-loss guard, the optimizer step, the histories,
+early stopping, checkpoints and the per-epoch telemetry.
+
+The paper trains with batch size 1 and averages gradients over B = 64
+consecutive samples; on one CPU core each trainer computes the
+mathematically equivalent mean loss over a padded mini-batch instead.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Sequence
+
+import numpy as np
 
 from ..errors import NumericalInstabilityError
+from ..obs.core import active_obs
+from .module import Module
 from .optim import Optimizer, clip_grad_norm
 from .tensor import Tensor
 
-__all__ = ["EarlyStopping", "GradientAccumulator", "TrainingHistory"]
+if TYPE_CHECKING:
+    from .checkpoint import CheckpointManager
+
+__all__ = ["EarlyStopping", "TrainingHistory", "train_epochs"]
+
+#: A batch loss maps the chosen sample indices to the objective to
+#: backpropagate, one float per history, and the batch's weight in the
+#: epoch mean.
+BatchLoss = Callable[[np.ndarray], tuple[Tensor, Sequence[float], int]]
 
 
 class EarlyStopping:
@@ -68,66 +89,6 @@ class EarlyStopping:
         self._epoch = int(state["epoch"])
 
 
-class GradientAccumulator:
-    """Accumulate per-sample gradients and step every ``accumulate`` samples.
-
-    Each sample's loss is scaled by ``1/accumulate`` before ``backward`` so
-    the applied update equals the gradient of the average loss over the
-    window, matching the paper's simulated batch training.
-    """
-
-    def __init__(self, optimizer: Optimizer, accumulate: int = 64,
-                 max_grad_norm: float | None = 5.0,
-                 max_nonfinite: int = 8) -> None:
-        if accumulate < 1:
-            raise ValueError("accumulate must be >= 1")
-        if max_nonfinite < 0:
-            raise ValueError("max_nonfinite must be >= 0")
-        self.optimizer = optimizer
-        self.accumulate = accumulate
-        self.max_grad_norm = max_grad_norm
-        #: How many NaN/Inf sample losses to tolerate (skipping each)
-        #: before declaring the run numerically unstable.
-        self.max_nonfinite = max_nonfinite
-        self.nonfinite_count = 0
-        self._pending = 0
-
-    def backward(self, loss: Tensor) -> None:
-        """Backpropagate one sample's loss and step when the window fills.
-
-        A NaN/Inf loss is *skipped* (its gradient would poison the whole
-        accumulated update) and counted; once more than
-        ``max_nonfinite`` samples have been dropped this raises
-        :class:`~repro.errors.NumericalInstabilityError` — silent
-        divergence is worse than a loud stop.
-        """
-        if not math.isfinite(float(loss.item())):
-            self.nonfinite_count += 1
-            if self.nonfinite_count > self.max_nonfinite:
-                raise NumericalInstabilityError(
-                    f"{self.nonfinite_count} non-finite sample losses "
-                    f"exceed the limit of {self.max_nonfinite}; training "
-                    "has diverged (lower the learning rate or clip "
-                    "harder)")
-            return
-        (loss * (1.0 / self.accumulate)).backward()
-        self._pending += 1
-        if self._pending >= self.accumulate:
-            self._apply()
-
-    def flush(self) -> None:
-        """Apply any leftover gradients (end of an epoch)."""
-        if self._pending:
-            self._apply()
-
-    def _apply(self) -> None:
-        if self.max_grad_norm is not None:
-            clip_grad_norm(self.optimizer.parameters, self.max_grad_norm)
-        self.optimizer.step()
-        self.optimizer.zero_grad()
-        self._pending = 0
-
-
 @dataclass
 class TrainingHistory:
     """Per-epoch loss record, used to regenerate the paper's Figs. 9-10."""
@@ -149,12 +110,6 @@ class TrainingHistory:
         return self.epoch_losses[-1]
 
     @property
-    def best_loss(self) -> float:
-        if not self.epoch_losses:
-            raise ValueError("no epochs recorded")
-        return min(self.epoch_losses)
-
-    @property
     def best_epoch(self) -> int:
         return int(min(range(len(self.epoch_losses)),
                        key=self.epoch_losses.__getitem__))
@@ -166,3 +121,114 @@ class TrainingHistory:
     def from_dict(cls, payload: dict[str, object]) -> "TrainingHistory":
         return cls(name=str(payload["name"]),
                    epoch_losses=[float(x) for x in payload["epoch_losses"]])
+
+
+def train_epochs(*, name: str, modules: dict[str, Module],
+                 optimizer: Optimizer, histories: list[TrainingHistory],
+                 batch_loss: BatchLoss, num_samples: int, epochs: int,
+                 batch_size: int, patience: int, seed: int,
+                 max_grad_norm: float | None,
+                 checkpoint: CheckpointManager | None, verbose: bool,
+                 epoch_order: Callable[[np.random.Generator], np.ndarray]
+                 | None = None) -> list[TrainingHistory]:
+    """Train ``modules`` for up to ``epochs`` epochs; return the histories.
+
+    Each epoch draws its sample order from a generator seeded with
+    ``seed`` (``rng.permutation(num_samples)``, or ``epoch_order(rng)``)
+    and steps once per ``batch_size`` slice of it.  History ``d`` records
+    the weighted mean of the batches' ``d``-th loss component, and early
+    stopping watches the sum of those means.
+
+    A non-finite objective raises
+    :class:`~repro.errors.NumericalInstabilityError` before ``backward``,
+    so NaN never reaches the weights.
+
+    With ``checkpoint``, the full training state (``modules``, optimizer
+    moments, RNG, early-stopping counters, histories) is saved after
+    every epoch and a saved state is restored first: a killed fit
+    resumes at the next epoch and ends bit-for-bit identical to an
+    uninterrupted run.  A completed fit clears the slot.
+    """
+    rng = np.random.default_rng(seed)
+    stopper = EarlyStopping(patience=patience)
+    start_epoch = 0
+    if checkpoint is not None:
+        state = checkpoint.load()
+        if state is not None:
+            start_epoch = checkpoint.restore(
+                state, modules=modules, optimizer=optimizer, rng=rng,
+                stopper=stopper)
+            if len(state.histories) == len(histories):
+                histories = state.histories
+    for module in modules.values():
+        module.train()
+    for epoch in range(start_epoch, epochs):
+        if stopper.should_stop:
+            break
+        epoch_start = time.perf_counter()
+        order = (rng.permutation(num_samples) if epoch_order is None
+                 else epoch_order(rng))
+        totals = np.zeros(len(histories))
+        weight = 0
+        steps = 0
+        for start in range(0, len(order), batch_size):
+            objective, components, batch_weight = batch_loss(
+                order[start:start + batch_size])
+            if not math.isfinite(objective.item()):
+                raise NumericalInstabilityError(
+                    f"non-finite {name} loss in epoch {epoch}; "
+                    "check the training features for NaN/Inf")
+            optimizer.zero_grad()
+            objective.backward()
+            if max_grad_norm is not None:
+                clip_grad_norm(optimizer.parameters, max_grad_norm)
+            optimizer.step()
+            for d, component in enumerate(components):
+                totals[d] += component
+            weight += batch_weight
+            steps += 1
+        for d, history in enumerate(histories):
+            history.record(totals[d] / weight)
+        _publish_epoch(name, epoch, histories, steps,
+                       time.perf_counter() - epoch_start)
+        if verbose:
+            rendered = ", ".join(
+                f"{h.name}={h.final_loss:.5f}" for h in histories)
+            print(f"[{name}] epoch {epoch}: {rendered}")
+        should_stop = stopper.update(float(totals.sum()) / weight)
+        if checkpoint is not None:
+            checkpoint.save(epoch=epoch, modules=modules,
+                            optimizer=optimizer, rng=rng, stopper=stopper,
+                            histories=list(histories))
+        if should_stop:
+            break
+    for module in modules.values():
+        module.eval()
+    if checkpoint is not None:
+        checkpoint.clear()
+    return histories
+
+
+def _publish_epoch(name: str, epoch: int, histories: list[TrainingHistory],
+                   steps: int, elapsed_s: float) -> None:
+    """Per-epoch training gauges when telemetry is active.
+
+    One label rule for every trainer: ``train_epoch`` and
+    ``train_epoch_loss`` carry ``{model, history}``,
+    ``train_steps_per_second`` carries ``{model}``.
+    """
+    ob = active_obs()
+    if ob is None:
+        return
+    for history in histories:
+        labels = {"model": name, "history": history.name}
+        ob.registry.gauge("train_epoch", help="Last completed epoch index.",
+                          labels=labels).set(epoch)
+        ob.registry.gauge("train_epoch_loss",
+                          help="Mean loss of the last completed epoch.",
+                          labels=labels).set(history.final_loss)
+    if elapsed_s > 0.0:
+        ob.registry.gauge(
+            "train_steps_per_second",
+            help="Optimizer steps per second over the last epoch.",
+            labels={"model": name}).set(steps / elapsed_s)

@@ -78,21 +78,6 @@ def _bucketed(batch: Sequence[ProcessedTrajectory]) -> bool:
     return len(batch) > 1
 
 
-def _process_sample(processor, sample: LabeledSample):
-    """Module-level worker task: sanitize and process one labelled raw
-    trajectory; ``None`` for a day ``sanitize_trajectory`` cannot salvage.
-
-    Training takes the same front door as :meth:`LEAD.detect`: a clean
-    day comes back from ``sanitize_trajectory`` as the same object, so
-    sanitizing changes nothing for it.
-    """
-    try:
-        trajectory, _ = sanitize_trajectory(sample.trajectory)
-    except InvalidTrajectoryError:
-        return None
-    return processor.process(trajectory, sample.label)
-
-
 def _featurize_candidates(featurizer, processed: ProcessedTrajectory):
     """Module-level worker task: featurize one trajectory's candidates."""
     return featurizer.featurize_all(processed.candidates)
@@ -272,8 +257,8 @@ class LEAD:
                           workers: int | None = None
                           ) -> list[tuple[ProcessedTrajectory,
                                           tuple[int, int]]]:
-        results = parallel_map(partial(_process_sample, self.processor),
-                               training, workers=workers)
+        results = parallel_map(self.processor.process_sample, training,
+                               workers=workers)
         out = []
         for processed in results:
             if processed is None or processed.label_pair is None:

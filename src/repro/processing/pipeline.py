@@ -5,11 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from ..errors import InvalidTrajectoryError
 from ..model import (CandidateTrajectory, LoadedLabel, MovePoint, StayPoint,
                      Trajectory)
 from .candidates import CandidateGenerator
 from .noise import NoiseFilter
 from .staypoints import StayPointExtractor, extract_move_points
+from .validation import sanitize_trajectory
 
 __all__ = ["ProcessedTrajectory", "RawTrajectoryProcessor"]
 
@@ -96,3 +98,20 @@ class RawTrajectoryProcessor:
             move_points=tuple(move_points),
             candidates=tuple(candidates),
             label_pair=label_pair)
+
+    def process_sample(self, sample) -> ProcessedTrajectory | None:
+        """Sanitize, then process, one labelled raw day.
+
+        ``sample`` is a :class:`~repro.data.LabeledSample`.  Training,
+        the baselines and the evaluation set take the same front door
+        as ``LEAD.detect``: :func:`sanitize_trajectory` drops unusable
+        fixes first, and a day it cannot salvage gives ``None``, like a
+        day with too few stay points.  A clean day comes back from
+        ``sanitize_trajectory`` as the same object, so sanitizing
+        changes nothing for it.
+        """
+        try:
+            trajectory, _ = sanitize_trajectory(sample.trajectory)
+        except InvalidTrajectoryError:
+            return None
+        return self.process(trajectory, sample.label)

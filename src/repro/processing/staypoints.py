@@ -103,11 +103,6 @@ class StayPointScanner:
         return len(self.ts)
 
     @property
-    def num_emitted(self) -> int:
-        """How many stay-point spans have been emitted so far."""
-        return self._emitted
-
-    @property
     def open_run(self) -> tuple[int, int] | None:
         """The undecided trailing run ``(anchor, last)``, if any."""
         if self._anchor >= len(self.ts):

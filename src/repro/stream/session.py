@@ -136,12 +136,6 @@ class TruckSession:
         return self._counters
 
     @property
-    def num_cleaned_points(self) -> int:
-        """Fixes kept so far (the cleaned trajectory length)."""
-        self._drain()
-        return len(self._scanner)
-
-    @property
     def num_closed_stay_points(self) -> int:
         self._drain()
         return len(self._spans)

@@ -107,10 +107,6 @@ class Quarantine:
         return entry
 
     # ------------------------------------------------------------------
-    def as_dicts(self) -> list[dict]:
-        """The whole ledger, JSON-safe and deterministic."""
-        return [entry.to_dict() for entry in self._entries]
-
     def summary(self) -> dict:
         """Compact stats() payload: totals by stage plus the keys."""
         by_stage: dict[str, int] = {}

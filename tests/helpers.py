@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.nn import Tensor
+from repro.nn import Adam, EarlyStopping, Module, Tensor
 
 
 def numeric_grad(fn: Callable[[np.ndarray], float], x: np.ndarray,
@@ -41,3 +41,11 @@ def check_gradient(op: Callable[[Tensor], Tensor], x: np.ndarray,
 
     numeric = numeric_grad(scalar, x.copy())
     np.testing.assert_allclose(analytic, numeric, atol=atol, rtol=rtol)
+
+
+def fresh_training_state(module: Module) -> dict[str, object]:
+    """The optimizer, RNG, stopper and histories a checkpoint save takes,
+    as a freshly started fit of ``module`` would hold them."""
+    return {"optimizer": Adam(module.parameters()),
+            "rng": np.random.default_rng(0), "stopper": EarlyStopping(),
+            "histories": []}

@@ -9,6 +9,7 @@ from repro.baselines import (SPNNDetector, SPNNTrainingConfig, SPRDetector,
                              StayPointClassifier, WhiteList, greedy_selection)
 from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
                         generate_dataset)
+from repro.errors import NumericalInstabilityError
 from repro.features import (CandidateFeaturizer, FeatureExtractor,
                             ZScoreNormalizer)
 from repro.model import LoadedLabel, TimeInterval
@@ -137,6 +138,26 @@ class TestSPNN:
         assert history.final_loss < history.epoch_losses[0]
         pair = detector.detect(processed[0][0])
         assert 1 <= pair[0] < pair[1] <= processed[0][0].num_stay_points
+
+    def test_nonfinite_loss_raises_before_the_step(self, world_and_processed,
+                                                   monkeypatch):
+        _, processed, featurizer = world_and_processed
+        clean = featurizer.stay_point_features
+
+        def poisoned(stay_point):
+            features = clean(stay_point).copy()
+            features[0, 0] = np.nan
+            return features
+
+        monkeypatch.setattr(featurizer, "stay_point_features", poisoned)
+        detector = SPNNDetector("gru", featurizer,
+                                SPNNTrainingConfig(epochs=2, seed=0))
+        before = {k: v.copy()
+                  for k, v in detector.classifier.state_dict().items()}
+        with pytest.raises(NumericalInstabilityError, match="non-finite"):
+            detector.fit([(p, p.label_pair) for p, _ in processed])
+        for key, value in detector.classifier.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
 
     def test_classify_stay_point_probability(self, world_and_processed):
         _, processed, featurizer = world_and_processed

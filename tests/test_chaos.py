@@ -31,6 +31,8 @@ from repro.io import atomic_write_bytes
 from repro.nn import CheckpointManager, Linear
 from repro.stream import FleetConfig, FleetSessionManager
 
+from .helpers import fresh_training_state
+
 
 # ---------------------------------------------------------------------------
 # Engine mechanics
@@ -158,8 +160,9 @@ class TestTornWriteFuzz:
         """
         rng = np.random.default_rng(0)
         module = Linear(2, 2, rng=rng)
-        manager = CheckpointManager(tmp_path, strict=True)
-        manager.save(epoch=1, modules={"m": module})
+        manager = CheckpointManager(tmp_path)
+        training = fresh_training_state(module)
+        manager.save(epoch=1, modules={"m": module}, **training)
         good_npz = manager.arrays_path.read_bytes()
         good_meta = manager.meta_path.read_bytes()
         good_state = manager.load()
@@ -172,7 +175,7 @@ class TestTornWriteFuzz:
                              param=cut, max_fires=1)
             with ChaosEngine(0, [spec]):
                 with pytest.raises(InjectedFault):
-                    manager.save(epoch=2, modules={"m": module})
+                    manager.save(epoch=2, modules={"m": module}, **training)
             try:
                 state = manager.load()
             except CheckpointCorruptedError:
@@ -193,8 +196,9 @@ class TestTornWriteFuzz:
     def test_torn_metadata_never_parses_as_checkpoint(self, tmp_path):
         """Same sweep over the JSON metadata file."""
         module = Linear(2, 1, rng=np.random.default_rng(1))
-        manager = CheckpointManager(tmp_path, strict=True)
-        manager.save(epoch=3, modules={"m": module})
+        manager = CheckpointManager(tmp_path)
+        training = fresh_training_state(module)
+        manager.save(epoch=3, modules={"m": module}, **training)
         meta_size = len(manager.meta_path.read_bytes())
         meta_name = manager.meta_path.name
         loaded = 0
@@ -203,7 +207,7 @@ class TestTornWriteFuzz:
                              param=cut, max_fires=1)
             with ChaosEngine(0, [spec]):
                 with pytest.raises(InjectedFault):
-                    manager.save(epoch=3, modules={"m": module})
+                    manager.save(epoch=3, modules={"m": module}, **training)
             try:
                 state = manager.load()
             except CheckpointCorruptedError:

@@ -80,6 +80,46 @@ class TestHarness:
         for r, (p, truth) in zip(records, test_set):
             assert r.hit == (truth == (1, p.num_stay_points))
 
+    def test_nonfinite_fix_is_sanitized_before_processing(self):
+        """The test set takes ``LEAD.detect``'s front door: a NaN fix is
+        dropped before noise filtering, exactly as if it never arrived,
+        instead of staying in the cleaned day and skewing its stays."""
+        from repro.data import DatasetConfig, LabeledSample, generate_dataset
+        from repro.model import Trajectory
+        day = generate_dataset(DatasetConfig(
+            num_trajectories=3, num_trucks=2, seed=1)).samples[0]
+        raw = day.trajectory
+
+        def variant(lats, keep):
+            return LabeledSample(Trajectory(
+                lats[keep], raw.lngs[keep], raw.ts[keep],
+                truck_id=raw.truck_id, day=raw.day), day.label)
+
+        middle = len(raw) // 2
+        lats = raw.lats.copy()
+        lats[middle] = np.nan
+        everything = np.ones(len(raw), dtype=bool)
+        without = everything.copy()
+        without[middle] = False
+        [(got, got_pair)] = prepare_test_set([variant(lats, everything)])
+        [(want, want_pair)] = prepare_test_set([variant(raw.lats, without)])
+        assert np.isfinite(got.cleaned.lats).all()
+        assert got_pair == want_pair
+        assert got.num_stay_points == want.num_stay_points
+        for a, b in zip(got.stay_points, want.stay_points, strict=True):
+            assert (a.start, a.end) == (b.start, b.end)
+            assert np.isfinite(a.centroid).all()
+            assert a.centroid == b.centroid
+
+    def test_clean_days_are_processed_as_given(self):
+        from repro.data import DatasetConfig, generate_dataset
+        dataset = generate_dataset(DatasetConfig(
+            num_trajectories=3, num_trucks=2, seed=9))
+        raws = {id(sample.trajectory) for sample in dataset}
+        test_set = prepare_test_set(dataset)
+        assert test_set
+        assert all(id(processed.raw) in raws for processed, _ in test_set)
+
     def test_evaluate_empty_raises(self):
         with pytest.raises(ValueError):
             evaluate_detector(lambda p: (1, 2), [])

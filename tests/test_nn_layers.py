@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import (Adam, EarlyStopping, GradientAccumulator, Linear,
-                      Module, Parameter, SGD, Sequential, Tensor, bce_loss,
+from repro.errors import NumericalInstabilityError
+from repro.nn import (Adam, EarlyStopping, Linear, Module, Parameter,
+                      Sequential, Tensor, TrainingHistory, bce_loss,
                       clip_grad_norm, kld_loss, load_module, mse_loss,
-                      save_module)
+                      save_module, train_epochs)
 
 RNG = np.random.default_rng(11)
 
@@ -170,21 +171,13 @@ class TestOptim:
             opt.step()
         return p.data, target
 
-    def test_sgd_converges_on_quadratic(self):
-        value, target = self._quadratic_descent(SGD, lr=0.05)
-        np.testing.assert_allclose(value, target, atol=1e-3)
-
-    def test_sgd_momentum_converges(self):
-        value, target = self._quadratic_descent(SGD, lr=0.02, momentum=0.9)
-        np.testing.assert_allclose(value, target, atol=1e-3)
-
     def test_adam_converges_on_quadratic(self):
         value, target = self._quadratic_descent(Adam, lr=0.05)
         np.testing.assert_allclose(value, target, atol=1e-2)
 
     def test_optimizer_requires_parameters(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_clip_grad_norm(self):
         p = Parameter(np.zeros(4))
@@ -215,24 +208,49 @@ class TestTrainingUtilities:
         assert not stopper.update(1.0)
         assert stopper.update(0.95)  # not enough improvement
 
-    def test_gradient_accumulator_steps_every_n(self):
-        p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=1.0)
-        acc = GradientAccumulator(opt, accumulate=4, max_grad_norm=None)
-        for _ in range(4):
-            loss = (p - Tensor(np.array([4.0]))) ** 2
-            acc.backward(loss.sum())
-        # One step of the averaged gradient: grad = 2*(0-4) = -8 -> p = 8
-        np.testing.assert_allclose(p.data, [8.0])
+    @staticmethod
+    def _fit(layer, batch_loss, epochs=3, batch_size=4, num_samples=10):
+        return train_epochs(
+            name="unit", modules={"layer": layer},
+            optimizer=Adam(layer.parameters(), lr=1e-2),
+            histories=[TrainingHistory("a"), TrainingHistory("b")],
+            batch_loss=batch_loss, num_samples=num_samples, epochs=epochs,
+            batch_size=batch_size, patience=5, seed=0, max_grad_norm=1.0,
+            checkpoint=None, verbose=False)
 
-    def test_gradient_accumulator_flush(self):
-        p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=1.0)
-        acc = GradientAccumulator(opt, accumulate=10, max_grad_norm=None)
-        acc.backward(((p - Tensor(np.array([10.0]))) ** 2).sum())
-        np.testing.assert_allclose(p.data, [0.0])  # not yet applied
-        acc.flush()
-        assert p.data[0] != 0.0
+    def test_train_epochs_batches_and_weighted_means(self):
+        layer = Linear(2, 1, np.random.default_rng(0))
+        seen = []
+
+        def batch_loss(chosen):
+            seen.append(sorted(int(c) for c in chosen))
+            loss = (layer(Tensor(np.ones((1, 2)))) ** 2).sum()
+            return loss, (1.0 * len(chosen), 2.0 * len(chosen)), len(chosen)
+
+        histories = self._fit(layer, batch_loss)
+        # 10 samples in batches of 4: three steps per epoch, each epoch
+        # a permutation of every sample.
+        assert len(seen) == 9
+        for epoch in range(3):
+            batches = seen[3 * epoch:3 * epoch + 3]
+            assert [len(b) for b in batches] == [4, 4, 2]
+            assert sorted(sum(batches, [])) == list(range(10))
+        # Components weighted by batch size average back to 1 and 2.
+        assert [h.epoch_losses for h in histories] == [[1.0] * 3, [2.0] * 3]
+        assert not layer.training
+
+    def test_train_epochs_nonfinite_loss_raises_before_the_step(self):
+        layer = Linear(2, 1, np.random.default_rng(0))
+        before = {k: v.copy() for k, v in layer.state_dict().items()}
+
+        def batch_loss(chosen):
+            loss = (layer(Tensor(np.full((1, 2), np.nan))) ** 2).sum()
+            return loss, (loss.item(), 0.0), 1
+
+        with pytest.raises(NumericalInstabilityError, match="non-finite"):
+            self._fit(layer, batch_loss)
+        for key, value in layer.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
 
 
 class TestSerialization:

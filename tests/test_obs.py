@@ -29,6 +29,7 @@ from repro.obs import (EventLog, MetricsRegistry, Observability,
                        read_jsonl, render_prometheus, render_span_tree,
                        render_table)
 from repro.obs.core import _NULL_SPAN
+from repro.nn import Module
 from repro.obs.trace import Tracer
 from repro.perf import SegmentFeatureCache, parallel_map
 from repro.pipeline import LEAD, LEADConfig
@@ -329,6 +330,91 @@ class TestNoOpBitIdentity:
         live.stats.record_hit()
         assert json.dumps(live.stats.as_dict()) == (
             '{"hits": 1, "misses": 0, "evictions": 0, "hit_rate": 1.0}')
+
+
+def _autoencoder_fit():
+    from repro.encoding import (AutoencoderTrainer, EncoderConfig,
+                                HierarchicalAutoencoder)
+    from repro.features import CandidateFeatures, SegmentKind
+    rng = np.random.default_rng(3)
+    samples = [CandidateFeatures(
+        pair=(1, 2),
+        segments=tuple(rng.normal(size=(int(rng.integers(2, 5)), 32))
+                       for _ in range(3)),
+        kinds=(SegmentKind.STAY, SegmentKind.MOVE, SegmentKind.STAY))
+        for _ in range(6)]
+    model = HierarchicalAutoencoder(EncoderConfig(seed=3))
+    AutoencoderTrainer(model, AutoencoderTrainingConfig(
+        epochs=2, batch_size=4, seed=0)).fit(samples)
+    return model, {"hierarchical-autoencoder"}
+
+
+def _joint_fit():
+    from repro.detection import GroupDetector, JointDetectorTrainer
+    from repro.encoding import EncoderConfig, HierarchicalAutoencoder
+
+    from .test_joint import make_specs
+    ae = HierarchicalAutoencoder(EncoderConfig(seed=4))
+    fwd = GroupDetector(64, 8, 1, np.random.default_rng(5))
+    bwd = GroupDetector(64, 8, 1, np.random.default_rng(6))
+    JointDetectorTrainer(ae, fwd, bwd, config=DetectorTrainingConfig(
+        epochs=2, batch_size=3, seed=0)).fit(
+        make_specs(np.random.default_rng(7), n_specs=4))
+    model = Module()
+    model.ae, model.fwd, model.bwd = ae, fwd, bwd
+    return model, {"forward-detector", "backward-detector"}
+
+
+def _sp_gru_fit():
+    from types import SimpleNamespace
+
+    from repro.baselines import SPNNDetector, SPNNTrainingConfig
+    rng = np.random.default_rng(8)
+    features = {}
+
+    def stay_point_features(stay_point):
+        return features.setdefault(
+            id(stay_point), rng.normal(size=(int(rng.integers(2, 5)), 32)))
+
+    days = [(SimpleNamespace(stay_points=[SimpleNamespace(ordinal=k)
+                                          for k in (1, 2, 3)]), (1, 3))
+            for _ in range(4)]
+    detector = SPNNDetector(
+        "gru", SimpleNamespace(stay_point_features=stay_point_features),
+        SPNNTrainingConfig(epochs=2, batch_size=4, seed=0))
+    detector.fit(days)
+    return detector.classifier, {"sp-gru"}
+
+
+_TRAINER_FITS = {"autoencoder": _autoencoder_fit, "joint": _joint_fit,
+                 "sp-gru": _sp_gru_fit}
+
+
+class TestTrainingTelemetry:
+    """Every trainer runs the shared loop, so every fit publishes the
+    same three gauges under one label rule (DESIGN §14)."""
+
+    @pytest.mark.parametrize("model", sorted(_TRAINER_FITS))
+    def test_fit_publishes_epoch_gauges(self, model):
+        ob = Observability(seed=0)
+        with observe(ob):
+            _, histories = _TRAINER_FITS[model]()
+        gauges = ob.registry.snapshot()["gauges"]
+        for history in histories:
+            labels = f'{{history="{history}",model="{model}"}}'
+            assert gauges["train_epoch" + labels] == 1
+            assert np.isfinite(gauges["train_epoch_loss" + labels])
+        assert gauges[f'train_steps_per_second{{model="{model}"}}'] > 0
+
+    @pytest.mark.parametrize("model", sorted(_TRAINER_FITS))
+    def test_telemetry_does_not_change_the_weights(self, model):
+        off, _ = _TRAINER_FITS[model]()
+        with observe(Observability(seed=0)):
+            on, _ = _TRAINER_FITS[model]()
+        off_state, on_state = off.state_dict(), on.state_dict()
+        assert off_state and off_state.keys() == on_state.keys()
+        for key, value in off_state.items():
+            assert np.array_equal(value, on_state[key])
 
 
 def _without_feature_cache(stats: dict) -> dict:

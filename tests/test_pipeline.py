@@ -12,7 +12,7 @@ from repro.encoding import AutoencoderTrainingConfig
 from repro.experiments import get_experiment_config
 from repro.model import Trajectory
 from repro.pipeline import (LEAD, LEADConfig, VARIANT_NAMES, variant_config)
-from repro.pipeline import lead as lead_module
+from repro.processing import RawTrajectoryProcessor
 
 
 def tiny_lead_config(**overrides) -> LEADConfig:
@@ -136,7 +136,8 @@ class TestFitDetect:
 
 
 def _process_unsanitized(processor, sample):
-    """``lead._process_sample`` without its ``sanitize_trajectory``."""
+    """``RawTrajectoryProcessor.process_sample`` without its
+    ``sanitize_trajectory``."""
     return processor.process(sample.trajectory, sample.label)
 
 
@@ -174,7 +175,7 @@ class TestFitSanitizes:
         world, config, dataset = tiny_scale
         sanitized = LEAD(world.pois, config.lead)
         sanitized.fit(dataset.samples)
-        monkeypatch.setattr(lead_module, "_process_sample",
+        monkeypatch.setattr(RawTrajectoryProcessor, "process_sample",
                             _process_unsanitized)
         unsanitized = LEAD(world.pois, config.lead)
         unsanitized.fit(dataset.samples)

@@ -31,7 +31,7 @@ from repro.detection import DetectorTrainingConfig
 from repro.encoding import AutoencoderTrainingConfig
 from repro.errors import ArtifactCorruptedError
 from repro.io import write_manifest
-from repro.nn import (Adam, Linear, SGD, Tensor, active_dtype,
+from repro.nn import (Adam, Linear, Tensor, active_dtype,
                       active_dtype_name, clear_weight_views, inference_dtype,
                       no_grad, weight_view, weight_view_stats)
 from repro.perf.cache import SegmentFeatureCache
@@ -137,18 +137,17 @@ class TestWeightViews:
         assert stats["hits"] >= 1 and stats["misses"] >= 1
 
     def test_optimizer_step_invalidates(self):
-        """In-place SGD/Adam updates must not serve stale casts."""
-        for optimizer_cls in (SGD, Adam):
-            layer = Linear(3, 2, np.random.default_rng(0))
-            stale = weight_view(layer.weight, np.dtype(np.float32))
-            optimizer = optimizer_cls(layer.parameters(), lr=0.5)
-            layer.weight.grad = np.ones_like(layer.weight.data)
-            layer.bias.grad = np.ones_like(layer.bias.data)
-            optimizer.step()
-            fresh = weight_view(layer.weight, np.dtype(np.float32))
-            assert fresh is not stale
-            np.testing.assert_array_equal(
-                fresh, layer.weight.data.astype(np.float32))
+        """In-place Adam updates must not serve stale casts."""
+        layer = Linear(3, 2, np.random.default_rng(0))
+        stale = weight_view(layer.weight, np.dtype(np.float32))
+        optimizer = Adam(layer.parameters(), lr=0.5)
+        layer.weight.grad = np.ones_like(layer.weight.data)
+        layer.bias.grad = np.ones_like(layer.bias.data)
+        optimizer.step()
+        fresh = weight_view(layer.weight, np.dtype(np.float32))
+        assert fresh is not stale
+        np.testing.assert_array_equal(
+            fresh, layer.weight.data.astype(np.float32))
 
     def test_load_state_dict_invalidates(self):
         source = Linear(3, 2, np.random.default_rng(1))

@@ -25,13 +25,13 @@ from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
 from repro.detection import DetectorTrainingConfig
 from repro.encoding import AutoencoderTrainingConfig
 from repro.errors import (ArtifactCorruptedError, CheckpointCorruptedError,
-                          NotFittedError, NumericalInstabilityError)
+                          NotFittedError)
 from repro.io import (atomic_write_json, load_checked_json, load_checked_npz,
                       verify_manifest, write_manifest)
 from repro.model import Trajectory
-from repro.nn import (Adam, CheckpointManager, EarlyStopping,
-                      GradientAccumulator, Linear, Tensor, TrainingHistory,
-                      load_module, module_path, mse_loss, save_module)
+from repro.nn import (Adam, CheckpointManager, EarlyStopping, Linear, Tensor,
+                      TrainingHistory, load_module, module_path, mse_loss,
+                      save_module)
 from repro.pipeline import LEAD, LEADConfig
 
 from .test_robustness import inject_nonfinite
@@ -175,38 +175,6 @@ class TestModuleSerialization:
 
 
 # ----------------------------------------------------------------------
-# Numerical-instability guard
-# ----------------------------------------------------------------------
-class TestNonFiniteGuard:
-    def _loss(self, module: Linear, target_value: float) -> Tensor:
-        x = np.ones((2, 4))
-        target = np.full((2, 3), target_value)
-        return mse_loss(module(Tensor(x)), target)
-
-    def test_nan_losses_are_skipped_then_fatal(self):
-        module = Linear(4, 3)
-        accumulator = GradientAccumulator(Adam(module.parameters()),
-                                          accumulate=4, max_nonfinite=2)
-        for _ in range(2):
-            accumulator.backward(self._loss(module, np.nan))
-        assert accumulator.nonfinite_count == 2
-        with pytest.raises(NumericalInstabilityError):
-            accumulator.backward(self._loss(module, np.nan))
-
-    def test_skipped_losses_do_not_poison_weights(self):
-        module = Linear(4, 3)
-        before = {k: v.copy() for k, v in module.state_dict().items()}
-        accumulator = GradientAccumulator(Adam(module.parameters()),
-                                          accumulate=1, max_nonfinite=8)
-        accumulator.backward(self._loss(module, np.nan))
-        for key, value in module.state_dict().items():
-            np.testing.assert_array_equal(value, before[key])
-        accumulator.backward(self._loss(module, 1.0))  # finite -> steps
-        assert any(not np.array_equal(v, before[k])
-                   for k, v in module.state_dict().items())
-
-
-# ----------------------------------------------------------------------
 # Checkpoint manager
 # ----------------------------------------------------------------------
 class TestCheckpointManager:
@@ -225,14 +193,13 @@ class TestCheckpointManager:
         manager = CheckpointManager(tmp_path, "unit")
         manager.save(epoch=1, modules={"linear": module},
                      optimizer=optimizer, rng=rng, stopper=stopper,
-                     histories=[history], extra={"note": "after epoch 1"})
+                     histories=[history])
         return manager, module, optimizer, rng, stopper
 
     def test_round_trip_restores_everything(self, tmp_path):
         manager, module, optimizer, rng, stopper = self._populated(tmp_path)
         state = manager.load()
         assert state.epoch == 1 and state.next_epoch == 2
-        assert state.extra == {"note": "after epoch 1"}
         assert state.histories[0].epoch_losses == [1.0, 2.0]
 
         clone = Linear(4, 3)
@@ -260,25 +227,32 @@ class TestCheckpointManager:
             manager.load()
         assert "checksum mismatch" in excinfo.value.reason
 
-    def test_lenient_mode_discards_and_warns(self, tmp_path):
-        manager, *_ = self._populated(tmp_path)
-        flip_byte(manager.arrays_path)
-        lenient = CheckpointManager(tmp_path, "unit", strict=False)
-        with pytest.warns(UserWarning, match="corrupted checkpoint"):
-            assert lenient.load() is None
-        assert not lenient.exists()  # slot cleared, retrain from scratch
-
     def test_truncated_metadata_is_corrupt(self, tmp_path):
         manager, *_ = self._populated(tmp_path)
         manager.meta_path.write_text("{\"epoch\":")
         with pytest.raises(CheckpointCorruptedError):
             manager.load()
 
+    @pytest.mark.parametrize("key", ["optimizer_scalars", "rng_state",
+                                     "stopper"])
+    def test_metadata_without_training_state_is_corrupt(self, tmp_path,
+                                                         key):
+        manager, *_ = self._populated(tmp_path)
+        meta = load_checked_json(manager.meta_path)
+        meta[key] = None
+        atomic_write_json(manager.meta_path, meta)
+        with pytest.raises(CheckpointCorruptedError, match="not a checkpoint"):
+            manager.load()
+
     def test_restore_into_wrong_module_is_corrupt(self, tmp_path):
         manager, *_ = self._populated(tmp_path)
         state = manager.load()
+        wrong = Linear(7, 3)
         with pytest.raises(CheckpointCorruptedError):
-            manager.restore(state, modules={"linear": Linear(7, 3)})
+            manager.restore(state, modules={"linear": wrong},
+                            optimizer=Adam(wrong.parameters()),
+                            rng=np.random.default_rng(0),
+                            stopper=EarlyStopping())
 
     def test_clear_removes_both_files(self, tmp_path):
         manager, *_ = self._populated(tmp_path)
