@@ -21,60 +21,12 @@ Quickstart::
 The stable public surface lives in :mod:`repro.api`; this package
 lazily forwards to it (PEP 562), so ``import repro`` stays cheap and
 ``from repro import LEAD`` only pays for the subsystems it touches.
-Legacy names outside the covenant keep resolving through the table
-below for backward compatibility.
+Everything else is imported from its owning subpackage.
 """
 
 from importlib import import_module
 
 __version__ = "1.0.0"
-
-#: Names outside the :mod:`repro.api` covenant that remain importable
-#: from ``repro`` for backward compatibility, keyed to their home
-#: submodule.  New code should import from ``repro`` (covenant names)
-#: or from the owning subpackage directly.
-_LEGACY = {
-    # model substrate
-    "GPSPoint": "model", "Trajectory": "model", "StayPoint": "model",
-    "MovePoint": "model", "CandidateTrajectory": "model",
-    "TimeInterval": "model", "LoadedLabel": "model",
-    # data
-    "SimulatorConfig": "data", "TruckDaySimulator": "data",
-    "make_fleet": "data",
-    # processing
-    "NoiseFilter": "processing", "StayPointExtractor": "processing",
-    "CandidateGenerator": "processing",
-    "RawTrajectoryProcessor": "processing",
-    "ProcessedTrajectory": "processing",
-    "sanitize_trajectory": "processing",
-    "trajectory_from_raw": "processing",
-    # features / encoding / detection
-    "FeatureConfig": "features", "FeatureExtractor": "features",
-    "CandidateFeaturizer": "features", "ZScoreNormalizer": "features",
-    "EncoderConfig": "encoding", "HierarchicalAutoencoder": "encoding",
-    "AutoencoderTrainer": "encoding",
-    "AutoencoderTrainingConfig": "encoding",
-    "GroupDetector": "detection", "IndependentDetector": "detection",
-    "DetectorTrainingConfig": "detection",
-    # baselines / eval / analysis
-    "SPRDetector": "baselines", "SPNNDetector": "baselines",
-    "DetectionRecord": "eval", "accuracy": "eval",
-    "accuracy_by_bucket": "eval", "evaluate_detector": "eval",
-    "prepare_test_set": "eval",
-    "Waybill": "analysis", "waybill_from_detection": "analysis",
-    "audit_detection": "analysis", "find_unregistered_sites": "analysis",
-    # errors
-    "ArtifactCorruptedError": "errors",
-    "CheckpointCorruptedError": "errors", "CircuitOpenError": "errors",
-    "DetectorUnavailableError": "errors",
-    "InvalidTrajectoryError": "errors", "NotFittedError": "errors",
-    "NumericalInstabilityError": "errors", "TaskFailedError": "errors",
-    # perf / supervise / chaos
-    "LRUCache": "perf", "SegmentFeatureCache": "perf",
-    "parallel_map": "perf", "spawn_rng": "perf",
-    "Quarantine": "supervise", "QuarantineEntry": "supervise",
-    "InjectedFault": "chaos",
-}
 
 #: Covenant names (resolved through :mod:`repro.api`).
 _API_NAMES = frozenset((
@@ -92,17 +44,14 @@ _API_NAMES = frozenset((
     "inference_dtype",
 ))
 
-__all__ = sorted(_API_NAMES | set(_LEGACY) | {"__version__"})
+__all__ = sorted(_API_NAMES | {"__version__"})
 
 
 def __getattr__(name: str):
-    if name in _API_NAMES:
-        value = getattr(import_module("repro.api"), name)
-    elif name in _LEGACY:
-        value = getattr(import_module(f"repro.{_LEGACY[name]}"), name)
-    else:
+    if name not in _API_NAMES:
         raise AttributeError(
             f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module("repro.api"), name)
     globals()[name] = value   # cache: next access skips __getattr__
     return value
 

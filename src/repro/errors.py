@@ -18,8 +18,7 @@ Hierarchy::
     ├── InvalidTrajectoryError        (also ValueError)
     ├── DetectorUnavailableError      (also ValueError)
     ├── NumericalInstabilityError     (also ArithmeticError)
-    ├── TaskFailedError               (a parallel_map task failed)
-    └── CircuitOpenError              (a circuit breaker rejected a call)
+    └── TaskFailedError               (a parallel_map task failed)
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "DetectorUnavailableError",
     "NumericalInstabilityError",
     "TaskFailedError",
-    "CircuitOpenError",
 ]
 
 
@@ -93,14 +91,3 @@ class TaskFailedError(ReproError):
     def __init__(self, index: int, message: str) -> None:
         self.index = int(index)
         super().__init__(f"task {self.index} failed: {message}")
-
-
-class CircuitOpenError(ReproError):
-    """A circuit breaker is open; the protected call was not attempted."""
-
-    def __init__(self, name: str, failures: int) -> None:
-        self.name = name
-        self.failures = failures
-        super().__init__(
-            f"circuit {name!r} is open after {failures} consecutive "
-            "failures; call rejected")

@@ -20,8 +20,8 @@ import shutil
 
 from ..baselines import SPNNDetector, SPNNTrainingConfig, SPRDetector
 from ..data import HCTDataset, SyntheticWorld, generate_dataset
-from ..errors import ArtifactCorruptedError, CircuitOpenError
-from ..supervise import CircuitBreaker, RetryPolicy
+from ..errors import ArtifactCorruptedError
+from ..supervise import RetryPolicy
 from ..eval import DetectionRecord, evaluate_detector, prepare_test_set
 from ..features import ZScoreNormalizer
 from ..nn import TrainingHistory, load_module, save_module
@@ -50,12 +50,6 @@ class Experiment:
         #: interrupted syscalls); corruption is NOT retried — a bad hash
         #: is deterministic, so it surfaces immediately.
         self.io_retry = RetryPolicy(max_attempts=3, backoff_base_s=0.05)
-        #: Trips after repeated *corrupt* cache loads: a cache directory
-        #: that keeps serving garbage stops being consulted, and runs go
-        #: straight to retraining (or a typed CircuitOpenError).
-        self.corruption_breaker = CircuitBreaker("artifact-cache",
-                                                 failure_threshold=3,
-                                                 cooldown=16)
         self.cache = self.config.cache_dir
         self.cache.mkdir(parents=True, exist_ok=True)
         self.world = SyntheticWorld(self.config.dataset.world)
@@ -116,27 +110,16 @@ class Experiment:
         model = LEAD(self.world.pois, cfg)
         directory = self.cache / "lead" / name
         if (directory / "state.json").exists():
-            if not self.corruption_breaker.allow():
-                # The cache keeps serving corrupt artifacts; stop
-                # consulting it until the breaker cools down.
+            try:
+                self.io_retry.call(model.load, directory)
+            except (ArtifactCorruptedError, FileNotFoundError):
                 if not retrain_if_corrupt:
-                    raise CircuitOpenError(
-                        self.corruption_breaker.name,
-                        self.corruption_breaker.consecutive_failures)
+                    raise
                 shutil.rmtree(directory, ignore_errors=True)
+                model = LEAD(self.world.pois, cfg)  # discard partial
             else:
-                try:
-                    self.io_retry.call(model.load, directory)
-                except (ArtifactCorruptedError, FileNotFoundError):
-                    self.corruption_breaker.record_failure()
-                    if not retrain_if_corrupt:
-                        raise
-                    shutil.rmtree(directory, ignore_errors=True)
-                    model = LEAD(self.world.pois, cfg)  # discard partial
-                else:
-                    self.corruption_breaker.record_success()
-                    self._leads[name] = model
-                    return model
+                self._leads[name] = model
+                return model
         checkpoint_dir = self.cache / "checkpoints" / name
         train, _, _ = self.splits
         if name == "LEAD-NoGro":
@@ -197,21 +180,26 @@ class Experiment:
         return detector
 
     def sp_nn(self, cell: str, verbose: bool = False) -> SPNNDetector:
-        """A trained SP-GRU or SP-LSTM baseline (cached weights)."""
+        """A trained SP-GRU or SP-LSTM baseline (cached weights).
+
+        Cached weights follow :meth:`lead_variant`'s rule: a damaged
+        file raises :class:`ArtifactCorruptedError` naming it, or — with
+        ``retrain_if_corrupt`` — is discarded and retrained.
+        """
         lead = self.lead_variant("LEAD")
         detector = SPNNDetector(
             cell, lead.featurizer,
             SPNNTrainingConfig(epochs=self.config.sp_nn_epochs,
                                seed=self.config.seed))
         path = self.cache / "baselines" / f"sp_{cell}.npz"
-        if path.exists() and self.corruption_breaker.allow():
+        if path.exists():
             try:
                 self.io_retry.call(load_module, detector.classifier, path)
             except ArtifactCorruptedError:
-                self.corruption_breaker.record_failure()
+                if not self.retrain_if_corrupt:
+                    raise
                 path.unlink(missing_ok=True)  # retrain below
             else:
-                self.corruption_breaker.record_success()
                 return detector
         history = detector.fit(self.baseline_training_pairs(),
                                verbose=verbose)

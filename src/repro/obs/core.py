@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+import time
 from pathlib import Path
 
 from .events import EventLog
@@ -35,7 +36,7 @@ from .metrics import MetricsRegistry
 from .trace import Tracer
 
 __all__ = ["Observability", "observe", "active_obs", "obs_span",
-           "obs_event"]
+           "obs_event", "obs_timed"]
 
 #: Telemetry file schema version (bumped on incompatible layout change).
 SCHEMA_VERSION = 1
@@ -144,3 +145,23 @@ def obs_event(name: str, /, **fields) -> dict | None:
     if ob is None:
         return None
     return ob.events.emit(name, **fields)
+
+
+def obs_timed(name: str, fn, histogram: str, help: str, /,
+              labels: dict[str, str] | None = None, **attrs):
+    """Run ``fn()`` inside a root span and time it into a histogram.
+
+    With telemetry active, ``fn`` runs under the span ``name`` (with
+    ``attrs``) and its wall time is observed into the latency histogram
+    ``histogram`` (``help``, ``labels``).  When telemetry is off this
+    is a plain ``fn()`` call.
+    """
+    ob = getattr(_ACTIVE, "current", None)
+    if ob is None:
+        return fn()
+    start = time.perf_counter()
+    with ob.tracer.span(name, **attrs):
+        result = fn()
+    ob.registry.histogram(histogram, help=help, labels=labels).observe(
+        time.perf_counter() - start)
+    return result

@@ -20,8 +20,8 @@ name                      emitted when
 ``detection.tier_failed``  a degradation tier raised and the walker
                            moved down the chain
 ``detection.degraded``     a verdict shipped from any tier below
-                           ``both`` (includes sp-r / heuristic
-                           fallbacks); carries the provenance notes
+                           ``both`` (includes the heuristic
+                           fallback); carries the provenance notes
 ``precision.fallback``     the float32 parity gate demoted inference
                            back to float64
 ``breaker.transition``     a circuit breaker changed state

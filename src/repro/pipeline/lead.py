@@ -16,7 +16,7 @@ Resilience (beyond the paper): the online stage validates and repairs
 hostile input, and degrades through a tier chain instead of crashing
 when a component is unavailable or numerically unstable::
 
-    both -> forward-only / backward-only -> SP-R white list -> heuristic
+    both -> forward-only -> backward-only -> heuristic
 
 Each :class:`DetectionResult` carries a :class:`DetectionProvenance`
 recording which tier answered and what repairs were applied, so a
@@ -28,7 +28,6 @@ per model directory), and ``fit`` checkpoints every epoch when given a
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -53,7 +52,7 @@ from ..io import (atomic_write_json, load_checked_json, verify_manifest,
 from ..model import Trajectory
 from ..nn import (VALID_DTYPES, CheckpointManager, Tensor, TrainingHistory,
                   inference_dtype, load_module, no_grad, save_module)
-from ..obs.core import active_obs, obs_event, obs_span
+from ..obs.core import active_obs, obs_event, obs_span, obs_timed
 from ..perf.parallel import parallel_map
 from ..processing import ProcessedTrajectory, sanitize_trajectory
 from .config import LEADConfig
@@ -89,13 +88,13 @@ class DetectionProvenance:
 
     tier: str                       # "both" | "independent" |
     #                                 "forward-only" | "backward-only" |
-    #                                 "sp-r" | "heuristic"
+    #                                 "heuristic"
     sanitized: bool = False         # input fixes were dropped/repaired
     notes: tuple[str, ...] = ()     # human-readable repair/failure trail
     #: Dtype the neural tiers computed in ("float64" | "float32").  The
-    #: non-neural tiers (sp-r, heuristic) always report float64.  A
-    #: float32 request demoted by the parity gate reports float64 here
-    #: plus a degradation-style note in ``notes``.
+    #: heuristic tier always reports float64.  A float32 request
+    #: demoted by the parity gate reports float64 here plus a
+    #: degradation-style note in ``notes``.
     compute_dtype: str = "float64"
 
     @property
@@ -162,12 +161,7 @@ class LEAD:
             self.forward_detector = None
             self.backward_detector = None
             self.independent_detector = IndependentDetector(cvec_dim, rng)
-        #: Optional rule-based fallback (an object with a
-        #: ``detect(processed) -> (i', j')`` method, e.g. SPRDetector)
-        #: consulted when every neural tier fails.
-        self.fallback_detector = None
         self._fitted = False
-        self._load_notes: tuple[str, ...] = ()
         # Precision tier state: the effective compute dtype stays
         # unresolved (None) under the float32 policy until the parity
         # gate has compared float32 against float64 verdicts on a
@@ -346,10 +340,9 @@ class LEAD:
         a failure pins inference to float64 and records a
         degradation-style note that every later result carries in its
         provenance.  The gate itself degrades rather than raises: if
-        batched inference cannot run at all (e.g. a detector is missing
-        after ``load(strict=False)``) or produces non-finite
-        distributions, the gate fails and pins float64, leaving the
-        normal tier walk to serve the request.  Under a ``"float64"``
+        batched inference cannot run at all (e.g. a detector is missing)
+        or produces non-finite distributions, the gate fails and pins
+        float64, leaving the normal tier walk to serve the request.  Under a ``"float64"``
         policy the gate only reports.
         """
         self._require_fitted()
@@ -564,78 +557,45 @@ class LEAD:
                     out.append(merge_distributions(fwd, bwd))
         return out
 
-    @staticmethod
-    def _checked(distribution: np.ndarray) -> np.ndarray:
-        if not np.isfinite(distribution).all():
-            raise NumericalInstabilityError(
-                "detector produced a non-finite probability distribution")
-        return distribution
-
-    def predict_distribution_batch(self,
-                                   processed_list:
-                                   list[ProcessedTrajectory], *,
-                                   direction: str = "both"
-                                   ) -> list[np.ndarray]:
-        """Merged probability distributions over candidates (Eq. 13).
-
-        Strict: raises :class:`DetectorUnavailableError` when
-        ``direction`` selects no live detector and
-        :class:`NumericalInstabilityError` when any distribution is not
-        finite.  Results line up with the input order.
-        """
-        self._require_fitted()
-        return [self._checked(d)
-                for d in self._predict_many(processed_list, direction)]
-
-    def detect_processed_batch(self,
-                               processed_list: list[ProcessedTrajectory], *,
-                               direction: str = "both"
-                               ) -> list[DetectionResult]:
-        """Strict single-tier detection over processed trajectories.
+    def detect_processed(self, processed: ProcessedTrajectory,
+                         direction: str = "both") -> DetectionResult:
+        """Strict single-tier detection of one processed trajectory.
 
         The evaluation harness uses this directly so ablation numbers
         are never silently polluted by fallback answers; the production
         entry points (:meth:`detect`, :meth:`detect_batch`,
         :meth:`detect_many`) wrap the same core with the degradation
-        chain.  Raises like :meth:`predict_distribution_batch`.
+        chain.  ``direction`` ("both" / "forward" / "backward") picks
+        the detectors as in :meth:`_predict_many`.  Raises
+        :class:`DetectorUnavailableError` when ``direction`` selects no
+        live detector and :class:`NumericalInstabilityError` when the
+        distribution is not finite.
         """
-        distributions = self.predict_distribution_batch(
-            processed_list, direction=direction)
+        self._require_fitted()
+        distribution = self._predict_many([processed], direction)[0]
+        if not np.isfinite(distribution).all():
+            raise NumericalInstabilityError(
+                "detector produced a non-finite probability distribution")
         tier = {"both": "both", "forward": "forward-only",
                 "backward": "backward-only"}.get(direction, direction)
         if self.independent_detector is not None:
             tier = "independent"
-        results = []
-        for processed, distribution in zip(processed_list, distributions):
-            pair = index_to_pair(processed.num_stay_points,
-                                 int(np.argmax(distribution)))
-            results.append(DetectionResult(pair, distribution, processed,
-                                           DetectionProvenance(tier=tier)))
-        return results
-
-    def detect_processed(self, processed: ProcessedTrajectory,
-                         direction: str = "both") -> DetectionResult:
-        """:meth:`detect_processed_batch` on one trajectory."""
-        return self.detect_processed_batch([processed],
-                                           direction=direction)[0]
+        pair = index_to_pair(processed.num_stay_points,
+                             int(np.argmax(distribution)))
+        return DetectionResult(pair, distribution, processed,
+                               DetectionProvenance(tier=tier))
 
     # ------------------------------------------------------------------
     # Telemetry plumbing (no-ops unless a bundle is active; see
     # repro.obs — outputs are bit-identical with telemetry on or off,
     # except that degraded provenance gains an event-correlating note)
     # ------------------------------------------------------------------
-    def _observed(self, name: str, fn, **attrs):
+    @staticmethod
+    def _observed(name: str, fn, **attrs):
         """Run ``fn`` inside a root span + latency histogram."""
-        ob = active_obs()
-        if ob is None:
-            return fn()
-        start = time.perf_counter()
-        with ob.tracer.span(name, **attrs):
-            result = fn()
-        ob.registry.histogram(
-            "lead_latency_seconds", help="wall time of LEAD entry points",
-            labels={"op": name}).observe(time.perf_counter() - start)
-        return result
+        return obs_timed(name, fn, "lead_latency_seconds",
+                         "wall time of LEAD entry points",
+                         labels={"op": name}, **attrs)
 
     def _degradation_note(self, tier: str, notes: list[str],
                           sanitized: bool,
@@ -821,32 +781,11 @@ class LEAD:
     def _fallback_result(self, processed: ProcessedTrajectory,
                          notes: list[str],
                          sanitized: bool) -> DetectionResult:
-        """Last-resort tiers: the SP-R white list, then a fixed heuristic."""
-        n = processed.num_stay_points
-        uniform = np.full(processed.num_candidates,
-                          1.0 / processed.num_candidates)
-        if self.fallback_detector is not None:
-            try:
-                pair = tuple(self.fallback_detector.detect(processed))
-                distribution = uniform.copy()
-                distribution[processed.candidate_index(pair)] = 1.0
-                extra = self._degradation_note("sp-r", notes, sanitized,
-                                               "float64")
-                if extra is not None:
-                    notes = notes + [extra]
-                self._count_verdict("sp-r")
-                return DetectionResult(
-                    pair, distribution, processed,
-                    DetectionProvenance(tier="sp-r", sanitized=sanitized,
-                                        notes=tuple(notes)))
-            except (ValueError, KeyError, ArithmeticError) as exc:
-                obs_event("detection.tier_failed", tier="sp-r",
-                          error=str(exc), trajectories=1)
-                notes = notes + [f"tier 'sp-r' failed: {exc}"]
-        # Terminal heuristic: the first->last candidate, the single most
-        # common loaded pattern in a one-day haul (depot out, depot back).
-        pair = (1, n)
-        distribution = uniform.copy()
+        """Terminal tier: the first->last candidate, the single most
+        common loaded pattern in a one-day haul (depot out, depot back)."""
+        pair = (1, processed.num_stay_points)
+        distribution = np.full(processed.num_candidates,
+                               1.0 / processed.num_candidates)
         distribution[processed.candidate_index(pair)] = 1.0
         extra = self._degradation_note("heuristic", notes, sanitized,
                                        "float64")
@@ -898,59 +837,30 @@ class LEAD:
             modules["independent"] = self.independent_detector
         return modules
 
-    def load(self, directory: str | Path, *, strict: bool = True,
+    def load(self, directory: str | Path, *,
              calibration: Sequence[ProcessedTrajectory] | None = None,
              ) -> "LEAD":
         """Load weights saved by :meth:`save` (config must match).
 
-        ``strict=True`` (default) verifies the manifest and raises
-        :class:`ArtifactCorruptedError` / ``FileNotFoundError`` on any
-        damage.  ``strict=False`` degrades instead: a missing or
-        corrupted *detector* file disables that detector (online
-        detection falls down the tier chain and says so in its
-        provenance), while the autoencoder and normalizer remain
-        mandatory because nothing can run without them.
-
-        A manifest recording an unknown ``dtype_policy`` is rejected in
-        both modes — it means the artifact was produced by a newer (or
+        Verifies the manifest and raises :class:`ArtifactCorruptedError`
+        / ``FileNotFoundError`` on any missing or damaged file.  A
+        manifest recording an unknown ``dtype_policy`` is rejected the
+        same way — it means the artifact was produced by a newer (or
         tampered-with) precision scheme this build cannot honor.  When
         ``calibration`` trajectories are supplied and the configured
         policy is not ``"float64"``, the float32/float64 parity gate
         runs here instead of lazily at the first detect call.
         """
         directory = Path(directory)
-        notes: list[str] = []
-        manifest = None
-        if strict:
-            manifest = verify_manifest(directory)
-        else:
-            try:
-                manifest = verify_manifest(directory)
-            except ArtifactCorruptedError as exc:
-                notes.append(f"manifest verification failed: {exc.reason}")
-        if manifest is not None:
-            policy = manifest.meta.get("dtype_policy", "float64")
-            if policy not in VALID_DTYPES:
-                raise ArtifactCorruptedError(
-                    directory / "manifest.json",
-                    f"unknown recorded dtype policy {policy!r}")
-        load_module(self.autoencoder, directory / "autoencoder.npz")
-        for name in ("forward", "backward", "independent"):
-            detector = getattr(self, f"{name}_detector")
-            if detector is None:
-                continue
-            try:
-                load_module(detector, directory / f"{name}.npz")
-            except (FileNotFoundError, ArtifactCorruptedError) as exc:
-                if strict:
-                    raise
-                setattr(self, f"{name}_detector", None)
-                notes.append(f"{name} detector unavailable: {exc}")
-        if (self.forward_detector is None and self.backward_detector is None
-                and self.independent_detector is None
-                and self.fallback_detector is None):
-            notes.append("no detector loaded; online detection will use "
-                         "the terminal heuristic tier")
+        manifest = verify_manifest(directory)
+        policy = ("float64" if manifest is None
+                  else manifest.meta.get("dtype_policy", "float64"))
+        if policy not in VALID_DTYPES:
+            raise ArtifactCorruptedError(
+                directory / "manifest.json",
+                f"unknown recorded dtype policy {policy!r}")
+        for name, module in self._detector_modules().items():
+            load_module(module, directory / f"{name}.npz")
         payload = load_checked_json(directory / "state.json")
         try:
             self.featurizer.normalizer = ZScoreNormalizer.from_dict(
@@ -959,7 +869,6 @@ class LEAD:
             raise ArtifactCorruptedError(
                 directory / "state.json",
                 f"invalid normalizer state: {exc}") from exc
-        self._load_notes = tuple(notes)
         self._fitted = True
         self._reset_precision_state()
         if calibration and self.config.inference_dtype != "float64":

@@ -36,7 +36,6 @@ errors (``config`` misuse) still raise.
 
 from __future__ import annotations
 
-import time
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -47,7 +46,7 @@ from ..chaos.core import InjectedFault, chaos_point
 from ..configbase import ConfigMixin
 from ..errors import ArtifactCorruptedError
 from ..io import atomic_write_bytes, atomic_write_json, load_checked_json
-from ..obs.core import active_obs, obs_event
+from ..obs.core import obs_event, obs_timed
 from ..processing import RawTrajectoryProcessor
 from ..supervise import (CircuitBreaker, Quarantine, RetryCounters,
                          RetryPolicy)
@@ -323,17 +322,9 @@ class FleetSessionManager:
         escape: a failing session is quarantined (its verdict reports
         ``confidence="none"``), the rest of the fleet proceeds.
         """
-        ob = active_obs()
-        if ob is None:
-            return self._tick_impl()
-        start = time.perf_counter()
-        with ob.tracer.span("fleet.tick", resident=len(self._sessions)):
-            verdicts = self._tick_impl()
-        ob.registry.histogram(
-            "fleet_tick_seconds",
-            help="wall time of fleet detection ticks").observe(
-                time.perf_counter() - start)
-        return verdicts
+        return obs_timed("fleet.tick", self._tick_impl, "fleet_tick_seconds",
+                         "wall time of fleet detection ticks",
+                         resident=len(self._sessions))
 
     def _tick_impl(self) -> list[ProvisionalVerdict]:
         self._tick_index += 1
@@ -558,17 +549,10 @@ class FleetSessionManager:
 
     def _flush_keys(self, keys: list[SessionKey]
                     ) -> list[ProvisionalVerdict]:
-        ob = active_obs()
-        if ob is None:
-            return self._flush_keys_impl(keys)
-        start = time.perf_counter()
-        with ob.tracer.span("fleet.flush", sessions=len(keys)):
-            verdicts = self._flush_keys_impl(keys)
-        ob.registry.histogram(
-            "fleet_flush_seconds",
-            help="wall time of fleet flush chunks").observe(
-                time.perf_counter() - start)
-        return verdicts
+        return obs_timed("fleet.flush", lambda: self._flush_keys_impl(keys),
+                         "fleet_flush_seconds",
+                         "wall time of fleet flush chunks",
+                         sessions=len(keys))
 
     def _flush_keys_impl(self, keys: list[SessionKey]
                          ) -> list[ProvisionalVerdict]:

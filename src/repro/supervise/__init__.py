@@ -5,21 +5,22 @@ degradation tiers); PR 4 scaled detection to a fleet of concurrent
 sessions.  This package supplies the *supervision* glue between them —
 the policies that decide what happens when a component fails anyway:
 
-* :class:`~repro.supervise.retry.RetryPolicy` — bounded retries with
-  deterministic seeded exponential backoff and per-attempt timeouts,
+* :class:`~repro.supervise.retry.RetryPolicy` — bounded retries of
+  transient ``OSError`` with deterministic seeded exponential backoff,
   re-raising the original exception when the budget is spent;
 * :class:`~repro.supervise.breaker.CircuitBreaker` — closed/open/half-
-  open around detectors and checkpoint IO, so a persistently failing
-  dependency degrades once instead of failing per call;
+  open around the fleet's detector and spill IO and the serve shards'
+  restarts, so a persistently failing dependency degrades once instead
+  of failing per call;
 * :class:`~repro.supervise.quarantine.Quarantine` — a deterministic
   dead-letter store capturing poison inputs with the triggering
   exception and replay metadata (atomic JSON via :mod:`repro.io`).
 
 The consumers are :class:`repro.stream.FleetSessionManager` (per-session
 fault isolation), :func:`repro.perf.parallel.parallel_map` (crashed /
-hung worker recovery), and :class:`repro.nn.checkpoint.CheckpointManager`
-(transient-IO retry, corruption breaker).  :mod:`repro.chaos` proves all
-of it under deterministic fault injection.
+hung worker recovery), and :class:`repro.experiments.Experiment`
+(transient-IO retry of cached-artifact reads).  :mod:`repro.chaos`
+proves all of it under deterministic fault injection.
 """
 
 from .breaker import CircuitBreaker

@@ -17,14 +17,11 @@ want real time can inject a ``clock`` callable.
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+from typing import Callable
 
-from ..errors import CircuitOpenError
 from ..obs.core import obs_event
 
 __all__ = ["CircuitBreaker"]
-
-R = TypeVar("R")
 
 
 class CircuitBreaker:
@@ -102,24 +99,6 @@ class CircuitBreaker:
                   from_state=self.state, to_state=new_state,
                   consecutive_failures=self.consecutive_failures)
         self.state = new_state
-
-    # ------------------------------------------------------------------
-    def call(self, fn: Callable[..., R], *args, **kwargs) -> R:
-        """Run ``fn`` through the breaker.
-
-        Raises :class:`~repro.errors.CircuitOpenError` without calling
-        ``fn`` when the breaker rejects; records success/failure
-        otherwise (every exception counts as a failure and re-raises).
-        """
-        if not self.allow():
-            raise CircuitOpenError(self.name, self.consecutive_failures)
-        try:
-            result = fn(*args, **kwargs)
-        except BaseException:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, object]:

@@ -1,12 +1,12 @@
 """Bounded retries with deterministic, seeded exponential backoff.
 
 A :class:`RetryPolicy` is a frozen value object describing *how* to
-retry — how many attempts, which exceptions are considered transient,
-how long to back off between attempts, and (optionally) how long a
-single attempt may run.  The backoff schedule is exponential with
-multiplicative jitter drawn from a :class:`numpy.random.SeedSequence`,
-so two processes running the same policy with the same ``seed`` and
-``key`` sleep for bit-identical durations — chaos soaks replay exactly.
+retry an operation that can fail with a transient ``OSError`` — how
+many attempts and how long to back off between them.  The backoff
+schedule is exponential with multiplicative jitter drawn from a
+:class:`numpy.random.SeedSequence`, so two processes running the same
+policy with the same ``key`` sleep for bit-identical durations — chaos
+soaks replay exactly.
 
 The policy deliberately re-raises the *original* exception once the
 attempt budget is spent: call sites keep their existing ``except
@@ -16,7 +16,6 @@ layer stays invisible to the type system of failures.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
@@ -33,6 +32,13 @@ R = TypeVar("R")
 #: Stable spawn-key namespace so per-call-site streams never collide
 #: with the task streams of :func:`repro.perf.parallel.spawn_rng`.
 _JITTER_NAMESPACE = 0x52455452  # "RETR"
+#: Exception types :meth:`RetryPolicy.call` treats as transient.
+RETRY_ON: tuple[type[BaseException], ...] = (OSError,)
+#: Growth of the backoff between consecutive attempts, and its cap.
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_S = 1.0
+#: Root seed of the jitter streams (``key`` separates call sites).
+JITTER_SEED = 0
 
 
 @dataclass
@@ -41,15 +47,10 @@ class RetryCounters:
 
     calls: int = 0          # top-level call() invocations
     retries: int = 0        # extra attempts beyond the first
-    timeouts: int = 0       # attempts abandoned by the attempt timeout
     exhausted: int = 0      # calls that failed every attempt
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
-
-
-class _AttemptTimeout(Exception):
-    """Internal marker: an attempt exceeded ``timeout_s``."""
 
 
 @dataclass(frozen=True)
@@ -57,25 +58,21 @@ class RetryPolicy(ConfigMixin):
     """How to retry one logical operation.
 
     ``max_attempts`` bounds total tries (1 = no retry).  Backoff before
-    attempt ``k`` (k >= 2) is ``backoff_base_s * backoff_factor**(k-2)``
-    capped at ``max_backoff_s``, scaled by a jitter factor drawn
+    attempt ``k`` (k >= 2) is ``backoff_base_s * BACKOFF_FACTOR**(k-2)``
+    capped at ``MAX_BACKOFF_S``, scaled by a jitter factor drawn
     uniformly from ``[1 - jitter, 1 + jitter]`` out of a seeded stream
-    keyed by ``(seed, key)`` — deterministic, schedule-independent.
-    ``timeout_s`` bounds a single attempt's wall clock; the attempt's
-    result is abandoned (and counted as a timeout) when it runs over.
+    keyed by ``key`` — deterministic, schedule-independent.
+    ``timeout_s`` bounds one task attempt of a supervised
+    :func:`repro.perf.parallel.parallel_map`, which enforces it on the
+    pool futures; :meth:`call` does not read it.
     """
 
     max_attempts: int = 3
     backoff_base_s: float = 0.01
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 1.0
     jitter: float = 0.1
-    seed: int = 0
     timeout_s: float | None = None
-    # Exception types and live tallies have no JSON form; both stay off
-    # the config dict surface (see repro.configbase).
-    retry_on: tuple[type[BaseException], ...] = field(
-        default=(OSError,), metadata={"config_exclude": True})
+    # A live tally has no JSON form; it stays off the config dict
+    # surface (see repro.configbase).
     counters: RetryCounters = field(default_factory=RetryCounters,
                                     compare=False,
                                     metadata={"config_exclude": True})
@@ -96,11 +93,11 @@ class RetryPolicy(ConfigMixin):
         list is empty when the policy never retries.
         """
         rng = np.random.default_rng(np.random.SeedSequence(
-            self.seed, spawn_key=(_JITTER_NAMESPACE, int(key))))
+            JITTER_SEED, spawn_key=(_JITTER_NAMESPACE, int(key))))
         out: list[float] = []
         for attempt in range(self.max_attempts - 1):
-            base = min(self.backoff_base_s * self.backoff_factor ** attempt,
-                       self.max_backoff_s)
+            base = min(self.backoff_base_s * BACKOFF_FACTOR ** attempt,
+                       MAX_BACKOFF_S)
             factor = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
             out.append(base * factor)
         return out
@@ -108,27 +105,21 @@ class RetryPolicy(ConfigMixin):
     # ------------------------------------------------------------------
     def call(self, fn: Callable[..., R], *args, key: int = 0,
              sleep: Callable[[float], None] = time.sleep,
-             retry_on: tuple[type[BaseException], ...] | None = None,
              **kwargs) -> R:
         """Run ``fn(*args, **kwargs)`` under this policy.
 
-        Retries only the exception types in ``retry_on`` (defaulting to
-        the policy's); anything else propagates immediately.  When every
-        attempt fails, the *last* exception is re-raised unchanged, so
-        existing handlers keep working.  ``key`` selects the jitter
-        stream (use a stable per-call-site integer); ``sleep`` is
-        injectable for tests.
+        Retries only the exception types in ``RETRY_ON``; anything else
+        propagates immediately.  When every attempt fails, the *last*
+        exception is re-raised unchanged, so existing handlers keep
+        working.  ``key`` selects the jitter stream (use a stable
+        per-call-site integer); ``sleep`` is injectable for tests.
         """
-        transient = self.retry_on if retry_on is None else retry_on
         delays = self.delays(key)
         self.counters.calls += 1
         for attempt in range(self.max_attempts):
             try:
-                return self._attempt(fn, args, kwargs)
-            except _AttemptTimeout as exc:
-                self.counters.timeouts += 1
-                failure: BaseException = TimeoutError(str(exc))
-            except transient as exc:
+                return fn(*args, **kwargs)
+            except RETRY_ON as exc:
                 failure = exc
             if attempt + 1 >= self.max_attempts:
                 self.counters.exhausted += 1
@@ -140,44 +131,3 @@ class RetryPolicy(ConfigMixin):
                       error=str(failure))
             sleep(delays[attempt])
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def _attempt(self, fn: Callable[..., R], args, kwargs) -> R:
-        """One attempt, bounded by ``timeout_s`` when set.
-
-        The timeout runs ``fn`` on a daemon thread and abandons it when
-        the clock runs out — suitable for the pure, side-effect-bounded
-        operations this repository retries (IO syscalls, detector
-        forwards).  A truly stuck attempt leaks its thread; process
-        workers get real cancellation in :func:`repro.perf.parallel.
-        parallel_map` instead.
-        """
-        if self.timeout_s is None:
-            return fn(*args, **kwargs)
-        box: list = []
-
-        def runner() -> None:
-            try:
-                box.append(("ok", fn(*args, **kwargs)))
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                box.append(("err", exc))
-
-        thread = threading.Thread(target=runner, daemon=True)
-        thread.start()
-        thread.join(self.timeout_s)
-        if not box:
-            raise _AttemptTimeout(
-                f"attempt exceeded {self.timeout_s:g}s")
-        status, value = box[0]
-        if status == "err":
-            raise value
-        return value
-
-    # ------------------------------------------------------------------
-    def wrap(self, fn: Callable[..., R], key: int = 0,
-             **call_kwargs) -> Callable[..., R]:
-        """Decorator form: ``policy.wrap(fn)`` retries every call."""
-        def wrapped(*args, **kwargs):
-            return self.call(fn, *args, key=key, **call_kwargs, **kwargs)
-        wrapped.__name__ = getattr(fn, "__name__", "wrapped")
-        wrapped.__doc__ = fn.__doc__
-        return wrapped

@@ -126,6 +126,23 @@ class TestCorruptionPolicy:
         # The cache is valid again: a fresh strict Experiment just loads.
         Experiment(get_experiment_config("tiny")).lead_variant("LEAD")
 
+    def test_corrupt_sp_gru_weights_raise_then_retrain(self,
+                                                      tiny_experiment):
+        """SP-GRU's cached weights follow LEAD's rule, not a silent
+        rewrite."""
+        tiny_experiment.sp_nn("gru")  # ensure trained + cached
+        path = tiny_experiment.cache / "baselines" / "sp_gru.npz"
+        self._flip_byte(path)
+        strict = Experiment(get_experiment_config("tiny"))
+        with pytest.raises(ArtifactCorruptedError) as excinfo:
+            strict.sp_nn("gru")
+        assert excinfo.value.path.name == "sp_gru.npz"
+        healing = Experiment(get_experiment_config("tiny"),
+                             retrain_if_corrupt=True)
+        healing.sp_nn("gru")
+        # The cache is valid again: a fresh strict Experiment just loads.
+        Experiment(get_experiment_config("tiny")).sp_nn("gru")
+
     def test_corrupt_records_are_regenerated(self, tiny_experiment):
         first = tiny_experiment.method_records("SP-R")
         path = tiny_experiment.cache / "records" / "SP-R.json"

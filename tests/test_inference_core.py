@@ -5,8 +5,8 @@
   batches match it at ``rtol=1e-9``.
 * ``detect(t)`` and ``detect_batch([t])[0]`` agree exactly — pair,
   provenance (tier, notes, ``compute_dtype``) and distribution — for a
-  healthy model, a detector dropped by ``load(strict=False)``, a forced
-  non-finite tier and a failed float32 parity gate.
+  healthy model, a detector dropped after load, a forced non-finite
+  tier and a failed float32 parity gate.
 * Detector bucketing is decided from the batch size alone.
 * Phase 2 runs once per (trajectory, start stay point) and matches the
   per-candidate encoder oracle, in float64 and in the float32 tier.
@@ -36,7 +36,6 @@ from repro.nn import fused, inference_dtype
 from repro.pipeline import LEAD, LEADConfig
 
 from .oracles import group_distribution, per_candidate_cvecs
-from .test_resilience import flip_byte
 from .test_robustness import inject_nonfinite
 
 
@@ -103,16 +102,16 @@ class TestGroupOracle:
     @pytest.mark.parametrize("direction", ["both", "forward", "backward"])
     def test_batch_of_one_is_bitwise(self, fitted, processed, direction):
         for item in processed:
-            got = fitted.predict_distribution_batch(
-                [item], direction=direction)[0]
+            got = fitted.detect_processed(item, direction).distribution
             assert np.array_equal(
                 got, group_distribution(fitted, item, direction))
 
     def test_whole_batch_matches(self, fitted, processed):
-        batched = fitted.predict_distribution_batch(processed)
+        batched = fitted.detect_many(processed)
         for item, got in zip(processed, batched):
             np.testing.assert_allclose(
-                got, group_distribution(fitted, item), rtol=1e-9, atol=0.0)
+                got.distribution, group_distribution(fitted, item),
+                rtol=1e-9, atol=0.0)
 
     def test_independent_detector_batch_of_one_is_bitwise(
             self, fitted, processed, world_and_data):
@@ -120,7 +119,7 @@ class TestGroupOracle:
         nogro = _sharing(fitted, world, use_grouping=False)
         for item in processed:
             assert np.array_equal(
-                nogro.predict_distribution_batch([item])[0],
+                nogro.detect_processed(item).distribution,
                 group_distribution(nogro, item))
 
     def test_nohie_batch_of_one_is_bitwise(self, fitted, processed,
@@ -131,12 +130,12 @@ class TestGroupOracle:
             dataclasses.replace(flat.config.encoder, hierarchical=False))
         for item in processed[:4]:
             assert np.array_equal(
-                flat.predict_distribution_batch([item])[0],
+                flat.detect_processed(item).distribution,
                 group_distribution(flat, item))
 
 
     def test_core_leaves_memoized_maps_intact(self, fitted, processed):
-        fitted.predict_distribution_batch(processed)
+        fitted.detect_many(processed)
         for n in {p.num_stay_points for p in processed}:
             for memo, build in ((forward_index_maps, _forward_index_maps),
                                 (backward_index_maps, _backward_index_maps)):
@@ -156,14 +155,11 @@ class TestDetectIsBatchOfOne:
             _assert_same_answer(fitted.detect(trajectory),
                                 fitted.detect_batch([trajectory])[0])
 
-    def test_lenient_load_dropped_detector(self, fitted, world_and_data,
-                                           tmp_path):
+    def test_dropped_detector(self, fitted, world_and_data, tmp_path):
         world, dataset = world_and_data
         fitted.save(tmp_path / "model")
-        flip_byte(tmp_path / "model" / "forward.npz")
-        lead = LEAD(world.pois, tiny_config()).load(tmp_path / "model",
-                                                    strict=False)
-        assert lead.forward_detector is None
+        lead = LEAD(world.pois, tiny_config()).load(tmp_path / "model")
+        lead.forward_detector = None
         for sample in dataset.samples[8:]:
             single = lead.detect(sample.trajectory)
             _assert_same_answer(single,
@@ -219,10 +215,10 @@ class TestBucketingRule:
             return score(self, *args, bucket=bucket, **kwargs)
 
         monkeypatch.setattr(GroupDetector, "score_indexed", spy_score)
-        fitted.predict_distribution_batch(processed[:1])
+        fitted.detect_many(processed[:1])
         assert seen == [False, False]
         seen.clear()
-        fitted.predict_distribution_batch(processed[:3])
+        fitted.detect_many(processed[:3])
         assert seen == [True, True]
 
 

@@ -206,7 +206,7 @@ class TestAmbientContext:
         ob = Observability(seed=1)
         with observe(ob):
             assert active_obs() is ob
-            event = obs_event("detection.degraded", tier="sp-r")
+            event = obs_event("detection.degraded", tier="heuristic")
             assert event is not None and event["name"] == \
                 "detection.degraded"
             with obs_span("stage", items=2):

@@ -3,7 +3,7 @@
 Three contracts are nailed down here:
 
 1. **Batched == per-trajectory.**  ``detect_batch`` /
-   ``predict_distribution_batch`` / ``encode_candidates_batch`` over a
+   ``detect_many`` / ``encode_candidates_batch`` over a
    whole batch return the same answers as per-trajectory computation
    (the oracles in ``tests/oracles.py`` and batch-of-one ``detect``
    calls; ``allclose`` at ``rtol=1e-9``), including degradation-tier
@@ -80,13 +80,14 @@ class TestBatchedEquivalence:
             assert merged.shape == single.shape
             assert np.allclose(single, merged, rtol=1e-9, atol=0.0)
 
-    def test_predict_distribution_batch_matches_loop(self, fitted):
+    def test_detect_many_matches_loop(self, fitted):
         lead, dataset = fitted
         processed = self._processed(lead, dataset)
         loop = [group_distribution(lead, p) for p in processed]
-        batched = lead.predict_distribution_batch(processed)
+        batched = lead.detect_many(processed)
         for single, merged in zip(loop, batched):
-            assert np.allclose(single, merged, rtol=1e-9, atol=0.0)
+            assert np.allclose(single, merged.distribution, rtol=1e-9,
+                               atol=0.0)
 
     def test_detect_batch_matches_detect(self, fitted):
         lead, dataset = fitted
@@ -147,7 +148,7 @@ class TestBatchedEquivalence:
     def test_empty_batch(self, fitted):
         lead, _ = fitted
         assert lead.detect_batch([]) == []
-        assert lead.predict_distribution_batch([]) == []
+        assert lead.detect_many([]) == []
 
     def test_score_indexed_bucketed_matches_padded(self):
         """Length-bucketed BiLSTM scoring == one globally padded pass."""

@@ -106,9 +106,8 @@ class TestFitDetect:
         lead, _ = fitted_lead
         _, dataset = tiny_world_and_data
         processed = lead.processor.process(dataset[9].trajectory)
-        both, fwd, bwd = (
-            lead.predict_distribution_batch([processed], direction=d)[0]
-            for d in ("both", "forward", "backward"))
+        both, fwd, bwd = (lead.detect_processed(processed, d).distribution
+                          for d in ("both", "forward", "backward"))
         assert both.shape == fwd.shape == bwd.shape
         # Forward-only and backward-only generally differ.
         assert not np.allclose(fwd, bwd)
@@ -119,8 +118,7 @@ class TestFitDetect:
         _, dataset = tiny_world_and_data
         processed = lead.processor.process(dataset[9].trajectory)
         with pytest.raises(ValueError):
-            lead.predict_distribution_batch([processed],
-                                            direction="sideways")
+            lead.detect_processed(processed, "sideways")
 
     def test_unfitted_detect_raises(self, tiny_world_and_data):
         world, dataset = tiny_world_and_data

@@ -384,16 +384,17 @@ class TestApiFacade:
         for name in repro.api.__all__:
             assert getattr(repro, name) is getattr(repro.api, name), name
 
-    def test_legacy_names_still_resolve(self):
+    def test_non_covenant_names_do_not_resolve(self):
         import repro
-        assert repro.Trajectory is not None
         assert repro.TruckSession is not None
+        for name in ("Trajectory", "SPRDetector", "parallel_map"):
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
 
-    def test_dir_covers_both_surfaces(self):
+    def test_dir_lists_the_covenant(self):
         import repro
-        names = dir(repro)
-        assert "FleetService" in names
-        assert "Trajectory" in names
+        import repro.api
+        assert dir(repro) == sorted(set(repro.api.__all__) | {"__version__"})
 
     def test_unknown_name_raises_attribute_error(self):
         import repro
@@ -421,25 +422,20 @@ class TestEntrypointShims:
             manager.flush("T1", "d0")
         assert manager.flush("T1", day="d0").final
 
-    def test_detect_batch_positional_direction_warns(self, fitted):
-        """The warning shim expired: the positional form now raises."""
-        with pytest.raises(TypeError):
-            fitted.detect_processed_batch([], "both")
-        with pytest.raises(TypeError):
-            fitted.predict_distribution_batch([], "both")
-        assert fitted.detect_processed_batch([], direction="both") == []
-
     def test_load_positional_strict_warns(self, world_and_data, fitted,
                                           tmp_path):
-        """The warning shim expired: the positional form now raises."""
+        """The warning shim expired: the positional form now raises, and
+        so does the retired ``strict`` keyword (load is always strict)."""
         world, _ = world_and_data
         fitted.save(tmp_path / "model")
         with pytest.raises(TypeError):
             LEAD(world.pois, tiny_lead_config()).load(tmp_path / "model",
                                                       True)
-        lead = LEAD(world.pois, tiny_lead_config()).load(
-            tmp_path / "model", strict=True)
-        assert lead.detect_processed_batch([]) == []
+        with pytest.raises(TypeError):
+            LEAD(world.pois, tiny_lead_config()).load(tmp_path / "model",
+                                                      strict=True)
+        lead = LEAD(world.pois, tiny_lead_config()).load(tmp_path / "model")
+        assert lead.detect_many([]) == []
 
     def test_closed_service_rejects_calls(self):
         service = FleetService(None, config=ServeConfig(
