@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..io import atomic_write_bytes
 from ..model import LoadedLabel, Trajectory
 from ..perf.parallel import parallel_map, spawn_rng
 from .simulator import SimulatorConfig, Truck, TruckDaySimulator, make_fleet
@@ -100,13 +101,12 @@ class HCTDataset:
 
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> Path:
-        """Persist as gzipped JSON."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        """Persist as gzipped JSON, atomically and reproducibly: the
+        gzip header carries no timestamp or file name, so the same
+        samples always write the same bytes."""
         payload = {"samples": [s.to_dict() for s in self.samples]}
-        with gzip.open(path, "wt", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        return path
+        data = gzip.compress(json.dumps(payload).encode("utf-8"), mtime=0)
+        return atomic_write_bytes(path, data)
 
     @classmethod
     def load(cls, path: str | Path) -> "HCTDataset":

@@ -3,12 +3,12 @@
 Production GPS feeds contain garbage the paper's curated dataset never
 shows: NaN/Inf fixes from cold receivers, coordinates outside the valid
 range, out-of-order or duplicated timestamps from buffered uploads, and
-frozen clocks.  The online detection path routes every raw trajectory
-through :func:`sanitize_trajectory` (or, for raw arrays that may not
-even satisfy :class:`Trajectory`'s constructor, through
-:func:`trajectory_from_raw`), which repairs what it can and raises a
+frozen clocks.  The detection path routes every trajectory through
+:func:`sanitize_trajectory`, which drops unusable fixes and raises a
 typed :class:`~repro.errors.InvalidTrajectoryError` only when nothing
-usable remains.
+usable remains; :class:`Trajectory`'s constructor already rejects
+non-increasing timestamps, and ping streams restore their order through
+:class:`ReorderBuffer`.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import numpy as np
 from ..errors import InvalidTrajectoryError
 from ..model import Trajectory
 
-__all__ = ["MIN_USABLE_FIXES", "trajectory_issues", "sanitize_trajectory",
-           "trajectory_from_raw", "ReorderBuffer", "ReorderStats",
-           "monotonize_stream"]
+__all__ = ["MIN_USABLE_FIXES", "sanitize_trajectory", "ReorderBuffer",
+           "ReorderStats", "monotonize_stream"]
 
 #: Fewer usable fixes than this cannot form even one move segment.
 MIN_USABLE_FIXES = 2
@@ -34,25 +33,6 @@ def _usable_mask(lats: np.ndarray, lngs: np.ndarray,
     """Fixes that are finite and inside the valid coordinate range."""
     return (np.isfinite(lats) & np.isfinite(lngs) & np.isfinite(ts)
             & (np.abs(lats) <= 90.0) & (np.abs(lngs) <= 180.0))
-
-
-def trajectory_issues(trajectory: Trajectory) -> list[str]:
-    """Human-readable list of contract violations (empty when clean).
-
-    Non-monotonic timestamps cannot occur here — :class:`Trajectory`
-    enforces strictly increasing ``ts`` at construction — so the checks
-    cover what *can* slip through: non-finite and out-of-range
-    coordinates, and too few points.
-    """
-    issues: list[str] = []
-    bad = int((~_usable_mask(trajectory.lats, trajectory.lngs,
-                             trajectory.ts)).sum())
-    if bad:
-        issues.append(f"{bad} non-finite or out-of-range fixes")
-    if len(trajectory) < MIN_USABLE_FIXES:
-        issues.append(f"only {len(trajectory)} fixes "
-                      f"(need >= {MIN_USABLE_FIXES})")
-    return issues
 
 
 def sanitize_trajectory(trajectory: Trajectory
@@ -76,46 +56,6 @@ def sanitize_trajectory(trajectory: Trajectory
                           trajectory.ts[mask],
                           truck_id=trajectory.truck_id, day=trajectory.day)
     return repaired, [f"dropped {dropped} non-finite/out-of-range fixes"]
-
-
-def trajectory_from_raw(lats, lngs, ts, truck_id: str = "",
-                        day: str = "") -> tuple[Trajectory, list[str]]:
-    """Build a :class:`Trajectory` from hostile raw arrays.
-
-    Repairs, in order: non-finite / out-of-range fixes (dropped),
-    out-of-order timestamps (stable-sorted), duplicate or frozen-clock
-    timestamps (first fix of each instant kept).  Returns the repaired
-    trajectory plus a note per repair applied; raises
-    :class:`InvalidTrajectoryError` when fewer than
-    :data:`MIN_USABLE_FIXES` fixes survive.
-    """
-    lats = np.asarray(lats, dtype=np.float64)
-    lngs = np.asarray(lngs, dtype=np.float64)
-    ts = np.asarray(ts, dtype=np.float64)
-    if not (lats.shape == lngs.shape == ts.shape) or lats.ndim != 1:
-        raise InvalidTrajectoryError(
-            "lats, lngs, ts must be 1-D arrays of equal length")
-    notes: list[str] = []
-    mask = _usable_mask(lats, lngs, ts)
-    if not mask.all():
-        notes.append(f"dropped {int((~mask).sum())} "
-                     "non-finite/out-of-range fixes")
-        lats, lngs, ts = lats[mask], lngs[mask], ts[mask]
-    if ts.size and (np.diff(ts) < 0).any():
-        order = np.argsort(ts, kind="stable")
-        lats, lngs, ts = lats[order], lngs[order], ts[order]
-        notes.append("re-sorted out-of-order timestamps")
-    if ts.size:
-        keep = np.concatenate([[True], np.diff(ts) > 0])
-        if not keep.all():
-            notes.append(f"dropped {int((~keep).sum())} duplicate/"
-                         "frozen-clock fixes")
-            lats, lngs, ts = lats[keep], lngs[keep], ts[keep]
-    if ts.size < MIN_USABLE_FIXES:
-        raise InvalidTrajectoryError(
-            f"raw input for {truck_id or '?'}/{day or '?'} has "
-            f"{int(ts.size)} usable fixes (need >= {MIN_USABLE_FIXES})")
-    return Trajectory(lats, lngs, ts, truck_id=truck_id, day=day), notes
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +97,8 @@ class ReorderBuffer:
     :attr:`ReorderStats.reordered`).  A ping at or behind the newest
     *released* timestamp can no longer be placed and is dropped
     (counted, never raised); the released stream is strictly increasing
-    by construction.  The offline analogue — an unbounded full sort —
-    lives in :func:`trajectory_from_raw`.
+    by construction.  :func:`monotonize_stream` runs a whole array
+    through one buffer.
     """
 
     #: The one release algorithm, as :meth:`state` records it (checkpoint

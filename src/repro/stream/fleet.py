@@ -11,10 +11,13 @@ a later ping starts a fresh session: degraded, never wrong about what it
 has seen.
 
 Detection runs on a *tick*: the manager snapshots every live session
-that changed since its last verdict, hands the batch to the detector's
-degradation-aware ``detect_many`` (one fused pass over the whole fleet,
-PR-2 batching), and emits a :class:`~repro.stream.ProvisionalVerdict`
-per session.  ``flush`` finalizes a session (drains its reorder buffer,
+whose detection input — closed stay-point count and sanitize notes,
+:attr:`~repro.stream.TruckSession.detection_input` — changed since its
+last verdict, hands the batch to the detector's degradation-aware
+``detect_many`` (one fused pass over the whole fleet), and emits a
+:class:`~repro.stream.ProvisionalVerdict` per session; every other
+session is served its last verdict, which the same input would
+reproduce.  ``flush`` finalizes a session (drains its reorder buffer,
 closes the trailing stay-point run) and produces the *final* verdict —
 the one that equals offline ``LEAD.detect`` on the completed trajectory.
 
@@ -316,9 +319,11 @@ class FleetSessionManager:
     def tick(self) -> list[ProvisionalVerdict]:
         """Provisional verdicts for every *resident* session.
 
-        Sessions untouched since their last verdict are served from
-        that verdict (no re-detection); everything else goes through
-        one batched, degradation-aware detector pass.  Failures never
+        A session whose closed stay-point count and sanitize notes are
+        unchanged since its last verdict is served that verdict object
+        (no re-detection: closed spans are final, so the same input
+        gives the same answer); everything else goes through one
+        batched, degradation-aware detector pass.  Failures never
         escape: a failing session is quarantined (its verdict reports
         ``confidence="none"``), the rest of the fleet proceeds.
         """
@@ -332,8 +337,7 @@ class FleetSessionManager:
         verdicts: list[ProvisionalVerdict] = []
         pending: list[TruckSession] = []
         for session in self._sessions.values():
-            if (session.last_verdict is not None
-                    and session.last_verdict_version == session.version):
+            if session.last_verdict_input == session.detection_input:
                 verdicts.append(session.last_verdict)
             else:
                 pending.append(session)
@@ -447,7 +451,7 @@ class FleetSessionManager:
                 continue
             if i in skipped:
                 # Breaker open: serve the stale verdict (or none) and
-                # leave the session marked dirty for the next tick.
+                # keep its detection input, so the session stays due.
                 verdicts.append(session.last_verdict
                                 if session.last_verdict is not None
                                 else self._empty_verdict(session, final))
@@ -470,7 +474,7 @@ class FleetSessionManager:
                     provenance=result.provenance,
                     distribution=result.distribution)
             session.last_verdict = verdict
-            session.last_verdict_version = session.version
+            session.last_verdict_input = session.detection_input
             verdicts.append(verdict)
         return verdicts
 

@@ -109,12 +109,12 @@ class TruckSession:
         self._version = 0
         self._snapshot_memo: tuple[int, ProcessedTrajectory | None] | None \
             = None
-        #: Most recent verdict the fleet manager emitted and the session
-        #: revision it was computed at (bookkeeping only; the session
-        #: itself never reads them — the manager uses the pair to skip
-        #: re-detection of untouched sessions on a tick).
+        #: Most recent verdict the fleet manager emitted and the
+        #: :attr:`detection_input` it was computed from (bookkeeping
+        #: only; the session itself never reads them — a tick serves
+        #: ``last_verdict`` again while the detection input is unchanged).
         self.last_verdict = None
-        self.last_verdict_version = -1
+        self.last_verdict_input: tuple[int, tuple[str, ...]] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -124,8 +124,9 @@ class TruckSession:
     @property
     def version(self) -> int:
         """Monotone revision counter: bumped whenever the cleaned
-        trajectory or the span set changes; lets the fleet manager (and
-        the snapshot memo) skip untouched sessions on a tick."""
+        trajectory or the span set changes; keys the snapshot memo and
+        is part of the checkpoint (a tick keys on
+        :attr:`detection_input` instead)."""
         self._drain()
         return self._version
 
@@ -139,6 +140,18 @@ class TruckSession:
     def num_closed_stay_points(self) -> int:
         self._drain()
         return len(self._spans)
+
+    @property
+    def detection_input(self) -> tuple[int, tuple[str, ...]]:
+        """What a detection of :meth:`snapshot` depends on: the closed
+        stay-point count and the sanitize notes.
+
+        Closed spans are final and segment features are keyed by
+        coordinate slice, so fixes that close no stay point leave the
+        candidates, their encodings and the distribution unchanged; the
+        notes feed the verdict's provenance.
+        """
+        return self.num_closed_stay_points, tuple(self.sanitize_notes())
 
     # ------------------------------------------------------------------
     def ingest(self, lat: float, lng: float, t: float) -> None:

@@ -179,6 +179,13 @@ class TestDataset:
                                    first_b.trajectory.lats)
         assert first_a.label == first_b.label
 
+    def test_save_is_byte_reproducible(self, tiny_dataset, tmp_path):
+        first = tiny_dataset.save(tmp_path / "a.json.gz")
+        second = tiny_dataset.save(tmp_path / "b.json.gz")
+        assert first.read_bytes() == second.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["a.json.gz", "b.json.gz"]           # no temporary left over
+
     def test_summary(self, tiny_dataset):
         summary = tiny_dataset.summary()
         assert summary["num_samples"] == 12

@@ -56,9 +56,9 @@ def duplicate_timestamps(trajectory: Trajectory, count: int,
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw arrays with ``count`` duplicated timestamps (buffered uploads).
 
-    Returns raw ``(lats, lngs, ts)`` — :class:`Trajectory` itself
-    rejects non-increasing timestamps, so these arrays exercise the
-    repair path (``trajectory_from_raw``), not the constructor.
+    Returns raw ``(lats, lngs, ts)``: :class:`Trajectory` itself
+    rejects non-increasing timestamps, and these arrays exercise that
+    rejection.
     """
     ts = trajectory.ts.copy()
     indices = rng.choice(len(trajectory) - 1, size=count, replace=False) + 1

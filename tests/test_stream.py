@@ -235,6 +235,126 @@ class TestTicks:
         assert manager.counters.detect_calls == calls  # all memoized
         assert [v.pair for v in second] == [v.pair for v in first]
 
+    def test_served_tick_verdicts_equal_a_fresh_detection(self,
+                                                          world_and_data,
+                                                          fitted):
+        """A verdict a tick serves without re-detecting is what
+        detecting the session's current snapshot gives."""
+        _, dataset = world_and_data
+        manager = FleetSessionManager(fitted, FleetConfig())
+        served = redetected = 0
+        for i, ping in enumerate(dataset_ping_stream(dataset.samples[:3])):
+            manager.ingest(ping.truck_id, ping.lat, ping.lng, ping.t,
+                           day=ping.day)
+            if i % 7:
+                continue
+            for verdict in manager.tick():
+                assert not verdict.final
+                session = manager.session(verdict.truck_id, verdict.day)
+                assert verdict.num_stay_points == \
+                    session.num_closed_stay_points
+                snapshot = session.snapshot()
+                if snapshot is None:
+                    assert verdict.pair is None
+                    continue
+                want = fitted.detect_many([snapshot],
+                                          [session.sanitize_notes()])[0]
+                assert verdict.pair == want.pair
+                assert verdict.provenance.tier == want.provenance.tier
+                assert verdict.provenance.notes == want.provenance.notes
+                assert np.allclose(verdict.distribution, want.distribution,
+                                   rtol=1e-9, atol=0.0)
+                if verdict.tick == manager.counters.ticks:
+                    redetected += 1
+                else:
+                    served += 1
+        assert served > redetected > 0
+
+    @staticmethod
+    def _with_stay_points(dataset, fitted, minimum: int):
+        """A manager fed one truck-day until ``minimum`` stay points
+        closed, its session, and the fixes not yet fed."""
+        trajectory = max(dataset.samples,
+                         key=lambda s: len(s.trajectory)).trajectory
+        truck, day = str(trajectory.truck_id), str(trajectory.day)
+        manager = FleetSessionManager(fitted, FleetConfig())
+        session = manager.session(truck, day)
+        fixes = list(zip(trajectory.lats, trajectory.lngs, trajectory.ts))
+        while session.num_closed_stay_points < minimum:
+            manager.ingest(truck, *fixes.pop(0), day=day)
+        return manager, session, fixes
+
+    def test_tick_without_a_new_stay_point_detects_nothing(
+            self, world_and_data, fitted):
+        _, dataset = world_and_data
+        manager, session, fixes = self._with_stay_points(dataset, fitted, 2)
+        (verdict,) = manager.tick()
+        assert verdict.pair is not None
+        skipped = 0
+        for lat, lng, t in fixes:
+            closed, version = session.num_closed_stay_points, session.version
+            calls = manager.counters.detect_calls
+            manager.ingest(session.truck_id, lat, lng, t, day=session.day)
+            (now,) = manager.tick()
+            if session.num_closed_stay_points != closed:
+                assert manager.counters.detect_calls == calls + 1
+                assert now.tick == manager.counters.ticks
+            else:
+                assert manager.counters.detect_calls == calls
+                assert now is verdict
+                skipped += session.version != version
+            verdict = now
+        # Kept fixes moved the session revision on most of those ticks.
+        assert skipped > len(fixes) // 2
+
+    def test_non_finite_ping_forces_redetection(self, world_and_data,
+                                                fitted):
+        _, dataset = world_and_data
+        manager, session, fixes = self._with_stay_points(dataset, fitted, 2)
+        (before,) = manager.tick()
+        assert before.pair is not None and not before.provenance.sanitized
+        calls = manager.counters.detect_calls
+        manager.ingest(session.truck_id, float("nan"), fixes[0][1],
+                       fixes[0][2], day=session.day)
+        (after,) = manager.tick()
+        assert manager.counters.detect_calls == calls + 1
+        assert after.tick == manager.counters.ticks
+        assert after.num_stay_points == before.num_stay_points
+        assert after.provenance.sanitized
+        assert "dropped 1 non-finite/out-of-range fixes" in \
+            after.provenance.notes
+        assert after.pair == before.pair
+        assert np.allclose(after.distribution, before.distribution,
+                           rtol=1e-9, atol=0.0)
+
+    def test_breaker_skipped_session_redetects_once_admitted(
+            self, world_and_data, fitted):
+        """A stay point that closed while the detector breaker was open
+        is detected on the first tick the breaker admits again."""
+        _, dataset = world_and_data
+        manager, session, fixes = self._with_stay_points(dataset, fitted, 2)
+        (stale,) = manager.tick()
+        breaker = manager.detector_breaker
+        for _ in range(breaker.failure_threshold):
+            breaker.record_failure()
+        assert breaker.state == "open"
+        closed = session.num_closed_stay_points
+        while session.num_closed_stay_points == closed:
+            manager.ingest(session.truck_id, *fixes.pop(0), day=session.day)
+        (verdict,) = manager.tick()
+        assert verdict is stale
+        assert manager.counters.detect_skipped_breaker == 1
+        calls = manager.counters.detect_calls
+        for _ in range(8):
+            (verdict,) = manager.tick()
+            if breaker.state == "closed":
+                break
+            assert verdict is stale
+        assert breaker.state == "closed"
+        assert manager.counters.detect_calls == calls + 1
+        assert verdict.tick == manager.counters.ticks
+        assert verdict.num_stay_points == session.num_closed_stay_points
+
     def test_growing_session_hits_closed_segment_cache(self, world_and_data,
                                                        fitted):
         """Tick N+1 re-featurizes only the newly extended suffix: every
