@@ -59,8 +59,6 @@ import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from ..chaos.core import chaos_point
 from ..obs.core import obs_event, obs_span
 from ..stream.fleet import FleetSessionManager
@@ -68,7 +66,7 @@ from ..stream.verdict import ProvisionalVerdict
 from ..supervise import CircuitBreaker
 from .config import ServeConfig
 from .routing import shard_for
-from .worker import apply_command, worker_main
+from .worker import apply_command, blas_pin_available, worker_main
 
 __all__ = ["FleetService", "ServeCounters", "ServeError", "SubmitResult"]
 
@@ -161,6 +159,10 @@ class FleetService:
         self._root = Path(root) if root is not None else None
         self._shards = [self._build_shard(i)
                         for i in range(self.config.num_shards)]
+        if self.config.backend == "process" and not blas_pin_available():
+            obs_event("serve.blas_unpinned",
+                      reason="no scipy-openblas thread setter in numpy; "
+                             "workers keep the default BLAS threads")
         for shard in self._shards:
             self._start_shard(shard)
 
@@ -474,10 +476,9 @@ class FleetService:
         with obs_span("serve.submit", pings=len(pings)):
             routes = self._routes
             num_shards = self.config.num_shards
-            # Per shard: (truck_id, day) -> columnar (lats, lngs, ts),
-            # each truck's pings in submission order.  The workers
-            # apply the groups through the array ingest lane, so the
-            # frontend's single per-ping pass is the only one anywhere.
+            # Per shard: (truck_id, day) -> columnar (lats, lngs, ts)
+            # lists, each truck's pings in submission order; a worker
+            # hands each group to its session with one lookup.
             by_shard: dict[int, dict] = {}
             # (truck_id, day) -> bound column appenders.  Routing and
             # group setup run once per truck-day; the per-ping body is
@@ -532,15 +533,10 @@ class FleetService:
                     continue
                 seq = shard.next_seq()
                 fault = chaos_point("serve.worker", key=str(index))
-                # Columns cross the queue as float64 arrays: they
-                # pickle as flat buffers, far cheaper than per-float
-                # list items, and the worker's array lane takes them
-                # as-is.
-                wire = {key: (np.asarray(rows[0], dtype=np.float64),
-                              np.asarray(rows[1], dtype=np.float64),
-                              np.asarray(rows[2], dtype=np.float64))
-                        for key, rows in batch.items()}
-                self._send(shard, ("ingest", seq, wire, None),
+                # The column lists cross the queue as built: a window's
+                # groups hold a few pings each, and a few-float list
+                # pickles far faster than an ndarray.
+                self._send(shard, ("ingest", seq, batch, None),
                            fault=fault)
                 accepted += size
             self.counters.submitted_pings += len(pings)

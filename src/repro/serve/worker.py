@@ -33,12 +33,45 @@ pings are applied in submission order, always on the same manager.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
 
 from ..stream.fleet import FleetConfig, FleetSessionManager
 
-__all__ = ["apply_command", "worker_main"]
+__all__ = ["apply_command", "blas_pin_available", "pin_blas_threads",
+           "worker_main"]
+
+
+def _openblas_thread_setter():
+    """numpy's bundled OpenBLAS ``set_num_threads``, or None.
+
+    ``dlsym`` on the handle of numpy's core extension also searches the
+    libraries it links, so the symbol resolves wherever the wheel keeps
+    its scipy-openblas; any other BLAS (or numpy layout) yields None.
+    """
+    try:
+        from numpy._core import _multiarray_umath as core
+        return ctypes.CDLL(core.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+
+
+def blas_pin_available() -> bool:
+    """Whether :func:`pin_blas_threads` can take effect here."""
+    return _openblas_thread_setter() is not None
+
+
+def pin_blas_threads() -> None:
+    """Run this process's BLAS on one thread (a no-op without a setter).
+
+    A shard worker shares the host's cores with the frontend and its
+    sibling shards, and its products are small: a thread pool of its
+    own only adds wake-up latency after every idle gap.
+    """
+    setter = _openblas_thread_setter()
+    if setter is not None:
+        setter(1)
 
 
 def apply_command(manager: FleetSessionManager, command: tuple):
@@ -47,8 +80,8 @@ def apply_command(manager: FleetSessionManager, command: tuple):
     if kind == "ingest":
         # The frontend ships the batch pre-grouped by truck-day with
         # each truck's pings in submission order; sessions are
-        # independent, so applying group by group through the array
-        # lane ends in state bit-identical to per-ping ingest.
+        # independent, so applying it group by group is per-ping
+        # ingest in submission order.
         count = 0
         for (truck_id, day), (lats, lngs, ts) in command[2].items():
             manager.ingest_batch(truck_id, lats, lngs, ts, day=day)
@@ -86,12 +119,14 @@ def worker_main(shard_id: int, detector, fleet_config: FleetConfig,
                 requests, responses) -> None:
     """Entry point of one forked shard worker process.
 
-    Consumes commands until ``stop``; any per-command exception is
+    Pins its BLAS to one thread first (:func:`pin_blas_threads`), then
+    consumes commands until ``stop``; any per-command exception is
     reported as an ``error`` response (the worker survives — the
     session manager already isolates input-dependent failures, so an
     escaping exception is a programming error worth surfacing, not
     worth dying for).
     """
+    pin_blas_threads()
     manager = FleetSessionManager(detector, fleet_config)
     manager.adopt_spills()
     while True:

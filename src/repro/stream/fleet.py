@@ -304,14 +304,15 @@ class FleetSessionManager:
 
     def ingest_batch(self, truck_id: str, lats, lngs, ts, *,
                      day: str = "") -> None:
-        """Route many pings for one truck-day through the array lane.
+        """Route one truck-day's pings, in order, to its session.
 
-        Semantically identical to calling :meth:`ingest` per ping — see
-        :meth:`TruckSession.ingest_batch` for the bit-exactness
-        contract.  The serve workers use this to apply whole submitted
-        batches at array speed.
+        Calling :meth:`ingest` per ping with the session looked up once;
+        the fixes wait for the session's next read like any other.  The
+        serve workers apply each submitted truck-day group with this.
         """
-        self._session((truck_id, day)).ingest_batch(lats, lngs, ts)
+        ingest = self._session((truck_id, day)).ingest
+        for lat, lng, t in zip(lats, lngs, ts):
+            ingest(lat, lng, t)
 
     # ------------------------------------------------------------------
     # Detection ticks

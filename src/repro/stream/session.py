@@ -16,8 +16,7 @@ The fixes the reorder buffer releases wait in a pending list.  The
 heavy stages run array-at-a-time when that list is drained — by every
 read of the processed state (:meth:`TruckSession.snapshot`,
 :meth:`~TruckSession.state`, :meth:`~TruckSession.finalize`, ``version``,
-``counters`` and the other accessors) and by
-:meth:`~TruckSession.ingest_batch`:
+``counters`` and the other accessors):
 
 3. **noise filter** — :meth:`~repro.processing.NoiseFilter.kept_indices`
    resumed from the *last kept* fix (identical rule, identical state,
@@ -29,7 +28,7 @@ read of the processed state (:meth:`TruckSession.snapshot`,
    flush.
 
 Because each step is the same code (or the same state machine) the
-offline path runs, and the array lane ends in the same state however
+offline path runs, and draining ends in the same state however
 the fixes are split into drains, the session's post-flush snapshot is
 exactly what the offline pipeline computes on the completed trajectory —
 the convergence guarantee the provisional detector builds on.
@@ -52,7 +51,6 @@ from ..model import StayPoint, Trajectory
 from ..obs.core import obs_event
 from ..processing import (ProcessedTrajectory, RawTrajectoryProcessor,
                           ReorderBuffer, extract_move_points)
-from ..processing.validation import _usable_mask
 
 __all__ = ["SessionCounters", "TruckSession"]
 
@@ -183,45 +181,6 @@ class TruckSession:
             counters.pings_dropped_late += late
             self._emit_drop("late", late)
         counters.pings_reordered += stats.reordered - reordered
-
-    def ingest_batch(self, lats, lngs, ts) -> None:
-        """Offer many raw pings at once.
-
-        Semantically identical to calling :meth:`ingest` per ping — the
-        sanitize predicate, reorder buffer, noise filter, and scanner
-        see the same fixes in the same order and end in the same state
-        (checkpoints match bit for bit).  Sanitizing is one vectorized
-        mask, and the released stretch is drained at once.
-        """
-        if self._finalized:
-            raise ValueError(
-                f"session {self.truck_id}/{self.day} is finalized")
-        lats = np.asarray(lats, dtype=np.float64)
-        lngs = np.asarray(lngs, dtype=np.float64)
-        ts = np.asarray(ts, dtype=np.float64)
-        if not (lats.shape == lngs.shape == ts.shape) or lats.ndim != 1:
-            raise ValueError("ingest_batch needs equal-length 1-D arrays")
-        count = int(ts.size)
-        counters = self._counters
-        counters.pings_ingested += count
-        valid = _usable_mask(lats, lngs, ts)
-        invalid = count - int(valid.sum())
-        if invalid:
-            counters.pings_dropped_invalid += invalid
-            self._emit_drop("invalid", invalid)
-        stats = self._reorder.stats
-        dropped, reordered = stats.dropped, stats.reordered
-        pending = self._pending
-        push = self._reorder.push
-        for i in np.flatnonzero(valid):
-            pending.extend(push(float(lats[i]), float(lngs[i]),
-                                float(ts[i])))
-        late = stats.dropped - dropped
-        if late:
-            counters.pings_dropped_late += late
-            self._emit_drop("late", late)
-        counters.pings_reordered += stats.reordered - reordered
-        self._drain()
 
     def _emit_drop(self, reason: str, count: int) -> None:
         """Structured audit trail for data loss (no-op without telemetry).

@@ -4,7 +4,10 @@ covenant, and the keyword-only arguments of the legacy entrypoints."""
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing as mp
 import os
+import queue
 import subprocess
 import sys
 import textwrap
@@ -21,8 +24,10 @@ from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
                         generate_dataset)
 from repro.detection import DetectorTrainingConfig
 from repro.encoding import AutoencoderTrainingConfig
+from repro.obs import Observability, observe
 from repro.pipeline import LEAD, LEADConfig
 from repro.serve import (FleetService, ServeConfig, ServeError, shard_for)
+from repro.serve import worker as serve_worker
 from repro.stream import (FleetConfig, FleetSessionManager,
                           dataset_ping_stream)
 
@@ -84,6 +89,7 @@ def assert_same_verdict(sharded, serial) -> None:
                            rtol=1e-9, atol=0.0)
     if serial.provenance is not None:
         assert sharded.provenance.tier == serial.provenance.tier
+        assert sharded.provenance.notes == serial.provenance.notes
 
 
 def drain_service(service, pings, *, batch=500, ticks=True) -> dict:
@@ -212,6 +218,65 @@ class TestShardedConvergence:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1"
 
+    def test_hostile_feed_matches_serial_per_ping_replay(self, fitted,
+                                                         pings):
+        """Invalid, duplicate, displaced and too-late pings take the
+        same path through a process shard as through serial per-ping
+        ingest: same verdicts and notes, same drop and reorder counts."""
+        feed = hostile_feed(pings)
+        manager = FleetSessionManager(fitted, FleetConfig())
+        for truck_id, day, lat, lng, t in feed:
+            manager.ingest(truck_id, lat, lng, t, day=day)
+        serial = {(v.truck_id, v.day): v for v in manager.flush_all()}
+        expected = manager.stats()["sessions"]
+        assert expected["pings_dropped_invalid"] > 0
+        assert expected["pings_dropped_late"] > 0
+        assert expected["pings_reordered"] > 0
+        assert any(v.provenance is not None and v.provenance.notes
+                   for v in serial.values())
+
+        with FleetService(fitted, config=ServeConfig(num_shards=2)) \
+                as service:
+            sharded = drain_service(service, feed)
+            stats = service.stats()
+        assert set(sharded) == set(serial)
+        for key, want in serial.items():
+            assert_same_verdict(sharded[key], want)
+        for counter in ("pings_dropped_invalid", "pings_dropped_late",
+                        "pings_reordered"):
+            got = sum(shard["fleet"]["sessions"][counter]
+                      for shard in stats["shards"].values())
+            assert got == expected[counter], counter
+
+
+def hostile_feed(pings) -> list[tuple]:
+    """``pings`` as ``(truck_id, day, lat, lng, t)`` tuples with hostile
+    fixes spliced into every truck-day, in place: a NaN latitude, an
+    out-of-range latitude and longitude, a duplicate of the previous
+    fix, a copy of the day's first fix (far beyond the reorder horizon)
+    and a fix displaced half a second back (reordered, recovered)."""
+    history: dict[tuple, list] = {}
+    feed = []
+    for ping in pings:
+        row = (ping.truck_id, ping.day, ping.lat, ping.lng, ping.t)
+        rows = history.setdefault(row[:2], [])
+        k = len(rows)
+        if k == 10:
+            feed.append((*row[:2], float("nan"), ping.lng, ping.t))
+        elif k == 20:
+            feed.append((*row[:2], 95.0, ping.lng, ping.t))
+        elif k == 30:
+            feed.append((*row[:2], ping.lat, -181.0, ping.t))
+        elif k == 40:
+            feed.append(rows[-1])
+        elif k == 50:
+            feed.append(rows[0])
+        feed.append(row)
+        if k == 60:
+            feed.append((*row[:2], ping.lat, ping.lng, ping.t - 0.5))
+        rows.append(row)
+    return feed
+
 
 # ---------------------------------------------------------------------------
 # 2. Routing is a pure function of the truck id
@@ -280,6 +345,66 @@ class TestBackpressure:
             stats = service.stats()
         fleet = stats["shards"]["0"]["fleet"]
         assert fleet["sessions"]["pings_ingested"] == 10
+
+
+def _blas_threads():
+    """numpy's bundled OpenBLAS ``get_num_threads``; skips without it."""
+    try:
+        from numpy._core import _multiarray_umath as core
+        return ctypes.CDLL(core.__file__).scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        pytest.skip("numpy does not bundle scipy-openblas")
+
+
+def _report_worker_threads(channel) -> None:
+    """Run a shard worker's entry point to ``stop``; send its threads."""
+    requests, responses = queue.Queue(), queue.Queue()
+    requests.put(("stop", 0))
+    serve_worker.worker_main(0, None, FleetConfig(), requests, responses)
+    channel.send(_blas_threads()())
+
+
+class TestWorkerBlasPin:
+    """Shard workers run BLAS on one thread; nothing else is pinned."""
+
+    def test_forked_worker_runs_on_one_thread(self):
+        _blas_threads()
+        ctx = mp.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_report_worker_threads, args=(sender,))
+        child.start()
+        try:
+            assert receiver.poll(30.0)
+            assert receiver.recv() == 1
+        finally:
+            child.join(timeout=10.0)
+        assert child.exitcode == 0
+
+    def test_frontend_keeps_its_own_threads(self):
+        threads = _blas_threads()
+        before = threads()
+        with FleetService(None, config=ServeConfig(num_shards=2)) \
+                as service:
+            service.submit([("T1", "d", 1.0, 2.0, 0.0)])
+            service.wait()
+        assert threads() == before
+
+    def test_missing_setter_serves_and_says_so_once(self, monkeypatch):
+        monkeypatch.setattr(serve_worker, "_openblas_thread_setter",
+                            lambda: None)
+        rows = [(f"T{i}", "d", 1.0 + j * 1e-4, 2.0, float(j))
+                for i in range(4) for j in range(5)]
+        with observe(Observability()) as ob:
+            with FleetService(None, config=ServeConfig(num_shards=2)) \
+                    as service:
+                assert service.submit(rows).accepted == len(rows)
+                service.wait()
+                stats = service.stats()
+        ingested = sum(shard["fleet"]["sessions"]["pings_ingested"]
+                       for shard in stats["shards"].values())
+        assert ingested == len(rows)
+        names = [event["name"] for event in ob.events.events]
+        assert names.count("serve.blas_unpinned") == 1
 
 
 class TestShardStats:

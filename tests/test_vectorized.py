@@ -27,7 +27,7 @@ from repro.data.poi import POI, POI_CATEGORIES, POIDatabase
 from repro.model import Trajectory
 from repro.processing import NoiseFilter, StayPointExtractor
 from repro.processing.staypoints import StayPointScanner
-from repro.stream import TruckSession
+from repro.stream import FleetConfig, FleetSessionManager, TruckSession
 
 from .oracles import (ScalarStayPointScanner, count_categories_bruteforce,
                       filter_scalar, scalar_kept_indices)
@@ -279,4 +279,24 @@ class TestDeferredSessionLane:
         session.snapshot()
         assert len(calls) == 1
         session.snapshot()
+        assert len(calls) == 1
+
+    def test_fleet_groups_never_scan_until_a_read(self, monkeypatch):
+        """The serve workers' group entry stays as lazy as ``ingest``."""
+        calls = []
+        original = StayPointScanner.feed_batch
+
+        def counting(self, *args):
+            calls.append(len(args[0]))
+            return original(self, *args)
+
+        monkeypatch.setattr(StayPointScanner, "feed_batch", counting)
+        manager = FleetSessionManager(None, FleetConfig())
+        for group in range(50):
+            ks = range(3 * group, 3 * group + 3)
+            manager.ingest_batch(
+                "t", [BASE_LAT + 1e-5 * (k % 3) for k in ks],
+                [BASE_LNG] * 3, [30.0 * k for k in ks], day="d")
+        assert calls == []
+        manager.session("t", "d").snapshot()
         assert len(calls) == 1
