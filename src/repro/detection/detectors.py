@@ -9,11 +9,14 @@ each trajectory's candidates yields the group's probability vector
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..nn import Linear, Module, StackedBiLSTM, Tensor, concat
+from .grouping import backward_index_maps, forward_index_maps
 
-__all__ = ["GroupDetector", "IndependentDetector"]
+__all__ = ["GroupDetector", "IndependentDetector", "score_groups"]
 
 
 class GroupDetector(Module):
@@ -43,7 +46,9 @@ class GroupDetector(Module):
 
     def score_indexed(self, cvecs: Tensor, index_maps: list[np.ndarray],
                       segments: np.ndarray | None = None,
-                      bucket: bool = False) -> Tensor:
+                      bucket: bool = False,
+                      partner: tuple[GroupDetector, list[np.ndarray]]
+                      | None = None) -> Tensor | tuple[Tensor, Tensor]:
         """Probabilities of the candidates addressed by ``index_maps``.
 
         ``cvecs`` is the ``(N, D)`` tensor of compressed vectors (with
@@ -61,31 +66,105 @@ class GroupDetector(Module):
         to the bin's own maximum.  The freeze-masked BiLSTM makes the
         hidden states of valid positions padding-length invariant, so the
         choice changes wasted arithmetic, not answers.
+
+        ``partner=(detector, maps)`` scores a second detector over its
+        own group of the same candidates in the same passes: per bin,
+        every BiLSTM layer of both detectors runs in one time loop.  The
+        result is then the pair ``(own, partner's)`` of probabilities.
         """
-        if cvecs.shape[-1] != self.input_dim:
-            raise ValueError(
-                f"expected c-vec dim {self.input_dim}, got {cvecs.shape}")
-        lengths = np.array([len(m) for m in index_maps], dtype=np.int64)
-        keys = (2 ** np.ceil(np.log2(np.maximum(lengths, 1))).astype(np.int64)
-                if bucket else np.zeros_like(lengths))
-        pieces: list[Tensor | None] = [None] * len(index_maps)
-        for key in np.unique(keys):
-            rows = np.nonzero(keys == key)[0]
-            width = int(lengths[rows].max())
-            index = np.zeros((len(rows), width), dtype=np.int64)
-            for r, row in enumerate(rows):
-                index[r, :int(lengths[row])] = index_maps[row]
-            hidden = self.backbone(cvecs[index], lengths[rows])  # (B, T, H)
-            scores = self.score(hidden).reshape(len(rows), width)
-            for r, row in enumerate(rows):
-                pieces[row] = scores[r, :int(lengths[row])]
-        order = np.argsort(np.concatenate(index_maps))
-        flat_scores = concat(pieces, axis=0)[order]
-        if segments is None:
-            return flat_scores.softmax(axis=0)
-        bounds = np.concatenate([[0], np.cumsum(segments)])
-        return concat([flat_scores[int(a):int(b)].softmax(axis=0)
-                       for a, b in zip(bounds[:-1], bounds[1:])], axis=0)
+        groups = [(self, index_maps)]
+        if partner is not None:
+            groups.append(partner)
+        for detector, _ in groups:
+            if cvecs.shape[-1] != detector.input_dim:
+                raise ValueError(f"expected c-vec dim {detector.input_dim}, "
+                                 f"got {cvecs.shape}")
+        layouts = [_group_layout(maps, bucket) for _, maps in groups]
+        scores: list[list[Tensor]] = [[] for _ in groups]
+        for key in sorted(set().union(*(bins for bins, _ in layouts))):
+            members = [g for g, (bins, _) in enumerate(layouts) if key in bins]
+            batches = [layouts[g][0][key] for g in members]
+            hidden = StackedBiLSTM.run_together(
+                [groups[g][0].backbone for g in members],
+                [cvecs[index] for index, _ in batches],
+                [lengths for _, lengths in batches])      # (B, T, H) each
+            for g, states in zip(members, hidden):
+                scores[g].append(groups[g][0].score(states).reshape(-1))
+        probs = [_flat_softmax(concat(parts, axis=0)[order], segments)
+                 for parts, (_, order) in zip(scores, layouts)]
+        return probs[0] if partner is None else (probs[0], probs[1])
+
+
+def score_groups(forward: GroupDetector | None,
+                 backward: GroupDetector | None, cvecs: Tensor,
+                 stay_counts: Sequence[int], segments: np.ndarray,
+                 bucket: bool = False) -> tuple[Tensor | None, Tensor | None]:
+    """Forward- and backward-group probabilities of many trajectories.
+
+    ``cvecs`` stacks the candidates of trajectories with ``stay_counts``
+    stay points, ``segments`` candidates each.  Whichever detectors are
+    given score in one :meth:`GroupDetector.score_indexed` call; a
+    missing detector gives ``None``.
+    """
+    offsets = np.cumsum(segments) - segments
+    groups = [(detector, [m + int(off) for n, off in zip(stay_counts, offsets)
+                          for m in builder(n)])
+              for detector, builder in ((forward, forward_index_maps),
+                                        (backward, backward_index_maps))
+              if detector is not None]
+    if not groups:
+        return None, None
+    (detector, maps), *rest = groups
+    probs = detector.score_indexed(cvecs, maps, segments=segments,
+                                   bucket=bucket,
+                                   partner=rest[0] if rest else None)
+    if rest:
+        return probs
+    return (probs, None) if forward is not None else (None, probs)
+
+
+def _group_layout(index_maps: list[np.ndarray], bucket: bool
+                  ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]],
+                             np.ndarray]:
+    """The padded subgroup batches of a group and the reorder back.
+
+    Returns ``{bin: (index, lengths)}`` — per bin the ``(rows, width)``
+    matrix of c-vec rows (padding points at row 0) and the subgroup
+    lengths — and ``order``: candidate ``i`` (in sorted index order) is
+    element ``order[i]`` of the bins' flattened score matrices,
+    concatenated in ascending bin order.
+    """
+    lengths = np.array([len(m) for m in index_maps], dtype=np.int64)
+    flat = np.concatenate(index_maps)
+    sub = np.repeat(np.arange(len(index_maps)), lengths)
+    col = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths,
+                                           lengths)
+    width = int(lengths.max())
+    index = np.zeros((len(index_maps), width), dtype=np.int64)
+    index[sub, col] = flat
+    if not bucket:
+        return {0: (index, lengths)}, (sub * width + col)[np.argsort(flat)]
+    keys = 2 ** np.ceil(np.log2(np.maximum(lengths, 1))).astype(np.int64)
+    cell = np.zeros_like(index)     # flat score position of each cell
+    bins: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    offset = 0
+    for key in np.unique(keys):
+        rows = np.nonzero(keys == key)[0]
+        width = int(lengths[rows].max())
+        bins[int(key)] = (index[rows, :width], lengths[rows])
+        cell[rows, :width] = offset + np.arange(
+            len(rows) * width).reshape(len(rows), width)
+        offset += len(rows) * width
+    return bins, cell[sub, col][np.argsort(flat)]
+
+
+def _flat_softmax(scores: Tensor, segments: np.ndarray | None) -> Tensor:
+    """Softmax over all candidates, or per trajectory with ``segments``."""
+    if segments is None:
+        return scores.softmax(axis=0)
+    bounds = np.concatenate([[0], np.cumsum(segments)])
+    return concat([scores[int(a):int(b)].softmax(axis=0)
+                   for a, b in zip(bounds[:-1], bounds[1:])], axis=0)
 
 
 class IndependentDetector(Module):

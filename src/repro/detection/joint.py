@@ -21,8 +21,7 @@ import numpy as np
 from ..encoding import HierarchicalAutoencoder
 from ..nn import (Adam, CheckpointManager, TrainingHistory, bce_loss,
                   concat, kld_loss, train_epochs)
-from .detectors import GroupDetector, IndependentDetector
-from .grouping import backward_index_maps, forward_index_maps
+from .detectors import GroupDetector, IndependentDetector, score_groups
 from .labels import smooth_label
 from .trainer import DetectorTrainingConfig
 
@@ -152,19 +151,9 @@ class JointDetectorTrainer:
             smooth_label(len(spec.pairs), spec.target_index,
                          self.config.epsilon)
             for spec in batch])
-        losses = []
-        for detector, map_builder in ((self.forward, forward_index_maps),
-                                      (self.backward, backward_index_maps)):
-            if detector is None:
-                continue
-            index_maps = []
-            offset = 0
-            for spec in batch:
-                for indices in map_builder(spec.num_stay_points):
-                    index_maps.append(indices + offset)
-                offset += len(spec.pairs)
-            segments = np.array([len(spec.pairs) for spec in batch])
-            probs = detector.score_indexed(all_cvecs, index_maps,
-                                           segments=segments)
-            losses.append(kld_loss(label, probs))
-        return losses
+        segments = np.array([len(spec.pairs) for spec in batch])
+        forward, backward = score_groups(
+            self.forward, self.backward, all_cvecs,
+            [spec.num_stay_points for spec in batch], segments)
+        return [kld_loss(label, probs) for probs in (forward, backward)
+                if probs is not None]

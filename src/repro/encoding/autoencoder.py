@@ -136,11 +136,15 @@ class HierarchicalAutoencoder(Module):
     # ------------------------------------------------------------------
     # Phase 1 and the reconstruction loss (paper Eq. 8)
     # ------------------------------------------------------------------
-    def _phase1(self, segments: list[np.ndarray],
-                operator: CompressionOperator) -> Tensor:
-        """Compress each segment: list of (L_i, F) -> (k, H)."""
-        batch, lengths = pad_sequences(segments)
-        return operator(Tensor(batch), lengths)
+    @staticmethod
+    def _phase1(operators: list[CompressionOperator],
+                segment_lists: list[list[np.ndarray]]) -> list[Tensor]:
+        """Compress each list of (L_i, F) segments into (k, H) with its
+        operator, every operator's LSTM in one time loop."""
+        padded = [pad_sequences(segments) for segments in segment_lists]
+        return CompressionOperator.run_together(
+            operators, [Tensor(batch) for batch, _ in padded],
+            [lengths for _, lengths in padded])
 
     def reconstruction_loss_batch(self, batch: list[CandidateFeatures]
                                   ) -> Tensor:
@@ -178,14 +182,19 @@ class HierarchicalAutoencoder(Module):
                 mp_index[b, mp_counts[b]] = len(mp_all)
                 mp_all.append(segment)
                 mp_counts[b] += 1
-        # Phase 1 over every segment of every candidate at once.
-        sp_cvecs = self._phase1(sp_all, self.comp_sp)     # (K_sp, H)
-        mp_cvecs = self._phase1(mp_all, self.comp_mp)     # (K_mp, H)
+        # Phase 1 over every segment of every candidate at once, one
+        # loop per branch: a one-candidate batch of adjacent stay points
+        # has one move segment, and padding that lone row to the stays'
+        # two would swap BLAS's matrix-vector product for a matrix
+        # product with other last bits (DESIGN §8).
+        sp_cvecs, = self._phase1([self.comp_sp], [sp_all])   # (K_sp, H)
+        mp_cvecs, = self._phase1([self.comp_mp], [mp_all])   # (K_mp, H)
         # Phase 2 per candidate via one fancy-indexed gather.
         sp_seq = sp_cvecs[sp_index]                       # (B, maxK, H)
         mp_seq = mp_cvecs[mp_index]
-        v_sp = self.comp_sp2(sp_seq, sp_counts)           # (B, H)
-        v_mp = self.comp_mp2(mp_seq, mp_counts)
+        v_sp, v_mp = CompressionOperator.run_together(    # (B, H) each
+            [self.comp_sp2, self.comp_mp2], [sp_seq, mp_seq],
+            [sp_counts, mp_counts])
         loss_sp, n_sp = self._branch_loss_batch(
             v_sp, sp_all, sp_index, sp_counts, self.decomp_sp2,
             self.decomp_sp)
@@ -263,18 +272,18 @@ class HierarchicalAutoencoder(Module):
             raise ValueError("no candidate pairs to encode")
         if not self.config.hierarchical:
             return self._encode_flat(stay_lists, move_lists, pairs_lists)
-        sp_cvecs = self._phase1([seg for segs in stay_lists for seg in segs],
-                                self.comp_sp)
-        mp_cvecs = self._phase1([seg for segs in move_lists for seg in segs],
-                                self.comp_mp)
+        # Each phase runs its stay and move operators in one time loop.
+        sp_cvecs, mp_cvecs = self._phase1(
+            [self.comp_sp, self.comp_mp],
+            [[seg for segs in stay_lists for seg in segs],
+             [seg for segs in move_lists for seg in segs]])
         runs = prefix_runs(pairs_lists, [len(s) for s in stay_lists],
                            [len(m) for m in move_lists])
-        sp_vec = self.comp_sp2.prefixes(sp_cvecs[runs.sp_index],
-                                        runs.sp_lengths, runs.run,
-                                        runs.length)
-        mp_vec = self.comp_mp2.prefixes(mp_cvecs[runs.mp_index],
-                                        runs.sp_lengths - 1, runs.run,
-                                        runs.length - 1)
+        sp_vec, mp_vec = CompressionOperator.prefixes_together(
+            [self.comp_sp2, self.comp_mp2],
+            [sp_cvecs[runs.sp_index], mp_cvecs[runs.mp_index]],
+            [runs.sp_lengths, runs.sp_lengths - 1],
+            [(runs.run, runs.length), (runs.run, runs.length - 1)])
         return concat([sp_vec, mp_vec], axis=1)
 
     def _encode_flat(self, stay_lists, move_lists, pairs_lists) -> Tensor:

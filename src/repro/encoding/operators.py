@@ -11,11 +11,13 @@ at every step (Eq. 5) followed by two fully connected layers with a tanh
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..nn import (Linear, LSTM, LSTMDecoder, Module, SelfAttentionAggregator,
                   Tensor)
-from ..nn.fused import compress_prefixes, mlp_head
+from ..nn.fused import mlp_head, prefix_attention_pool
 
 __all__ = ["CompressionOperator", "DecompressionOperator"]
 
@@ -47,27 +49,60 @@ class CompressionOperator(Module):
 
     def forward(self, x: Tensor, lengths: np.ndarray | None = None) -> Tensor:
         """Compress ``(B, T, F)`` into ``(B, H)``."""
-        outputs, (last_hidden, _) = self.lstm(x, lengths)
-        if self.use_attention:
-            aggregated = self.attention(outputs, last_hidden, lengths)
-        else:
-            aggregated = last_hidden
-        return _head(self.fc1, self.fc2, aggregated)
+        return CompressionOperator.run_together([self], [x], [lengths])[0]
 
     def prefixes(self, runs: Tensor, lengths: np.ndarray, run: np.ndarray,
                  length: np.ndarray) -> Tensor:
         """Row ``k``: :meth:`forward` on the first ``length[k]`` steps of
-        run ``run[k]`` of ``runs``, all from one LSTM pass
-        (:func:`repro.nn.fused.compress_prefixes`)."""
-        cell = self.lstm.cell
-        attention = None
-        if self.use_attention:
-            query, key = self.attention.query, self.attention.key
-            attention = (query.weight, query.bias, key.weight, key.bias)
-        return compress_prefixes(
-            runs, lengths, (cell.w_ih, cell.w_hh, cell.bias), attention,
-            (self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias),
-            run, length)
+        run ``run[k]`` of ``runs``, all from one LSTM pass."""
+        return CompressionOperator.prefixes_together(
+            [self], [runs], [lengths], [(run, length)])[0]
+
+    @staticmethod
+    def run_together(operators: Sequence["CompressionOperator"],
+                     xs: Sequence[Tensor],
+                     lengths: Sequence[np.ndarray | None]) -> list[Tensor]:
+        """``operators[k](xs[k], lengths[k])`` for every ``k``, with every
+        operator's LSTM in one time loop."""
+        runs = LSTM.run_together([op.lstm for op in operators], xs, lengths)
+        out = []
+        for op, (outputs, last_hidden, _), lens in zip(operators, runs,
+                                                       lengths):
+            if op.use_attention:
+                aggregated = op.attention(outputs, last_hidden, lens)
+            else:
+                aggregated = last_hidden
+            out.append(_head(op.fc1, op.fc2, aggregated))
+        return out
+
+    @staticmethod
+    def prefixes_together(operators: Sequence["CompressionOperator"],
+                          runs: Sequence[Tensor],
+                          lengths: Sequence[np.ndarray],
+                          prefixes: Sequence[tuple[np.ndarray, np.ndarray]]
+                          ) -> list[Tensor]:
+        """``operators[k].prefixes(runs[k], lengths[k], *prefixes[k])``
+        for every ``k``, with every operator's LSTM in one time loop.
+
+        A forward LSTM's first ``L`` states over a run *are* its states
+        over the run's length-``L`` prefix, so each prefix is read off its
+        run (:func:`repro.nn.fused.prefix_attention_pool`; LEAD-NoSel
+        reads the state at step ``length - 1``).
+        """
+        states = LSTM.run_together([op.lstm for op in operators], runs,
+                                   lengths)
+        out = []
+        for op, (outputs, _, _), (run, length) in zip(operators, states,
+                                                      prefixes):
+            if op.use_attention:
+                query, key = op.attention.query, op.attention.key
+                pooled = prefix_attention_pool(
+                    outputs, query.weight, query.bias, key.weight, key.bias,
+                    run, length)
+            else:
+                pooled = outputs[run, length - 1]
+            out.append(_head(op.fc1, op.fc2, pooled))
+        return out
 
 
 class DecompressionOperator(Module):

@@ -20,6 +20,16 @@ one fused ``(B, 4H)`` pass, and the backward hoists all activation
 derivatives (``σ'``, ``tanh'``) out of the time loop into two
 whole-tape vectorized products.
 
+:func:`lstm_sequence` takes a *stack*: ``K`` LSTMs with their own
+inputs, weights, lengths and directions run in one time loop whose
+recurrent product is one ``(K, B, H) @ (K, H, 4H)`` matmul, so the
+per-step dispatch that dominates small batches is paid once for all
+``K`` (DESIGN §8).  A lone LSTM is the ``K = 1`` call.  Each slice's
+results equal its lone run bit for bit; the one exception is a slice
+of a single row in a wider stack, whose recurrent product becomes a
+matrix product instead of BLAS's matrix-vector one and may move in its
+last bits.
+
 Numerical contract
 ------------------
 The fused forward replays the floating-point operation order of the
@@ -46,6 +56,8 @@ equivalence tests swap in to check both contracts above.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .precision import active_dtype, weight_view
@@ -59,7 +71,7 @@ except ImportError:  # pragma: no cover
 
 __all__ = ["lstm_sequence", "gru_sequence", "lstm_decode",
            "affine", "attention_pool", "mlp_head",
-           "prefix_attention_pool", "compress_prefixes"]
+           "prefix_attention_pool"]
 
 def _sigmoid_into(pre: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out = 1 / (1 + exp(-clip(pre, ±60)))``, no temporaries.
@@ -120,175 +132,261 @@ def _compute_dtype(record: bool) -> np.dtype:
 
 
 # ----------------------------------------------------------------------
-# LSTM over a padded batch
+# K LSTMs over padded batches, one time loop
 # ----------------------------------------------------------------------
-def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
-                  lengths: np.ndarray | None = None,
-                  reverse: bool = False
-                  ) -> tuple[Tensor, Tensor, Tensor]:
-    """Run a full LSTM over ``(B, T, F)`` as one fused autograd op.
+def _step_masks(lengths: list[np.ndarray | None],
+                shapes: list[tuple[int, int]], reverse: list[bool],
+                batch: int, steps: int
+                ) -> tuple[np.ndarray | None, np.ndarray | None,
+                           np.ndarray | None]:
+    """``(valid, pad, full)`` of a stack in *step order*.
 
-    Gate layout matches :class:`~repro.nn.rnn.LSTMCell`:
-    ``[input, forget, cell, output]`` along the last axis of ``w_ih``
-    (``(F, 4H)``), ``w_hh`` (``(H, 4H)``) and ``bias`` (``(4H,)``).
-
-    Returns ``(outputs, h_last, c_last)`` where ``outputs`` is
-    ``(B, T, H)`` and ``h_last``/``c_last`` are the freeze-masked final
-    states (the state at each row's last valid step; first valid step
-    when ``reverse=True``).  All three are differentiable views of a
-    single fused graph node.
+    Slice ``k`` processes its original timestep ``t`` at loop step
+    ``t`` (forward) or ``T_k - 1 - t`` (reverse), so a row of length
+    ``L`` is valid on steps ``[0, L)`` or ``[T_k - L, T_k)``, and the
+    envelope's rows past ``B_k`` are never valid.  ``valid`` and its
+    complement ``pad`` are ``(T, K, B, 1)`` bools; ``full`` marks the
+    steps where every row of every slice is valid, and the masks are
+    dropped when every step is full.
     """
-    record = _needs_grad(x, w_ih, w_hh, bias)
-    cdt = _compute_dtype(record)
-    xd = np.asarray(x.data, dtype=cdt)
-    wi = weight_view(w_ih, cdt)
-    wh = weight_view(w_hh, cdt)
-    b = weight_view(bias, cdt)
-    batch, steps, features = xd.shape
-    n = wh.shape[0]
-    keep_m, drop_m, full_t = _masks(lengths, steps, cdt)
-    # Hoisted input GEMM — identical to the tape's (B·T, F) GEMM (a GEMM
-    # computes each output row independently, so transposing to
-    # time-major first permutes rows without changing a single bit).
-    xT = np.ascontiguousarray(xd.transpose(1, 0, 2))   # (T, B, F)
-    x_proj = (xT.reshape(steps * batch, features) @ wi).reshape(
-        steps, batch, 4 * n)
-    ts = list(range(steps - 1, -1, -1) if reverse else range(steps))
+    if all(lens is None for lens in lengths) and all(
+            shape == (batch, steps) for shape in shapes):
+        return None, None, None
+    lo = np.zeros((len(shapes), batch), dtype=np.int64)
+    hi = np.zeros((len(shapes), batch), dtype=np.int64)
+    for k, ((rows, width), lens, rev) in enumerate(
+            zip(shapes, lengths, reverse)):
+        lens = width if lens is None else np.asarray(lens)
+        hi[k, :rows] = width if rev else lens
+        lo[k, :rows] = width - lens if rev else 0
+    step = np.arange(steps)[:, None, None]
+    valid = (step >= lo) & (step < hi)                    # (T, K, B)
+    full = valid.all(axis=(1, 2))
+    if full.all():
+        return None, None, None
+    return valid[..., None], ~valid[..., None], full
 
-    # Time-major state buffers keep every per-step ufunc contiguous; the
-    # batch-major node buffer is materialized once at the end.  Every
-    # step writes its slab, so only c_0 needs zeroing.
-    hs = np.empty((steps, batch, n), dtype=cdt)            # hs[t] = h_t
-    c_states = np.empty((steps + 1, batch, n), dtype=cdt)  # c pre-step
-    c_states[0] = 0.0
-    gate_buf = np.empty((batch, 4 * n), dtype=cdt)
-    scratch = np.empty((batch, n), dtype=cdt)
+
+#: The most rows (``B``) at which slices share one time loop.  Stacking
+#: saves the per-step dispatch of ``K - 1`` loops, which dominates a
+#: step only while batches are small: on a 2-core x86 container, ``K``
+#: stacked LSTMs ran 1.2–1.4x faster than ``K`` lone ones at 6–20 rows
+#: and at par from about 30 rows on, while at 390 rows the stacked
+#: buffers outgrew the cache and the stack ran 15 % slower.  Wider
+#: stacks run one slice at a time.
+_STACK_ROWS = 64
+
+
+def lstm_sequence(xs: Sequence[Tensor],
+                  weights: Sequence[tuple[Tensor, Tensor, Tensor]],
+                  lengths: Sequence[np.ndarray | None] | None = None,
+                  reverse: Sequence[bool] | None = None
+                  ) -> list[tuple[Tensor, Tensor, Tensor]]:
+    """Run ``K`` LSTMs in one time loop, as one fused autograd op.
+
+    Slice ``k`` is an LSTM with ``weights[k] = (w_ih, w_hh, bias)``
+    (``(F, 4H)``, ``(H, 4H)``, ``(4H,)``, gate layout ``[input, forget,
+    cell, output]`` as in :class:`~repro.nn.rnn.LSTMCell`) over
+    ``xs[k]`` (``(B_k, T_k, F)``) with ``lengths[k]`` and direction
+    ``reverse[k]``.  Every slice shares ``F`` and ``H``; a single LSTM
+    is the ``K = 1`` call.  The slices are laid into one ``(K, B, T)``
+    envelope (``B = max B_k``, ``T = max T_k``) whose extra rows and
+    steps are freeze-masked, and each step's recurrent product is one
+    ``(K, B, H) @ (K, H, 4H)`` matmul.  Past :data:`_STACK_ROWS` rows
+    the slices run one after another instead.
+
+    Returns one ``(outputs, h_last, c_last)`` per slice: ``outputs`` is
+    ``(B_k, T_k, H)`` and ``h_last``/``c_last`` are the freeze-masked
+    final states (the state at each row's last valid step; first valid
+    step when reversed).  When recording, all are differentiable views
+    of one node.
+    """
+    count = len(xs)
+    lengths = [None] * count if lengths is None else list(lengths)
+    reverse = [False] * count if reverse is None else list(reverse)
+    if not count or not len(weights) == len(lengths) == len(reverse) \
+            == count:
+        raise ValueError("need one weight triple, length vector and "
+                         "direction per input")
+    if count > 1 and max(x.shape[0] for x in xs) > _STACK_ROWS:
+        return [lstm_sequence(*slice_k)[0] for slice_k in zip(
+            ([x] for x in xs), ([w] for w in weights),
+            ([lens] for lens in lengths), ([rev] for rev in reverse))]
+    params = [w for triple in weights for w in triple]
+    record = _needs_grad(*xs, *params)
+    cdt = _compute_dtype(record)
+    xds = [np.asarray(x.data, dtype=cdt) for x in xs]
+    wis = [weight_view(w_ih, cdt) for w_ih, _, _ in weights]
+    wh = np.stack([weight_view(w_hh, cdt) for _, w_hh, _ in weights])
+    b = np.stack([weight_view(bias, cdt) for _, _, bias in weights])
+    b = b[:, None]                                        # (K, 1, 4H)
+    n = wh.shape[1]
+    features = xds[0].shape[2]
+    if any(x.shape[2] != features for x in xds) or wh.shape[2] != 4 * n \
+            or any(wi.shape != (features, 4 * n) for wi in wis):
+        raise ValueError("stacked LSTMs must share input and hidden sizes")
+    shapes = [x.shape[:2] for x in xds]
+    batch = max(rows for rows, _ in shapes)
+    steps = max(width for _, width in shapes)
+    valid_m, pad_m, full_t = _step_masks(lengths, shapes, reverse, batch,
+                                         steps)
+    # Hoisted input GEMMs, one per slice on its own (B_k·T_k, F) rows
+    # in step order — the same GEMM as the tape's (a GEMM computes each
+    # output row independently, so reordering the rows to step-major
+    # first permutes output rows without changing a single bit).
+    # Envelope padding stays zero, so masked steps stay finite.
+    padded = any(shape != (batch, steps) for shape in shapes)
+    x_proj = (np.zeros if padded else np.empty)(
+        (count, steps, batch, 4 * n), dtype=cdt)
+    xTs = []
+    for k, (x, wi, (rows, width)) in enumerate(zip(xds, wis, shapes)):
+        xT = np.ascontiguousarray(
+            (x[:, ::-1] if reverse[k] else x).transpose(1, 0, 2))
+        xTs.append(xT)
+        flat = xT.reshape(width * rows, features)
+        if rows == batch:
+            np.matmul(flat, wi, out=x_proj[k, :width].reshape(
+                width * rows, 4 * n))
+        else:
+            x_proj[k, :width, :rows] = (flat @ wi).reshape(width, rows,
+                                                           4 * n)
+
+    # The node buffer holds every slice's states in *step order*:
+    # packed[k, :, s] is h after step s, written there by the step
+    # itself (a reversed slice's outputs are a reversed view), and
+    # packed[k, :, T] is the final cell state — one buffer, so one tape
+    # node feeds every slice's outputs, h_last and c_last.
+    packed = np.empty((count, batch, steps + 1, n), dtype=cdt)
+    gate_buf = np.empty((count, batch, 4 * n), dtype=cdt)
+    scratch = np.empty((count, batch, n), dtype=cdt)
     if record:
-        acts = np.empty((steps, batch, 4 * n))    # i, f, g, o
-        tanh_c = np.empty((steps, batch, n))      # tanh of pre-mask c̃
+        c_states = np.empty((steps + 1, count, batch, n))  # c before step s
+        c_states[0] = 0.0
+        acts = np.empty((steps, count, batch, 4 * n))   # i, f, g, o
+        tanh_c = np.empty((steps, count, batch, n))     # tanh of pre-mask c̃
     else:
-        act_slab = np.empty((batch, 4 * n), dtype=cdt)
-        tc_slab = np.empty((batch, n), dtype=cdt)
-    zero_h = np.zeros((batch, n), dtype=cdt)
-    h_prev = zero_h
-    for k, t in enumerate(ts):
-        c_prev = c_states[k]
-        c_new = c_states[k + 1]
-        h = hs[t]
-        sig = acts[k] if record else act_slab
-        tc = tanh_c[k] if record else tc_slab
-        np.matmul(h_prev, wh, out=gate_buf)
-        gate_buf += x_proj[t]                     # x·W + h·W (commutative)
+        c_states = np.zeros((2, count, batch, n), dtype=cdt)  # rolling c
+        act_slab = np.empty((count, batch, 4 * n), dtype=cdt)
+        tc_slab = np.empty((count, batch, n), dtype=cdt)
+    h_prev = np.zeros((count, batch, n), dtype=cdt)
+    for s in range(steps):
+        if record:
+            c_prev, c_new = c_states[s], c_states[s + 1]
+        else:
+            c_prev, c_new = c_states[s % 2], c_states[1 - s % 2]
+        h = packed[:, :, s]
+        sig = acts[s] if record else act_slab
+        tc = tanh_c[s] if record else tc_slab
+        np.matmul(h_prev, wh, out=gate_buf)       # K recurrent GEMMs
+        gate_buf += x_proj[:, s]                  # x·W + h·W (commutative)
         gate_buf += b
         _sigmoid_into(gate_buf, sig)              # one pass over all 4H
-        g = np.tanh(gate_buf[:, 2 * n:3 * n], out=sig[:, 2 * n:3 * n])
-        i = sig[:, 0 * n:1 * n]
-        f = sig[:, 1 * n:2 * n]
-        o = sig[:, 3 * n:4 * n]
+        g = np.tanh(gate_buf[..., 2 * n:3 * n], out=sig[..., 2 * n:3 * n])
+        i = sig[..., 0 * n:1 * n]
+        f = sig[..., 1 * n:2 * n]
+        o = sig[..., 3 * n:4 * n]
         np.multiply(f, c_prev, out=c_new)
         np.multiply(i, g, out=scratch)
         c_new += scratch                          # c̃ = f·c + i·g
         np.tanh(c_new, out=tc)
         np.multiply(o, tc, out=h)                 # h̃ = o·tanh(c̃)
-        if keep_m is not None and not full_t[t]:
-            keep = keep_m[:, t]
-            drop = drop_m[:, t]
-            h *= keep
-            np.multiply(h_prev, drop, out=scratch)
-            h += scratch                          # h = h̃·m + h_prev·(1-m)
-            c_new *= keep
-            np.multiply(c_prev, drop, out=scratch)
-            c_new += scratch
+        if pad_m is not None and not full_t[s]:
+            # Freeze padded rows: h = h̃·m + h_prev·(1-m) with m ∈ {0, 1}.
+            np.copyto(h, h_prev, where=pad_m[s])
+            np.copyto(c_new, c_prev, where=pad_m[s])
         h_prev = h
-
-    # packed[:, t] = h_t for t < T, packed[:, T] = final cell state: one
-    # buffer means one tape node feeding outputs, h_last and c_last.
-    packed = np.empty((batch, steps + 1, n), dtype=cdt)
-    packed[:, :steps, :] = hs.transpose(1, 0, 2)
-    packed[:, steps, :] = c_states[steps]
+    packed[:, :, steps] = c_new
+    keys = [((k, slice(rows),
+              slice(width - 1, None, -1) if reverse[k] else slice(width)),
+             (k, slice(rows), width - 1), (k, slice(rows), steps))
+            for k, (rows, width) in enumerate(shapes)]
+    if not record:
+        return [tuple(Tensor(packed[key]) for key in slice_keys)
+                for slice_keys in keys]
 
     def backward(grad: np.ndarray) -> None:
         # Activation derivatives for the whole tape in two fused
         # passes (in-place: σ'=a·(1-a) and tanh'=1-a² share one buffer).
         deriv = 1.0 - acts                        # σ' on i, f, o
         deriv *= acts
-        gb = acts[:, :, 2 * n:3 * n]
-        gblk = deriv[:, :, 2 * n:3 * n]
+        gb = acts[..., 2 * n:3 * n]
+        gblk = deriv[..., 2 * n:3 * n]
         np.multiply(gb, gb, out=gblk)             # tanh' on the g block
         np.subtract(1.0, gblk, out=gblk)
         dtanh_c = tanh_c * tanh_c
         np.subtract(1.0, dtanh_c, out=dtanh_c)
-        wh_t = wh.T.copy()
-        gT = np.ascontiguousarray(
-            grad[:, :steps, :].transpose(1, 0, 2))           # (T, B, H)
-        dh = np.zeros((batch, n))
-        dc = np.array(grad[:, steps, :], dtype=np.float64)   # c_last grad
-        d_xproj = np.empty((steps, batch, 4 * n))            # time-major
-        s1 = np.empty((batch, n))
-        dh_skip = np.empty((batch, n))
-        dc_skip = np.empty((batch, n))
-        for k in range(steps - 1, -1, -1):
-            t = ts[k]
-            dh += gT[t]
-            partial = keep_m is not None and not full_t[t]
+        wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))  # (K, 4H, H)
+        g_steps = np.ascontiguousarray(
+            grad[:, :, :steps].transpose(2, 0, 1, 3))       # (T, K, B, H)
+        dh = np.zeros((count, batch, n))
+        dc = np.array(grad[:, :, steps], dtype=np.float64)  # c_last grad
+        d_xproj = np.empty((steps, count, batch, 4 * n))    # step-major
+        s1 = np.empty((count, batch, n))
+        dh_skip = np.empty((count, batch, n))
+        dc_skip = np.empty((count, batch, n))
+        for s in range(steps - 1, -1, -1):
+            dh += g_steps[s]
+            partial = pad_m is not None and not full_t[s]
             if partial:
-                keep = keep_m[:, t]
-                drop = drop_m[:, t]
+                keep = valid_m[s]
+                drop = pad_m[s]
                 np.multiply(dh, drop, out=dh_skip)
                 dh *= keep
                 np.multiply(dc, drop, out=dc_skip)
                 dc *= keep
-            i = acts[k, :, 0 * n:1 * n]
-            f = acts[k, :, 1 * n:2 * n]
-            g = acts[k, :, 2 * n:3 * n]
-            tc = tanh_c[k]
-            da = d_xproj[t]
+            i = acts[s, ..., 0 * n:1 * n]
+            f = acts[s, ..., 1 * n:2 * n]
+            g = acts[s, ..., 2 * n:3 * n]
+            da = d_xproj[s]
             # dc̃ = dc·m + dh̃·o·(1 - tanh²c̃)
-            np.multiply(dh, acts[k, :, 3 * n:4 * n], out=s1)
-            s1 *= dtanh_c[k]
+            np.multiply(dh, acts[s, ..., 3 * n:4 * n], out=s1)
+            s1 *= dtanh_c[s]
             dc += s1
-            np.multiply(dh, tc, out=da[:, 3 * n:4 * n])      # do
-            np.multiply(dc, g, out=da[:, 0 * n:1 * n])       # di
-            np.multiply(dc, c_states[k], out=da[:, 1 * n:2 * n])  # df
-            np.multiply(dc, i, out=da[:, 2 * n:3 * n])       # dg
-            da *= deriv[k]                                   # preact grads
+            np.multiply(dh, tanh_c[s], out=da[..., 3 * n:4 * n])    # do
+            np.multiply(dc, g, out=da[..., 0 * n:1 * n])            # di
+            np.multiply(dc, c_states[s], out=da[..., 1 * n:2 * n])  # df
+            np.multiply(dc, i, out=da[..., 2 * n:3 * n])            # dg
+            da *= deriv[s]                                          # preact
             dc *= f
             if partial:
                 dc += dc_skip
             np.matmul(da, wh_t, out=dh)
             if partial:
                 dh += dh_skip
-        flat = d_xproj.reshape(steps * batch, 4 * n)
-        if x.requires_grad:
-            dx = (flat @ wi.T).reshape(steps, batch, features)
-            x._accumulate(np.ascontiguousarray(dx.transpose(1, 0, 2)),
-                          own=True)
-        if w_ih.requires_grad:
-            w_ih._accumulate(xT.reshape(steps * batch, features).T @ flat,
-                             own=True)
-        if w_hh.requires_grad:
-            # dW_hh = Σ_k h_{k-1}ᵀ·da_k as ONE GEMM: line the previous
-            # hidden states up with d_xproj's time axis (step k reads
-            # hs[ts[k-1]]; the first step sees zeros).
-            hp = np.empty((steps, batch, n))
-            if reverse:
-                hp[steps - 1] = 0.0
-                if steps > 1:
-                    hp[:steps - 1] = hs[1:]
-            else:
+        # Per slice, on its own (T_k, B_k) extent in original time order:
+        # the same GEMMs and sums as a lone LSTM, whatever the envelope.
+        for k, (x, xT, wi, (w_ih, w_hh, bias), (rows, width)) in enumerate(
+                zip(xs, xTs, wis, weights, shapes)):
+            rev = reverse[k]
+            dk = d_xproj[:width, k, :rows]
+            flat = np.ascontiguousarray(dk[::-1] if rev else dk).reshape(
+                width * rows, 4 * n)
+            if rev:
+                xT = np.ascontiguousarray(xT[::-1])
+            if x.requires_grad:
+                dx = (flat @ wi.T).reshape(width, rows, features)
+                x._accumulate(np.ascontiguousarray(dx.transpose(1, 0, 2)),
+                              own=True)
+            if w_ih.requires_grad:
+                w_ih._accumulate(xT.reshape(width * rows, features).T @ flat,
+                                 own=True)
+            if w_hh.requires_grad:
+                # dW_hh = Σ_s h_{s-1}ᵀ·da_s as ONE GEMM: step s reads the
+                # state after step s - 1 (zeros at s = 0).
+                hp = np.empty((width, rows, n))
                 hp[0] = 0.0
-                if steps > 1:
-                    hp[1:] = hs[:steps - 1]
-            w_hh._accumulate(hp.reshape(steps * batch, n).T @ flat,
-                             own=True)
-        if bias.requires_grad:
-            bias._accumulate(d_xproj.sum(axis=(0, 1)), own=True)
+                hp[1:] = packed[k, :rows, :width - 1].transpose(1, 0, 2)
+                if rev:
+                    hp = np.ascontiguousarray(hp[::-1])
+                w_hh._accumulate(hp.reshape(width * rows, n).T @ flat,
+                                 own=True)
+            if bias.requires_grad:
+                bias._accumulate(
+                    flat.reshape(width, rows, 4 * n).sum(axis=(0, 1)),
+                    own=True)
 
-    node = Tensor._make(packed, (x, w_ih, w_hh, bias), backward)
-    outputs = node[:, :steps, :]
-    h_last = node[:, ts[-1], :]
-    c_last = node[:, steps, :]
-    return outputs, h_last, c_last
+    node = Tensor._make(packed, (*xs, *params), backward)
+    return [tuple(node[key] for key in slice_keys) for slice_keys in keys]
 
 
 # ----------------------------------------------------------------------
@@ -793,26 +891,3 @@ def prefix_attention_pool(outputs: Tensor, w_query: Tensor, b_query: Tensor,
 
     return Tensor._make(pooled, (outputs, w_query, b_query, w_key, b_key),
                         backward)
-
-
-def compress_prefixes(x: Tensor, lengths: np.ndarray,
-                      lstm: tuple[Tensor, Tensor, Tensor],
-                      attention: tuple[Tensor, Tensor, Tensor, Tensor] | None,
-                      head: tuple[Tensor, Tensor, Tensor, Tensor],
-                      run: np.ndarray, length: np.ndarray) -> Tensor:
-    """A compression operator on many prefixes of each run of ``x``.
-
-    Row ``k`` is the operator's output on the first ``length[k]`` steps
-    of run ``run[k]`` (``1 <= length[k] <= lengths[run[k]]``), from one
-    :func:`lstm_sequence` pass over the ``R`` runs instead of one row
-    per prefix.  ``attention=None`` is LEAD-NoSel (the state at step
-    ``length[k] - 1`` instead of attention pooling).  ``lstm``,
-    ``attention`` and ``head`` are ``(w_ih, w_hh, bias)``, ``(w_query,
-    b_query, w_key, b_key)`` and ``(w1, b1, w2, b2)``.
-    """
-    outputs, _, _ = lstm_sequence(x, *lstm, lengths=lengths)
-    if attention is None:
-        pooled = outputs[run, length - 1]
-    else:
-        pooled = prefix_attention_pool(outputs, *attention, run, length)
-    return mlp_head(pooled, *head)

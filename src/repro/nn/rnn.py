@@ -22,12 +22,19 @@ through them :class:`BiLSTMLayer` / :class:`StackedBiLSTM`) run whole
 sequences through the fused kernels of :mod:`repro.nn.fused`, which
 execute the time loop in raw numpy and contribute a *single* node to
 the autograd tape (hand-derived BPTT) instead of ~20 nodes per step.
+The LSTM kernel runs a stack of LSTMs in one time loop:
+:meth:`LSTM.run_together` runs several LSTMs over their own inputs,
+a bidirectional layer runs both directions that way, and
+:meth:`StackedBiLSTM.run_together` runs every direction of several
+stacks layer by layer.
 The cell classes hold the gate weights; a per-step tape reference that
 the kernels are verified against (bit-identical forward, ``rtol=1e-9``
 gradients) lives with the tests in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -116,10 +123,24 @@ class LSTM(_Recurrent):
 
     def forward(self, x: Tensor, lengths: np.ndarray | None = None
                 ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        outputs, h, c = lstm_sequence(
-            x, self.cell.w_ih, self.cell.w_hh, self.cell.bias,
-            lengths=lengths, reverse=self.reverse)
+        (outputs, h, c), = LSTM.run_together([self], [x], [lengths])
         return outputs, (h, c)
+
+    @staticmethod
+    def run_together(lstms: Sequence["LSTM"], xs: Sequence[Tensor],
+                     lengths: Sequence[np.ndarray | None]
+                     ) -> list[tuple[Tensor, Tensor, Tensor]]:
+        """Run ``lstms[k]`` over ``xs[k]`` for every ``k`` in one time
+        loop (:func:`~repro.nn.fused.lstm_sequence`).
+
+        The LSTMs must share input and hidden sizes; batch sizes, lengths
+        and directions may differ.  Returns ``(outputs, h_last, c_last)``
+        per LSTM, each exactly what the LSTM returns on its own.
+        """
+        return lstm_sequence(
+            xs, [(lstm.cell.w_ih, lstm.cell.w_hh, lstm.cell.bias)
+                 for lstm in lstms],
+            lengths, [lstm.reverse for lstm in lstms])
 
 
 class GRU(_Recurrent):
@@ -155,9 +176,20 @@ class BiLSTMLayer(Module):
         self.projection = Linear(2 * hidden_size, hidden_size, rng)
 
     def forward(self, x: Tensor, lengths: np.ndarray | None = None) -> Tensor:
-        fwd, _ = self.forward_lstm(x, lengths)
-        bwd, _ = self.backward_lstm(x, lengths)
-        return self.projection(concat([fwd, bwd], axis=2))
+        return _bilstm_layers([self], [x], [lengths])[0]
+
+
+def _bilstm_layers(layers: Sequence[BiLSTMLayer], xs: Sequence[Tensor],
+                   lengths: Sequence[np.ndarray | None]) -> list[Tensor]:
+    """``layers[k](xs[k], lengths[k])`` for every ``k``: both directions
+    of every layer run in one time loop (``2·len(layers)`` LSTMs)."""
+    lstms = [lstm for layer in layers
+             for lstm in (layer.forward_lstm, layer.backward_lstm)]
+    runs = LSTM.run_together(lstms, [x for x in xs for _ in range(2)],
+                             [lens for lens in lengths for _ in range(2)])
+    return [layer.projection(concat([runs[2 * k][0], runs[2 * k + 1][0]],
+                                    axis=2))
+            for k, layer in enumerate(layers)]
 
 
 class StackedBiLSTM(Module):
@@ -173,9 +205,21 @@ class StackedBiLSTM(Module):
         self.layers = [BiLSTMLayer(s, hidden_size, rng) for s in sizes]
 
     def forward(self, x: Tensor, lengths: np.ndarray | None = None) -> Tensor:
-        for layer in self.layers:
-            x = layer(x, lengths)
-        return x
+        return StackedBiLSTM.run_together([self], [x], [lengths])[0]
+
+    @staticmethod
+    def run_together(stacks: Sequence["StackedBiLSTM"], xs: Sequence[Tensor],
+                     lengths: Sequence[np.ndarray | None]) -> list[Tensor]:
+        """``stacks[k](xs[k], lengths[k])`` for every ``k``, layer by
+        layer: each layer depth is one time loop over both directions of
+        every stack.  The stacks must share depth and sizes."""
+        depth = len(stacks[0].layers)
+        if any(len(stack.layers) != depth for stack in stacks):
+            raise ValueError("stacks run together must share their depth")
+        for d in range(depth):
+            xs = _bilstm_layers([stack.layers[d] for stack in stacks], xs,
+                                lengths)
+        return list(xs)
 
 
 class LSTMDecoder(Module):

@@ -39,8 +39,8 @@ from ..data.poi import POIDatabase
 from ..data.dataset import LabeledSample
 from ..detection import (GroupDetector, IndependentDetector,
                          JointDetectorTrainer, TrajectorySpec,
-                         backward_index_maps, forward_index_maps,
-                         index_to_pair, merge_distributions, pair_to_index)
+                         index_to_pair, merge_distributions, pair_to_index,
+                         score_groups)
 from ..encoding import (AutoencoderTrainer, HierarchicalAutoencoder)
 from ..errors import (ArtifactCorruptedError, DetectorUnavailableError,
                       InvalidTrajectoryError, NotFittedError,
@@ -522,27 +522,17 @@ class LEAD:
                 raise DetectorUnavailableError(
                     f"direction 'both' requires both detectors; the "
                     f"{missing} detector is unavailable")
-            forward = backward = None
-            all_cvecs = Tensor(np.concatenate(cvecs_list, axis=0))
+            forward_detector = (self.forward_detector if direction in (
+                "both", "forward") else None)
+            backward_detector = (self.backward_detector if direction in (
+                "both", "backward") else None)
             with obs_span("detect.score", direction=direction):
-                if self.forward_detector is not None and direction in (
-                        "both", "forward"):
-                    maps: list[np.ndarray] = []
-                    for n, off in zip(ns, offsets[:-1]):
-                        maps.extend(m + int(off)
-                                    for m in forward_index_maps(n))
-                    forward = self.forward_detector.score_indexed(
-                        all_cvecs, maps, segments=counts,
-                        bucket=bucket).numpy()
-                if self.backward_detector is not None and direction in (
-                        "both", "backward"):
-                    maps = []
-                    for n, off in zip(ns, offsets[:-1]):
-                        maps.extend(m + int(off)
-                                    for m in backward_index_maps(n))
-                    backward = self.backward_detector.score_indexed(
-                        all_cvecs, maps, segments=counts,
-                        bucket=bucket).numpy()
+                probs = score_groups(
+                    forward_detector, backward_detector,
+                    Tensor(np.concatenate(cvecs_list, axis=0)), ns, counts,
+                    bucket)
+            forward, backward = (None if p is None else p.numpy()
+                                 for p in probs)
         if forward is None and backward is None:
             raise DetectorUnavailableError(
                 f"direction {direction!r} selects no available detector")

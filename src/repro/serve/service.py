@@ -24,7 +24,9 @@ worker for a *barrier*: ``checkpoint_all`` snapshots every known
 session into a fresh ``shard-<i>/barrier-<seq>`` directory (resident
 sessions written from live state, evicted sessions' spill files copied
 verbatim — exact, since evicted sessions receive no pings).  When the
-barrier acks, the journal is truncated to entries after it.  A dead or
+barrier acks, the journal is truncated to entries after it; an
+acknowledged ``drain`` does the same as an empty barrier, with or
+without a ``checkpoint_dir``, since it leaves no session behind.  A dead or
 hung worker is then recovered by wiping the shard's live sessions
 directory, copying the barrier in, starting a fresh manager
 (``adopt_spills`` re-registers never-re-touched trucks) and replaying
@@ -583,7 +585,25 @@ class FleetService:
             verdicts: list[ProvisionalVerdict] = []
             for shard, command in commands:
                 verdicts.extend(self._await(shard, command))
+                self._drained(shard, command[1])
         return sorted(verdicts, key=lambda v: (v.day, v.truck_id))
+
+    def _drained(self, shard: _Shard, seq: int) -> None:
+        """An acknowledged drain is an empty barrier.
+
+        It finalized and dropped every session on the shard (spill files
+        included), so a fresh manager is the shard's state at ``seq``:
+        recovery replays only the journal after it, and the last
+        snapshot is dropped.  Without this, a service with no
+        ``checkpoint_dir`` would journal every batch it was ever sent.
+        """
+        previous = shard.barrier_dir
+        shard.barrier_seq = seq
+        shard.barrier_dir = None
+        shard.journal = [(s, c) for s, c in shard.journal if s > seq]
+        shard.mutations = 0
+        if previous is not None:
+            shutil.rmtree(previous, ignore_errors=True)
 
     def wait(self) -> None:
         """Block until every submitted command has been acknowledged."""

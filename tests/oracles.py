@@ -20,9 +20,12 @@ plus :func:`masked_softmax`, which the tape oracle's attention uses:
 * :func:`tape_path` — the per-step autograd tape of the recurrent
   drivers, the linear and attention layers, the operator heads, the
   all-prefix compression and the MSE loss.  Inside the context those
-  modules build one tape node per elementary op; the fused kernels of
-  :mod:`repro.nn.fused` must match its forward values bit for bit and
-  its gradients at ``rtol=1e-9``.
+  modules build one tape node per elementary op, and the runners that
+  stack several LSTMs into one time loop (``LSTM.run_together``,
+  ``CompressionOperator.prefixes_together``) run each slice through
+  the tape on its own; the fused kernels of :mod:`repro.nn.fused` must
+  match its forward values bit for bit and its gradients at
+  ``rtol=1e-9``.
 * :class:`ScalarStayPointScanner`, :func:`scalar_kept_indices` /
   :func:`filter_scalar` and :func:`count_categories_bruteforce` — the
   per-fix front-end: the stay-point rule loop one fix at a time, the
@@ -116,8 +119,8 @@ def compress(model, features: CandidateFeatures) -> Tensor:
     """The c-vec of one candidate, ``(1, cvec_dim)``."""
     if not model.config.hierarchical:
         return model.comp_flat(Tensor(features.flat()[None, :, :]))
-    sp_cvecs = model._phase1(features.stay_segments, model.comp_sp)
-    mp_cvecs = model._phase1(features.move_segments, model.comp_mp)
+    sp_cvecs, = model._phase1([model.comp_sp], [features.stay_segments])
+    mp_cvecs, = model._phase1([model.comp_mp], [features.move_segments])
     sp_vec = model.comp_sp2(sp_cvecs.reshape(1, *sp_cvecs.shape))
     mp_vec = model.comp_mp2(mp_cvecs.reshape(1, *mp_cvecs.shape))
     return concat([sp_vec, mp_vec], axis=1)
@@ -397,6 +400,12 @@ def _tape_lstm(self, x: Tensor, lengths=None):
     return stack(outputs, axis=1), (h, c)
 
 
+def _tape_run_together(lstms, xs, lengths):
+    """``LSTM.run_together`` as one tape LSTM per slice."""
+    return [(outputs, h, c) for outputs, (h, c) in (
+        _tape_lstm(lstm, x, lens) for lstm, x, lens in zip(lstms, xs, lengths))]
+
+
 def _tape_gru(self, x: Tensor, lengths=None):
     batch, steps, features = x.shape
     mask = None if lengths is None else sequence_mask(lengths, steps)
@@ -479,6 +488,12 @@ def _tape_prefixes(self, runs: Tensor, lengths, run, length) -> Tensor:
     return _tape_head(self.fc1, self.fc2, pooled)
 
 
+def _tape_prefixes_together(operators, runs, lengths, prefixes):
+    """``CompressionOperator.prefixes_together`` one operator at a time."""
+    return [op.prefixes(x, lens, run, length) for op, x, lens, (run, length)
+            in zip(operators, runs, lengths, prefixes)]
+
+
 def _tape_mse(prediction: Tensor, target: np.ndarray,
               mask: np.ndarray | None) -> Tensor:
     diff = prediction - target
@@ -493,12 +508,15 @@ def _tape_mse(prediction: Tensor, target: np.ndarray,
 
 _TAPE_PATCHES = (
     (LSTM, "forward", _tape_lstm),
+    (LSTM, "run_together", staticmethod(_tape_run_together)),
     (GRU, "forward", _tape_gru),
     (LSTMDecoder, "forward", _tape_decoder),
     (Linear, "forward", _tape_linear),
     (SelfAttentionAggregator, "forward", _tape_attention),
     (operators, "_head", _tape_head),
     (operators.CompressionOperator, "prefixes", _tape_prefixes),
+    (operators.CompressionOperator, "prefixes_together",
+     staticmethod(_tape_prefixes_together)),
     (losses, "_fused_mse", _tape_mse),
 )
 

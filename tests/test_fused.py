@@ -91,11 +91,109 @@ class TestGradcheckLSTM:
         x = Tensor(RNG.normal(size=(B, T, F)), requires_grad=True)
 
         def build():
-            out, h, c = lstm_sequence(x, cell.w_ih, cell.w_hh, cell.bias,
-                                      lengths=lengths, reverse=reverse)
+            (out, h, c), = lstm_sequence(
+                [x], [(cell.w_ih, cell.w_hh, cell.bias)], [lengths],
+                [reverse])
             return _weighted(out) + _weighted(h) + _weighted(c)
 
         _gradcheck([x, cell.w_ih, cell.w_hh, cell.bias], build)
+
+    def test_stacked_lstm_sequence(self):
+        """Two LSTMs of opposite directions over batches of different
+        rows and widths (one row all padding) in one time loop."""
+        lstms = [LSTM(F, H, rng=np.random.default_rng(seed), reverse=rev)
+                 for seed, rev in ((21, False), (22, True))]
+        xs = [Tensor(RNG.normal(size=shape), requires_grad=True)
+              for shape in ((3, 4, F), (2, 3, F))]
+        lengths = [np.array([4, 2, 0]), np.array([1, 3])]
+        params = [p for lstm in lstms for _, p in lstm.named_parameters()]
+
+        def build():
+            runs = LSTM.run_together(lstms, xs, lengths)
+            return sum((_weighted(t) for run in runs for t in run),
+                       Tensor(0.0))
+
+        _gradcheck(xs + params, build)
+
+
+#: Stacks run in one time loop: ``(rows, widths, lengths, reverse)`` per
+#: slice.  Rows and widths differ (the envelope pads them), directions
+#: mix, lengths are ragged with all-padding rows, and one stack is all
+#: single rows.
+STACKS = {
+    "k2-mixed": ((3, 3), (5, 5), ([5, 3, 0], [2, 5, 4]), (False, True)),
+    "k2-b1": ((1, 1), (4, 3), ([4], [2]), (True, False)),
+    "k4-ragged": ((3, 2, 4, 3), (5, 4, 5, 2),
+                  ([5, 3, 0], [4, 1], [5, 5, 2, 0], [2, 2, 1]),
+                  (False, True, True, False)),
+    "k4-dense": ((3, 3, 3, 3), (5, 5, 5, 5), (None,) * 4,
+                 (False, True, False, True)),
+}
+
+
+class TestStackedLSTM:
+    """K LSTMs in one time loop == K lone LSTMs == the tape, per slice."""
+
+    @staticmethod
+    def _run(lstms, xds, lengths, runner):
+        xs = [Tensor(xd.copy(), requires_grad=True) for xd in xds]
+        runs = runner(xs)
+        loss = Tensor(0.0)
+        for run in runs:
+            for t in run:
+                loss = loss + _weighted(t)
+        loss.backward()
+        params = [p for lstm in lstms for _, p in lstm.named_parameters()]
+        return ([[t.data.copy() for t in run] for run in runs],
+                _grab_grads(xs + params))
+
+    @pytest.mark.parametrize("case", sorted(STACKS))
+    def test_stack_equals_lone_calls_and_tape(self, case):
+        rows, widths, lengths, reverse = STACKS[case]
+        lstms = [LSTM(F, H, rng=np.random.default_rng(30 + k), reverse=rev)
+                 for k, rev in enumerate(reverse)]
+        xds = [RNG.normal(size=(b, t, F)) for b, t in zip(rows, widths)]
+        lens = [None if le is None else np.array(le) for le in lengths]
+
+        def stacked(xs):
+            return LSTM.run_together(lstms, xs, lens)
+
+        def lone(xs):
+            return [(out, h, c) for lstm, x, le in zip(lstms, xs, lens)
+                    for out, (h, c) in [lstm(x, le)]]
+
+        got, got_grads = self._run(lstms, xds, lens, stacked)
+        for reference in (lone, "tape"):
+            if reference == "tape":
+                with tape_path():
+                    want, want_grads = self._run(lstms, xds, lens, stacked)
+            else:
+                want, want_grads = self._run(lstms, xds, lens, reference)
+            for got_run, want_run in zip(got, want):
+                for a, b in zip(got_run, want_run):
+                    assert np.array_equal(a, b)
+            for a, b in zip(got_grads, want_grads):
+                np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+    def test_lone_row_in_a_wider_stack(self):
+        """A one-row slice padded to the envelope's rows leaves BLAS's
+        matrix-vector product for a matrix product: its last bits may
+        move, never past float64 reassociation."""
+        lstms = [LSTM(F, H, rng=np.random.default_rng(40 + k))
+                 for k in range(2)]
+        xs = [Tensor(RNG.normal(size=(b, T, F))) for b in (1, 3)]
+        with no_grad():
+            stacked = LSTM.run_together(lstms, xs, [None, None])[0][0]
+            alone = lstms[0](xs[0])[0]
+        np.testing.assert_allclose(stacked.data, alone.data, rtol=1e-12,
+                                   atol=1e-15)
+
+    def test_sizes_must_agree(self):
+        lstms = [LSTM(F, H, rng=np.random.default_rng(1)),
+                 LSTM(F, H + 1, rng=np.random.default_rng(2))]
+        xs = [Tensor(RNG.normal(size=(2, T, F)))] * 2
+        with pytest.raises(ValueError):
+            LSTM.run_together(lstms, xs, [None, None])
 
 
 class TestGradcheckGRU:
@@ -246,8 +344,9 @@ class TestTapeEquivalence:
     gradients within float64 reassociation tolerance."""
 
     def test_tape_oracle_is_engaged(self):
-        """Inside ``tape_path`` the LSTM records one node per step, so
-        the comparisons below never compare the fused kernel to itself."""
+        """Inside ``tape_path`` the LSTM records one node per step, alone
+        or stacked, so the comparisons below never compare the fused
+        kernel to itself."""
         lstm = LSTM(F, H, rng=np.random.default_rng(16))
         x = Tensor(RNG.normal(size=(B, T, F)), requires_grad=True)
         fused_out, _ = lstm(x)
@@ -256,6 +355,28 @@ class TestTapeEquivalence:
         assert len(tape_out._parents) == T         # stack of T steps
         assert len(fused_out._parents) == 1        # one fused node
         assert len(lstm(x)[0]._parents) == 1       # restored on exit
+
+        pair = [lstm, LSTM(F, H, rng=np.random.default_rng(17),
+                           reverse=True)]
+        xs = [x, Tensor(RNG.normal(size=(2, T - 1, F)), requires_grad=True)]
+        fused_runs = LSTM.run_together(pair, xs, [LENGTHS, None])
+        with tape_path():
+            tape_runs = LSTM.run_together(pair, xs, [LENGTHS, None])
+        nodes = {id(run[0]._parents[0]) for run in fused_runs}
+        assert len(nodes) == 1                     # one node for the stack
+        assert [len(run[0]._parents) for run in tape_runs] == [T, T - 1]
+
+        ops = [CompressionOperator(F, H, rng=np.random.default_rng(s))
+               for s in (18, 19)]
+        fused_prefixes = CompressionOperator.prefixes_together
+        with tape_path():
+            assert CompressionOperator.prefixes_together is not \
+                fused_prefixes
+            tape_vecs = CompressionOperator.prefixes_together(
+                ops, [Tensor(RNG.normal(size=(4, 4, F)))] * 2,
+                [RUN_LENGTHS] * 2, [(PREFIX_RUN, PREFIX_LEN)] * 2)
+        assert CompressionOperator.prefixes_together is fused_prefixes
+        assert len(tape_vecs) == 2
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_module(self, reverse):

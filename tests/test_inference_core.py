@@ -29,8 +29,8 @@ from repro.detection import (DetectorTrainingConfig, GroupDetector,
                              backward_index_maps, forward_index_maps)
 from repro.detection.grouping import (_backward_index_maps,
                                       _forward_index_maps)
-from repro.encoding import (AutoencoderTrainingConfig, EncoderConfig,
-                            HierarchicalAutoencoder)
+from repro.encoding import (AutoencoderTrainingConfig, CompressionOperator,
+                            EncoderConfig, HierarchicalAutoencoder)
 from repro.experiments import get_experiment_config
 from repro.nn import fused, inference_dtype
 from repro.pipeline import LEAD, LEADConfig
@@ -207,19 +207,20 @@ class TestDetectIsBatchOfOne:
 class TestBucketingRule:
     def test_bucketing_follows_batch_size(self, fitted, processed,
                                           monkeypatch):
-        seen: list[bool] = []
+        seen: list[tuple[bool, bool]] = []
         score = GroupDetector.score_indexed
 
-        def spy_score(self, *args, bucket=False, **kwargs):
-            seen.append(bucket)
-            return score(self, *args, bucket=bucket, **kwargs)
+        def spy_score(self, *args, bucket=False, partner=None, **kwargs):
+            seen.append((bucket, partner is not None))
+            return score(self, *args, bucket=bucket, partner=partner,
+                         **kwargs)
 
         monkeypatch.setattr(GroupDetector, "score_indexed", spy_score)
         fitted.detect_many(processed[:1])
-        assert seen == [False, False]
+        assert seen == [(False, True)]     # both groups in one call
         seen.clear()
         fitted.detect_many(processed[:3])
-        assert seen == [True, True]
+        assert seen == [(True, True)]
 
 
 def _segments_and_pairs(lead, processed):
@@ -272,17 +273,19 @@ class TestPrefixPhase2:
                     name
 
     def test_phase2_rows_are_one_per_start_stay_point(self, monkeypatch):
-        """Each phase-2 LSTM pass gets sum(n_t - 1) rows, inference and
-        fine-tuning alike; per-candidate phase 2 would be sum(n_t(n_t-1)/2).
+        """Phase 2 is one stacked LSTM pass whose stay and move slices
+        each get sum(n_t - 1) rows, inference and fine-tuning alike;
+        per-candidate phase 2 would be sum(n_t(n_t-1)/2).
         """
-        rows: list[int] = []
-        real = fused.lstm_sequence
+        rows: list[list[int]] = []
+        real = CompressionOperator.prefixes_together
 
-        def spy(x, *args, **kwargs):
-            rows.append(x.shape[0])
-            return real(x, *args, **kwargs)
+        def spy(operators, runs, *args):
+            rows.append([x.shape[0] for x in runs])
+            return real(operators, runs, *args)
 
-        monkeypatch.setattr(fused, "lstm_sequence", spy)
+        monkeypatch.setattr(CompressionOperator, "prefixes_together",
+                            staticmethod(spy))
         rng = np.random.default_rng(4)
         counts = (3, 8, 14)
         stays = [[rng.normal(size=(int(rng.integers(1, 5)), 4))
@@ -294,11 +297,11 @@ class TestPrefixPhase2:
         model = HierarchicalAutoencoder(
             EncoderConfig(feature_dim=4, hidden_size=4))
         model.encode_trajectories(stays, moves, pairs)
-        assert rows == [sum(n - 1 for n in counts)] * 2
+        assert rows == [[sum(n - 1 for n in counts)] * 2]
         rows.clear()
         model.encode_trajectory_tensor(stays[2], moves[2], pairs[2]).sum() \
             .backward()
-        assert rows == [counts[2] - 1] * 2
+        assert rows == [[counts[2] - 1] * 2]
 
 
 @pytest.fixture(scope="module")

@@ -433,6 +433,53 @@ class TestShardStats:
         assert calls == {"0": 1, "1": 0}
 
 
+class TestDrainBarrier:
+    """An acknowledged drain truncates its shard's journal, so a service
+    without a checkpoint dir does not keep every batch it was sent."""
+
+    @staticmethod
+    def _submit(service, pings):
+        for start in range(0, len(pings), 500):
+            result = service.submit(pings[start:start + 500])
+            while result.rejected:
+                service.wait()
+                result = service.submit(result.rejected_pings)
+
+    @pytest.mark.parametrize("checkpointed", [False, True],
+                             ids=["journal-only", "checkpoint-dir"])
+    def test_recovery_after_a_drain_replays_only_the_next_day(
+            self, fitted, world_and_data, tmp_path, checkpointed):
+        _, dataset = world_and_data
+        day1 = dataset_ping_stream(dataset.samples[:25])
+        day2 = dataset_ping_stream(dataset.samples[25:])
+        serial = FleetSessionManager(fitted, FleetConfig())
+        for ping in day2:
+            serial.ingest(ping.truck_id, ping.lat, ping.lng, ping.t,
+                          day=ping.day)
+        reference = {(v.truck_id, v.day): v for v in serial.flush_all()}
+        # No barrier falls due: only the drains truncate the journals.
+        config = ServeConfig(
+            num_shards=2, checkpoint_every=10_000,
+            checkpoint_dir=tmp_path if checkpointed else None)
+        with FleetService(fitted, config=config) as service:
+            self._submit(service, day1)
+            service.drain()
+            after_day1 = service.stats()
+            half = len(day2) // 2
+            self._submit(service, day2[:half])
+            assert service.kill_worker(shard=1)
+            self._submit(service, day2[half:])
+            verdicts = {(v.truck_id, v.day): v for v in service.drain()}
+            after_day2 = service.stats()
+        for stats in (after_day1, after_day2):
+            assert [shard["journal_entries"]
+                    for shard in stats["shards"].values()] == [0, 0]
+        assert after_day2["frontend"]["restarts"] >= 1
+        assert set(verdicts) == set(reference)
+        for key, expected in reference.items():
+            assert_same_verdict(verdicts[key], expected)
+
+
 # ---------------------------------------------------------------------------
 # 4. Uniform config surface (from_dict / to_dict, unknown keys fail)
 # ---------------------------------------------------------------------------
