@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +9,6 @@ import numpy as np
 from ..configbase import ConfigMixin
 from ..data.poi import POI_CATEGORIES, POIDatabase
 from ..model import Trajectory
-from ..perf.cache import CacheStats
 
 __all__ = ["FEATURE_DIM", "FeatureConfig", "FeatureExtractor",
            "subsample_indices"]
@@ -40,13 +38,6 @@ class FeatureConfig(ConfigMixin):
             raise ValueError("poi_radius_m must be positive")
         if self.max_segment_len < 2:
             raise ValueError("max_segment_len must be >= 2")
-
-
-#: Upper bound on the extractor's per-trajectory feature memo (entries,
-#: LRU-evicted).  A day-long fleet run touches far more distinct
-#: trajectory objects than any one detection call reuses, so an
-#: unbounded memo would be a slow leak.
-TRAJECTORY_CACHE_SIZE = 1024
 
 
 #: Memo for :func:`subsample_indices`: segment ranges repeat across the
@@ -95,61 +86,32 @@ def subsample_indices(start: int, end: int, max_len: int) -> np.ndarray:
 
 
 class FeatureExtractor:
-    """Turn trajectory points into raw 32-dim feature vectors.
-
-    The extractor memoizes POI counts per trajectory, because the same GPS
-    points appear in many candidate trajectories of the same day.  The
-    memo is LRU-bounded (:data:`TRAJECTORY_CACHE_SIZE`): the
-    hot set of one detection call stays resident, while long fleet runs
-    cannot grow it without bound.
-    """
+    """Turn GPS points into raw 32-dim feature vectors."""
 
     def __init__(self, pois: POIDatabase,
                  config: FeatureConfig | None = None) -> None:
         self.pois = pois
         self.config = config or FeatureConfig()
-        # The cache stores (trajectory, features): holding a reference to
-        # the trajectory keeps its id() from being reused by a new object.
-        # Insertion order is recency order (moved on hit, evicted from
-        # the front).
-        self._cache: OrderedDict[int, tuple[Trajectory, np.ndarray]] \
-            = OrderedDict()
-        # Hit/miss/eviction counts, same struct as SegmentFeatureCache.
-        self.stats = CacheStats(name="trajectory_features")
 
-    def trajectory_features(self, trajectory: Trajectory) -> np.ndarray:
-        """Raw ``(len(trajectory), 32)`` feature matrix (memoized)."""
-        key = id(trajectory)
-        cached = self._cache.get(key)
-        if cached is not None and cached[0] is trajectory:
-            self._cache.move_to_end(key)
-            self.stats.record_hit()
-            return cached[1]
-        self.stats.record_miss()
+    def features(self, lats: np.ndarray, lngs: np.ndarray,
+                 ts: np.ndarray) -> np.ndarray:
+        """Raw ``(n, 32)`` feature rows of ``n`` points.
+
+        Each row depends on its own point only, so any subset of a
+        trajectory's points gets exactly the rows of the whole.
+        """
         if self.config.use_poi:
             poi_counts = self.pois.count_categories_batch(
-                trajectory.lats, trajectory.lngs,
-                radius_m=self.config.poi_radius_m)
+                lats, lngs, radius_m=self.config.poi_radius_m)
         else:
-            poi_counts = np.zeros((len(trajectory), FEATURE_DIM - 3))
-        features = np.column_stack([trajectory.lats, trajectory.lngs,
-                                    trajectory.ts, poi_counts])
-        self._cache[key] = (trajectory, features)
-        while len(self._cache) > TRAJECTORY_CACHE_SIZE:
-            self._cache.popitem(last=False)
-            self.stats.record_eviction()
-        return features
+            poi_counts = np.zeros((len(lats), FEATURE_DIM - 3))
+        return np.column_stack([lats, lngs, ts, poi_counts])
+
+    def trajectory_features(self, trajectory: Trajectory) -> np.ndarray:
+        """Raw ``(len(trajectory), 32)`` feature matrix."""
+        return self.features(trajectory.lats, trajectory.lngs,
+                             trajectory.ts)
 
     def clear_cache(self) -> None:
-        self._cache.clear()
-
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle without the memo: ``id()`` keys are meaningless in
-        another process, and shipping every cached feature matrix to a
-        worker would dwarf the task payloads it rides along with.
-        Workers rebuild entries on demand — content-identical by
-        construction."""
-        state = self.__dict__.copy()
-        state["_cache"] = OrderedDict()
-        return state
+        """Nothing to clear: the extractor keeps no memo (kept callable
+        for callers that clear every cache before a cold run)."""

@@ -8,15 +8,15 @@ the hierarchical autoencoder compresses separately and hierarchically.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from ..model import CandidateTrajectory, MovePoint, StayPoint
 from ..nn.precision import active_dtype_name
-from ..perf.cache import SegmentFeatureCache
+from ..perf.cache import SegmentFeatureCache, segment_key
 from .extract import FeatureExtractor, subsample_indices
 from .normalize import ZScoreNormalizer
 
@@ -93,14 +93,6 @@ class CandidateFeaturizer:
         self.feature_scale = feature_scale
         #: Content-keyed cache of per-segment feature matrices.
         self.cache = SegmentFeatureCache()
-        self._context_memo: tuple | None = None
-        # Whole-trajectory normalized feature matrices, memoized by object
-        # identity + featurization context.  Normalization is elementwise,
-        # so slicing rows out of the full transformed matrix is
-        # bit-identical to transforming each segment's rows separately —
-        # but costs one array op per trajectory instead of one per segment.
-        self._normalized_memo: \
-            OrderedDict[int, tuple[object, bytes, np.ndarray]] = OrderedDict()
 
     # ------------------------------------------------------------------
     def fit_normalizer(self, trajectories) -> ZScoreNormalizer:
@@ -118,104 +110,117 @@ class CandidateFeaturizer:
 
         Covers the normalizer statistics, the feature scale, and the
         extractor's configuration (POI radius, POI on/off, subsampling
-        cap).  Refitting the normalizer replaces its ``mean_``/``std_``
-        arrays wholesale, which changes this fingerprint and thereby
-        silently invalidates every stale cache entry.  Memoized by array
-        identity (references are held, so ids stay valid).
+        cap).  Refitting the normalizer changes its ``mean_``/``std_``
+        and thereby this fingerprint, which silently invalidates every
+        stale cache entry.
         """
-        mean = self.normalizer.mean_
-        std = self.normalizer.std_
-        memo = self._context_memo
-        if (memo is not None and memo[0] is mean and memo[1] is std
-                and memo[2] == self.feature_scale):
-            return memo[3]
         cfg = self.extractor.config
         hasher = hashlib.blake2b(digest_size=16)
-        if mean is not None:
-            hasher.update(np.ascontiguousarray(mean).tobytes())
-            hasher.update(np.ascontiguousarray(std).tobytes())
+        if self.normalizer.fitted:
+            hasher.update(np.ascontiguousarray(self.normalizer.mean_))
+            hasher.update(np.ascontiguousarray(self.normalizer.std_))
         hasher.update(repr((self.feature_scale, cfg.poi_radius_m,
                             cfg.max_segment_len, cfg.use_poi)).encode())
-        digest = hasher.digest()
-        self._context_memo = (mean, std, self.feature_scale, digest)
-        return digest
+        return hasher.digest()
+
+    def featurize_segments(self, segments: Sequence[StayPoint | MovePoint]
+                           ) -> list[np.ndarray]:
+        """Z-scored, rescaled ``(L, F)`` feature matrix of each segment.
+
+        The one featurization path: every caller goes through here.  The
+        encoder reads each segment at its ``subsample_indices`` only, so
+        those ``(lat, lng, t)`` rows are gathered (one fancy index per
+        trajectory) and hashed into the segment's cache key
+        (:func:`~repro.perf.cache.segment_key`).  Each key gets one
+        lookup; a key repeated in ``segments`` is one miss, then hits,
+        and yields the same object.  All misses are computed together:
+        one POI count over their rows, one normalization, and under an
+        active float32 inference policy one cast, so downstream padding
+        and kernels stay in float32.  Returned matrices are read-only.
+        """
+        dtype = active_dtype_name()
+        context = self.context_fingerprint()
+        max_len = self.extractor.config.max_segment_len
+        # Distinct segment objects, grouped by trajectory.
+        groups: dict[int, dict[int, StayPoint | MovePoint]] = {}
+        for segment in segments:
+            groups.setdefault(id(segment.trajectory), {})[id(segment)] = \
+                segment
+        keys: dict[int, tuple] = {}          # id(segment) -> cache key
+        rows_of: dict[tuple, np.ndarray] = {}
+        for members in groups.values():
+            group = list(members.values())
+            trajectory = group[0].trajectory
+            picks = [subsample_indices(s.start, s.end, max_len)
+                     for s in group]
+            points = np.column_stack((trajectory.lats, trajectory.lngs,
+                                      trajectory.ts))[np.concatenate(picks)]
+            offset = 0
+            for segment, pick in zip(group, picks):
+                rows = points[offset:offset + len(pick)]
+                offset += len(pick)
+                key = keys[id(segment)] = segment_key(segment, rows,
+                                                      context, dtype)
+                rows_of[key] = rows
+        cache = self.cache
+        order = [keys[id(segment)] for segment in segments]
+        found: dict[tuple, np.ndarray] = {}
+        missed: dict[tuple, np.ndarray] = {}   # key -> rows
+        repeats: list[tuple] = []
+        for key in order:
+            if key in missed:
+                repeats.append(key)
+                continue
+            value = cache.get(key)
+            if value is None:
+                missed[key] = rows_of[key]
+            else:
+                found[key] = value
+        if missed:
+            rows = np.concatenate(list(missed.values()))
+            matrix = self.normalizer.transform(self.extractor.features(
+                rows[:, 0], rows[:, 1], rows[:, 2]))
+            matrix *= self.feature_scale
+            if dtype != "float64":
+                matrix = matrix.astype(dtype)
+            offset = 0
+            for key, read in missed.items():
+                value = matrix[offset:offset + len(read)]
+                offset += len(read)
+                value.setflags(write=False)
+                cache.put(key, value)
+                found[key] = value
+        for key in repeats:
+            cache.get(key)   # the hit a one-at-a-time lookup counts
+        return [found[key] for key in order]
 
     def segment_features(self, segment: StayPoint | MovePoint) -> np.ndarray:
-        """Z-scored, rescaled ``(L, F)`` feature matrix of one segment.
-
-        This is the public hot-path entry point: the pipeline, the
-        baselines and the cache all route through it.  Each (trajectory
-        content, segment range, featurization context, compute dtype)
-        tuple is computed once; cached matrices are returned read-only.
-        Under an active float32 inference policy the matrix is cast once
-        here — downstream padding and kernels then stay in float32
-        without per-call casts — and lives under a dtype-disjoint cache
-        key.
-        """
-        dtype_name = active_dtype_name()
-        cache = self.cache
-        context = self.context_fingerprint()
-        hit = cache.get(segment, context, dtype_name)
-        if hit is not None:
-            return hit  # type: ignore[return-value]
-        value = self._compute_segment_features(segment)
-        if dtype_name != "float64":
-            value = value.astype(dtype_name)
-        value.setflags(write=False)
-        cache.put(segment, context, value, dtype_name)
-        return value
-
-    _NORMALIZED_MEMO_MAX = 256
-
-    def _normalized_features(self, trajectory) -> np.ndarray:
-        """Normalized, rescaled feature matrix of a whole trajectory."""
-        context = self.context_fingerprint()
-        key = id(trajectory)
-        memo = self._normalized_memo
-        hit = memo.get(key)
-        if hit is not None and hit[0] is trajectory and hit[1] == context:
-            memo.move_to_end(key)
-            return hit[2]
-        matrix = self.normalizer.transform(
-            self.extractor.trajectory_features(trajectory)) \
-            * self.feature_scale
-        memo[key] = (trajectory, context, matrix)
-        while len(memo) > self._NORMALIZED_MEMO_MAX:
-            memo.popitem(last=False)
-        return matrix
-
-    def _compute_segment_features(self, segment: StayPoint | MovePoint
-                                  ) -> np.ndarray:
-        indices = subsample_indices(segment.start, segment.end,
-                                    self.extractor.config.max_segment_len)
-        return self._normalized_features(segment.trajectory)[indices]
+        """:meth:`featurize_segments` of one segment."""
+        return self.featurize_segments((segment,))[0]
 
     def clear_memos(self) -> None:
-        """Drop the per-trajectory normalized-matrix memo (cold benches)."""
-        self._normalized_memo.clear()
+        """Nothing to clear: the only featurization state is
+        :attr:`cache` (kept callable for callers that clear every cache
+        before a cold run)."""
 
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle without the normalized-matrix memo: ``id()`` keys mean
-        nothing in another process and the matrices rebuild on demand."""
-        state = self.__dict__.copy()
-        state["_normalized_memo"] = OrderedDict()
-        return state
+    def featurize_all(self, candidates) -> list[CandidateFeatures]:
+        """The segmented f-seq of each candidate, in one featurization
+        pass over all their segments."""
+        per_candidate = [candidate.segments() for candidate in candidates]
+        matrices = iter(self.featurize_segments(
+            [segment for segments in per_candidate for segment in segments]))
+        return [CandidateFeatures(
+                    pair=candidate.pair,
+                    segments=tuple(next(matrices) for _ in segments),
+                    kinds=tuple(SegmentKind.STAY
+                                if isinstance(segment, StayPoint)
+                                else SegmentKind.MOVE
+                                for segment in segments))
+                for candidate, segments in zip(candidates, per_candidate)]
 
     def featurize(self, candidate: CandidateTrajectory) -> CandidateFeatures:
         """The segmented f-seq of one candidate."""
-        segments = []
-        kinds = []
-        for segment in candidate.segments():
-            segments.append(self.segment_features(segment))
-            kinds.append(SegmentKind.STAY if isinstance(segment, StayPoint)
-                         else SegmentKind.MOVE)
-        return CandidateFeatures(pair=candidate.pair,
-                                 segments=tuple(segments),
-                                 kinds=tuple(kinds))
-
-    def featurize_all(self, candidates) -> list[CandidateFeatures]:
-        return [self.featurize(c) for c in candidates]
+        return self.featurize_all([candidate])[0]
 
     def stay_point_features(self, stay_point: StayPoint) -> np.ndarray:
         """Normalized feature sequence of a single stay point.

@@ -31,7 +31,8 @@ class Trajectory:
     sequence protocol yields :class:`GPSPoint` views for ergonomic access.
     """
 
-    __slots__ = ("lats", "lngs", "ts", "truck_id", "day", "_radians")
+    __slots__ = ("lats", "lngs", "ts", "truck_id", "day", "_radians",
+                 "__weakref__")
 
     def __init__(self, lats: Sequence[float], lngs: Sequence[float],
                  ts: Sequence[float], truck_id: str = "",

@@ -12,12 +12,10 @@ by ``benchmarks/e2e`` (host-speed-scaled, paired parent/change runs,
 ``history.jsonl``); its equivalence contracts are tier-1 tests.
 """
 
-from .cache import CacheStats, LRUCache, SegmentFeatureCache, \
-    TrajectoryFingerprinter
+from .cache import CacheStats, LRUCache, SegmentFeatureCache
 from .parallel import effective_workers, parallel_map, spawn_rng
 
 __all__ = [
     "CacheStats", "LRUCache", "SegmentFeatureCache",
-    "TrajectoryFingerprinter",
     "effective_workers", "parallel_map", "spawn_rng",
 ]

@@ -7,7 +7,8 @@ featurizes the same candidates once per epoch, and the online stage
 featurizes a trajectory again on every ``detect`` call.  The z-scored
 feature matrix of a segment is a pure function of
 
-* the cleaned trajectory's coordinates (content, not object identity),
+* the cleaned trajectory's ``(lat, lng, t)`` at the rows the encoder
+  reads, the segment's subsample indices (content, not object identity),
 * the segment's ``[start, end]`` index range and kind, and
 * the featurization context (normalizer statistics, feature scale,
   subsampling cap, POI configuration),
@@ -35,8 +36,7 @@ import numpy as np
 
 from ..obs.core import obs_event
 
-__all__ = ["CacheStats", "LRUCache", "TrajectoryFingerprinter",
-           "SegmentFeatureCache"]
+__all__ = ["CacheStats", "LRUCache", "SegmentFeatureCache", "segment_key"]
 
 
 class CacheStats:
@@ -132,88 +132,34 @@ class LRUCache:
         self._data.clear()
 
 
-def _digest(*parts) -> bytes:
-    """Blake2b over byte strings or C-contiguous arrays (zero-copy)."""
-    hasher = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        hasher.update(part)
-    return hasher.digest()
+def segment_key(segment, rows: np.ndarray, context: bytes,
+                dtype: str) -> tuple:
+    """The cache key of one stay/move segment.
 
-
-class TrajectoryFingerprinter:
-    """Content fingerprints of trajectories, memoized per live object.
-
-    Hashing a trajectory's coordinate arrays costs microseconds but would
-    still dominate a per-segment lookup if repeated for every segment;
-    the fingerprint is therefore memoized by object identity, holding a
-    reference to the trajectory so its ``id()`` cannot be recycled (the
-    same discipline as :class:`repro.features.FeatureExtractor`).
+    ``rows`` are the C-contiguous ``(lat, lng, t)`` rows the encoder
+    reads (the segment's ``subsample_indices``): features depend on
+    nothing else of the trajectory, so a growing streamed trajectory
+    keeps hitting the entries of its closed segments, whose read rows
+    never change.  ``start``/``end`` stay in the key because they anchor
+    the subsampling grid.  ``dtype`` names the stored matrix dtype and
+    stays last (:meth:`SegmentFeatureCache.dtype_key_counts` reads it):
+    float32 entries are never served to a float64 caller, or back.
     """
-
-    def __init__(self, max_entries: int = 4096) -> None:
-        self._memo: OrderedDict[tuple, tuple[object, bytes]] = OrderedDict()
-        self._max_entries = max_entries
-
-    def _memoized(self, key: tuple, trajectory, build) -> bytes:
-        cached = self._memo.get(key)
-        if cached is not None and cached[0] is trajectory:
-            self._memo.move_to_end(key)
-            return cached[1]
-        digest = build()
-        self._memo[key] = (trajectory, digest)
-        while len(self._memo) > self._max_entries:
-            self._memo.popitem(last=False)
-        return digest
-
-    def fingerprint(self, trajectory) -> bytes:
-        return self._memoized(
-            (id(trajectory),), trajectory,
-            lambda: _digest(
-                np.ascontiguousarray(trajectory.lats,
-                                     dtype=np.float64).tobytes(),
-                np.ascontiguousarray(trajectory.lngs,
-                                     dtype=np.float64).tobytes(),
-                np.ascontiguousarray(trajectory.ts,
-                                     dtype=np.float64).tobytes(),
-                repr((getattr(trajectory, "truck_id", None),
-                      getattr(trajectory, "day", None))).encode()))
-
-    def fingerprint_slice(self, trajectory, start: int, end: int) -> bytes:
-        """Content digest of points ``[start, end]`` (inclusive) only.
-
-        Segment features are a pure function of the fixes *inside* the
-        segment, so keying on the slice content (rather than the whole
-        trajectory) lets a growing streamed trajectory keep hitting the
-        entries of its stable prefix: appending pings changes the full
-        fingerprint but not the bytes of any closed segment.  Memoized
-        per ``(object, start, end)`` so a tick's snapshot hashes each
-        segment at most once.
-        """
-        return self._memoized(
-            (id(trajectory), start, end), trajectory,
-            lambda: _digest(
-                np.ascontiguousarray(trajectory.lats[start:end + 1],
-                                     dtype=np.float64),
-                np.ascontiguousarray(trajectory.lngs[start:end + 1],
-                                     dtype=np.float64),
-                np.ascontiguousarray(trajectory.ts[start:end + 1],
-                                     dtype=np.float64)))
+    return (hashlib.blake2b(rows, digest_size=16).digest(),
+            type(segment).__name__, segment.start, segment.end, context,
+            dtype)
 
 
 class SegmentFeatureCache:
     """Content-keyed cache of per-segment feature matrices.
 
-    Keys combine the trajectory's content fingerprint, the segment's
-    ``(kind, start, end)`` coordinates, and a caller-supplied *context
-    fingerprint* covering everything else the featurization depends on
-    (normalizer statistics, feature scale, subsampling cap, POI config).
-    Values are the final z-scored, rescaled ``(L, F)`` matrices; callers
-    must treat them as read-only (the hot paths already do).
+    Keys come from :func:`segment_key`.  Values are the final z-scored,
+    rescaled ``(L, F)`` matrices; callers must treat them as read-only
+    (the hot paths already do).
     """
 
     def __init__(self, maxsize: int | None = 65536) -> None:
         self._lru = LRUCache(maxsize, name="segment_features")
-        self._fingerprinter = TrajectoryFingerprinter()
 
     # ------------------------------------------------------------------
     @property
@@ -223,34 +169,11 @@ class SegmentFeatureCache:
     def __len__(self) -> int:
         return len(self._lru)
 
-    def key_for(self, segment, context: bytes,
-                dtype: str = "float64") -> tuple:
-        """The cache key of one stay/move segment under a context.
+    def get(self, key: tuple) -> np.ndarray | None:
+        return self._lru.get(key)
 
-        The trajectory contributes only the *slice* the segment covers:
-        features depend on nothing outside ``[start, end]``, and slice
-        keying is what makes streaming ingest suffix-cheap — every tick
-        snapshot of a growing trajectory is a new object with a new full
-        fingerprint, but its closed segments carry identical slices at
-        identical indices and keep hitting the same entries.  ``start``/
-        ``end`` stay in the key because the subsampling grid is anchored
-        at absolute indices.  ``dtype`` names the *stored matrix* dtype:
-        float32 inference entries must never be served to a float64
-        caller (or vice versa), so each precision tier owns a disjoint
-        key space.
-        """
-        return (self._fingerprinter.fingerprint_slice(
-                    segment.trajectory, segment.start, segment.end),
-                type(segment).__name__, segment.start, segment.end, context,
-                dtype)
-
-    def get(self, segment, context: bytes,
-            dtype: str = "float64") -> np.ndarray | None:
-        return self._lru.get(self.key_for(segment, context, dtype))
-
-    def put(self, segment, context: bytes, value: np.ndarray,
-            dtype: str = "float64") -> None:
-        self._lru.put(self.key_for(segment, context, dtype), value)
+    def put(self, key: tuple, value: np.ndarray) -> None:
+        self._lru.put(key, value)
 
     def dtype_key_counts(self) -> dict[str, int]:
         """Live entry count per dtype key component (introspection)."""

@@ -280,25 +280,32 @@ class LEAD:
         self._last_report_samples = len(features)
         return history
 
+    def _segment_lists(self, processed_list: Sequence[ProcessedTrajectory]
+                       ) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+        """Stay and move segment features of each trajectory, from one
+        featurization pass over all of them."""
+        matrices = iter(self.featurizer.featurize_segments(
+            [segment for processed in processed_list
+             for group in (processed.stay_points, processed.move_points)
+             for segment in group]))
+        return [([next(matrices) for _ in processed.stay_points],
+                 [next(matrices) for _ in processed.move_points])
+                for processed in processed_list]
+
     def _segments(self, processed: ProcessedTrajectory
                   ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        stay = [self.featurizer.segment_features(sp)
-                for sp in processed.stay_points]
-        move = [self.featurizer.segment_features(mp)
-                for mp in processed.move_points]
-        return stay, move
+        return self._segment_lists([processed])[0]
 
     def _build_detector_specs(self, processed) -> list[TrajectorySpec]:
-        specs = []
-        for trajectory, pair in processed:
-            stay, move = self._segments(trajectory)
-            specs.append(TrajectorySpec(
-                stay_segments=stay, move_segments=move,
-                pairs=[c.pair for c in trajectory.candidates],
-                num_stay_points=trajectory.num_stay_points,
-                target_index=pair_to_index(trajectory.num_stay_points,
-                                           pair)))
-        return specs
+        segments = self._segment_lists([t for t, _ in processed])
+        return [TrajectorySpec(
+                    stay_segments=stay, move_segments=move,
+                    pairs=[c.pair for c in trajectory.candidates],
+                    num_stay_points=trajectory.num_stay_points,
+                    target_index=pair_to_index(trajectory.num_stay_points,
+                                               pair))
+                for (trajectory, pair), (stay, move) in zip(processed,
+                                                             segments)]
 
     def _fit_detectors(self, specs: list[TrajectorySpec], verbose: bool,
                        checkpoint: CheckpointManager | None = None
@@ -470,14 +477,13 @@ class LEAD:
         here (that is the detector's, see ``_bucketed``).  The list
         lines up with the input order.
         """
-        stay_lists, move_lists, pairs_lists = [], [], []
         with obs_span("detect.featurize",
                       trajectories=len(processed_list)):
-            for processed in processed_list:
-                stay, move = self._segments(processed)
-                stay_lists.append(stay)
-                move_lists.append(move)
-                pairs_lists.append([c.pair for c in processed.candidates])
+            segments = self._segment_lists(processed_list)
+        stay_lists = [stay for stay, _ in segments]
+        move_lists = [move for _, move in segments]
+        pairs_lists = [[c.pair for c in processed.candidates]
+                       for processed in processed_list]
         with obs_span("detect.encode",
                       candidates=sum(len(p) for p in pairs_lists)):
             return self.autoencoder.encode_trajectories(

@@ -14,8 +14,8 @@ into a streaming service without forking any of its logic:
   bit-identical to offline ones by construction;
 * a rolling candidate set grows as stay points close; snapshots are
   ordinary :class:`~repro.processing.ProcessedTrajectory` objects, so
-  the slice-keyed segment-feature cache re-featurizes only the newly
-  extended suffix on every tick;
+  the segment-feature cache, keyed by the rows the encoder reads,
+  re-featurizes only the newly extended suffix on every tick;
 * :class:`~repro.stream.fleet.FleetSessionManager` multiplexes
   thousands of concurrent sessions with bounded memory (LRU eviction +
   checkpointed session state via :mod:`repro.io`), runs the provisional

@@ -144,8 +144,8 @@ class TruckSession:
         """What a detection of :meth:`snapshot` depends on: the closed
         stay-point count and the sanitize notes.
 
-        Closed spans are final and segment features are keyed by
-        coordinate slice, so fixes that close no stay point leave the
+        Closed spans are final and segment features are keyed by the
+        rows they read, so fixes that close no stay point leave the
         candidates, their encodings and the distribution unchanged; the
         notes feed the verdict's provenance.
         """
@@ -274,8 +274,7 @@ class TruckSession:
         processor's ``min_stay_points`` closed stay points, or more
         than the candidate generator's cap (the cases where the offline
         path abstains too).  Memoized per session revision, so repeated
-        ticks without new pings reuse one object (and with it, the
-        slice-fingerprint memo of the feature cache).
+        ticks without new pings reuse one object.
         """
         self._drain()
         memo = self._snapshot_memo

@@ -1,6 +1,6 @@
 """Reference implementations that exist only to check production code.
 
-Four oracles live here, each the code the production path replaced,
+Five oracles live here, each the code the production path replaced,
 plus :func:`masked_softmax`, which the tape oracle's attention uses:
 
 * :func:`group_distribution` (with :func:`padded_group_scores`) —
@@ -34,6 +34,11 @@ plus :func:`masked_softmax`, which the tape oracle's attention uses:
   (``StayPointScanner.feed_batch``, ``NoiseFilter.filter`` /
   ``kept_indices``, ``POIDatabase.count_categories_batch``) must match
   them exactly.
+* :func:`whole_trajectory_segment_features` — featurization by whole
+  trajectory: the raw features of every point, z-scored and rescaled,
+  then sliced at the segment's ``subsample_indices``.
+  ``CandidateFeaturizer.featurize_segments``, which computes only the
+  rows it reads, must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from repro.detection import (backward_index_maps, forward_index_maps,
                              merge_distributions)
 from repro.encoding import operators
 from repro.data.poi import POI_CATEGORIES
-from repro.features import CandidateFeatures, SegmentKind
+from repro.features import CandidateFeatures, SegmentKind, subsample_indices
 from repro.geo import haversine_m, speed_kmh
 from repro.model import Trajectory
 from repro.nn import (GRU, LSTM, Linear, LSTMDecoder,
@@ -61,7 +66,8 @@ __all__ = ["group_distribution", "padded_group_scores", "masked_softmax",
            "compress", "reconstruction_loss",
            "per_candidate_cvecs", "tape_path", "ScalarStayPointScanner",
            "scalar_kept_indices", "filter_scalar",
-           "count_categories_bruteforce"]
+           "count_categories_bruteforce",
+           "whole_trajectory_segment_features"]
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +346,20 @@ def count_categories_bruteforce(db, lats, lngs, radius_m: float,
             counts[start:stop, category] = hit[:, codes == category].sum(
                 axis=1)
     return counts
+
+
+# ----------------------------------------------------------------------
+# Whole-trajectory featurization
+# ----------------------------------------------------------------------
+def whole_trajectory_segment_features(featurizer, segment) -> np.ndarray:
+    """One segment's float64 feature matrix, from every point of its
+    trajectory: normalize the whole raw matrix, then slice the rows."""
+    whole = featurizer.normalizer.transform(
+        featurizer.extractor.trajectory_features(segment.trajectory)) \
+        * featurizer.feature_scale
+    return whole[subsample_indices(
+        segment.start, segment.end,
+        featurizer.extractor.config.max_segment_len)]
 
 
 # ----------------------------------------------------------------------

@@ -108,15 +108,20 @@ class TestFeatureExtractor:
         assert features[0, idx_chem] == 1.0
         assert features[1, 3:].sum() == 0.0  # far from all POIs
 
-    def test_memoization(self, db):
+    def test_point_rows_match_whole_trajectory(self, db):
+        """Rows are per point: features of any subset of the points are
+        exactly the matching rows of the whole trajectory's matrix."""
         from repro.model import Trajectory
-        tr = Trajectory([32.0], [120.9], [0.0])
+        tr = Trajectory([32.0, 32.5, 32.001], [120.9, 121.0, 120.9],
+                        [0.0, 60.0, 120.0])
         extractor = FeatureExtractor(db)
-        a = extractor.trajectory_features(tr)
-        b = extractor.trajectory_features(tr)
-        assert a is b
-        extractor.clear_cache()
-        assert extractor.trajectory_features(tr) is not a
+        whole = extractor.trajectory_features(tr)
+        pick = np.array([2, 0])
+        rows = extractor.features(tr.lats[pick], tr.lngs[pick],
+                                  tr.ts[pick])
+        assert np.array_equal(rows, whole[pick])
+        extractor.clear_cache()     # no memo; still callable
+        assert np.array_equal(extractor.trajectory_features(tr), whole)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

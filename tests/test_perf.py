@@ -17,6 +17,7 @@ Three contracts are nailed down here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -27,11 +28,14 @@ from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
 from repro.detection import DetectorTrainingConfig
 from repro.encoding import AutoencoderTrainingConfig
 from repro.encoding.autoencoder import prefix_runs
+from repro.features import subsample_indices
+from repro.model import Trajectory
 from repro.perf import LRUCache, effective_workers, parallel_map, spawn_rng
-from repro.nn import no_grad
+from repro.nn import inference_dtype, no_grad
 from repro.pipeline import LEAD, LEADConfig
 
-from .oracles import group_distribution
+from .oracles import (group_distribution,
+                      whole_trajectory_segment_features)
 
 
 def tiny_lead_config(**overrides) -> LEADConfig:
@@ -243,10 +247,10 @@ class TestSegmentFeatureCache:
         lead.feature_cache.clear()
         cold_stay, cold_move = lead._segments(processed)
         warm_stay, warm_move = lead._segments(processed)
-        lead.featurizer.clear_memos()
         for segment, cold, warm in zip(segments, cold_stay + cold_move,
                                        warm_stay + warm_move):
-            direct = lead.featurizer._compute_segment_features(segment)
+            direct = whole_trajectory_segment_features(lead.featurizer,
+                                                       segment)
             assert np.array_equal(cold, direct)
             assert np.array_equal(warm, direct)
 
@@ -268,6 +272,139 @@ class TestSegmentFeatureCache:
         clone = pickle.loads(pickle.dumps(lead.feature_cache))
         assert len(clone) == 0
         assert clone._lru.maxsize == lead.feature_cache._lru.maxsize
+
+
+class TestFeaturizeSegments:
+    """The one featurization pass: exact against the whole-trajectory
+    oracle, one content key per segment over the rows the encoder
+    reads, and no state that outlives the cache clears."""
+
+    @staticmethod
+    def _segments(lead, dataset, days=(8, 9, 10)):
+        processed = [lead.processor.process(dataset.samples[k].trajectory)
+                     for k in days]
+        return [seg for p in processed if p is not None
+                for seg in (*p.stay_points, *p.move_points)]
+
+    @staticmethod
+    def _long_segment(lead, dataset):
+        """A segment with more points than the encoder reads."""
+        cap = lead.extractor.config.max_segment_len
+        segment = max(TestFeaturizeSegments._segments(lead, dataset),
+                      key=lambda s: s.num_points)
+        assert segment.num_points > cap
+        return segment
+
+    @staticmethod
+    def _moved(segment, index: int):
+        """``segment`` over a copy of its trajectory with point
+        ``index`` shifted by about 100 m."""
+        tr = segment.trajectory
+        lats = tr.lats.copy()
+        lats[index] += 1e-3
+        return dataclasses.replace(segment, trajectory=Trajectory(
+            lats, tr.lngs, tr.ts, truck_id=tr.truck_id, day=tr.day))
+
+    def test_mixed_batch_matches_whole_trajectory_oracle(self, fitted):
+        lead, dataset = fitted
+        featurizer = lead.featurizer
+        segments = self._segments(lead, dataset)
+        # Interleave the trajectories and repeat some segments.
+        batch = segments[::2] + segments[1::2] + segments[:5]
+        oracle = [whole_trajectory_segment_features(featurizer, s)
+                  for s in batch]
+        lead.feature_cache.clear()
+        stats = lead.feature_cache.stats
+        cold = featurizer.featurize_segments(batch)
+        hits = stats.hits
+        warm = featurizer.featurize_segments(batch)
+        assert stats.hits - hits == len(batch)
+        with inference_dtype("float32"):
+            single = featurizer.featurize_segments(batch)
+        for want, a, b, c in zip(oracle, cold, warm, single):
+            assert a.dtype == b.dtype == np.float64
+            assert np.array_equal(a, want) and np.array_equal(b, want)
+            assert c.dtype == np.float32
+            assert np.array_equal(c, want.astype(np.float32))
+            assert not (a.flags.writeable or c.flags.writeable)
+
+    def test_unread_rows_share_one_entry(self, fitted):
+        lead, dataset = fitted
+        segment = self._long_segment(lead, dataset)
+        cap = lead.extractor.config.max_segment_len
+        read = set(subsample_indices(segment.start, segment.end, cap))
+        unread = next(i for i in range(segment.start, segment.end)
+                      if i not in read)
+        lead.feature_cache.clear()
+        first = lead.featurizer.segment_features(segment)
+        misses = lead.feature_cache.stats.misses
+        assert lead.featurizer.segment_features(
+            self._moved(segment, unread)) is first
+        assert lead.feature_cache.stats.misses == misses
+        assert len(lead.feature_cache) == 1
+
+    def test_changed_read_row_misses(self, fitted):
+        lead, dataset = fitted
+        segment = self._long_segment(lead, dataset)
+        cap = lead.extractor.config.max_segment_len
+        picks = subsample_indices(segment.start, segment.end, cap)
+        moved = self._moved(segment, int(picks[len(picks) // 2]))
+        lead.feature_cache.clear()
+        first = lead.featurizer.segment_features(segment)
+        misses = lead.feature_cache.stats.misses
+        second = lead.featurizer.segment_features(moved)
+        assert lead.feature_cache.stats.misses == misses + 1
+        assert not np.array_equal(first, second)
+        assert np.array_equal(second, whole_trajectory_segment_features(
+            lead.featurizer, moved))
+
+    def test_repeat_in_one_call_is_one_miss_then_hits(self, fitted):
+        lead, dataset = fitted
+        segment = self._long_segment(lead, dataset)
+        clone = dataclasses.replace(segment)   # same content, new object
+        lead.feature_cache.clear()
+        stats = lead.feature_cache.stats
+        hits, misses = stats.hits, stats.misses
+        out = lead.featurizer.featurize_segments([segment, clone, segment])
+        assert (stats.misses - misses, stats.hits - hits) == (1, 2)
+        assert out[0] is out[1] is out[2]
+
+    def test_float32_and_float64_keys_are_disjoint(self, fitted):
+        lead, dataset = fitted
+        segment = self._long_segment(lead, dataset)
+        lead.feature_cache.clear()
+        stats = lead.feature_cache.stats
+        f64 = lead.featurizer.segment_features(segment)
+        misses = stats.misses
+        with inference_dtype("float32"):
+            f32 = lead.featurizer.segment_features(segment)
+        assert stats.misses == misses + 1
+        assert lead.featurizer.segment_features(segment) is f64
+        assert (f64.dtype, f32.dtype) == (np.float64, np.float32)
+        assert lead.feature_cache.dtype_key_counts() == {"float64": 1,
+                                                        "float32": 1}
+
+    def test_cleared_caches_give_a_cold_pass(self, fitted):
+        """The cache clears a cold benchmark pass makes leave no
+        featurization state: the next ``detect_batch`` hits nothing and
+        answers as the warm run did."""
+        lead, dataset = fitted
+        days = [s.trajectory for s in dataset.samples[8:]]
+        lead.detect_batch(days)
+        warm = lead.detect_batch(days)
+        lead.feature_cache.clear()
+        lead.extractor.clear_cache()
+        lead.featurizer.clear_memos()
+        assert len(lead.feature_cache) == 0
+        hits = lead.feature_cache.stats.hits
+        cold = lead.detect_batch(days)
+        assert lead.feature_cache.stats.hits == hits
+        assert len(cold) == len(warm)
+        for a, b in zip(warm, cold):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.pair == b.pair
+                assert np.array_equal(a.distribution, b.distribution)
 
 
 # ---------------------------------------------------------------------------

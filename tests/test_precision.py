@@ -34,7 +34,7 @@ from repro.io import write_manifest
 from repro.nn import (Adam, Linear, Tensor, active_dtype,
                       active_dtype_name, clear_weight_views, inference_dtype,
                       no_grad, weight_view, weight_view_stats)
-from repro.perf.cache import SegmentFeatureCache
+from repro.perf.cache import SegmentFeatureCache, segment_key
 from repro.pipeline import LEAD, LEADConfig
 
 from .oracles import tape_path
@@ -290,21 +290,18 @@ class TestCacheDtypeIsolation:
     def test_cache_never_serves_across_dtypes(self):
         cache = SegmentFeatureCache(maxsize=16)
 
-        class FakeTrajectory:
-            lats = np.arange(4.0)
-            lngs = np.arange(4.0)
-            ts = np.arange(4.0)
-
         class FakeSegment:
-            trajectory = FakeTrajectory()
             start, end = 0, 3
 
         segment = FakeSegment()
+        rows = np.arange(12.0).reshape(4, 3)
+        key64 = segment_key(segment, rows, b"ctx", "float64")
+        key32 = segment_key(segment, rows, b"ctx", "float32")
         value64 = np.zeros((2, 2))
-        cache.put(segment, b"ctx", value64, "float64")
-        assert cache.get(segment, b"ctx", "float32") is None
-        assert cache.get(segment, b"ctx", "float64") is value64
-        cache.put(segment, b"ctx", value64.astype(np.float32), "float32")
+        cache.put(key64, value64)
+        assert cache.get(key32) is None
+        assert cache.get(key64) is value64
+        cache.put(key32, value64.astype(np.float32))
         assert cache.dtype_key_counts() == {"float64": 1, "float32": 1}
 
 

@@ -14,7 +14,9 @@ restore, and a thousand-session soak.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -386,6 +388,24 @@ class TestTicks:
         busy = [m for m in misses if m]
         if len(busy) >= 2:
             assert busy[-1] <= max(busy[0], 4)
+
+    def test_superseded_snapshot_is_released(self, world_and_data, fitted):
+        """Bounded resources: once a tick re-detects a session on a newer
+        snapshot, nothing keeps the previous snapshot's cleaned
+        trajectory alive (no per-object featurization memo holds it)."""
+        _, dataset = world_and_data
+        manager, session, fixes = self._with_stay_points(dataset, fitted, 2)
+        (verdict,) = manager.tick()
+        assert verdict.pair is not None
+        previous = weakref.ref(session.snapshot().cleaned)
+        closed = session.num_closed_stay_points
+        while session.num_closed_stay_points == closed:
+            manager.ingest(session.truck_id, *fixes.pop(0), day=session.day)
+        (verdict,) = manager.tick()
+        assert verdict.tick == manager.counters.ticks    # re-detected
+        assert verdict.num_stay_points == closed + 1
+        gc.collect()
+        assert previous() is None
 
     def test_ingest_only_manager_reports_progress(self, world_and_data):
         _, dataset = world_and_data
