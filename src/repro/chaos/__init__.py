@@ -4,14 +4,14 @@ PR 1 built recovery machinery (checkpoint/resume, degradation tiers,
 atomic IO) and PR 6 adds supervision (retries, breakers, quarantine) —
 this package is what makes those claims *testable*: a seed-driven fault
 injector whose every decision comes from a
-:class:`numpy.random.SeedSequence`, so a soak that tears writes, crashes
-workers, corrupts pings and poisons sessions replays bit-identically
-from the same seed.
+:class:`numpy.random.SeedSequence`, so a soak that tears writes, fails
+detector passes, corrupts pings and poisons sessions replays
+bit-identically from the same seed.
 
 * :mod:`repro.chaos.core` — :class:`FaultSpec` rules, the installable
   :class:`ChaosEngine` (context manager / :func:`inject` decorator),
   and the :func:`chaos_point` hooks compiled into the production fault
-  sites (``repro.io``, ``repro.perf.parallel``, ``repro.stream``);
+  sites (``repro.io``, ``repro.stream``, ``repro.serve``);
 * :mod:`repro.chaos.streams` — additive ping-stream hostility
   (corrupt / duplicate / clock-skewed retransmissions) that the ingest
   path provably neutralizes;

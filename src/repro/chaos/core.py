@@ -18,7 +18,6 @@ Fault sites instrumented across the repository::
     io.write         atomic_write_bytes     fail | torn (partial bytes)
     io.rename        replace_file           fail
     io.read          load_checked_json/npz  fail
-    parallel.task    parallel_map dispatch  crash | hang | wrong
     stream.ping      chaos_ping_stream      corrupt | duplicate | skew
     detector.batch   fleet batched detect   fail
     detector.forward fleet per-session      fail   (key = "truck|day")

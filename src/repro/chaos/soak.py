@@ -4,9 +4,9 @@ One function, :func:`run_chaos_soak`, is the executable form of this
 repository's fault-tolerance claim.  It runs the same fleet twice on the
 same ping replay — once clean, once under an installed
 :class:`~repro.chaos.core.ChaosEngine` that corrupts pings, duplicates
-retransmissions, skews clocks, fails and tears IO, crashes pool workers,
-knocks over batched detector passes, and permanently poisons one chosen
-session — and then checks, truck by truck:
+retransmissions, skews clocks, fails and tears IO, knocks over batched
+detector passes, and permanently poisons one chosen session — and then
+checks, truck by truck:
 
 * every *healthy* truck-day's final verdict matches the fault-free run
   (same pair, ``allclose`` distribution at ``rtol=1e-9``, same
@@ -15,9 +15,7 @@ session — and then checks, truck by truck:
   replayable state (the soak actually rebuilds a
   :class:`~repro.stream.TruckSession` from the stored metadata);
 * no exception escapes ``ingest`` / ``tick`` / ``flush_all`` — the soak
-  calls them bare, so an escape fails the soak loudly;
-* the supervised :func:`~repro.perf.parallel_map` stage returns correct
-  results despite injected worker crashes and hangs.
+  calls them bare, so an escape fails the soak loudly.
 
 Everything — injected faults included — derives from one seed, so the
 ledger and the verdicts replay bit-identically: run the soak twice with
@@ -96,16 +94,9 @@ def default_fault_specs(poison_key: str) -> list[FaultSpec]:
         FaultSpec("io.read", "fail", rate=0.02),
         # Batched detector knocked over twice (per-session fallback).
         FaultSpec("detector.batch", "fail", rate=0.2, max_fires=2),
-        # Worker crashes in the supervised parallel stage.
-        FaultSpec("parallel.task", "crash", rate=0.2, max_fires=4),
         # One permanently poisoned session.
         FaultSpec("fleet.snapshot", "fail", keys={poison_key}),
     ]
-
-
-def _soak_task(index: int) -> int:
-    """The supervised parallel stage's task (module-level: picklable)."""
-    return index * index
 
 
 def _final_verdicts(manager, pings) -> dict:
@@ -171,7 +162,6 @@ def run_chaos_soak(seed: int = 7, *, detector=None, samples=None,
     ``report["ok"]`` is the overall pass/fail; ``report["ledger"]`` is
     the deterministic fault ledger.
     """
-    from ..perf import parallel_map
     from ..stream import FleetConfig, FleetSessionManager, TruckSession
     from ..stream.replay import dataset_ping_stream, scramble_stream
 
@@ -220,14 +210,6 @@ def run_chaos_soak(seed: int = 7, *, detector=None, samples=None,
                 io_retry=RetryPolicy(max_attempts=5, backoff_base_s=0.0,
                                      jitter=0.0)))
             finals = _final_verdicts(manager, chaotic_pings)
-
-            # Supervised parallel stage under injected worker crashes.
-            parallel_counters: dict[str, int] = {}
-            parallel_results = parallel_map(
-                _soak_task, range(32), workers=2,
-                retry=RetryPolicy(max_attempts=3, backoff_base_s=0.0,
-                                  timeout_s=30.0),
-                counters=parallel_counters)
             ledger = list(engine.ledger)
     finally:
         if cleanup is not None:
@@ -252,9 +234,7 @@ def run_chaos_soak(seed: int = 7, *, detector=None, samples=None,
             replayable = False
     stray = [k for k in manager.quarantine.keys() if k != poison_key]
 
-    parallel_ok = parallel_results == [i * i for i in range(32)]
-    ok = (not mismatched and entry is not None and replayable
-          and not stray and parallel_ok)
+    ok = not mismatched and entry is not None and replayable and not stray
     return {
         "seed": seed,
         "ok": bool(ok),
@@ -277,7 +257,6 @@ def run_chaos_soak(seed: int = 7, *, detector=None, samples=None,
             "replayable": replayable,
             "stray_quarantined_keys": stray,
         },
-        "parallel": {"ok": parallel_ok, "counters": parallel_counters},
         "faults_fired": len(ledger),
         "quarantine": manager.quarantine.summary(),
         "fleet": manager.stats(),
@@ -309,10 +288,6 @@ def format_chaos_ledger(report: dict) -> str:
         f"spill_failures={fleet['spill_failures']} "
         f"restore_failures={fleet['restore_failures']} "
         f"quarantined={fleet['sessions_quarantined']}")
-    lines.append(
-        "  parallel  "
-        f"ok={report['parallel']['ok']} "
-        f"counters={report['parallel']['counters']}")
     healthy = report["healthy"]
     lines.append(
         f"  verdicts  {healthy['matched']}/{healthy['total']} healthy "

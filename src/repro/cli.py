@@ -98,7 +98,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         DatasetConfig(num_trajectories=args.trajectories,
                       num_trucks=max(1, args.trajectories // 2),
                       seed=args.seed, world=WorldConfig(seed=args.seed)),
-        world=world, workers=args.workers)
+        world=world)
     path = dataset.save(args.out)
     print(f"wrote {len(dataset)} labelled truck-days to {path}")
     return 0
@@ -416,9 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="LEAD reproduction command line")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    workers_help = ("worker processes for the embarrassingly parallel "
-                    "stages (default: serial; negative = one per CPU); "
-                    "any count >= 1 produces identical results")
     telemetry_help = ("write a JSONL telemetry trace (spans, structured "
                       "events, metrics snapshot) here; inspect it with "
                       "'repro obs <path>'")
@@ -431,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--trajectories", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=None, help=workers_help)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", help="train LEAD on a dataset file")
@@ -441,7 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-dir", default=None,
                    help="checkpoint every epoch here; rerunning the same "
                         "command after a crash resumes training")
-    p.add_argument("--workers", type=int, default=None, help=workers_help)
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes for trajectory processing and "
+                        "featurization (default: serial; negative = one "
+                        "per usable CPU); any count trains the same model")
     p.add_argument("--config", default=None, metavar="PATH",
                    help=config_help)
     p.add_argument("--telemetry", default=None, metavar="PATH",

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import gzip
 import json
+import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -19,8 +19,7 @@ import numpy as np
 
 from ..io import atomic_write_bytes
 from ..model import LoadedLabel, Trajectory
-from ..perf.parallel import parallel_map, spawn_rng
-from .simulator import SimulatorConfig, Truck, TruckDaySimulator, make_fleet
+from .simulator import SimulatorConfig, TruckDaySimulator, make_fleet
 from .world import SyntheticWorld, WorldConfig
 
 __all__ = ["LabeledSample", "HCTDataset", "DatasetConfig", "generate_dataset"]
@@ -142,26 +141,6 @@ class DatasetConfig:
             self.num_trucks = self.num_trajectories
 
 
-def _simulate_task(simulator: TruckDaySimulator, seed: int,
-                   task: tuple[int, Truck, str]) -> LabeledSample:
-    """One truck-day simulation with its own deterministic stream.
-
-    The stream is derived from ``(seed, task_index)`` — never shared with
-    sibling tasks — so the sample is a pure function of the task, not of
-    which worker ran it or in what order (see :mod:`repro.perf.parallel`).
-    """
-    index, truck, day = task
-    rng = spawn_rng(seed, index)
-    for attempt in range(8):
-        try:
-            trajectory, label = simulator.simulate(truck, day, rng)
-            return LabeledSample(trajectory, label)
-        except RuntimeError:
-            if attempt == 7:
-                raise
-    raise AssertionError("unreachable")
-
-
 def generate_dataset(config: DatasetConfig | None = None,
                      world: SyntheticWorld | None = None,
                      workers: int | None = None) -> HCTDataset:
@@ -169,19 +148,18 @@ def generate_dataset(config: DatasetConfig | None = None,
 
     Trajectories are assigned to trucks round-robin so every truck has at
     least one day; a truck with several days reuses its company's site pool
-    (as real fleets do).
+    (as real fleets do).  One generator seeded by ``config.seed`` threads
+    through every simulation in order, so the same config always yields
+    the same dataset.
 
-    ``workers`` controls the seeding and scheduling discipline:
-
-    * ``None`` (default) — the legacy serial path: one generator threads
-      through every simulation in order, byte-identical to every dataset
-      this repository has ever produced;
-    * ``>= 1`` — per-task seeding: each truck-day derives its own stream
-      from ``(config.seed, task_index)``, so the dataset is bit-for-bit
-      identical for *any* worker count (``workers=1`` serial in-process,
-      ``workers=2`` and ``workers=32`` included), at the cost of
-      differing from the legacy realization.
+    ``workers`` is deprecated and ignored: any value other than ``None``
+    warns and returns the same dataset (DESIGN.md §15).
     """
+    if workers is not None:
+        warnings.warn(
+            "generate_dataset(workers=...) is deprecated and ignored; "
+            "every call returns the one seeded realization",
+            DeprecationWarning, stacklevel=2)
     config = config or DatasetConfig()
     rng = np.random.default_rng(config.seed)
     world = world or SyntheticWorld(config.world)
@@ -189,26 +167,17 @@ def generate_dataset(config: DatasetConfig | None = None,
     simulator = TruckDaySimulator(world, config.sim)
     dataset = HCTDataset()
     day_counter: dict[str, int] = {}
-    tasks: list[tuple[int, Truck, str]] = []
     for i in range(config.num_trajectories):
         truck = fleet[i % len(fleet)]
         day_index = day_counter.get(truck.truck_id, 0)
         day_counter[truck.truck_id] = day_index + 1
-        tasks.append((i, truck, f"{config.start_day}+{day_index}"))
-    if workers is None:
-        # Legacy path: a single stream threads through all simulations.
-        for _, truck, day in tasks:
-            for attempt in range(8):
-                try:
-                    trajectory, label = simulator.simulate(truck, day, rng)
-                    dataset.add(LabeledSample(trajectory, label))
-                    break
-                except RuntimeError:
-                    if attempt == 7:
-                        raise
-        return dataset
-    samples = parallel_map(partial(_simulate_task, simulator, config.seed),
-                           tasks, workers=workers)
-    for sample in samples:
-        dataset.add(sample)
+        day = f"{config.start_day}+{day_index}"
+        for attempt in range(8):
+            try:
+                trajectory, label = simulator.simulate(truck, day, rng)
+                dataset.add(LabeledSample(trajectory, label))
+                break
+            except RuntimeError:
+                if attempt == 7:
+                    raise
     return dataset

@@ -4,8 +4,8 @@ This package holds the machinery that makes LEAD fast without changing
 what it computes:
 
 * :mod:`repro.perf.cache` — content-keyed LRU caches for featurization;
-* :mod:`repro.perf.parallel` — order-preserving, deterministically
-  seeded process-parallel map for the offline stages.
+* :mod:`repro.perf.parallel` — order-preserving process-parallel map
+  for the offline stages.
 
 Its speed is measured end to end, raw pings in to final verdicts out,
 by ``benchmarks/e2e`` (host-speed-scaled, paired parent/change runs,
@@ -13,9 +13,9 @@ by ``benchmarks/e2e`` (host-speed-scaled, paired parent/change runs,
 """
 
 from .cache import CacheStats, LRUCache, SegmentFeatureCache
-from .parallel import effective_workers, parallel_map, spawn_rng
+from .parallel import effective_workers, parallel_map
 
 __all__ = [
     "CacheStats", "LRUCache", "SegmentFeatureCache",
-    "effective_workers", "parallel_map", "spawn_rng",
+    "effective_workers", "parallel_map",
 ]

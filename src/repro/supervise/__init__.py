@@ -17,10 +17,10 @@ the policies that decide what happens when a component fails anyway:
   exception and replay metadata (atomic JSON via :mod:`repro.io`).
 
 The consumers are :class:`repro.stream.FleetSessionManager` (per-session
-fault isolation), :func:`repro.perf.parallel.parallel_map` (crashed /
-hung worker recovery), and :class:`repro.experiments.Experiment`
-(transient-IO retry of cached-artifact reads).  :mod:`repro.chaos`
-proves all of it under deterministic fault injection.
+fault isolation), :class:`repro.serve.FleetService` (shard restarts)
+and :class:`repro.experiments.Experiment` (transient-IO retry of
+cached-artifact reads).  :mod:`repro.chaos` proves all of it under
+deterministic fault injection.
 """
 
 from .breaker import CircuitBreaker

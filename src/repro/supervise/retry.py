@@ -29,8 +29,8 @@ __all__ = ["RetryPolicy", "RetryCounters"]
 
 R = TypeVar("R")
 
-#: Stable spawn-key namespace so per-call-site streams never collide
-#: with the task streams of :func:`repro.perf.parallel.spawn_rng`.
+#: Spawn-key namespace of the jitter streams.  Its value seeds every
+#: backoff schedule, so changing it changes every published delay.
 _JITTER_NAMESPACE = 0x52455452  # "RETR"
 #: Exception types :meth:`RetryPolicy.call` treats as transient.
 RETRY_ON: tuple[type[BaseException], ...] = (OSError,)
@@ -62,15 +62,11 @@ class RetryPolicy(ConfigMixin):
     capped at ``MAX_BACKOFF_S``, scaled by a jitter factor drawn
     uniformly from ``[1 - jitter, 1 + jitter]`` out of a seeded stream
     keyed by ``key`` — deterministic, schedule-independent.
-    ``timeout_s`` bounds one task attempt of a supervised
-    :func:`repro.perf.parallel.parallel_map`, which enforces it on the
-    pool futures; :meth:`call` does not read it.
     """
 
     max_attempts: int = 3
     backoff_base_s: float = 0.01
     jitter: float = 0.1
-    timeout_s: float | None = None
     # A live tally has no JSON form; it stays off the config dict
     # surface (see repro.configbase).
     counters: RetryCounters = field(default_factory=RetryCounters,
@@ -82,8 +78,6 @@ class RetryPolicy(ConfigMixin):
             raise ValueError("max_attempts must be >= 1")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
 
     # ------------------------------------------------------------------
     def delays(self, key: int = 0) -> list[float]:

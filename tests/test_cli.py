@@ -18,6 +18,16 @@ class TestParser:
             ["generate", "--out", "x.json.gz", "--trajectories", "5"])
         assert args.trajectories == 5
 
+    def test_generate_has_no_workers_flag(self):
+        """Generation has one realization; ``train`` keeps ``--workers``."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["generate", "--out", "x.json.gz", "--workers", "2"])
+        args = build_parser().parse_args(
+            ["train", "--data", "x.json.gz", "--out", "m/",
+             "--workers", "2"])
+        assert args.workers == 2
+
     def test_tables_scale_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tables", "--scale", "galactic"])

@@ -30,6 +30,7 @@ from repro.serve import (FleetService, ServeConfig, ServeError, shard_for)
 from repro.serve import worker as serve_worker
 from repro.stream import (FleetConfig, FleetSessionManager,
                           dataset_ping_stream)
+from repro.supervise import RetryPolicy
 
 
 def tiny_lead_config(**overrides) -> LEADConfig:
@@ -497,6 +498,7 @@ _RETIRED_KEYS = [
         "spill_breaker_cooldown")),
     (ServeConfig, (), "shard_breaker_failures"),
     (ServeConfig, (), "shard_breaker_cooldown"),
+    (RetryPolicy, (), "timeout_s"),
 ]
 
 
@@ -524,9 +526,10 @@ class TestConfigSurface:
     @pytest.mark.parametrize("cls, path, key", _RETIRED_KEYS,
                              ids=[key for _, _, key in _RETIRED_KEYS])
     def test_retired_key_fails(self, cls, path, key):
-        """Retired knobs (the literal per-subgroup Eq. 10 mode, and the
-        engineering knobs that became constants): a saved config that
-        still sets one is refused by name, not silently ignored."""
+        """Retired knobs (the literal per-subgroup Eq. 10 mode, the
+        engineering knobs that became constants, and ``timeout_s``,
+        whose only reader left): a saved config that still sets one is
+        refused by name, not silently ignored."""
         data = (tiny_lead_config() if cls is LEADConfig else cls()).to_dict()
         section = data
         for name in path:

@@ -2,9 +2,9 @@
 
 Covers the three primitives — deterministic retries, the circuit
 breaker state machine, and the quarantine dead-letter store — then the
-places they are wired in: supervised ``parallel_map`` (identical
-``TaskFailedError`` semantics on every execution path, retries,
-timeouts, serial fallback), ``CheckpointManager`` fault surfacing, and
+places they are wired in: ``parallel_map`` (identical
+``TaskFailedError`` semantics on every execution path, serial
+fallback), ``CheckpointManager`` fault surfacing, and
 the fleet's failure isolation (spill degradation, restore degradation,
 poison-session quarantine).
 """
@@ -184,7 +184,7 @@ class TestQuarantine:
 
 
 # ---------------------------------------------------------------------------
-# Supervised parallel_map
+# parallel_map failure semantics
 # ---------------------------------------------------------------------------
 def _square(x: int) -> int:
     return x * x
@@ -216,63 +216,11 @@ class TestParallelSupervision:
             assert isinstance(excinfo.value, ReproError)
             assert isinstance(excinfo.value.__cause__, ValueError)
 
-    def test_retry_recovers_injected_crashes_serial(self):
-        counters: dict[str, int] = {}
-        specs = [FaultSpec("parallel.task", "crash", rate=1.0,
-                           max_fires=2)]
-        with ChaosEngine(3, specs):
-            results = parallel_map(
-                _square, range(6),
-                retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
-                counters=counters)
-        assert results == [i * i for i in range(6)]
-        assert counters["retries"] == 2
-
-    def test_retry_recovers_injected_crashes_pool(self):
-        counters: dict[str, int] = {}
-        specs = [FaultSpec("parallel.task", "crash", rate=0.4,
-                           max_fires=3)]
-        with ChaosEngine(11, specs):
-            results = parallel_map(
-                _square, range(10), workers=2,
-                retry=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
-                counters=counters)
-        assert results == [i * i for i in range(10)]
-        assert counters.get("retries", 0) >= 1
-
-    def test_hung_worker_times_out_and_recovers(self):
-        counters: dict[str, int] = {}
-        specs = [FaultSpec("parallel.task", "hang", rate=1.0, param=5.0,
-                           max_fires=1)]
-        with ChaosEngine(5, specs):
-            results = parallel_map(
-                _square, range(4), workers=2,
-                retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0,
-                                  timeout_s=0.5),
-                counters=counters)
-        assert results == [0, 1, 4, 9]
-        assert counters["timeouts"] == 1
-
-    def test_wrong_result_caught_by_verify(self):
-        counters: dict[str, int] = {}
-        specs = [FaultSpec("parallel.task", "wrong", rate=1.0,
-                           max_fires=1)]
-        with ChaosEngine(2, specs):
-            results = parallel_map(
-                _square, range(4),
-                retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
-                verify=lambda value: isinstance(value, int),
-                counters=counters)
-        assert results == [0, 1, 4, 9]
-
     def test_serial_fallbacks_keep_verify(self, monkeypatch):
-        """Both serial reruns (broken pool, task raised in the pool)
-        still reject results that fail ``verify``."""
-        with pytest.raises(TaskFailedError, match="verify"):
-            parallel_map(_fails_in_workers, range(4), workers=2,
-                         verify=lambda value: False)
-        assert parallel_map(_fails_in_workers, range(4), workers=2,
-                            verify=lambda value: True) == [0, 1, 4, 9]
+        """Both serial reruns return the serial results: a task that
+        raised only in a pool worker, and a pool that cannot start."""
+        assert parallel_map(_fails_in_workers, range(4), workers=2) \
+            == [0, 1, 4, 9]
 
         import concurrent.futures
 
@@ -281,19 +229,10 @@ class TestParallelSupervision:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             no_pool)
-        counters: dict[str, int] = {}
-        with pytest.raises(TaskFailedError, match="verify"):
-            parallel_map(_square, range(4), workers=2,
-                         verify=lambda value: False, counters=counters)
-        assert counters["pool_failures"] == 1
-
-    def test_deterministic_results_match_serial(self):
-        with ChaosEngine(9, [FaultSpec("parallel.task", "crash",
-                                       rate=0.3)]):
-            supervised = parallel_map(
-                _square, range(12), workers=2,
-                retry=RetryPolicy(max_attempts=4, backoff_base_s=0.0))
-        assert supervised == [_square(i) for i in range(12)]
+        assert parallel_map(_square, range(4), workers=2) == [0, 1, 4, 9]
+        with pytest.raises(TaskFailedError) as excinfo:
+            parallel_map(_fails_on_three, range(6), workers=2)
+        assert excinfo.value.index == 3
 
 
 # ---------------------------------------------------------------------------
