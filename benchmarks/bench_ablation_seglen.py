@@ -25,10 +25,10 @@ def test_encode_cost_vs_segment_length(experiment, trained_lead,
     featurizer = CandidateFeaturizer(extractor,
                                      trained_lead.featurizer.normalizer)
     model = trained_lead.autoencoder
-    stay = [featurizer.segment_features(sp)
-            for sp in sample_processed.stay_points]
-    move = [featurizer.segment_features(mp)
-            for mp in sample_processed.move_points]
+    matrices = featurizer.featurize_segments(
+        sample_processed.stay_points + sample_processed.move_points)
+    stay = matrices[:sample_processed.num_stay_points]
+    move = matrices[sample_processed.num_stay_points:]
     pairs = [c.pair for c in sample_processed.candidates]
     retained = sum(len(s) for s in stay) + sum(len(s) for s in move)
     print(f"\nmax_segment_len={seg_len}: {retained} GPS points retained "

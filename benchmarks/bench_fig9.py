@@ -27,13 +27,13 @@ def test_fig9_autoencoder_curves(experiment, trained_lead, benchmark):
     train, _, _ = experiment.splits
     processed = trained_lead.processor.process(train[0].trajectory,
                                                train[0].label)
-    features = trained_lead.featurizer.featurize_all(
-        processed.candidates[:8])
+    stays, moves = trained_lead._segments(processed)
+    pairs = [c.pair for c in processed.candidates[:8]]
     model = trained_lead.autoencoder
     optimizer = Adam(model.parameters(), lr=1e-4)
 
     def step():
-        loss = model.reconstruction_loss_batch(features)
+        loss = model.reconstruction_loss_batch([stays], [moves], [pairs])
         optimizer.zero_grad()
         loss.backward()
         optimizer.step()

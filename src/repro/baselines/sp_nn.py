@@ -80,17 +80,19 @@ class SPNNDetector:
     def fit(self, training: list[tuple[ProcessedTrajectory,
                                        tuple[int, int]]],
             verbose: bool = False) -> TrainingHistory:
-        """Train on processed trajectories with (i', j') ordinal labels."""
-        sequences: list[np.ndarray] = []
-        targets: list[float] = []
-        for processed, pair in training:
-            for sp in processed.stay_points:
-                sequences.append(self.featurizer.stay_point_features(sp))
-                targets.append(1.0 if sp.ordinal in pair else 0.0)
-        if not sequences:
+        """Train on processed trajectories with (i', j') ordinal labels.
+
+        Every training stay point is featurized in one pass.
+        """
+        stay_points = [sp for processed, _ in training
+                       for sp in processed.stay_points]
+        if not stay_points:
             raise ValueError("no training stay points")
+        sequences = self.featurizer.featurize_segments(stay_points)
+        targets_arr = np.asarray([1.0 if sp.ordinal in pair else 0.0
+                                  for processed, pair in training
+                                  for sp in processed.stay_points])
         cfg = self.config
-        targets_arr = np.asarray(targets)
 
         def batch_loss(chosen: np.ndarray):
             batch, lengths = pad_sequences(
@@ -114,7 +116,7 @@ class SPNNDetector:
     # ------------------------------------------------------------------
     def classify_stay_point(self, stay_point: StayPoint) -> float:
         """Probability that one stay point is an l/u stay point."""
-        features = self.featurizer.stay_point_features(stay_point)
+        features = self.featurizer.segment_features(stay_point)
         with no_grad():
             prob = self.classifier(Tensor(features[None, :, :]))
         return float(prob.numpy()[0])

@@ -438,9 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint every epoch here; rerunning the same "
                         "command after a crash resumes training")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for trajectory processing and "
-                        "featurization (default: serial; negative = one "
-                        "per usable CPU); any count trains the same model")
+                   help="worker processes for trajectory processing "
+                        "(default: serial; negative = one per usable "
+                        "CPU); any count trains the same model")
     p.add_argument("--config", default=None, metavar="PATH",
                    help=config_help)
     p.add_argument("--telemetry", default=None, metavar="PATH",

@@ -29,14 +29,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ..configbase import ConfigMixin
-from ..features import CandidateFeatures
 from ..nn import Module, Tensor, concat, mse_loss, no_grad
 from ..nn.padding import pad_sequences
 from ..nn.rnn import sequence_mask
 from .operators import CompressionOperator, DecompressionOperator
 
 __all__ = ["EncoderConfig", "HierarchicalAutoencoder", "PrefixRuns",
-           "prefix_runs"]
+           "flat_sequences", "prefix_runs"]
 
 
 class PrefixRuns(NamedTuple):
@@ -47,6 +46,27 @@ class PrefixRuns(NamedTuple):
     mp_index: np.ndarray    # (R, T - 1) rows of the stacked move c-vecs
     run: np.ndarray         # (N,) the run each candidate reads
     length: np.ndarray      # (N,) its stay prefix length, j - i + 1
+
+
+def _candidates(pairs_lists: list[list[tuple[int, int]]],
+                stay_counts: np.ndarray, move_counts: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trajectory, ``i`` and ``j`` of every candidate in input order,
+    checked against its trajectory's stay and move counts."""
+    counts = [len(pairs) for pairs in pairs_lists]
+    pairs = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1, 2)
+                            for p in pairs_lists], axis=0)
+    traj = np.repeat(np.arange(len(pairs_lists)), counts)
+    i, j = pairs[:, 0], pairs[:, 1]
+    limit = np.minimum(stay_counts, move_counts + 1)[traj]
+    if ((i < 1) | (j <= i) | (j > limit)).any():
+        raise ValueError("candidate pairs need 1 <= i < j <= n")
+    return traj, i, j
+
+
+def _firsts(counts: np.ndarray) -> np.ndarray:
+    """Row of each list's first item once the lists are stacked."""
+    return np.cumsum(counts) - counts
 
 
 def prefix_runs(pairs_lists: list[list[tuple[int, int]]],
@@ -61,29 +81,50 @@ def prefix_runs(pairs_lists: list[list[tuple[int, int]]],
     of ``n`` stay points.  Index matrices address the c-vecs of all
     trajectories stacked in input order; padded cells point at row 0.
     """
-    counts = [len(pairs) for pairs in pairs_lists]
-    pairs = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1, 2)
-                            for p in pairs_lists], axis=0)
-    traj = np.repeat(np.arange(len(pairs_lists)), counts)
-    i, j = pairs[:, 0], pairs[:, 1]
     stays = np.asarray(stay_counts, dtype=np.int64)
     moves = np.asarray(move_counts, dtype=np.int64)
-    if ((i < 1) | (j <= i) | (j > np.minimum(stays, moves + 1)[traj])).any():
-        raise ValueError("candidate pairs need 1 <= i < j <= n")
+    traj, i, j = _candidates(pairs_lists, stays, moves)
     span = int(i.max()) + 1
     keys, run = np.unique(traj * span + i, return_inverse=True)
     length = j - i + 1
     sp_lengths = np.zeros(len(keys), dtype=np.int64)
     np.maximum.at(sp_lengths, run, length)
     run_traj, run_start = np.divmod(keys, span)
-    sp_first = (np.cumsum(stays) - stays)[run_traj] + run_start - 1
-    mp_first = (np.cumsum(moves) - moves)[run_traj] + run_start - 1
+    sp_first = _firsts(stays)[run_traj] + run_start - 1
+    mp_first = _firsts(moves)[run_traj] + run_start - 1
     cols = np.arange(int(sp_lengths.max()))[None, :]
     sp_index = np.where(cols < sp_lengths[:, None], sp_first[:, None] + cols,
                         0)
     mp_index = np.where(cols[:, 1:] < sp_lengths[:, None],
                         mp_first[:, None] + cols[:, :-1], 0)
     return PrefixRuns(sp_index, sp_lengths, mp_index, run, length)
+
+
+def _spans(first: np.ndarray, counts: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``first[b] .. first[b] + counts[b] - 1`` of every ``b``,
+    concatenated, and the ``(B, max count)`` matrix of their places in
+    that concatenation (padded cells point at 0)."""
+    cols = np.arange(int(counts.max()))[None, :]
+    inside = cols < counts[:, None]
+    return ((first[:, None] + cols)[inside],
+            np.where(inside, _firsts(counts)[:, None] + cols, 0))
+
+
+def flat_sequences(stay_lists: list[list[np.ndarray]],
+                   move_lists: list[list[np.ndarray]],
+                   pairs_lists: list[list[tuple[int, int]]]
+                   ) -> list[np.ndarray]:
+    """The unsegmented f-seq of every candidate, in input order (LEAD-NoHie):
+    stays ``i..j`` interleaved with moves ``i..j-1``, stacked row-wise."""
+    flats: list[np.ndarray] = []
+    for stays, moves, pairs in zip(stay_lists, move_lists, pairs_lists):
+        for i, j in pairs:
+            parts = [stays[i - 1]]
+            for ordinal in range(i, j):
+                parts += (moves[ordinal - 1], stays[ordinal])
+            flats.append(np.concatenate(parts, axis=0))
+    return flats
 
 
 @dataclass(frozen=True)
@@ -146,42 +187,44 @@ class HierarchicalAutoencoder(Module):
             operators, [Tensor(batch) for batch, _ in padded],
             [lengths for _, lengths in padded])
 
-    def reconstruction_loss_batch(self, batch: list[CandidateFeatures]
+    def reconstruction_loss_batch(self, stay_lists: list[list[np.ndarray]],
+                                  move_lists: list[list[np.ndarray]],
+                                  pairs_lists: list[list[tuple[int, int]]]
                                   ) -> Tensor:
-        """Mean reconstruction MSE over a mini-batch of candidates.
+        """Mean reconstruction MSE over the candidates of ``pairs_lists``.
 
-        Mathematically the mean of per-candidate losses, but computed with
-        shared padded batches so a training step costs a handful of large
-        matmuls instead of hundreds of small ones — essential on CPU.
+        Same layout as :meth:`encode_trajectories`.  Mathematically the
+        per-candidate losses averaged with each candidate's point count
+        as weight: each candidate is compressed and decompressed on its
+        own (a segment two candidates share enters phase 1 twice), but
+        in shared padded batches, so a training step costs a handful of
+        large matmuls instead of hundreds of small ones — essential on
+        CPU.
         """
-        if not batch:
+        if not any(pairs_lists):
             raise ValueError("empty batch")
         if not self.config.hierarchical:
-            flats = [f.flat() for f in batch]
-            padded, lengths = pad_sequences(flats)
+            padded, lengths = pad_sequences(
+                flat_sequences(stay_lists, move_lists, pairs_lists))
             c_vec = self.comp_flat(Tensor(padded), lengths)
             recon = self.decomp_flat(c_vec, steps=int(lengths.max()),
                                      lengths=lengths)
             mask = sequence_mask(lengths, int(lengths.max()))
             return mse_loss(recon, padded, mask=mask)
-        # Flat lists of all segments, with per-candidate index ranges.
-        sp_all: list[np.ndarray] = []
-        mp_all: list[np.ndarray] = []
-        sp_index = np.zeros((len(batch), max(len(f.stay_segments)
-                                             for f in batch)), dtype=np.int64)
-        mp_index = np.zeros((len(batch), max(len(f.move_segments)
-                                             for f in batch)), dtype=np.int64)
-        sp_counts = np.zeros(len(batch), dtype=np.int64)
-        mp_counts = np.zeros(len(batch), dtype=np.int64)
-        for b, features in enumerate(batch):
-            for segment in features.stay_segments:
-                sp_index[b, sp_counts[b]] = len(sp_all)
-                sp_all.append(segment)
-                sp_counts[b] += 1
-            for segment in features.move_segments:
-                mp_index[b, mp_counts[b]] = len(mp_all)
-                mp_all.append(segment)
-                mp_counts[b] += 1
+        stay_counts = np.array([len(s) for s in stay_lists], dtype=np.int64)
+        move_counts = np.array([len(m) for m in move_lists], dtype=np.int64)
+        traj, i, j = _candidates(pairs_lists, stay_counts, move_counts)
+        # Each candidate's stays and moves, candidate by candidate, and
+        # where each candidate's k-th segment sits in that list.
+        sp_counts, mp_counts = j - i + 1, j - i
+        sp_rows, sp_index = _spans(_firsts(stay_counts)[traj] + i - 1,
+                                   sp_counts)
+        mp_rows, mp_index = _spans(_firsts(move_counts)[traj] + i - 1,
+                                   mp_counts)
+        stays = [seg for segs in stay_lists for seg in segs]
+        moves = [seg for segs in move_lists for seg in segs]
+        sp_all = [stays[row] for row in sp_rows]
+        mp_all = [moves[row] for row in mp_rows]
         # Phase 1 over every segment of every candidate at once, one
         # loop per branch: a one-candidate batch of adjacent stay points
         # has one move segment, and padding that lone row to the stays'
@@ -196,17 +239,14 @@ class HierarchicalAutoencoder(Module):
             [self.comp_sp2, self.comp_mp2], [sp_seq, mp_seq],
             [sp_counts, mp_counts])
         loss_sp, n_sp = self._branch_loss_batch(
-            v_sp, sp_all, sp_index, sp_counts, self.decomp_sp2,
-            self.decomp_sp)
+            v_sp, sp_all, sp_counts, self.decomp_sp2, self.decomp_sp)
         loss_mp, n_mp = self._branch_loss_batch(
-            v_mp, mp_all, mp_index, mp_counts, self.decomp_mp2,
-            self.decomp_mp)
+            v_mp, mp_all, mp_counts, self.decomp_mp2, self.decomp_mp)
         total = n_sp + n_mp
         return loss_sp * (n_sp / total) + loss_mp * (n_mp / total)
 
     def _branch_loss_batch(self, branch_vec: Tensor,
-                           segments: list[np.ndarray],
-                           index: np.ndarray, counts: np.ndarray,
+                           segments: list[np.ndarray], counts: np.ndarray,
                            decomp_outer: DecompressionOperator,
                            decomp_inner: DecompressionOperator
                            ) -> tuple[Tensor, int]:
@@ -215,14 +255,9 @@ class HierarchicalAutoencoder(Module):
         cvec_seq = decomp_outer(branch_vec, steps=max_k,
                                 lengths=counts)            # (B, maxK, H)
         # Flatten back to one row per real segment (same order as
-        # ``segments``), via the (b, k) coordinates of each segment.
-        coords_b: list[int] = []
-        coords_k: list[int] = []
-        for b, count in enumerate(counts):
-            for k in range(int(count)):
-                coords_b.append(b)
-                coords_k.append(k)
-        flat_cvecs = cvec_seq[np.asarray(coords_b), np.asarray(coords_k)]
+        # ``segments``) at the (b, k) coordinates of each segment.
+        flat_cvecs = cvec_seq[np.nonzero(np.arange(max_k)[None, :]
+                                         < counts[:, None])]
         target, lengths = pad_sequences(segments)
         recon = decomp_inner(flat_cvecs, steps=int(lengths.max()),
                              lengths=lengths)
@@ -288,14 +323,6 @@ class HierarchicalAutoencoder(Module):
 
     def _encode_flat(self, stay_lists, move_lists, pairs_lists) -> Tensor:
         """LEAD-NoHie: one flat compressor pass over every candidate."""
-        flats: list[np.ndarray] = []
-        for stays, moves, pairs in zip(stay_lists, move_lists, pairs_lists):
-            for i, j in pairs:
-                parts = []
-                for ordinal in range(i, j):
-                    parts.append(stays[ordinal - 1])
-                    parts.append(moves[ordinal - 1])
-                parts.append(stays[j - 1])
-                flats.append(np.concatenate(parts, axis=0))
-        batch, lengths = pad_sequences(flats)
+        batch, lengths = pad_sequences(
+            flat_sequences(stay_lists, move_lists, pairs_lists))
         return self.comp_flat(Tensor(batch), lengths)

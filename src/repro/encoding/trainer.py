@@ -12,11 +12,12 @@ wasted padded timesteps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from ..configbase import ConfigMixin
-from ..features import CandidateFeatures
 from ..nn import Adam, CheckpointManager, TrainingHistory, train_epochs
 from .autoencoder import HierarchicalAutoencoder
 
@@ -52,10 +53,17 @@ class AutoencoderTrainer:
         self.model = model
         self.config = config or AutoencoderTrainingConfig()
 
-    def fit(self, samples: list[CandidateFeatures],
+    def fit(self, stay_lists: list[list[np.ndarray]],
+            move_lists: list[list[np.ndarray]],
+            samples: Sequence[tuple[int, tuple[int, int]]],
             verbose: bool = False,
             checkpoint: CheckpointManager | None = None) -> TrainingHistory:
-        """Train on (shuffled) candidate feature sequences.
+        """Train on candidate feature sequences.
+
+        ``stay_lists[d]`` / ``move_lists[d]`` are day ``d``'s featurized
+        stay and move segments (the layout of
+        :meth:`HierarchicalAutoencoder.encode_trajectories`), and sample
+        ``(d, (i, j))`` is candidate ``(i, j)`` of day ``d``.
 
         Returns the per-epoch loss history (used for the paper's Fig. 9).
 
@@ -72,8 +80,10 @@ class AutoencoderTrainer:
         # monotone in the stay count driving the phase-2 sequence
         # length; the longest segment drives the phase-1 padded width.
         size_keys = np.array(
-            [(len(s.segments), max(len(seg) for seg in s.segments))
-             for s in samples])
+            [(2 * (j - i) + 1,
+              max(map(len, chain(stay_lists[d][i - 1:j],
+                                 move_lists[d][i - 1:j - 1]))))
+             for d, (i, j) in samples])
 
         def epoch_order(rng: np.random.Generator) -> np.ndarray:
             order = rng.permutation(len(samples))
@@ -88,8 +98,11 @@ class AutoencoderTrainer:
             return order
 
         def batch_loss(chosen: np.ndarray):
+            batch = [samples[int(c)] for c in chosen]
             loss = self.model.reconstruction_loss_batch(
-                [samples[int(c)] for c in chosen])
+                [stay_lists[d] for d, _ in batch],
+                [move_lists[d] for d, _ in batch],
+                [[pair] for _, pair in batch])
             return loss, (loss.item(),), 1
 
         histories = train_epochs(

@@ -8,10 +8,9 @@ training set (DESIGN.md S14).
 from .normalize import ZScoreNormalizer
 from .extract import (FEATURE_DIM, FeatureConfig, FeatureExtractor,
                       subsample_indices)
-from .sequences import CandidateFeatures, CandidateFeaturizer, SegmentKind
+from .sequences import CandidateFeaturizer
 
 __all__ = [
     "ZScoreNormalizer", "FEATURE_DIM", "FeatureConfig", "FeatureExtractor",
-    "subsample_indices", "CandidateFeatures", "CandidateFeaturizer",
-    "SegmentKind",
+    "subsample_indices", "CandidateFeaturizer",
 ]

@@ -8,89 +8,37 @@ the hierarchical autoencoder compresses separately and hierarchically.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from ..model import CandidateTrajectory, MovePoint, StayPoint
+from ..model import MovePoint, StayPoint
 from ..nn.precision import active_dtype_name
 from ..perf.cache import SegmentFeatureCache, segment_key
 from .extract import FeatureExtractor, subsample_indices
 from .normalize import ZScoreNormalizer
 
-__all__ = ["SegmentKind", "CandidateFeatures", "CandidateFeaturizer"]
+__all__ = ["FEATURE_SCALE", "CandidateFeaturizer"]
 
-
-class SegmentKind(str, Enum):
-    STAY = "sp"
-    MOVE = "mp"
-
-
-@dataclass(frozen=True)
-class CandidateFeatures:
-    """The segmented, normalized f-seq of one candidate trajectory.
-
-    ``segments[k]`` is an ``(L_k, 32)`` float matrix; ``kinds[k]`` tells
-    whether it is a sp-f-seq or mp-f-seq.  Segments alternate
-    sp, mp, sp, ..., mp, sp.
-    """
-
-    pair: tuple[int, int]
-    segments: tuple[np.ndarray, ...]
-    kinds: tuple[SegmentKind, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.segments) != len(self.kinds):
-            raise ValueError("segments/kinds length mismatch")
-        if not self.segments:
-            raise ValueError("empty candidate features")
-        expected = [SegmentKind.STAY if i % 2 == 0 else SegmentKind.MOVE
-                    for i in range(len(self.kinds))]
-        if list(self.kinds) != expected:
-            raise ValueError("segments must alternate sp/mp starting with sp")
-        if self.kinds[-1] is not SegmentKind.STAY:
-            raise ValueError("candidate must end with a stay segment")
-
-    @property
-    def stay_segments(self) -> list[np.ndarray]:
-        """The SPs-f-seq: all stay-point feature subsequences in order."""
-        return [s for s, k in zip(self.segments, self.kinds)
-                if k is SegmentKind.STAY]
-
-    @property
-    def move_segments(self) -> list[np.ndarray]:
-        """The MPs-f-seq: all move-point feature subsequences in order."""
-        return [s for s, k in zip(self.segments, self.kinds)
-                if k is SegmentKind.MOVE]
-
-    @property
-    def num_points(self) -> int:
-        return int(sum(len(s) for s in self.segments))
-
-    def flat(self) -> np.ndarray:
-        """All feature vectors concatenated (the unsegmented f-seq)."""
-        return np.concatenate(self.segments, axis=0)
+#: Rescale applied to z-scored features so nearly all values fall inside
+#: [-1, 1]: the decompressor's tanh output is range-limited (the paper
+#: notes the tanh "matches the range of the f-seq"), and without the
+#: rescale the reconstruction MSE has a high floor.
+FEATURE_SCALE = 1.0 / 3.0
 
 
 class CandidateFeaturizer:
-    """Build :class:`CandidateFeatures` for candidates of a trajectory.
+    """Featurize the stay and move segments of processed trajectories.
 
-    ``feature_scale`` rescales z-scored features so nearly all values fall
-    inside [-1, 1]: the decompressor's tanh output is range-limited (the
-    paper notes the tanh "matches the range of the f-seq"), and without
-    the rescale the reconstruction MSE has a high floor.
+    A candidate's f-seq is the alternating stay/move matrices from its
+    first to its last stay point, so the matrices of a day's segments
+    plus a pair determine it; callers keep those per-day lists.
     """
 
     def __init__(self, extractor: FeatureExtractor,
-                 normalizer: ZScoreNormalizer,
-                 feature_scale: float = 1.0 / 3.0) -> None:
-        if feature_scale <= 0:
-            raise ValueError("feature_scale must be positive")
+                 normalizer: ZScoreNormalizer) -> None:
         self.extractor = extractor
         self.normalizer = normalizer
-        self.feature_scale = feature_scale
         #: Content-keyed cache of per-segment feature matrices.
         self.cache = SegmentFeatureCache()
 
@@ -119,7 +67,7 @@ class CandidateFeaturizer:
         if self.normalizer.fitted:
             hasher.update(np.ascontiguousarray(self.normalizer.mean_))
             hasher.update(np.ascontiguousarray(self.normalizer.std_))
-        hasher.update(repr((self.feature_scale, cfg.poi_radius_m,
+        hasher.update(repr((FEATURE_SCALE, cfg.poi_radius_m,
                             cfg.max_segment_len, cfg.use_poi)).encode())
         return hasher.digest()
 
@@ -180,7 +128,7 @@ class CandidateFeaturizer:
             rows = np.concatenate(list(missed.values()))
             matrix = self.normalizer.transform(self.extractor.features(
                 rows[:, 0], rows[:, 1], rows[:, 2]))
-            matrix *= self.feature_scale
+            matrix *= FEATURE_SCALE
             if dtype != "float64":
                 matrix = matrix.astype(dtype)
             offset = 0
@@ -202,30 +150,3 @@ class CandidateFeaturizer:
         """Nothing to clear: the only featurization state is
         :attr:`cache` (kept callable for callers that clear every cache
         before a cold run)."""
-
-    def featurize_all(self, candidates) -> list[CandidateFeatures]:
-        """The segmented f-seq of each candidate, in one featurization
-        pass over all their segments."""
-        per_candidate = [candidate.segments() for candidate in candidates]
-        matrices = iter(self.featurize_segments(
-            [segment for segments in per_candidate for segment in segments]))
-        return [CandidateFeatures(
-                    pair=candidate.pair,
-                    segments=tuple(next(matrices) for _ in segments),
-                    kinds=tuple(SegmentKind.STAY
-                                if isinstance(segment, StayPoint)
-                                else SegmentKind.MOVE
-                                for segment in segments))
-                for candidate, segments in zip(candidates, per_candidate)]
-
-    def featurize(self, candidate: CandidateTrajectory) -> CandidateFeatures:
-        """The segmented f-seq of one candidate."""
-        return self.featurize_all([candidate])[0]
-
-    def stay_point_features(self, stay_point: StayPoint) -> np.ndarray:
-        """Normalized feature sequence of a single stay point.
-
-        Used by the SP-GRU / SP-LSTM baselines, which classify stay points
-        in isolation.
-        """
-        return self.segment_features(stay_point)

@@ -2,9 +2,8 @@
 
 Featurization is LEAD's most-repeated computation: every candidate of a
 trajectory shares stay/move segments with its neighbours (candidate
-``(i', j')`` covers stays ``i'..j'``), the autoencoder's training loop
-featurizes the same candidates once per epoch, and the online stage
-featurizes a trajectory again on every ``detect`` call.  The z-scored
+``(i', j')`` covers stays ``i'..j'``), and the online stage featurizes
+a trajectory again on every ``detect`` call.  The z-scored
 feature matrix of a segment is a pure function of
 
 * the cleaned trajectory's ``(lat, lng, t)`` at the rows the encoder

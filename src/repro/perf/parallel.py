@@ -1,8 +1,8 @@
 """Order-preserving process-parallel map for the offline stages.
 
-The offline stages (raw-trajectory processing, candidate featurization)
-are embarrassingly parallel: each task is a pure function of its input,
-so the result cannot depend on which worker ran it or in what order.
+Offline stages such as raw-trajectory processing are embarrassingly
+parallel: each task is a pure function of its input, so the result
+cannot depend on which worker ran it or in what order.
 :func:`parallel_map` keeps three promises on top of that:
 
 1. **Order is part of the contract.**  Results always come back in

@@ -29,7 +29,6 @@ per model directory), and ``fit`` checkpoints every epoch when given a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -75,11 +74,6 @@ def _bucketed(batch: Sequence[ProcessedTrajectory]) -> bool:
     freeze-masked, so the choice changes speed, not answers.
     """
     return len(batch) > 1
-
-
-def _featurize_candidates(featurizer, processed: ProcessedTrajectory):
-    """Module-level worker task: featurize one trajectory's candidates."""
-    return featurizer.featurize_all(processed.candidates)
 
 
 @dataclass(frozen=True)
@@ -186,26 +180,25 @@ class LEAD:
         directory after a crash retrains only the epochs that were never
         completed and yields bit-for-bit the same model.
 
-        ``workers`` parallelizes the embarrassingly parallel offline
-        stages (trajectory processing, candidate featurization) across
-        processes; the result is identical for any worker count because
-        those stages are pure functions of their inputs (see
-        :mod:`repro.perf.parallel`).  Training itself stays serial — it
-        is a sequential optimization loop.
+        ``workers`` parallelizes trajectory processing across processes;
+        the result is identical for any worker count because processing
+        is a pure function of each day (see :mod:`repro.perf.parallel`).
+        Featurization is one pass over every training day's segments,
+        whose matrices both trainers read.  Training itself stays serial
+        — it is a sequential optimization loop.
         """
         processed = self._process_training(training, workers)
         if not processed:
             raise InvalidTrajectoryError("no usable training trajectories")
         self.featurizer.fit_normalizer([p.cleaned for p, _ in processed])
         ae_ckpt, det_ckpt = self._checkpoints(checkpoint_dir)
-        report = FitReport(
-            autoencoder_history=self._fit_autoencoder(processed, verbose,
-                                                      ae_ckpt, workers),
-            num_trajectories_used=len(processed))
-        report.num_autoencoder_samples = self._last_report_samples
-        detector_specs = self._build_detector_specs(processed)
-        report.detector_histories = self._fit_detectors(detector_specs,
-                                                        verbose, det_ckpt)
+        specs = self._build_detector_specs(processed)
+        history, num_samples = self._fit_autoencoder(specs, verbose, ae_ckpt)
+        report = FitReport(autoencoder_history=history,
+                           num_trajectories_used=len(processed),
+                           num_autoencoder_samples=num_samples)
+        report.detector_histories = self._fit_detectors(specs, verbose,
+                                                        det_ckpt)
         self._fitted = True
         self._reset_precision_state()
         return report
@@ -260,25 +253,24 @@ class LEAD:
             out.append((processed, processed.label_pair))
         return out
 
-    def _fit_autoencoder(self, processed, verbose: bool,
-                         checkpoint: CheckpointManager | None = None,
-                         workers: int | None = None) -> TrainingHistory:
+    def _fit_autoencoder(self, specs: list[TrajectorySpec], verbose: bool,
+                         checkpoint: CheckpointManager | None = None
+                         ) -> tuple[TrainingHistory, int]:
+        """Pretrain on every candidate of the training days, shuffled and
+        capped; return the history and the number of samples kept."""
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        features = []
-        for per_trajectory in parallel_map(
-                partial(_featurize_candidates, self.featurizer),
-                [trajectory for trajectory, _ in processed],
-                workers=workers):
-            features.extend(per_trajectory)
-        rng.shuffle(features)
+        samples = [(day, pair) for day, spec in enumerate(specs)
+                   for pair in spec.pairs]
+        rng.shuffle(samples)
         if cfg.max_autoencoder_samples is not None:
-            features = features[:cfg.max_autoencoder_samples]
+            samples = samples[:cfg.max_autoencoder_samples]
         trainer = AutoencoderTrainer(self.autoencoder, cfg.encoder_training)
-        history = trainer.fit(features, verbose=verbose,
+        history = trainer.fit([spec.stay_segments for spec in specs],
+                              [spec.move_segments for spec in specs],
+                              samples, verbose=verbose,
                               checkpoint=checkpoint)
-        self._last_report_samples = len(features)
-        return history
+        return history, len(samples)
 
     def _segment_lists(self, processed_list: Sequence[ProcessedTrajectory]
                        ) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:

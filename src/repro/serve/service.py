@@ -181,6 +181,9 @@ class FleetService:
         sessions = self._sessions_dir(index)
         if sessions is not None:
             fleet = replace(fleet, checkpoint_dir=str(sessions))
+        if fleet.quarantine_dir is not None:
+            fleet = replace(fleet, quarantine_dir=str(
+                Path(fleet.quarantine_dir) / f"shard-{index}"))
         shard = _Shard(index, fleet)
         shard.breaker = CircuitBreaker(
             f"serve-shard-{index}", SHARD_BREAKER_FAILURES,

@@ -10,7 +10,9 @@ what was captured.
 Entries are deterministic: they carry a sequence number, not a wall
 clock, so a seeded chaos soak produces the same quarantine ledger twice.
 With a ``directory`` configured, each entry is also persisted as one
-atomic JSON file (:mod:`repro.io`), surviving the process.
+atomic JSON file (:mod:`repro.io`), surviving the process, and a store
+opened on that directory numbers its entries after the highest one
+already there, so a restart never writes over an earlier dead letter.
 """
 
 from __future__ import annotations
@@ -52,14 +54,25 @@ class QuarantineEntry:
                    metadata=dict(payload.get("metadata", {})))
 
 
+def _persisted_seq(path: Path) -> int:
+    """The sequence number a persisted entry's file name starts with
+    (``-1`` for a file this store did not write)."""
+    prefix = path.name.split("_", 1)[0]
+    return int(prefix) if prefix.isdigit() else -1
+
+
 class Quarantine:
     """Ordered dead-letter store, optionally persisted per entry."""
 
     def __init__(self, directory: str | Path | None = None) -> None:
         self.directory = None if directory is None else Path(directory)
+        self._entries: list[QuarantineEntry] = []
+        self._next_seq = 0
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self._entries: list[QuarantineEntry] = []
+            self._next_seq = 1 + max(
+                (_persisted_seq(path)
+                 for path in self.directory.glob("*.json")), default=-1)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -88,9 +101,10 @@ class Quarantine:
                metadata: dict | None = None) -> QuarantineEntry:
         """Capture one poison input; returns the ledger entry."""
         entry = QuarantineEntry(
-            seq=len(self._entries), key=str(key), stage=str(stage),
+            seq=self._next_seq, key=str(key), stage=str(stage),
             error_type=type(exc).__name__, error=str(exc),
             attempts=int(attempts), metadata=dict(metadata or {}))
+        self._next_seq += 1
         self._entries.append(entry)
         obs_event("quarantine.recorded", key=entry.key, stage=entry.stage,
                   error_type=entry.error_type, error=entry.error,

@@ -51,7 +51,8 @@ from repro.detection import (backward_index_maps, forward_index_maps,
                              merge_distributions)
 from repro.encoding import operators
 from repro.data.poi import POI_CATEGORIES
-from repro.features import CandidateFeatures, SegmentKind, subsample_indices
+from repro.features import subsample_indices
+from repro.features.sequences import FEATURE_SCALE
 from repro.geo import haversine_m, speed_kmh
 from repro.model import Trajectory
 from repro.nn import (GRU, LSTM, Linear, LSTMDecoder,
@@ -121,29 +122,46 @@ def padded_group_scores(detector, cvecs: np.ndarray,
 # ----------------------------------------------------------------------
 # Per-candidate encoder
 # ----------------------------------------------------------------------
-def compress(model, features: CandidateFeatures) -> Tensor:
-    """The c-vec of one candidate, ``(1, cvec_dim)``."""
+def _flat(stays, moves, pair: tuple[int, int]) -> np.ndarray:
+    """Candidate ``pair``'s unsegmented f-seq, one stay or move at a
+    time: stays ``i..j`` with moves ``i..j-1`` between them."""
+    i, j = pair
+    parts = []
+    for ordinal in range(i, j):
+        parts.append(stays[ordinal - 1])
+        parts.append(moves[ordinal - 1])
+    parts.append(stays[j - 1])
+    return np.concatenate(parts, axis=0)
+
+
+def compress(model, stays, moves, pair: tuple[int, int]) -> Tensor:
+    """The c-vec of candidate ``pair`` of one day's stay and move
+    segments, ``(1, cvec_dim)``."""
     if not model.config.hierarchical:
-        return model.comp_flat(Tensor(features.flat()[None, :, :]))
-    sp_cvecs, = model._phase1([model.comp_sp], [features.stay_segments])
-    mp_cvecs, = model._phase1([model.comp_mp], [features.move_segments])
+        return model.comp_flat(Tensor(_flat(stays, moves, pair)[None, :, :]))
+    i, j = pair
+    sp_cvecs, = model._phase1([model.comp_sp], [stays[i - 1:j]])
+    mp_cvecs, = model._phase1([model.comp_mp], [moves[i - 1:j - 1]])
     sp_vec = model.comp_sp2(sp_cvecs.reshape(1, *sp_cvecs.shape))
     mp_vec = model.comp_mp2(mp_cvecs.reshape(1, *mp_cvecs.shape))
     return concat([sp_vec, mp_vec], axis=1)
 
 
-def reconstruction_loss(model, features: CandidateFeatures) -> Tensor:
-    """MSE between one candidate's f-seq and its decompression (Eq. 8)."""
+def reconstruction_loss(model, stays, moves, pair: tuple[int, int]
+                        ) -> Tensor:
+    """MSE between candidate ``pair``'s f-seq and its decompression
+    (Eq. 8)."""
     if not model.config.hierarchical:
-        flat = features.flat()
+        flat = _flat(stays, moves, pair)
         c_vec = model.comp_flat(Tensor(flat[None, :, :]))
         recon = model.decomp_flat(c_vec, steps=len(flat))
         return mse_loss(recon, flat[None, :, :])
-    c_vec = compress(model, features)
+    c_vec = compress(model, stays, moves, pair)
     h = model.config.hidden_size
-    loss_sp, n_sp = _branch_loss(model, c_vec[:, :h], features.stay_segments,
+    i, j = pair
+    loss_sp, n_sp = _branch_loss(model, c_vec[:, :h], stays[i - 1:j],
                                  model.decomp_sp2, model.decomp_sp)
-    loss_mp, n_mp = _branch_loss(model, c_vec[:, h:], features.move_segments,
+    loss_mp, n_mp = _branch_loss(model, c_vec[:, h:], moves[i - 1:j - 1],
                                  model.decomp_mp2, model.decomp_mp)
     total = n_sp + n_mp
     return loss_sp * (n_sp / total) + loss_mp * (n_mp / total)
@@ -162,30 +180,13 @@ def _branch_loss(model, branch_vec: Tensor, segments: list[np.ndarray],
     return mse_loss(recon, target, mask=mask), int(lengths.sum())
 
 
-def _candidate_features(stay_segments, move_segments,
-                        pair: tuple[int, int]) -> CandidateFeatures:
-    """The segmented f-seq of candidate ``pair`` from per-ordinal
-    segments (stay ordinals ``i..j``, move ordinals ``i..j-1``)."""
-    i, j = pair
-    segments, kinds = [], []
-    for ordinal in range(i, j + 1):
-        segments.append(stay_segments[ordinal - 1])
-        kinds.append(SegmentKind.STAY)
-        if ordinal < j:
-            segments.append(move_segments[ordinal - 1])
-            kinds.append(SegmentKind.MOVE)
-    return CandidateFeatures(pair=pair, segments=tuple(segments),
-                             kinds=tuple(kinds))
-
-
 def per_candidate_cvecs(model, stay_segments, move_segments,
                         pairs) -> np.ndarray:
     """c-vecs of one trajectory's candidates, each compressed on its
     own, ``(N, cvec_dim)`` in the active precision."""
     with no_grad():
         return np.concatenate([
-            compress(model, _candidate_features(stay_segments,
-                                                move_segments, pair)).numpy()
+            compress(model, stay_segments, move_segments, pair).numpy()
             for pair in pairs], axis=0)
 
 
@@ -356,7 +357,7 @@ def whole_trajectory_segment_features(featurizer, segment) -> np.ndarray:
     trajectory: normalize the whole raw matrix, then slice the rows."""
     whole = featurizer.normalizer.transform(
         featurizer.extractor.trajectory_features(segment.trajectory)) \
-        * featurizer.feature_scale
+        * FEATURE_SCALE
     return whole[subsample_indices(
         segment.start, segment.end,
         featurizer.extractor.config.max_segment_len)]

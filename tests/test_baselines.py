@@ -142,14 +142,15 @@ class TestSPNN:
     def test_nonfinite_loss_raises_before_the_step(self, world_and_processed,
                                                    monkeypatch):
         _, processed, featurizer = world_and_processed
-        clean = featurizer.stay_point_features
+        clean = featurizer.featurize_segments
 
-        def poisoned(stay_point):
-            features = clean(stay_point).copy()
-            features[0, 0] = np.nan
-            return features
+        def poisoned(segments):
+            matrices = [m.copy() for m in clean(segments)]
+            for matrix in matrices:
+                matrix[0, 0] = np.nan
+            return matrices
 
-        monkeypatch.setattr(featurizer, "stay_point_features", poisoned)
+        monkeypatch.setattr(featurizer, "featurize_segments", poisoned)
         detector = SPNNDetector("gru", featurizer,
                                 SPNNTrainingConfig(epochs=2, seed=0))
         before = {k: v.copy()
@@ -158,6 +159,34 @@ class TestSPNN:
             detector.fit([(p, p.label_pair) for p, _ in processed])
         for key, value in detector.classifier.state_dict().items():
             np.testing.assert_array_equal(value, before[key])
+
+    def test_fit_featurizes_once_like_per_stay_point(self,
+                                                     world_and_processed,
+                                                     monkeypatch):
+        """``fit`` featurizes every training stay point in one call, and
+        that call's matrices equal one call per stay point."""
+        _, processed, featurizer = world_and_processed
+        training = [(p, p.label_pair) for p, _ in processed]
+        stay_points = [sp for p, _ in training for sp in p.stay_points]
+        clean = featurizer.featurize_segments
+        calls = []
+
+        def spy(segments):
+            calls.append(list(segments))
+            return clean(segments)
+
+        monkeypatch.setattr(featurizer, "featurize_segments", spy)
+        SPNNDetector("gru", featurizer,
+                     SPNNTrainingConfig(epochs=1, seed=0)).fit(training)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert [id(sp) for sp in calls[0]] == [id(sp) for sp in stay_points]
+        featurizer.cache.clear()
+        together = featurizer.featurize_segments(stay_points)
+        featurizer.cache.clear()
+        for stay_point, matrix in zip(stay_points, together):
+            assert np.array_equal(matrix,
+                                  featurizer.segment_features(stay_point))
 
     def test_classify_stay_point_probability(self, world_and_processed):
         _, processed, featurizer = world_and_processed

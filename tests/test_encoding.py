@@ -11,8 +11,8 @@ from repro.encoding import (AutoencoderTrainer, AutoencoderTrainingConfig,
                             CompressionOperator, DecompressionOperator,
                             EncoderConfig, HierarchicalAutoencoder)
 from repro.errors import NumericalInstabilityError
-from repro.features import (CandidateFeatures, CandidateFeaturizer,
-                            FeatureExtractor, SegmentKind, ZScoreNormalizer)
+from repro.features import (CandidateFeaturizer, FeatureExtractor,
+                            ZScoreNormalizer)
 from repro.nn import Tensor, load_module, no_grad, save_module
 from repro.processing import RawTrajectoryProcessor
 
@@ -34,6 +34,14 @@ def pipeline():
                                      ZScoreNormalizer())
     featurizer.fit_normalizer([p.cleaned for p in processed])
     return processed, featurizer
+
+
+def _day(featurizer, processed):
+    """One day's stay and move segment matrices."""
+    matrices = featurizer.featurize_segments(processed.stay_points
+                                             + processed.move_points)
+    n = processed.num_stay_points
+    return matrices[:n], matrices[n:]
 
 
 class TestOperators:
@@ -75,14 +83,16 @@ class TestHierarchicalAutoencoder:
     def test_compress_shape(self, pipeline):
         processed, featurizer = pipeline
         model = HierarchicalAutoencoder(EncoderConfig())
-        features = featurizer.featurize(processed[0].candidates[0])
-        assert compress(model, features).shape == (1, 64)
+        stays, moves = _day(featurizer, processed[0])
+        pair = processed[0].candidates[0].pair
+        assert compress(model, stays, moves, pair).shape == (1, 64)
 
     def test_reconstruction_loss_finite_and_positive(self, pipeline):
         processed, featurizer = pipeline
         model = HierarchicalAutoencoder(EncoderConfig())
-        features = featurizer.featurize(processed[0].candidates[0])
-        loss = model.reconstruction_loss_batch([features])
+        stays, moves = _day(featurizer, processed[0])
+        loss = model.reconstruction_loss_batch(
+            [stays], [moves], [[processed[0].candidates[0].pair]])
         assert np.isfinite(loss.item())
         assert loss.item() > 0
 
@@ -90,19 +100,47 @@ class TestHierarchicalAutoencoder:
         processed, featurizer = pipeline
         for config in (EncoderConfig(), EncoderConfig(hierarchical=False)):
             model = HierarchicalAutoencoder(config)
+            stays, moves = _day(featurizer, processed[0])
             for candidate in processed[0].candidates[:3]:
-                features = featurizer.featurize(candidate)
                 with no_grad():
                     np.testing.assert_allclose(
-                        model.reconstruction_loss_batch([features]).item(),
-                        reconstruction_loss(model, features).item(),
+                        model.reconstruction_loss_batch(
+                            [stays], [moves], [[candidate.pair]]).item(),
+                        reconstruction_loss(model, stays, moves,
+                                            candidate.pair).item(),
                         rtol=1e-9, atol=0.0)
+
+    def test_batch_loss_is_point_weighted_mean_of_oracle(self, pipeline):
+        """A batch over two days, candidates interleaved, is the mean of
+        the per-candidate losses weighted by each one's point count."""
+        processed, featurizer = pipeline
+        days = [_day(featurizer, p) for p in processed[:2]]
+        picks = [(1, processed[1].candidates[-1].pair),
+                 (0, processed[0].candidates[0].pair),
+                 (1, processed[1].candidates[0].pair),
+                 (0, processed[0].candidates[-1].pair)]
+        for config in (EncoderConfig(), EncoderConfig(hierarchical=False)):
+            model = HierarchicalAutoencoder(config)
+            with no_grad():
+                batch = model.reconstruction_loss_batch(
+                    [days[d][0] for d, _ in picks],
+                    [days[d][1] for d, _ in picks],
+                    [[pair] for _, pair in picks]).item()
+                losses = [reconstruction_loss(model, *days[d], pair).item()
+                          for d, pair in picks]
+            points = [sum(len(s) for s in days[d][0][i - 1:j])
+                      + sum(len(m) for m in days[d][1][i - 1:j - 1])
+                      for d, (i, j) in picks]
+            np.testing.assert_allclose(batch, np.average(losses,
+                                                         weights=points),
+                                       rtol=1e-9, atol=0.0)
 
     def test_gradients_reach_all_parameters(self, pipeline):
         processed, featurizer = pipeline
         model = HierarchicalAutoencoder(EncoderConfig())
-        features = featurizer.featurize(processed[0].candidates[1])
-        model.reconstruction_loss_batch([features]).backward()
+        stays, moves = _day(featurizer, processed[0])
+        model.reconstruction_loss_batch(
+            [stays], [moves], [[processed[0].candidates[1].pair]]).backward()
         missing = [name for name, p in model.named_parameters()
                    if p.grad is None]
         assert missing == []
@@ -140,9 +178,10 @@ class TestHierarchicalAutoencoder:
     def test_nohie_variant(self, pipeline):
         processed, featurizer = pipeline
         model = HierarchicalAutoencoder(EncoderConfig(hierarchical=False))
-        features = featurizer.featurize(processed[0].candidates[0])
-        assert compress(model, features).shape == (1, 64)
-        loss = model.reconstruction_loss_batch([features])
+        stays, moves = _day(featurizer, processed[0])
+        pair = processed[0].candidates[0].pair
+        assert compress(model, stays, moves, pair).shape == (1, 64)
+        loss = model.reconstruction_loss_batch([stays], [moves], [[pair]])
         assert np.isfinite(loss.item())
         p0 = processed[0]
         stay_segments = [featurizer.segment_features(sp)
@@ -157,8 +196,9 @@ class TestHierarchicalAutoencoder:
     def test_nosel_variant(self, pipeline):
         processed, featurizer = pipeline
         model = HierarchicalAutoencoder(EncoderConfig(use_attention=False))
-        features = featurizer.featurize(processed[0].candidates[0])
-        assert compress(model, features).shape == (1, 64)
+        stays, moves = _day(featurizer, processed[0])
+        pair = processed[0].candidates[0].pair
+        assert compress(model, stays, moves, pair).shape == (1, 64)
 
     def test_serialization_roundtrip(self, pipeline, tmp_path):
         processed, featurizer = pipeline
@@ -166,10 +206,11 @@ class TestHierarchicalAutoencoder:
         b = HierarchicalAutoencoder(EncoderConfig(seed=2))
         save_module(a, tmp_path / "ae.npz")
         load_module(b, tmp_path / "ae.npz")
-        features = featurizer.featurize(processed[0].candidates[0])
+        day = _day(featurizer, processed[0])
+        pair = processed[0].candidates[0].pair
         with no_grad():
-            np.testing.assert_allclose(compress(a, features).numpy(),
-                                       compress(b, features).numpy())
+            np.testing.assert_allclose(compress(a, *day, pair).numpy(),
+                                       compress(b, *day, pair).numpy())
 
 
 class TestTrainer:
@@ -181,11 +222,12 @@ class TestTrainer:
 
     def test_training_reduces_loss(self, pipeline):
         processed, featurizer = pipeline
-        samples = featurizer.featurize_all(processed[0].candidates)
+        stays, moves = _day(featurizer, processed[0])
+        samples = [(0, c.pair) for c in processed[0].candidates]
         model = HierarchicalAutoencoder(EncoderConfig(seed=3))
         trainer = AutoencoderTrainer(model, AutoencoderTrainingConfig(
             epochs=5, learning_rate=3e-3, batch_size=4, patience=5))
-        history = trainer.fit(samples)
+        history = trainer.fit([stays], [moves], samples)
         assert history.num_epochs >= 2
         assert history.final_loss < history.epoch_losses[0]
         assert not model.training  # back in eval mode
@@ -193,22 +235,18 @@ class TestTrainer:
     def test_fit_rejects_empty(self):
         model = HierarchicalAutoencoder(EncoderConfig())
         with pytest.raises(ValueError):
-            AutoencoderTrainer(model).fit([])
+            AutoencoderTrainer(model).fit([], [], [])
 
     def test_nonfinite_loss_raises_before_the_step(self):
         rng = np.random.default_rng(12)
-        samples = []
-        for _ in range(12):
-            segments = tuple(rng.normal(size=(int(rng.integers(2, 6)), 32))
-                             for _ in range(3))
-            samples.append(CandidateFeatures(
-                pair=(1, 2), segments=segments,
-                kinds=(SegmentKind.STAY, SegmentKind.MOVE,
-                       SegmentKind.STAY)))
-        samples[5].segments[1][0, 4] = np.nan
+        days = [[rng.normal(size=(int(rng.integers(2, 6)), 32))
+                 for _ in range(3)] for _ in range(12)]
+        days[5][1][0, 4] = np.nan
         model = HierarchicalAutoencoder(EncoderConfig(seed=12))
         trainer = AutoencoderTrainer(model, AutoencoderTrainingConfig(
             epochs=3, batch_size=4, seed=0))
         with pytest.raises(NumericalInstabilityError, match="non-finite"):
-            trainer.fit(samples)
+            trainer.fit([day[0::2] for day in days],
+                        [day[1::2] for day in days],
+                        [(d, (1, 2)) for d in range(len(days))])
         assert all(np.isfinite(p.data).all() for p in model.parameters())

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from repro.data import (DatasetConfig, POI, POIDatabase, POI_CATEGORIES,
                         generate_dataset)
+from repro.encoding.autoencoder import flat_sequences
 from repro.features import (CandidateFeaturizer, FEATURE_DIM, FeatureConfig,
-                            FeatureExtractor, SegmentKind, ZScoreNormalizer,
+                            FeatureExtractor, ZScoreNormalizer,
                             subsample_indices)
 from repro.processing import RawTrajectoryProcessor
 
@@ -147,51 +148,38 @@ class TestCandidateFeaturizer:
         featurizer.fit_normalizer([p.cleaned for p in processed])
         return processed, featurizer
 
-    def test_segments_alternate_and_shapes(self, setup):
-        processed, featurizer = setup
-        candidate = processed[0].candidates[0]
-        features = featurizer.featurize(candidate)
-        assert features.kinds[0] is SegmentKind.STAY
-        assert features.kinds[-1] is SegmentKind.STAY
-        assert all(s.shape[1] == FEATURE_DIM for s in features.segments)
-        assert len(features.stay_segments) == len(features.move_segments) + 1
-
     def test_segment_length_cap(self, setup):
         processed, featurizer = setup
         max_len = featurizer.extractor.config.max_segment_len
         for p in processed[:3]:
             for candidate in p.candidates:
-                features = featurizer.featurize(candidate)
-                assert all(len(s) <= max_len for s in features.segments)
-
-    def test_pair_passthrough(self, setup):
-        processed, featurizer = setup
-        candidate = processed[0].candidates[2]
-        assert featurizer.featurize(candidate).pair == candidate.pair
+                matrices = featurizer.featurize_segments(candidate.segments())
+                assert all(len(s) <= max_len for s in matrices)
 
     def test_normalized_scale(self, setup):
         """Features of real candidates should be roughly standardized."""
         processed, featurizer = setup
-        flat = np.concatenate([
-            featurizer.featurize(c).flat()
-            for c in processed[0].candidates[:5]], axis=0)
+        flat = np.concatenate(featurizer.featurize_segments(
+            [segment for c in processed[0].candidates[:5]
+             for segment in c.segments()]), axis=0)
         # Values stay within a reasonable standardized band.
         assert np.abs(flat).max() < 40.0
         assert np.abs(np.median(flat)) < 2.0
 
     def test_flat_matches_segments(self, setup):
+        """A candidate's flat f-seq holds every point of its segments."""
         processed, featurizer = setup
-        features = featurizer.featurize(processed[0].candidates[0])
-        assert features.flat().shape[0] == features.num_points
+        p0 = processed[0]
+        stays = featurizer.featurize_segments(p0.stay_points)
+        moves = featurizer.featurize_segments(p0.move_points)
+        candidate = p0.candidates[0]
+        flat, = flat_sequences([stays], [moves], [[candidate.pair]])
+        assert np.array_equal(flat, np.concatenate(
+            featurizer.featurize_segments(candidate.segments())))
 
     def test_stay_point_features(self, setup):
         processed, featurizer = setup
         sp = processed[0].stay_points[0]
-        features = featurizer.stay_point_features(sp)
+        features = featurizer.segment_features(sp)
         assert features.ndim == 2
         assert features.shape[1] == FEATURE_DIM
-
-    def test_featurize_all_counts(self, setup):
-        processed, featurizer = setup
-        features = featurizer.featurize_all(processed[0].candidates)
-        assert len(features) == processed[0].num_candidates

@@ -25,7 +25,6 @@ from repro.detection import (DetectorTrainingConfig, GroupDetector,
 from repro.encoding import (AutoencoderTrainer, AutoencoderTrainingConfig,
                             CompressionOperator, EncoderConfig,
                             HierarchicalAutoencoder)
-from repro.features import CandidateFeatures, SegmentKind
 from repro.nn import (GRU, LSTM, BiLSTMLayer, Linear, LSTMDecoder,
                       SelfAttentionAggregator, Tensor, mse_loss, no_grad)
 from repro.nn.fused import (affine, attention_pool, gru_sequence,
@@ -543,18 +542,17 @@ class TestOperatorEquivalence:
 
 
 def _make_samples(n, rng):
-    samples = []
-    for _ in range(n):
+    """``n`` one-candidate days: ``(stay lists, move lists, samples)``,
+    each candidate spanning all of its day's 2-4 stay points."""
+    stay_lists, move_lists, samples = [], [], []
+    for day in range(n):
         n_stays = int(rng.integers(2, 5))
-        segs, kinds = [], []
-        for i in range(2 * n_stays - 1):
-            length = int(rng.integers(2, 7))
-            segs.append(rng.normal(size=(length, 32)))
-            kinds.append(SegmentKind.STAY if i % 2 == 0
-                         else SegmentKind.MOVE)
-        samples.append(CandidateFeatures(pair=(0, 1), segments=tuple(segs),
-                                         kinds=tuple(kinds)))
-    return samples
+        segs = [rng.normal(size=(int(rng.integers(2, 7)), 32))
+                for _ in range(2 * n_stays - 1)]
+        stay_lists.append(segs[0::2])
+        move_lists.append(segs[1::2])
+        samples.append((day, (1, n_stays)))
+    return stay_lists, move_lists, samples
 
 
 class TestTrainerEquivalence:
@@ -568,7 +566,7 @@ class TestTrainerEquivalence:
             model = HierarchicalAutoencoder(EncoderConfig(seed=21))
             cfg = AutoencoderTrainingConfig(epochs=2, batch_size=4, seed=3)
             with tape_path() if tape else contextlib.nullcontext():
-                history = AutoencoderTrainer(model, cfg).fit(samples)
+                history = AutoencoderTrainer(model, cfg).fit(*samples)
             losses[tape] = history.epoch_losses
         np.testing.assert_allclose(losses[False], losses[True],
                                    rtol=1e-7)
@@ -595,7 +593,7 @@ class TestTrainerEquivalence:
         samples = _make_samples(12, np.random.default_rng(1))
         model = HierarchicalAutoencoder(EncoderConfig(seed=22))
         cfg = AutoencoderTrainingConfig(epochs=2, batch_size=4, seed=3)
-        history = AutoencoderTrainer(model, cfg).fit(samples)
+        history = AutoencoderTrainer(model, cfg).fit(*samples)
         assert len(history.epoch_losses) == 2
         assert np.all(np.isfinite(history.epoch_losses))
 
@@ -605,7 +603,7 @@ class TestTrainerEquivalence:
         for _ in range(2):
             model = HierarchicalAutoencoder(EncoderConfig(seed=23))
             cfg = AutoencoderTrainingConfig(epochs=2, batch_size=4, seed=5)
-            curves.append(AutoencoderTrainer(model, cfg).fit(samples).epoch_losses)
+            curves.append(AutoencoderTrainer(model, cfg).fit(*samples).epoch_losses)
         assert curves[0] == curves[1]
 
 

@@ -335,17 +335,14 @@ class TestNoOpBitIdentity:
 def _autoencoder_fit():
     from repro.encoding import (AutoencoderTrainer, EncoderConfig,
                                 HierarchicalAutoencoder)
-    from repro.features import CandidateFeatures, SegmentKind
     rng = np.random.default_rng(3)
-    samples = [CandidateFeatures(
-        pair=(1, 2),
-        segments=tuple(rng.normal(size=(int(rng.integers(2, 5)), 32))
-                       for _ in range(3)),
-        kinds=(SegmentKind.STAY, SegmentKind.MOVE, SegmentKind.STAY))
-        for _ in range(6)]
+    days = [[rng.normal(size=(int(rng.integers(2, 5)), 32))
+             for _ in range(3)] for _ in range(6)]
     model = HierarchicalAutoencoder(EncoderConfig(seed=3))
     AutoencoderTrainer(model, AutoencoderTrainingConfig(
-        epochs=2, batch_size=4, seed=0)).fit(samples)
+        epochs=2, batch_size=4, seed=0)).fit(
+        [day[0::2] for day in days], [day[1::2] for day in days],
+        [(d, (1, 2)) for d in range(len(days))])
     return model, {"hierarchical-autoencoder"}
 
 
@@ -372,15 +369,16 @@ def _sp_gru_fit():
     rng = np.random.default_rng(8)
     features = {}
 
-    def stay_point_features(stay_point):
-        return features.setdefault(
+    def featurize_segments(stay_points):
+        return [features.setdefault(
             id(stay_point), rng.normal(size=(int(rng.integers(2, 5)), 32)))
+            for stay_point in stay_points]
 
     days = [(SimpleNamespace(stay_points=[SimpleNamespace(ordinal=k)
                                           for k in (1, 2, 3)]), (1, 3))
             for _ in range(4)]
     detector = SPNNDetector(
-        "gru", SimpleNamespace(stay_point_features=stay_point_features),
+        "gru", SimpleNamespace(featurize_segments=featurize_segments),
         SPNNTrainingConfig(epochs=2, batch_size=4, seed=0))
     detector.fit(days)
     return detector.classifier, {"sp-gru"}

@@ -274,6 +274,20 @@ class TestSegmentFeatureCache:
         assert len(clone) == 0
         assert clone._lru.maxsize == lead.feature_cache._lru.maxsize
 
+    def test_fit_looks_up_each_training_segment_once(self, world_and_data):
+        """One featurization pass feeds both trainers: a fit makes one
+        cache lookup per distinct segment of its usable training days."""
+        world, dataset = world_and_data
+        lead = LEAD(world.pois, tiny_lead_config())
+        lead.fit(dataset.samples[:8])
+        days = [p for p in map(lead.processor.process_sample,
+                               dataset.samples[:8])
+                if p is not None and p.label_pair is not None]
+        segments = sum(p.num_stay_points + len(p.move_points) for p in days)
+        stats = lead.feature_cache.stats
+        assert stats.lookups == stats.misses == segments
+        assert len(lead.feature_cache) == segments
+
 
 class TestFeaturizeSegments:
     """The one featurization pass: exact against the whole-trajectory

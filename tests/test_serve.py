@@ -30,7 +30,7 @@ from repro.serve import (FleetService, ServeConfig, ServeError, shard_for)
 from repro.serve import worker as serve_worker
 from repro.stream import (FleetConfig, FleetSessionManager,
                           dataset_ping_stream)
-from repro.supervise import RetryPolicy
+from repro.supervise import Quarantine, RetryPolicy
 
 
 def tiny_lead_config(**overrides) -> LEADConfig:
@@ -432,6 +432,20 @@ class TestShardStats:
         calls = {index: shard["fleet"]["io_retry"]["calls"]
                  for index, shard in stats["shards"].items()}
         assert calls == {"0": 1, "1": 0}
+
+    def test_each_shard_keeps_its_own_dead_letters(self, tmp_path):
+        """Shards share one FleetConfig, not one quarantine directory:
+        the same key quarantined on two shards leaves two entries."""
+        config = ServeConfig(num_shards=2, backend="inline",
+                             fleet=FleetConfig(quarantine_dir=tmp_path))
+        with FleetService(None, config=config) as service:
+            for shard in service._shards:
+                shard.manager.quarantine.record(
+                    "T1|d", "tick-detect",
+                    RuntimeError(f"shard {shard.index}"))
+        assert [[entry.error for entry in Quarantine.load(
+                    tmp_path / f"shard-{index}").entries]
+                for index in range(2)] == [["shard 0"], ["shard 1"]]
 
 
 class TestDrainBarrier:

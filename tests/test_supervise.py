@@ -176,6 +176,22 @@ class TestQuarantine:
         assert entry.error_type == "RuntimeError"
         assert entry.metadata["state"] == {"truck_id": "truck-9"}
 
+    def test_restarted_store_numbers_after_persisted_entries(self,
+                                                            tmp_path):
+        """A store reopened on its directory continues the numbering, so
+        the same key quarantined again does not overwrite the earlier
+        dead letter."""
+        Quarantine(tmp_path / "q").record("truck-1|d0", "tick-detect",
+                                          RuntimeError("first"))
+        entry = Quarantine(tmp_path / "q").record(
+            "truck-1|d0", "flush-detect", RuntimeError("second"))
+        assert entry.seq == 1
+        reloaded = Quarantine.load(tmp_path / "q")
+        assert [(e.seq, e.stage) for e in reloaded.entries] == [
+            (0, "tick-detect"), (1, "flush-detect")]
+        assert reloaded.record("truck-2|d0", "restore",
+                               OSError("disk")).seq == 2
+
     def test_entry_roundtrip(self):
         entry = QuarantineEntry(seq=4, key="k", stage="s",
                                 error_type="OSError", error="x",
