@@ -10,12 +10,12 @@ from .staypoints import (StayPointExtractor, StayPointScanner,
 from .candidates import CandidateGenerator
 from .pipeline import ProcessedTrajectory, RawTrajectoryProcessor
 from .validation import (MIN_USABLE_FIXES, ReorderBuffer, ReorderStats,
-                         monotonize_stream, sanitize_trajectory)
+                         sanitize_trajectory)
 
 __all__ = [
     "NoiseFilter", "StayPointExtractor", "StayPointScanner",
     "extract_move_points",
     "CandidateGenerator", "ProcessedTrajectory", "RawTrajectoryProcessor",
     "MIN_USABLE_FIXES", "ReorderBuffer", "ReorderStats",
-    "monotonize_stream", "sanitize_trajectory",
+    "sanitize_trajectory",
 ]

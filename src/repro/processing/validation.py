@@ -22,7 +22,7 @@ from ..errors import InvalidTrajectoryError
 from ..model import Trajectory
 
 __all__ = ["MIN_USABLE_FIXES", "sanitize_trajectory", "ReorderBuffer",
-           "ReorderStats", "monotonize_stream"]
+           "ReorderStats"]
 
 #: Fewer usable fixes than this cannot form even one move segment.
 MIN_USABLE_FIXES = 2
@@ -97,8 +97,7 @@ class ReorderBuffer:
     :attr:`ReorderStats.reordered`).  A ping at or behind the newest
     *released* timestamp can no longer be placed and is dropped
     (counted, never raised); the released stream is strictly increasing
-    by construction.  :func:`monotonize_stream` runs a whole array
-    through one buffer.
+    by construction.
     """
 
     #: The one release algorithm, as :meth:`state` records it (checkpoint
@@ -188,32 +187,3 @@ class ReorderBuffer:
         buffer._max_seen = -np.inf if seen is None else float(seen)
         buffer.stats = ReorderStats(**state["stats"])
         return buffer
-
-
-def monotonize_stream(lats, lngs, ts, capacity: int = 16
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 ReorderStats]:
-    """Repair a whole ping stream through a :class:`ReorderBuffer`.
-
-    Convenience wrapper for offline callers holding raw arrays: the
-    returned arrays have strictly increasing timestamps, and the stats
-    say what it cost.  Never raises on ordering hostility (shape
-    mismatches are still a caller bug and do raise).
-    """
-    lats = np.asarray(lats, dtype=np.float64)
-    lngs = np.asarray(lngs, dtype=np.float64)
-    ts = np.asarray(ts, dtype=np.float64)
-    if not (lats.shape == lngs.shape == ts.shape) or lats.ndim != 1:
-        raise InvalidTrajectoryError(
-            "lats, lngs, ts must be 1-D arrays of equal length")
-    buffer = ReorderBuffer(capacity=capacity)
-    fixes: list[tuple[float, float, float]] = []
-    for lat, lng, t in zip(lats, lngs, ts):
-        fixes.extend(buffer.push(lat, lng, t))
-    fixes.extend(buffer.flush())
-    if not fixes:
-        empty = np.zeros(0)
-        return empty, empty.copy(), empty.copy(), buffer.stats
-    out_lat, out_lng, out_t = (np.asarray(col, dtype=np.float64)
-                               for col in zip(*fixes))
-    return out_lat, out_lng, out_t, buffer.stats

@@ -23,8 +23,9 @@ class ServeConfig(ConfigMixin):
 
     #: Worker count; trucks are placed by ``shard_for(truck_id, N)``.
     num_shards: int = 4
-    #: ``"process"`` forks one worker per shard; ``"inline"`` keeps the
-    #: managers in-process (deterministic tests, breaker-open fallback).
+    #: Shard worker transport: ``"process"`` forks one per shard,
+    #: ``"inline"`` runs it in-process on the same command path (tests,
+    #: constrained sandboxes, and a process shard's open-breaker fallback).
     backend: str = "process"
     #: Admission control: a shard with this many un-acked commands
     #: rejects further pings (returned to the caller, counted) instead

@@ -4,10 +4,12 @@
 :func:`~repro.serve.routing.shard_for` and drives each shard — a
 :class:`~repro.stream.FleetSessionManager` plus a detector replica —
 through the tiny command protocol of :mod:`repro.serve.worker`.  The
-``process`` backend forks one worker per shard and moves commands over
-bounded ``multiprocessing`` queues; the ``inline`` backend applies the
-same commands in-process (deterministic tests, and the degraded mode a
-shard falls into when its restart breaker opens).
+backend only picks each shard's worker transport: ``process`` forks a
+worker behind bounded ``multiprocessing`` queues, ``inline`` keeps an
+:class:`~repro.serve.worker.InlineWorker` in-process (deterministic
+tests, constrained sandboxes, and the degraded mode a process shard
+falls into when its restart breaker opens).  Both offer one surface,
+so sending, reply handling, barriers and recovery are one path.
 
 **Convergence contract.**  A truck's final verdict is a pure function
 of its ordered ping sequence: routing pins each truck to one shard, the
@@ -33,9 +35,11 @@ directory, copying the barrier in, starting a fresh manager
 the journal suffix — every command applied exactly once against
 barrier state, so recovery converges bit-for-bit with an undisturbed
 run.  Each restart is a failure on the shard's
-:class:`~repro.supervise.CircuitBreaker` (logical restart-attempt
-clock); an open breaker degrades the shard to the inline backend until
-the cooldown passes.
+:class:`~repro.supervise.CircuitBreaker` and each acknowledged reply a
+success, so only consecutive deaths with no acknowledged reply between
+them trip it.  An open breaker degrades a process shard to an inline
+worker; the degraded shard asks the breaker once per command it is
+sent, and the admitted probe restarts it into a worker.
 
 **Admission control.**  A shard with ``queue_high_water`` un-acked
 commands rejects new pings — they come back in the
@@ -45,7 +49,8 @@ without bound.
 Chaos site ``serve.worker`` (keyed by shard index) injects ``kill``
 (the frontend SIGKILLs the worker), ``crash`` (the worker hard-exits
 before applying the batch) and ``hang`` (the worker stalls past the
-response timeout); all three funnel into the same restart path.
+response timeout); an inline worker dies before the batch on any of
+the three.  All funnel into the same restart path.
 
 All public methods take keyword-only options — the serve surface is
 keyword-only from day one.
@@ -63,12 +68,11 @@ from pathlib import Path
 
 from ..chaos.core import chaos_point
 from ..obs.core import obs_event, obs_span
-from ..stream.fleet import FleetSessionManager
 from ..stream.verdict import ProvisionalVerdict
 from ..supervise import CircuitBreaker
 from .config import ServeConfig
 from .routing import shard_for
-from .worker import apply_command, blas_pin_available, worker_main
+from .worker import InlineWorker, blas_pin_available, worker_main
 
 __all__ = ["FleetService", "ServeCounters", "ServeError", "SubmitResult"]
 
@@ -76,8 +80,7 @@ __all__ = ["FleetService", "ServeCounters", "ServeError", "SubmitResult"]
 _JOURNALED = frozenset({"ingest", "flush", "drain"})
 
 #: Consecutive restart failures that trip a shard's breaker, and how
-#: long (in restart attempts) it stays open; an open breaker degrades
-#: the shard to the inline backend.
+#: many commands a degraded (inline) shard is sent before its probe.
 SHARD_BREAKER_FAILURES = 3
 SHARD_BREAKER_COOLDOWN = 8
 
@@ -116,16 +119,18 @@ class ServeCounters:
 
 
 class _Shard:
-    """Frontend-side state of one shard (worker or inline manager)."""
+    """Frontend-side state of one shard and its worker transport."""
 
     def __init__(self, index: int, fleet_config) -> None:
         self.index = index
         self.fleet_config = fleet_config
         self.mode: str = "unstarted"        # "process" | "inline"
+        self.degraded = False               # process backend run inline
+        # A forked worker and its queues, or one InlineWorker in all three.
         self.process = None
         self.requests = None
         self.responses = None
-        self.manager: FleetSessionManager | None = None
+        self.manager = None
         self.seq = 0                        # next command seq
         self.inflight = 0                   # sent, not yet acked
         self.interest: set[int] = set()     # seqs someone will await
@@ -135,12 +140,24 @@ class _Shard:
         self.barrier_seq = -1
         self.barrier_dir: Path | None = None
         self.pending_barrier: tuple[int, Path] | None = None
-        self.breaker: CircuitBreaker | None = None
+        self.breaker = CircuitBreaker(
+            f"serve-shard-{index}", SHARD_BREAKER_FAILURES,
+            SHARD_BREAKER_COOLDOWN)
 
     def next_seq(self) -> int:
         seq = self.seq
         self.seq += 1
         return seq
+
+    def advance_barrier(self, seq: int, directory: Path | None) -> None:
+        """Make ``directory`` (None: an empty manager) the state at
+        ``seq``: recovery replays only the journal after it."""
+        previous = self.barrier_dir
+        self.barrier_seq = seq
+        self.barrier_dir = directory
+        self.journal = [(s, c) for s, c in self.journal if s > seq]
+        if previous is not None:
+            shutil.rmtree(previous, ignore_errors=True)
 
 
 class FleetService:
@@ -152,7 +169,6 @@ class FleetService:
         self.config = config or ServeConfig()
         self.counters = ServeCounters()
         self._ctx = mp.get_context("fork")
-        self._clock = 0   # logical restart-attempt clock for breakers
         self._closed = False
         # Routing memo: shard_for() is a pure function of the truck id,
         # so one blake2b per *truck* (not per ping) is enough.
@@ -184,17 +200,13 @@ class FleetService:
         if fleet.quarantine_dir is not None:
             fleet = replace(fleet, quarantine_dir=str(
                 Path(fleet.quarantine_dir) / f"shard-{index}"))
-        shard = _Shard(index, fleet)
-        shard.breaker = CircuitBreaker(
-            f"serve-shard-{index}", SHARD_BREAKER_FAILURES,
-            SHARD_BREAKER_COOLDOWN, clock=lambda: float(self._clock))
-        return shard
+        return _Shard(index, fleet)
 
     def _start_shard(self, shard: _Shard) -> None:
-        """(Re)start one shard's backend; chooses process vs inline."""
-        use_process = (self.config.backend == "process"
-                       and shard.breaker.allow())
-        if use_process:
+        """(Re)start one shard's worker: the backend's transport, but
+        inline (degraded) while a process shard's breaker is open."""
+        if self.config.backend == "process" \
+                and shard.breaker.state != "open":
             maxsize = 2 * self.config.queue_high_water + 16
             shard.requests = self._ctx.Queue(maxsize=maxsize)
             shard.responses = self._ctx.Queue()
@@ -207,27 +219,30 @@ class FleetService:
             shard.manager = None
             shard.mode = "process"
         else:
-            if self.config.backend == "process" \
-                    and shard.mode != "inline":
-                self.counters.degraded_shards += 1
-                obs_event("serve.shard_degraded", shard=shard.index,
-                          reason="restart breaker open; running inline")
-            shard.process = None
-            shard.requests = None
-            shard.responses = None
-            shard.manager = FleetSessionManager(self.detector,
-                                                shard.fleet_config)
-            shard.manager.adopt_spills()
+            worker = InlineWorker(self.detector, shard.fleet_config)
+            shard.process = shard.requests = shard.responses = worker
+            shard.manager = worker.manager
             shard.mode = "inline"
+        degraded = shard.mode != self.config.backend
+        if degraded and not shard.degraded:
+            self.counters.degraded_shards += 1
+            obs_event("serve.shard_degraded", shard=shard.index,
+                      reason="restart breaker open; running inline")
+        shard.degraded = degraded
         shard.inflight = 0
 
-    def _restart_shard(self, shard: _Shard, reason: str) -> None:
-        """Recover a dead/hung/chaos-killed shard: rebuild and replay."""
+    def _restart_shard(self, shard: _Shard, reason: str, *,
+                       failed: bool = True) -> None:
+        """Rebuild a shard from its last barrier and replay its journal.
+
+        ``failed=False`` is the breaker's probe: nothing died.
+        """
         with obs_span("serve.restart", shard=shard.index, reason=reason):
             while True:
                 self.counters.restarts += 1
-                self._clock += 1
-                shard.breaker.record_failure()
+                if failed:
+                    shard.breaker.record_failure()
+                failed = True
                 obs_event("serve.shard_restart", shard=shard.index,
                           reason=reason, journal=len(shard.journal),
                           barrier_seq=shard.barrier_seq)
@@ -239,20 +254,7 @@ class FleetService:
                 reason = "worker died during journal replay"
 
     def _teardown(self, shard: _Shard) -> None:
-        if shard.process is not None:
-            if shard.process.is_alive():
-                shard.process.kill()
-            shard.process.join(timeout=5.0)
-            shard.process = None
-            self._abandon_queues(shard)
-        shard.manager = None
-        if shard.pending_barrier is not None:
-            shutil.rmtree(shard.pending_barrier[1], ignore_errors=True)
-            shard.pending_barrier = None
-
-    @staticmethod
-    def _abandon_queues(shard: _Shard) -> None:
-        """Let go of a stopped worker's queues without waiting on them.
+        """Stop a shard's worker and let go of its queues.
 
         Commands still buffered for a dead worker are never delivered:
         the queue's feeder thread stays blocked on a full pipe that no
@@ -261,12 +263,15 @@ class FleetService:
         journal replays every mutation into the new worker), so the
         join is cancelled and the buffered data dropped.
         """
+        if shard.process.is_alive():
+            shard.process.kill()
+        shard.process.join(timeout=5.0)
         for channel in (shard.requests, shard.responses):
-            if channel is not None:
-                channel.cancel_join_thread()
-                channel.close()
-        shard.requests = None
-        shard.responses = None
+            channel.cancel_join_thread()
+            channel.close()
+        if shard.pending_barrier is not None:
+            shutil.rmtree(shard.pending_barrier[1], ignore_errors=True)
+            shard.pending_barrier = None
 
     def _rebuild_dirs(self, shard: _Shard) -> None:
         """Reset the live sessions dir to the last barrier snapshot."""
@@ -280,54 +285,33 @@ class FleetService:
                 shutil.copy(spill, sessions / spill.name)
 
     def _replay(self, shard: _Shard) -> bool:
-        """Re-apply the journal suffix to a freshly started shard."""
-        if shard.mode == "inline":
-            for _seq, command in shard.journal:
-                self._apply_inline(shard, command)
-            return True
+        """Re-send the journal suffix to a fresh worker; False if it died.
+
+        Replies already in are read, so an inline shard is not backed up.
+        """
         for _seq, command in shard.journal:
-            while True:
-                if not shard.process.is_alive():
-                    return False
-                try:
-                    shard.requests.put(command, timeout=0.05)
-                    break
-                except queue_mod.Full:
-                    self._pump(shard)
-            shard.inflight += 1
+            if not self._deliver(shard, command):
+                return False
+        self._pump(shard)
         return True
 
     # ------------------------------------------------------------------
     # Command plumbing
     # ------------------------------------------------------------------
-    def _apply_inline(self, shard: _Shard, command: tuple) -> None:
-        try:
-            payload = apply_command(shard.manager, command)
-        except Exception as exc:   # noqa: BLE001 - mirror worker loop
-            result = ("error", f"{type(exc).__name__}: {exc}")
-        else:
-            result = ("ok", payload)
-        seq = command[1]
-        if shard.pending_barrier is not None \
-                and seq == shard.pending_barrier[0]:
-            self._finish_barrier(shard, result[0] == "ok")
-        if seq in shard.interest:
-            shard.results[seq] = result
-
     def _handle_response(self, shard: _Shard, item: tuple) -> None:
+        """The one reply handler: ack, breaker success, barrier, result."""
         seq, status, payload = item
         shard.inflight = max(0, shard.inflight - 1)
+        if status == "ok" and not shard.degraded:
+            shard.breaker.record_success()
         if shard.pending_barrier is not None \
                 and seq == shard.pending_barrier[0]:
             self._finish_barrier(shard, status == "ok")
-            return
-        if seq in shard.interest:
+        elif seq in shard.interest:
             shard.results[seq] = (status, payload)
 
     def _pump(self, shard: _Shard) -> None:
         """Drain ready responses without blocking."""
-        if shard.mode != "process":
-            return
         while True:
             try:
                 item = shard.responses.get_nowait()
@@ -345,13 +329,8 @@ class FleetService:
                 "keeping the previous snapshot", RuntimeWarning,
                 stacklevel=4)
             return
-        previous = shard.barrier_dir
-        shard.barrier_seq = seq
-        shard.barrier_dir = directory
-        shard.journal = [(s, c) for s, c in shard.journal if s > seq]
+        shard.advance_barrier(seq, directory)
         self.counters.barriers += 1
-        if previous is not None:
-            shutil.rmtree(previous, ignore_errors=True)
 
     def _maybe_barrier(self, shard: _Shard) -> None:
         if (self._root is None or shard.pending_barrier is not None
@@ -360,12 +339,23 @@ class FleetService:
         shard.mutations = 0
         seq = shard.next_seq()
         directory = self._root / f"shard-{shard.index}" / f"barrier-{seq}"
-        command = ("barrier", seq, str(directory))
         shard.pending_barrier = (seq, directory)
-        if shard.mode == "inline":
-            self._apply_inline(shard, command)
-        else:
-            self._put(shard, command)
+        self._put(shard, ("barrier", seq, str(directory)))
+
+    def _deliver(self, shard: _Shard, message: tuple) -> bool:
+        """The one blocking put: pumps replies while the queue is full.
+
+        Returns False, with nothing sent, when the worker is dead.
+        """
+        while shard.process.is_alive():
+            try:
+                shard.requests.put(message, timeout=0.05)
+            except queue_mod.Full:
+                self._pump(shard)
+            else:
+                shard.inflight += 1
+                return True
+        return False
 
     def _put(self, shard: _Shard, message: tuple) -> None:
         """Hand one command to the shard's worker and count it in flight.
@@ -375,91 +365,76 @@ class FleetService:
         it discarded any pending barrier, so neither is sent again: a
         second copy would apply the same pings twice.
         """
-        while True:
-            if not shard.process.is_alive():
-                self._restart_shard(shard, "worker died before send")
-                if message[0] in _JOURNALED or message[0] == "barrier":
-                    return
-                if shard.mode == "inline":
-                    self._apply_inline(shard, message)
-                    return
-                continue
-            try:
-                shard.requests.put(message, timeout=0.05)
-            except queue_mod.Full:
-                self._pump(shard)
-            else:
-                shard.inflight += 1
+        while not self._deliver(shard, message):
+            self._restart_shard(shard, "worker died before send")
+            if message[0] in _JOURNALED or message[0] == "barrier":
                 return
 
     def _send(self, shard: _Shard, command: tuple, *, fault=None,
               interest: bool = False) -> None:
-        """Dispatch one command (journaling and chaos already decided)."""
+        """Dispatch one command (journaling and chaos already decided).
+
+        A degraded shard asks its breaker first; the admitted probe
+        restarts it into a worker.  A drawn ``fault`` rides in the sent
+        ingest only, never in the journal the replay reads.
+        """
+        if shard.degraded and shard.breaker.allow():
+            self._pump(shard)   # the live inline worker's last replies
+            self._restart_shard(shard, "breaker probe", failed=False)
         if interest:
             shard.interest.add(command[1])
         if command[0] in _JOURNALED:
             shard.journal.append((command[1], command))
             shard.mutations += 1
-        if shard.mode == "inline":
-            if fault is not None:
-                # The worker would have died before applying the batch;
-                # the journaled command lands during replay instead.
-                self._restart_shard(shard, f"chaos:{fault.kind}")
-            else:
-                self._apply_inline(shard, command)
-        elif fault is not None and fault.kind == "kill":
+        if fault is None:
             self._put(shard, command)
-            if shard.mode == "process" and shard.process.is_alive():
-                shard.process.kill()
-            self._restart_shard(shard, "chaos:kill")
         else:
-            message = command
-            if fault is not None and command[0] == "ingest":
-                message = (command[0], command[1], command[2], fault)
-            self._put(shard, message)
+            self._put(shard, (*command[:3], fault))
+            if fault.kind == "kill":
+                if shard.process.is_alive():
+                    shard.process.kill()
+                self._restart_shard(shard, "chaos:kill")
         self._maybe_barrier(shard)
 
-    def _await(self, shard: _Shard, command: tuple):
-        """Block until ``command``'s response arrives; recover en route."""
-        seq = command[1]
-        deadline = time.monotonic() + self.config.response_timeout_s
-        while True:
-            self._pump(shard)
-            if seq in shard.results:
-                shard.interest.discard(seq)
-                status, payload = shard.results.pop(seq)
-                if status == "error":
-                    raise ServeError(
-                        f"shard {shard.index} failed "
-                        f"{command[0]!r}: {payload}")
-                if shard.mode == "process":
-                    shard.breaker.record_success()
-                return payload
-            if shard.mode != "process":
-                raise ServeError(
-                    f"shard {shard.index}: no inline response for "
-                    f"{command[0]!r} seq {seq}")
-            restart = None
-            if not shard.process.is_alive():
-                restart = "worker died"
-            else:
+    def _collect(self, shard: _Shard, command: tuple | None = None) -> None:
+        """The one collect loop: read replies until ``command``'s is in.
+
+        Without a ``command`` it reads until nothing is in flight.  A
+        dead worker, or one silent for ``response_timeout_s``, is
+        restarted; the journal replay re-sends every journaled command,
+        so only an unjournaled ``command`` is sent again.
+        """
+        timeout = self.config.response_timeout_s
+        deadline = time.monotonic() + timeout
+        while (shard.inflight > 0 if command is None
+               else command[1] not in shard.results):
+            reason = "worker died"
+            if shard.process.is_alive():
                 try:
                     item = shard.responses.get(timeout=0.05)
                 except queue_mod.Empty:
-                    if time.monotonic() > deadline:
-                        restart = "worker hung (response timeout)"
+                    if time.monotonic() <= deadline:
+                        continue
+                    reason = "worker hung (response timeout)"
                 else:
                     self._handle_response(shard, item)
+                    deadline = time.monotonic() + timeout
                     continue
-            if restart is not None:
-                self._restart_shard(shard, restart)
-                if command[0] not in _JOURNALED \
-                        and shard.mode == "process":
-                    self._put(shard, command)
-                elif command[0] not in _JOURNALED:
-                    self._apply_inline(shard, command)
-                deadline = (time.monotonic()
-                            + self.config.response_timeout_s)
+            self._restart_shard(shard, reason)
+            if command is not None and command[0] not in _JOURNALED:
+                self._put(shard, command)
+            deadline = time.monotonic() + timeout
+
+    def _await(self, shard: _Shard, command: tuple):
+        """Block until ``command``'s response arrives; recover en route."""
+        self._collect(shard, command)
+        seq = command[1]
+        shard.interest.discard(seq)
+        status, payload = shard.results.pop(seq)
+        if status == "error":
+            raise ServeError(
+                f"shard {shard.index} failed {command[0]!r}: {payload}")
+        return payload
 
     # ------------------------------------------------------------------
     # Public surface (keyword-only from day one)
@@ -516,13 +491,11 @@ class FleetService:
             for index in sorted(by_shard):
                 shard = self._shards[index]
                 self._pump(shard)
-                if shard.mode == "process" \
-                        and not shard.process.is_alive():
+                if not shard.process.is_alive():
                     self._restart_shard(shard, "worker died")
                 batch = by_shard[index]
                 size = sum(len(rows[2]) for rows in batch.values())
-                if shard.mode == "process" \
-                        and shard.inflight >= self.config.queue_high_water:
+                if shard.inflight >= self.config.queue_high_water:
                     for (truck_id, day), (lats, lngs, ts) in batch.items():
                         rejected.extend(
                             (truck_id, day, lats[i], lngs[i], ts[i])
@@ -595,44 +568,18 @@ class FleetService:
         """An acknowledged drain is an empty barrier.
 
         It finalized and dropped every session on the shard (spill files
-        included), so a fresh manager is the shard's state at ``seq``:
-        recovery replays only the journal after it, and the last
-        snapshot is dropped.  Without this, a service with no
-        ``checkpoint_dir`` would journal every batch it was ever sent.
+        included), so a fresh manager is the shard's state at ``seq``.
+        Without this, a service with no ``checkpoint_dir`` would journal
+        every batch it was ever sent.
         """
-        previous = shard.barrier_dir
-        shard.barrier_seq = seq
-        shard.barrier_dir = None
-        shard.journal = [(s, c) for s, c in shard.journal if s > seq]
+        shard.advance_barrier(seq, None)
         shard.mutations = 0
-        if previous is not None:
-            shutil.rmtree(previous, ignore_errors=True)
 
     def wait(self) -> None:
         """Block until every submitted command has been acknowledged."""
         self._check_open()
         for shard in self._shards:
-            if shard.mode != "process":
-                continue
-            deadline = time.monotonic() + self.config.response_timeout_s
-            while shard.inflight > 0:
-                if not shard.process.is_alive():
-                    self._restart_shard(shard, "worker died")
-                    deadline = (time.monotonic()
-                                + self.config.response_timeout_s)
-                    continue
-                try:
-                    item = shard.responses.get(timeout=0.05)
-                except queue_mod.Empty:
-                    if time.monotonic() > deadline:
-                        self._restart_shard(
-                            shard, "worker hung (wait timeout)")
-                        deadline = (time.monotonic()
-                                    + self.config.response_timeout_s)
-                else:
-                    self._handle_response(shard, item)
-                    deadline = (time.monotonic()
-                                + self.config.response_timeout_s)
+            self._collect(shard)
 
     def stats(self) -> dict:
         """Frontend counters plus every shard's manager stats."""
@@ -664,13 +611,13 @@ class FleetService:
         """SIGKILL one shard's worker process (ops drill / soak hook).
 
         The next interaction with the shard notices the corpse and runs
-        the normal restart-and-replay recovery.  Returns False when the
-        shard has no live process (inline mode, already dead).
+        the normal restart-and-replay recovery; an inline worker is
+        killed the same way.  Returns False when the shard's worker is
+        already dead.
         """
-        target = self._shards[shard]
-        if target.mode == "process" and target.process is not None \
-                and target.process.is_alive():
-            target.process.kill()
+        target = self._shards[shard].process
+        if target.is_alive():
+            target.kill()
             return True
         return False
 
@@ -683,19 +630,13 @@ class FleetService:
             return
         self._closed = True
         for shard in self._shards:
-            if shard.mode != "process" or shard.process is None:
-                continue
             try:
                 shard.requests.put(("stop", shard.next_seq()),
                                    timeout=0.5)
             except queue_mod.Full:
                 pass
             shard.process.join(timeout=2.0)
-            if shard.process.is_alive():
-                shard.process.kill()
-                shard.process.join(timeout=5.0)
-            shard.process = None
-            self._abandon_queues(shard)
+            self._teardown(shard)
 
     def __enter__(self) -> "FleetService":
         return self

@@ -1,11 +1,13 @@
 """Shard worker: one FleetSessionManager driven by a command queue.
 
 The wire protocol is deliberately tiny — plain tuples whose first two
-elements are always ``(kind, seq)`` — and every command is applied by
-:func:`apply_command`, which the in-process (``inline``) backend calls
-directly.  Both backends therefore execute *identical* code against the
-session manager; the process backend merely moves the tuples across a
-pair of ``multiprocessing`` queues.
+elements are always ``(kind, seq)`` — and every command is answered by
+:func:`reply`, which applies it with :func:`apply_command`.  A shard's
+worker comes on one of two transports with one surface — ``put`` a
+command, read replies with ``get``/``get_nowait``, ``is_alive`` and
+``kill``: :func:`worker_main` in a forked process behind a pair of
+``multiprocessing`` queues, or an :class:`InlineWorker` in the caller's
+process.  Both run *identical* code against the session manager.
 
 Commands (responses are ``(seq, "ok", payload)`` or
 ``(seq, "error", message)``):
@@ -33,14 +35,16 @@ pings are applied in submission order, always on the same manager.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import os
+import queue
 import time
 
 from ..stream.fleet import FleetConfig, FleetSessionManager
 
-__all__ = ["apply_command", "blas_pin_available", "pin_blas_threads",
-           "worker_main"]
+__all__ = ["InlineWorker", "apply_command", "blas_pin_available",
+           "pin_blas_threads", "reply", "worker_main"]
 
 
 def _openblas_thread_setter():
@@ -100,12 +104,25 @@ def apply_command(manager: FleetSessionManager, command: tuple):
     raise ValueError(f"unknown serve command {kind!r}")
 
 
+def reply(manager: FleetSessionManager, command: tuple) -> tuple:
+    """Apply one command; ``(seq, "ok", payload)`` or ``(seq, "error", msg)``.
+
+    The manager isolates input-dependent failures, so an escaping
+    exception is a programming error: reported, not worth dying for.
+    """
+    try:
+        return (command[1], "ok", apply_command(manager, command))
+    except Exception as exc:   # noqa: BLE001 - report, don't die
+        return (command[1], "error", f"{type(exc).__name__}: {exc}")
+
+
 def _enforce_fault(fault) -> None:
     """Honor a parent-drawn chaos decision inside the worker.
 
     ``crash`` exits hard (no cleanup, mimicking SIGKILL/OOM); ``hang``
     stalls past the frontend's response timeout so the parent's
-    hung-worker detection — not this sleep — decides the outcome.
+    hung-worker detection — not this sleep — decides the outcome;
+    ``kill`` is the parent's own SIGKILL.
     """
     if fault is None:
         return
@@ -120,11 +137,7 @@ def worker_main(shard_id: int, detector, fleet_config: FleetConfig,
     """Entry point of one forked shard worker process.
 
     Pins its BLAS to one thread first (:func:`pin_blas_threads`), then
-    consumes commands until ``stop``; any per-command exception is
-    reported as an ``error`` response (the worker survives — the
-    session manager already isolates input-dependent failures, so an
-    escaping exception is a programming error worth surfacing, not
-    worth dying for).
+    answers commands with :func:`reply` until ``stop``.
     """
     pin_blas_threads()
     manager = FleetSessionManager(detector, fleet_config)
@@ -137,9 +150,49 @@ def worker_main(shard_id: int, detector, fleet_config: FleetConfig,
             return
         if kind == "ingest":
             _enforce_fault(command[3])
-        try:
-            payload = apply_command(manager, command)
-        except Exception as exc:   # noqa: BLE001 - report, don't die
-            responses.put((seq, "error", f"{type(exc).__name__}: {exc}"))
-            continue
-        responses.put((seq, "ok", payload))
+        responses.put(reply(manager, command))
+
+
+class InlineWorker:
+    """A shard worker in the caller's process, on the forked one's surface.
+
+    ``put`` answers a command at once with :func:`reply`, queued for
+    ``get``/``get_nowait``; a chaos fault of any kind in an ``ingest``
+    kills it before the batch is applied.  Teardown's ``join`` and
+    ``cancel_join_thread``/``close`` have nothing to do in-process.
+    """
+
+    def __init__(self, detector, fleet_config: FleetConfig) -> None:
+        self.manager = FleetSessionManager(detector, fleet_config)
+        self.manager.adopt_spills()
+        self._replies: collections.deque = collections.deque()
+        self._alive = True
+
+    def put(self, command: tuple, timeout: float | None = None) -> None:
+        if command[0] == "stop":
+            self._alive = False
+            self._replies.append((command[1], "ok", None))
+        elif command[0] == "ingest" and command[3] is not None:
+            self._alive = False
+        else:
+            self._replies.append(reply(self.manager, command))
+
+    def get_nowait(self) -> tuple:
+        if not self._replies:
+            raise queue.Empty
+        return self._replies.popleft()
+
+    def get(self, timeout: float | None = None) -> tuple:
+        """Never blocks: each reply was queued by the ``put`` it answers."""
+        return self.get_nowait()
+
+    def is_alive(self) -> bool:
+        return self._alive
+
+    def kill(self) -> None:
+        self._alive = False
+
+    def join(self, timeout: float | None = None) -> None:
+        """Nothing to reap: the worker is this process."""
+
+    cancel_join_thread = close = join

@@ -27,6 +27,7 @@ from repro.encoding import AutoencoderTrainingConfig
 from repro.obs import Observability, observe
 from repro.pipeline import LEAD, LEADConfig
 from repro.serve import (FleetService, ServeConfig, ServeError, shard_for)
+from repro.serve import service as serve_service
 from repro.serve import worker as serve_worker
 from repro.stream import (FleetConfig, FleetSessionManager,
                           dataset_ping_stream)
@@ -493,6 +494,102 @@ class TestDrainBarrier:
         assert set(verdicts) == set(reference)
         for key, expected in reference.items():
             assert_same_verdict(verdicts[key], expected)
+
+
+class TestShardBreaker:
+    """A shard's breaker counts consecutive worker deaths, and a shard it
+    degraded to an inline worker probes its way back to a process."""
+
+    def test_acknowledged_replies_reset_the_breaker(self):
+        """Three deaths far apart, each after windows acknowledged by
+        ``submit`` + ``wait``, are not three consecutive failures."""
+        rows = [(f"T{i}", "d", 1.0 + j * 1e-4, 2.0, float(j))
+                for j in range(40) for i in range(3)]
+        windows = [rows[k:k + 6] for k in range(0, len(rows), 6)]
+        with FleetService(None, config=ServeConfig(num_shards=1)) \
+                as service:
+            shard = service._shards[0]
+            for round_ in range(4):
+                if round_:
+                    worker = shard.process
+                    assert service.kill_worker(shard=0)
+                    worker.join(timeout=10.0)
+                for window in windows[5 * round_:5 * round_ + 5]:
+                    assert service.submit(window).rejected == 0
+                    service.wait()
+            stats = service.stats()
+        assert stats["frontend"]["restarts"] == 3
+        assert stats["frontend"]["degraded_shards"] == 0
+        assert stats["shards"]["0"]["mode"] == "process"
+        breaker = stats["shards"]["0"]["breaker"]
+        assert breaker["state"] == "closed"
+        assert breaker["trips"] == 0
+        assert breaker["successes"] > 0
+        assert stats["shards"]["0"]["fleet"]["sessions"][
+            "pings_ingested"] == len(rows)
+
+    def test_degraded_shard_probes_back_to_a_worker(
+            self, fitted, pings, serial_verdicts, monkeypatch):
+        """Workers that die at start trip the breaker; the degraded
+        shard's probe, ``SHARD_BREAKER_COOLDOWN`` commands later,
+        restarts it into a live worker and the first ack closes it."""
+        cooldown = serve_service.SHARD_BREAKER_COOLDOWN
+        size = -(-len(pings) // (cooldown + 4))
+        chunks = [pings[i:i + size] for i in range(0, len(pings), size)]
+        with FleetService(fitted, config=ServeConfig(num_shards=1)) \
+                as service:
+            shard = service._shards[0]
+            service.submit(chunks[0])
+            service.wait()
+            with monkeypatch.context() as patch:
+                patch.setattr(serve_service, "worker_main",
+                              lambda *args: None)
+                worker = shard.process
+                assert service.kill_worker(shard=0)
+                worker.join(timeout=10.0)
+                service.tick()
+            assert shard.mode == "inline"
+            assert shard.breaker.state == "open"
+            for chunk in chunks[1:cooldown]:
+                assert service.submit(chunk).rejected == 0
+            assert shard.mode == "inline"
+            service.submit(chunks[cooldown])
+            assert shard.mode == "process"
+            assert shard.process.is_alive()
+            assert shard.breaker.probes == 1
+            service.wait()
+            assert shard.breaker.state == "closed"
+            for chunk in chunks[cooldown + 1:]:
+                service.submit(chunk)
+            sharded = {(v.truck_id, v.day): v for v in service.drain()}
+            stats = service.stats()
+        assert stats["frontend"]["restarts"] == 4
+        assert stats["frontend"]["degraded_shards"] == 1
+        assert stats["shards"]["0"]["breaker"]["trips"] == 1
+        assert set(sharded) == set(serial_verdicts)
+        for key, serial in serial_verdicts.items():
+            assert_same_verdict(sharded[key], serial)
+
+    @pytest.mark.parametrize("kind", ["kill", "crash"])
+    def test_inline_worker_chaos_restarts_and_converges(
+            self, fitted, pings, serial_verdicts, tmp_path, kind):
+        """A drawn ``serve.worker`` fault kills an inline worker before
+        the batch; barrier + journal replay recover it like a process."""
+        config = ServeConfig(num_shards=3, backend="inline",
+                             checkpoint_dir=tmp_path, checkpoint_every=8)
+        specs = [FaultSpec(site="serve.worker", kind=kind, rate=0.1,
+                           max_fires=2)]
+        with FleetService(fitted, config=config) as service:
+            with ChaosEngine(seed=7, specs=specs):
+                sharded = drain_service(service, pings)
+            stats = service.stats()
+        assert stats["frontend"]["restarts"] >= 1
+        assert stats["frontend"]["barriers"] >= 1
+        assert {shard["mode"] for shard in stats["shards"].values()} \
+            == {"inline"}
+        assert set(sharded) == set(serial_verdicts)
+        for key, serial in serial_verdicts.items():
+            assert_same_verdict(sharded[key], serial)
 
 
 # ---------------------------------------------------------------------------

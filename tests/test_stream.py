@@ -29,7 +29,7 @@ from repro.detection import DetectorTrainingConfig
 from repro.encoding import AutoencoderTrainingConfig
 from repro.model import Trajectory
 from repro.pipeline import LEAD, LEADConfig
-from repro.processing import ReorderBuffer, monotonize_stream
+from repro.processing import ReorderBuffer
 from repro.serve import ServeConfig
 from repro.stream import (FleetConfig, FleetSessionManager, Ping,
                           TruckSession, confidence_tier, dataset_ping_stream,
@@ -760,15 +760,14 @@ class TestReorderBuffer:
         assert [f[2] for f in resumed.flush()] == \
                [f[2] for f in buffer.flush()]
 
-    def test_monotonize_stream_repairs_arrays(self):
-        ts = np.array([0.0, 2.0, 1.0, 3.0, np.nan, 4.0])
-        lats = np.arange(6.0)
-        out_lat, out_lng, out_t, stats = monotonize_stream(
-            lats, np.zeros(6), ts, capacity=4)
-        assert (np.diff(out_t) > 0).all()
-        assert list(out_t) == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert stats.dropped == 1  # the NaN timestamp
-        assert stats.reordered >= 1
+    def test_nan_timestamp_dropped_and_counted(self):
+        buffer = ReorderBuffer(capacity=4)
+        out = []
+        for t in (0.0, 2.0, 1.0, 3.0, np.nan, 4.0):
+            out.extend(buffer.push(0.0, 0.0, t))
+        out.extend(buffer.flush())
+        assert [fix[2] for fix in out] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert buffer.stats.dropped == 1    # the NaN timestamp
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
