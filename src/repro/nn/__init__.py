@@ -7,7 +7,7 @@ needs (see DESIGN.md S1-S4).
 
 from .attention import SelfAttentionAggregator
 from .checkpoint import CheckpointManager, CheckpointState
-from .fused import gru_sequence, lstm_decode, lstm_sequence
+from .fused import gru_sequence, lstm_sequence
 from .init import orthogonal, xavier_uniform
 from .layers import Linear, Sequential
 from .losses import bce_loss, kld_loss, mse_loss
@@ -27,7 +27,7 @@ __all__ = [
     "Module", "Parameter", "Linear", "Sequential",
     "LSTMCell", "GRUCell", "LSTM", "GRU", "BiLSTMLayer", "StackedBiLSTM",
     "LSTMDecoder", "sequence_mask",
-    "lstm_sequence", "gru_sequence", "lstm_decode",
+    "lstm_sequence", "gru_sequence",
     "inference_dtype", "active_dtype", "active_dtype_name", "VALID_DTYPES",
     "weight_view", "weight_view_stats",
     "clear_weight_views",

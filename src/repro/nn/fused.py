@@ -8,11 +8,11 @@ gradient scatters, and ``stack()`` re-copies all ``T`` hidden states at
 the end.  On CPU that
 bookkeeping — not the GEMMs — dominates training wall-clock.
 
-This module collapses the tape: :func:`lstm_sequence`,
-:func:`gru_sequence` and :func:`lstm_decode` run the entire ``(B, T, ·)``
-time loop in raw numpy with preallocated gate/state buffers, caching the
-activations (``i, f, g, o, c, tanh(c)`` for the LSTM; ``r, z, n`` and
-the recurrent candidate projection for the GRU) that the hand-derived
+This module collapses the tape: :func:`lstm_sequence` and
+:func:`gru_sequence` run the entire ``(B, T, ·)`` time loop in raw
+numpy with preallocated gate/state buffers, caching the activations
+(``i, f, g, o, c, tanh(c)`` for the LSTM; ``r, z, n`` and the
+recurrent candidate projection for the GRU) that the hand-derived
 full-BPTT backward needs.  Each call contributes **one** node to the
 autograd tape instead of ``O(T · 20)``.  The per-step inner loops write
 through ``out=`` into reused scratch buffers, the four gate sigmoids are
@@ -24,11 +24,13 @@ whole-tape vectorized products.
 inputs, weights, lengths and directions run in one time loop whose
 recurrent product is one ``(K, B, H) @ (K, H, 4H)`` matmul, so the
 per-step dispatch that dominates small batches is paid once for all
-``K`` (DESIGN §8).  A lone LSTM is the ``K = 1`` call.  Each slice's
-results equal its lone run bit for bit; the one exception is a slice
-of a single row in a wider stack, whose recurrent product becomes a
-matrix product instead of BLAS's matrix-vector one and may move in its
-last bits.
+``K`` (DESIGN §8).  A lone LSTM is the ``K = 1`` call, and a decoder
+(paper Eq. 5) is a *vector-input* slice, fed the same ``(B, F)`` vector
+at every step: the encoders, the detectors and the decoders share one
+LSTM step, one freeze rule and one BPTT.  Each slice's results equal
+its lone run bit for bit; the one exception is a slice of a single row
+in a wider stack, whose recurrent product becomes a matrix product
+instead of BLAS's matrix-vector one and may move in its last bits.
 
 Numerical contract
 ------------------
@@ -69,9 +71,8 @@ except ImportError:  # pragma: no cover
     def _clip_ufunc(a, lo, hi, out):
         return a.clip(lo, hi, out=out)
 
-__all__ = ["lstm_sequence", "gru_sequence", "lstm_decode",
-           "affine", "attention_pool", "mlp_head",
-           "prefix_attention_pool"]
+__all__ = ["lstm_sequence", "gru_sequence", "affine", "attention_pool",
+           "mlp_head", "prefix_attention_pool"]
 
 def _sigmoid_into(pre: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out = 1 / (1 + exp(-clip(pre, ±60)))``, no temporaries.
@@ -87,32 +88,6 @@ def _sigmoid_into(pre: np.ndarray, out: np.ndarray) -> np.ndarray:
     out += 1.0
     np.divide(1.0, out, out=out)
     return out
-
-
-def _masks(lengths: np.ndarray | None, steps: int,
-           dtype: np.dtype = np.float64
-           ) -> tuple[np.ndarray | None, np.ndarray | None,
-                      np.ndarray | None]:
-    """``(keep, drop, full)`` for a padded batch.
-
-    ``keep``/``drop`` are ``(B, T, 1)`` blend masks; ``full`` is a
-    ``(T,)`` bool vector marking timesteps where *every* row is valid —
-    the kernels skip all mask work on those steps (the blend is the
-    identity there, and multiplying by exactly 1.0 / adding exactly 0.0
-    cannot change any value).  When every step is full the masks are
-    dropped entirely.
-    """
-    if lengths is None:
-        return None, None, None
-    from .rnn import sequence_mask
-    keep2d = sequence_mask(np.asarray(lengths), steps)
-    full = keep2d.all(axis=0)
-    if full.all():
-        return None, None, None
-    if keep2d.dtype != dtype:
-        keep2d = keep2d.astype(dtype)
-    keep = keep2d[:, :, None]
-    return keep, 1.0 - keep, full
 
 
 def _needs_grad(*tensors: Tensor) -> bool:
@@ -134,11 +109,11 @@ def _compute_dtype(record: bool) -> np.dtype:
 # ----------------------------------------------------------------------
 # K LSTMs over padded batches, one time loop
 # ----------------------------------------------------------------------
-def _step_masks(lengths: list[np.ndarray | None],
-                shapes: list[tuple[int, int]], reverse: list[bool],
-                batch: int, steps: int
-                ) -> tuple[np.ndarray | None, np.ndarray | None,
-                           np.ndarray | None]:
+def _step_padding(lengths: list[np.ndarray | None],
+                  shapes: list[tuple[int, int]], reverse: list[bool],
+                  batch: int, steps: int
+                  ) -> tuple[np.ndarray | None, np.ndarray | None,
+                             np.ndarray | None]:
     """``(valid, pad, full)`` of a stack in *step order*.
 
     Slice ``k`` processes its original timestep ``t`` at loop step
@@ -180,7 +155,8 @@ _STACK_ROWS = 64
 def lstm_sequence(xs: Sequence[Tensor],
                   weights: Sequence[tuple[Tensor, Tensor, Tensor]],
                   lengths: Sequence[np.ndarray | None] | None = None,
-                  reverse: Sequence[bool] | None = None
+                  reverse: Sequence[bool] | None = None,
+                  steps: Sequence[int | None] | None = None
                   ) -> list[tuple[Tensor, Tensor, Tensor]]:
     """Run ``K`` LSTMs in one time loop, as one fused autograd op.
 
@@ -195,6 +171,12 @@ def lstm_sequence(xs: Sequence[Tensor],
     ``(K, B, H) @ (K, H, 4H)`` matmul.  Past :data:`_STACK_ROWS` rows
     the slices run one after another instead.
 
+    A slice with ``steps[k]`` set is a *vector-input* slice, the
+    decoder of paper Eq. 5: ``xs[k]`` is ``(B_k, F)`` and is fed at
+    each of its ``T_k = steps[k]`` steps.  Its input projection is
+    computed once, and its backward sums the gate gradients over time
+    before the input, ``w_ih`` and bias GEMMs.
+
     Returns one ``(outputs, h_last, c_last)`` per slice: ``outputs`` is
     ``(B_k, T_k, H)`` and ``h_last``/``c_last`` are the freeze-masked
     final states (the state at each row's last valid step; first valid
@@ -204,14 +186,20 @@ def lstm_sequence(xs: Sequence[Tensor],
     count = len(xs)
     lengths = [None] * count if lengths is None else list(lengths)
     reverse = [False] * count if reverse is None else list(reverse)
+    steps = [None] * count if steps is None else list(steps)
     if not count or not len(weights) == len(lengths) == len(reverse) \
-            == count:
-        raise ValueError("need one weight triple, length vector and "
-                         "direction per input")
+            == len(steps) == count:
+        raise ValueError("need one weight triple, length vector, "
+                         "direction and step count per input")
+    if any(x.ndim != (3 if width is None else 2)
+           for x, width in zip(xs, steps)):
+        raise ValueError("a slice with a step count takes a (B, F) "
+                         "input, any other a (B, T, F) one")
     if count > 1 and max(x.shape[0] for x in xs) > _STACK_ROWS:
         return [lstm_sequence(*slice_k)[0] for slice_k in zip(
             ([x] for x in xs), ([w] for w in weights),
-            ([lens] for lens in lengths), ([rev] for rev in reverse))]
+            ([lens] for lens in lengths), ([rev] for rev in reverse),
+            ([width] for width in steps))]
     params = [w for triple in weights for w in triple]
     record = _needs_grad(*xs, *params)
     cdt = _compute_dtype(record)
@@ -221,25 +209,31 @@ def lstm_sequence(xs: Sequence[Tensor],
     b = np.stack([weight_view(bias, cdt) for _, _, bias in weights])
     b = b[:, None]                                        # (K, 1, 4H)
     n = wh.shape[1]
-    features = xds[0].shape[2]
-    if any(x.shape[2] != features for x in xds) or wh.shape[2] != 4 * n \
+    features = xds[0].shape[-1]
+    if any(x.shape[-1] != features for x in xds) or wh.shape[2] != 4 * n \
             or any(wi.shape != (features, 4 * n) for wi in wis):
         raise ValueError("stacked LSTMs must share input and hidden sizes")
-    shapes = [x.shape[:2] for x in xds]
+    shapes = [(x.shape[0], x.shape[1] if width is None else width)
+              for x, width in zip(xds, steps)]
     batch = max(rows for rows, _ in shapes)
-    steps = max(width for _, width in shapes)
-    valid_m, pad_m, full_t = _step_masks(lengths, shapes, reverse, batch,
-                                         steps)
+    span = max(width for _, width in shapes)
+    valid_m, pad_m, full_t = _step_padding(lengths, shapes, reverse,
+                                           batch, span)
     # Hoisted input GEMMs, one per slice on its own (B_k·T_k, F) rows
     # in step order — the same GEMM as the tape's (a GEMM computes each
     # output row independently, so reordering the rows to step-major
-    # first permutes output rows without changing a single bit).
+    # first permutes output rows without changing a single bit).  A
+    # vector-input slice projects its (B_k, F) rows once for all steps.
     # Envelope padding stays zero, so masked steps stay finite.
-    padded = any(shape != (batch, steps) for shape in shapes)
+    padded = any(shape != (batch, span) for shape in shapes)
     x_proj = (np.zeros if padded else np.empty)(
-        (count, steps, batch, 4 * n), dtype=cdt)
+        (count, span, batch, 4 * n), dtype=cdt)
     xTs = []
     for k, (x, wi, (rows, width)) in enumerate(zip(xds, wis, shapes)):
+        if steps[k] is not None:
+            x_proj[k, :width, :rows] = x @ wi
+            xTs.append(None)
+            continue
         xT = np.ascontiguousarray(
             (x[:, ::-1] if reverse[k] else x).transpose(1, 0, 2))
         xTs.append(xT)
@@ -250,26 +244,25 @@ def lstm_sequence(xs: Sequence[Tensor],
         else:
             x_proj[k, :width, :rows] = (flat @ wi).reshape(width, rows,
                                                            4 * n)
-
     # The node buffer holds every slice's states in *step order*:
     # packed[k, :, s] is h after step s, written there by the step
     # itself (a reversed slice's outputs are a reversed view), and
     # packed[k, :, T] is the final cell state — one buffer, so one tape
     # node feeds every slice's outputs, h_last and c_last.
-    packed = np.empty((count, batch, steps + 1, n), dtype=cdt)
+    packed = np.empty((count, batch, span + 1, n), dtype=cdt)
     gate_buf = np.empty((count, batch, 4 * n), dtype=cdt)
     scratch = np.empty((count, batch, n), dtype=cdt)
     if record:
-        c_states = np.empty((steps + 1, count, batch, n))  # c before step s
+        c_states = np.empty((span + 1, count, batch, n))  # c before step s
         c_states[0] = 0.0
-        acts = np.empty((steps, count, batch, 4 * n))   # i, f, g, o
-        tanh_c = np.empty((steps, count, batch, n))     # tanh of pre-mask c̃
+        acts = np.empty((span, count, batch, 4 * n))   # i, f, g, o
+        tanh_c = np.empty((span, count, batch, n))     # tanh of pre-mask c̃
     else:
         c_states = np.zeros((2, count, batch, n), dtype=cdt)  # rolling c
         act_slab = np.empty((count, batch, 4 * n), dtype=cdt)
         tc_slab = np.empty((count, batch, n), dtype=cdt)
     h_prev = np.zeros((count, batch, n), dtype=cdt)
-    for s in range(steps):
+    for s in range(span):
         if record:
             c_prev, c_new = c_states[s], c_states[s + 1]
         else:
@@ -295,10 +288,10 @@ def lstm_sequence(xs: Sequence[Tensor],
             np.copyto(h, h_prev, where=pad_m[s])
             np.copyto(c_new, c_prev, where=pad_m[s])
         h_prev = h
-    packed[:, :, steps] = c_new
+    packed[:, :, span] = c_new
     keys = [((k, slice(rows),
               slice(width - 1, None, -1) if reverse[k] else slice(width)),
-             (k, slice(rows), width - 1), (k, slice(rows), steps))
+             (k, slice(rows), width - 1), (k, slice(rows), span))
             for k, (rows, width) in enumerate(shapes)]
     if not record:
         return [tuple(Tensor(packed[key]) for key in slice_keys)
@@ -317,14 +310,14 @@ def lstm_sequence(xs: Sequence[Tensor],
         np.subtract(1.0, dtanh_c, out=dtanh_c)
         wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))  # (K, 4H, H)
         g_steps = np.ascontiguousarray(
-            grad[:, :, :steps].transpose(2, 0, 1, 3))       # (T, K, B, H)
+            grad[:, :, :span].transpose(2, 0, 1, 3))       # (T, K, B, H)
         dh = np.zeros((count, batch, n))
-        dc = np.array(grad[:, :, steps], dtype=np.float64)  # c_last grad
-        d_xproj = np.empty((steps, count, batch, 4 * n))    # step-major
+        dc = np.array(grad[:, :, span], dtype=np.float64)  # c_last grad
+        d_xproj = np.empty((span, count, batch, 4 * n))    # step-major
         s1 = np.empty((count, batch, n))
         dh_skip = np.empty((count, batch, n))
         dc_skip = np.empty((count, batch, n))
-        for s in range(steps - 1, -1, -1):
+        for s in range(span - 1, -1, -1):
             dh += g_steps[s]
             partial = pad_m is not None and not full_t[s]
             if partial:
@@ -355,21 +348,29 @@ def lstm_sequence(xs: Sequence[Tensor],
                 dh += dh_skip
         # Per slice, on its own (T_k, B_k) extent in original time order:
         # the same GEMMs and sums as a lone LSTM, whatever the envelope.
-        for k, (x, xT, wi, (w_ih, w_hh, bias), (rows, width)) in enumerate(
-                zip(xs, xTs, wis, weights, shapes)):
+        for k, (x, xd, xT, wi, (w_ih, w_hh, bias), (rows, width)) in \
+                enumerate(zip(xs, xds, xTs, wis, weights, shapes)):
             rev = reverse[k]
             dk = d_xproj[:width, k, :rows]
-            flat = np.ascontiguousarray(dk[::-1] if rev else dk).reshape(
-                width * rows, 4 * n)
-            if rev:
-                xT = np.ascontiguousarray(xT[::-1])
+            da = np.ascontiguousarray(dk[::-1] if rev else dk)
+            flat = da.reshape(width * rows, 4 * n)
+            if xT is None:
+                # The input is fed at every step: sum its gate grads
+                # over time before the GEMMs.
+                d_in = da.sum(axis=0)                       # (B_k, 4H)
+                inputs = xd
+            else:
+                d_in = flat
+                inputs = (np.ascontiguousarray(xT[::-1]) if rev else xT
+                          ).reshape(width * rows, features)
             if x.requires_grad:
-                dx = (flat @ wi.T).reshape(width, rows, features)
-                x._accumulate(np.ascontiguousarray(dx.transpose(1, 0, 2)),
-                              own=True)
+                dx = d_in @ wi.T
+                if xT is not None:
+                    dx = np.ascontiguousarray(dx.reshape(
+                        width, rows, features).transpose(1, 0, 2))
+                x._accumulate(dx, own=True)
             if w_ih.requires_grad:
-                w_ih._accumulate(xT.reshape(width * rows, features).T @ flat,
-                                 own=True)
+                w_ih._accumulate(inputs.T @ d_in, own=True)
             if w_hh.requires_grad:
                 # dW_hh = Σ_s h_{s-1}ᵀ·da_s as ONE GEMM: step s reads the
                 # state after step s - 1 (zeros at s = 0).
@@ -381,9 +382,7 @@ def lstm_sequence(xs: Sequence[Tensor],
                 w_hh._accumulate(hp.reshape(width * rows, n).T @ flat,
                                  own=True)
             if bias.requires_grad:
-                bias._accumulate(
-                    flat.reshape(width, rows, 4 * n).sum(axis=(0, 1)),
-                    own=True)
+                bias._accumulate(d_in.sum(axis=0), own=True)
 
     node = Tensor._make(packed, (*xs, *params), backward)
     return [tuple(node[key] for key in slice_keys) for slice_keys in keys]
@@ -409,7 +408,8 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
     bh = weight_view(b_hh, cdt)
     batch, steps, features = xd.shape
     n = wh.shape[0]
-    keep_m, drop_m, full_t = _masks(lengths, steps, cdt)
+    valid_m, pad_m, full_t = _step_padding([lengths], [(batch, steps)],
+                                           [reverse], batch, steps)
     # Hoisted input GEMM + bias — identical to the tape's projection
     # (time-major row permutation; a GEMM computes rows independently).
     xT = np.ascontiguousarray(xd.transpose(1, 0, 2))   # (T, B, F)
@@ -447,11 +447,8 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
         np.multiply(scratch, cand, out=h)         # (1-z)·n̂
         np.multiply(z, h_prev, out=scratch)
         h += scratch                              # + z·h_prev
-        if keep_m is not None and not full_t[t]:
-            keep = keep_m[:, t]
-            h *= keep
-            np.multiply(h_prev, drop_m[:, t], out=scratch)
-            h += scratch
+        if pad_m is not None and not full_t[k]:
+            np.copyto(h, h_prev, where=pad_m[k, 0])  # freeze padded rows
         h_prev = h
     outputs = np.ascontiguousarray(hs.transpose(1, 0, 2))  # (B, T, H)
 
@@ -472,10 +469,10 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
         for k in range(steps - 1, -1, -1):
             t = ts[k]
             dh += gT[t]
-            partial = keep_m is not None and not full_t[t]
+            partial = pad_m is not None and not full_t[k]
             if partial:
-                np.multiply(dh, drop_m[:, t], out=dh_skip)
-                dh *= keep_m[:, t]
+                np.multiply(dh, pad_m[k, 0], out=dh_skip)
+                dh *= valid_m[k, 0]
             r = acts[k, :, 0 * n:1 * n]
             z = acts[k, :, 1 * n:2 * n]
             cand = acts[k, :, 2 * n:3 * n]
@@ -531,144 +528,6 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
     node = Tensor._make(outputs, (x, w_ih, w_hh, b_ih, b_hh), backward)
     h_last = node[:, ts[-1], :]
     return node, h_last
-
-
-# ----------------------------------------------------------------------
-# LSTM decoder: expand one vector into a sequence
-# ----------------------------------------------------------------------
-def lstm_decode(v: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
-                steps: int, lengths: np.ndarray | None = None) -> Tensor:
-    """Fused :class:`~repro.nn.rnn.LSTMDecoder` time loop.
-
-    The input vector ``v`` (``(B, D)``) is fed at *every* step, so its
-    projection is computed once and its gradient is the sum of the
-    per-step gate gradients pushed through ``w_ih`` — one GEMM each way.
-    Returns the hidden-state scaffold ``(B, steps, H)``.
-    """
-    record = _needs_grad(v, w_ih, w_hh, bias)
-    cdt = _compute_dtype(record)
-    vd = np.asarray(v.data, dtype=cdt)
-    wi = weight_view(w_ih, cdt)
-    wh = weight_view(w_hh, cdt)
-    b = weight_view(bias, cdt)
-    batch = vd.shape[0]
-    n = wh.shape[0]
-    keep_m, drop_m, full_t = _masks(lengths, steps, cdt)
-    v_proj = vd @ wi                       # one projection for all steps
-
-    hs = np.empty((steps, batch, n), dtype=cdt)  # hs[t] = h_t, time-major
-    c_states = np.empty((steps + 1, batch, n), dtype=cdt)
-    c_states[0] = 0.0
-    gate_buf = np.empty((batch, 4 * n), dtype=cdt)
-    scratch = np.empty((batch, n), dtype=cdt)
-    if record:
-        acts = np.empty((steps, batch, 4 * n))
-        tanh_c = np.empty((steps, batch, n))
-    else:
-        act_slab = np.empty((batch, 4 * n), dtype=cdt)
-        tc_slab = np.empty((batch, n), dtype=cdt)
-    zero_h = np.zeros((batch, n), dtype=cdt)
-    h_prev = zero_h
-    for t in range(steps):
-        c_prev = c_states[t]
-        c_new = c_states[t + 1]
-        h = hs[t]
-        sig = acts[t] if record else act_slab
-        tc = tanh_c[t] if record else tc_slab
-        np.matmul(h_prev, wh, out=gate_buf)
-        gate_buf += v_proj
-        gate_buf += b
-        _sigmoid_into(gate_buf, sig)
-        g = np.tanh(gate_buf[:, 2 * n:3 * n], out=sig[:, 2 * n:3 * n])
-        i = sig[:, 0 * n:1 * n]
-        f = sig[:, 1 * n:2 * n]
-        o = sig[:, 3 * n:4 * n]
-        np.multiply(f, c_prev, out=c_new)
-        np.multiply(i, g, out=scratch)
-        c_new += scratch
-        np.tanh(c_new, out=tc)
-        np.multiply(o, tc, out=h)
-        if keep_m is not None and not full_t[t]:
-            keep = keep_m[:, t]
-            drop = drop_m[:, t]
-            h *= keep
-            np.multiply(h_prev, drop, out=scratch)
-            h += scratch
-            c_new *= keep
-            np.multiply(c_prev, drop, out=scratch)
-            c_new += scratch
-        h_prev = h
-    outputs = np.ascontiguousarray(hs.transpose(1, 0, 2))  # (B, T, H)
-
-    def backward(grad: np.ndarray) -> None:
-        deriv = 1.0 - acts
-        deriv *= acts
-        gb = acts[:, :, 2 * n:3 * n]
-        gblk = deriv[:, :, 2 * n:3 * n]
-        np.multiply(gb, gb, out=gblk)
-        np.subtract(1.0, gblk, out=gblk)
-        dtanh_c = tanh_c * tanh_c
-        np.subtract(1.0, dtanh_c, out=dtanh_c)
-        wh_t = wh.T.copy()
-        gT = np.ascontiguousarray(grad.transpose(1, 0, 2))   # (T, B, H)
-        dh = np.zeros((batch, n))
-        dc = np.zeros((batch, n))
-        da_all = np.empty((steps, batch, 4 * n))  # per-step gate grads
-        s1 = np.empty((batch, n))
-        dh_skip = np.empty((batch, n))
-        dc_skip = np.empty((batch, n))
-        for t in range(steps - 1, -1, -1):
-            da = da_all[t]
-            dh += gT[t]
-            partial = keep_m is not None and not full_t[t]
-            if partial:
-                keep = keep_m[:, t]
-                drop = drop_m[:, t]
-                np.multiply(dh, drop, out=dh_skip)
-                dh *= keep
-                np.multiply(dc, drop, out=dc_skip)
-                dc *= keep
-            i = acts[t, :, 0 * n:1 * n]
-            f = acts[t, :, 1 * n:2 * n]
-            g = acts[t, :, 2 * n:3 * n]
-            tc = tanh_c[t]
-            np.multiply(dh, acts[t, :, 3 * n:4 * n], out=s1)
-            s1 *= dtanh_c[t]
-            dc += s1
-            np.multiply(dh, tc, out=da[:, 3 * n:4 * n])
-            np.multiply(dc, g, out=da[:, 0 * n:1 * n])
-            np.multiply(dc, c_states[t], out=da[:, 1 * n:2 * n])
-            np.multiply(dc, i, out=da[:, 2 * n:3 * n])
-            da *= deriv[t]
-            dc *= f
-            if partial:
-                dc += dc_skip
-            np.matmul(da, wh_t, out=dh)
-            if partial:
-                dh += dh_skip
-        # v is fed at every step: its projection grad is the time-sum of
-        # the per-step gate grads, pushed through w_ih with one GEMM each
-        # way.  dW_hh likewise collapses to a single GEMM against the
-        # time-aligned previous hidden states (zeros at t = 0).
-        dvp = da_all.sum(axis=0)
-        if v.requires_grad:
-            v._accumulate(dvp @ wi.T, own=True)
-        if w_ih.requires_grad:
-            w_ih._accumulate(vd.T @ dvp, own=True)
-        if w_hh.requires_grad:
-            hp = np.empty((steps, batch, n))
-            hp[0] = 0.0
-            if steps > 1:
-                hp[1:] = hs[:steps - 1]
-            w_hh._accumulate(
-                hp.reshape(steps * batch, n).T
-                @ da_all.reshape(steps * batch, 4 * n), own=True)
-        if bias.requires_grad:
-            # The bias enters every step's gates directly, so its grad
-            # is the batch-sum of the accumulated per-step gate grads.
-            bias._accumulate(dvp.sum(axis=0), own=True)
-
-    return Tensor._make(outputs, (v, w_ih, w_hh, bias), backward)
 
 
 # ----------------------------------------------------------------------

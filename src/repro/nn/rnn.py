@@ -11,11 +11,12 @@ initial value until the first valid (rightmost) element is reached.
 Performance: the input-to-hidden projection of a gated cell does not
 depend on the recurrent state, so the drivers *hoist* it out of the time
 loop — one ``(B*T, F) @ (F, 4H)`` GEMM up front replaces ``T`` small
-``(B, F) @ (F, 4H)`` GEMMs inside the loop (``3H`` for GRUs).  The
-decoder goes further: its input is the *same* vector at every step, so a
-single ``(B, F) @ (F, 4H)`` product serves all ``T`` steps.  The per-step
-work left in Python is only the irreducible recurrent part,
-``h @ W_hh`` plus the gate nonlinearities.
+``(B, F) @ (F, 4H)`` GEMMs inside the loop (``3H`` for GRUs).  A
+decoder's input is the *same* vector at every step, so it runs as a
+vector-input slice of the LSTM kernel, whose single ``(B, F) @ (F, 4H)``
+product serves all ``T`` steps.  The per-step work left in Python is
+only the irreducible recurrent part, ``h @ W_hh`` plus the gate
+nonlinearities.
 
 The drivers (:class:`LSTM`, :class:`GRU`, :class:`LSTMDecoder`, and
 through them :class:`BiLSTMLayer` / :class:`StackedBiLSTM`) run whole
@@ -24,9 +25,10 @@ execute the time loop in raw numpy and contribute a *single* node to
 the autograd tape (hand-derived BPTT) instead of ~20 nodes per step.
 The LSTM kernel runs a stack of LSTMs in one time loop:
 :meth:`LSTM.run_together` runs several LSTMs over their own inputs,
-a bidirectional layer runs both directions that way, and
+a bidirectional layer runs both directions that way,
 :meth:`StackedBiLSTM.run_together` runs every direction of several
-stacks layer by layer.
+stacks layer by layer, and :class:`LSTMDecoder` is its ``K = 1`` call
+on a vector-input slice.
 The cell classes hold the gate weights; a per-step tape reference that
 the kernels are verified against (bit-identical forward, ``rtol=1e-9``
 gradients) lives with the tests in ``tests/oracles.py``.
@@ -38,7 +40,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .fused import gru_sequence, lstm_decode, lstm_sequence
+from .fused import gru_sequence, lstm_sequence
 from .init import orthogonal, xavier_uniform
 from .layers import Linear
 from .module import Module, Parameter
@@ -226,7 +228,9 @@ class LSTMDecoder(Module):
     """LSTM that expands a single vector into a sequence (paper Eq. 5).
 
     The compressed vector is fed as the input at *every* step, and the
-    hidden state sequence is the reconstruction scaffold.
+    hidden state sequence is the reconstruction scaffold: a vector-input
+    slice of :func:`~repro.nn.fused.lstm_sequence`, so it shares the
+    encoder's LSTM step, freeze rule and BPTT.
     """
 
     def __init__(self, input_size: int, hidden_size: int,
@@ -237,5 +241,7 @@ class LSTMDecoder(Module):
 
     def forward(self, v: Tensor, steps: int,
                 lengths: np.ndarray | None = None) -> Tensor:
-        return lstm_decode(v, self.cell.w_ih, self.cell.w_hh,
-                           self.cell.bias, steps, lengths=lengths)
+        (outputs, _, _), = lstm_sequence(
+            [v], [(self.cell.w_ih, self.cell.w_hh, self.cell.bias)],
+            [lengths], steps=[steps])
+        return outputs

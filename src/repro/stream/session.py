@@ -105,8 +105,6 @@ class TruckSession:
         self._open_qualified = False
         self._finalized = False
         self._version = 0
-        self._snapshot_memo: tuple[int, ProcessedTrajectory | None] | None \
-            = None
         #: Most recent verdict the fleet manager emitted and the
         #: :attr:`detection_input` it was computed from (bookkeeping
         #: only; the session itself never reads them — a tick serves
@@ -122,9 +120,8 @@ class TruckSession:
     @property
     def version(self) -> int:
         """Monotone revision counter: bumped whenever the cleaned
-        trajectory or the span set changes; keys the snapshot memo and
-        is part of the checkpoint (a tick keys on
-        :attr:`detection_input` instead)."""
+        trajectory or the span set changes; part of the checkpoint (a
+        tick keys on :attr:`detection_input` instead)."""
         self._drain()
         return self._version
 
@@ -273,18 +270,12 @@ class TruckSession:
         Returns ``None`` while no candidate exists — fewer than the
         processor's ``min_stay_points`` closed stay points, or more
         than the candidate generator's cap (the cases where the offline
-        path abstains too).  Memoized per session revision, so repeated
-        ticks without new pings reuse one object.
+        path abstains too).  Built afresh on every call and held by no
+        one: a tick snapshots only the sessions whose
+        :attr:`detection_input` changed, so between ticks a resident
+        session keeps no copy of its cleaned trajectory alive.
         """
         self._drain()
-        memo = self._snapshot_memo
-        if memo is not None and memo[0] == self._version:
-            return memo[1]
-        snapshot = self._build_snapshot()
-        self._snapshot_memo = (self._version, snapshot)
-        return snapshot
-
-    def _build_snapshot(self) -> ProcessedTrajectory | None:
         if len(self._spans) < self.processor.min_stay_points:
             return None
         trajectory = self.cleaned_trajectory()

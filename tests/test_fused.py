@@ -28,8 +28,7 @@ from repro.encoding import (AutoencoderTrainer, AutoencoderTrainingConfig,
 from repro.nn import (GRU, LSTM, BiLSTMLayer, Linear, LSTMDecoder,
                       SelfAttentionAggregator, Tensor, mse_loss, no_grad)
 from repro.nn.fused import (affine, attention_pool, gru_sequence,
-                            lstm_decode, lstm_sequence, mlp_head,
-                            prefix_attention_pool)
+                            lstm_sequence, mlp_head, prefix_attention_pool)
 
 from .oracles import tape_path
 from .test_joint import make_specs
@@ -187,12 +186,52 @@ class TestStackedLSTM:
         np.testing.assert_allclose(stacked.data, alone.data, rtol=1e-12,
                                    atol=1e-15)
 
+    def test_vector_slices_stack_with_sequence_slices(self):
+        """Decoder slices (one vector fed at every step) stacked with
+        sequence slices, ragged and mixed in direction, equal each lone
+        run: outputs bit for bit, gradients at float64 reassociation."""
+        lstms = [LSTM(F, H, rng=np.random.default_rng(50 + k), reverse=rev)
+                 for k, rev in enumerate((False, True, False, False))]
+        weights = [(lstm.cell.w_ih, lstm.cell.w_hh, lstm.cell.bias)
+                   for lstm in lstms]
+        xds = [RNG.normal(size=(3, 5, F)), RNG.normal(size=(2, F)),
+               RNG.normal(size=(4, F)), RNG.normal(size=(2, 3, F))]
+        lens = [np.array([5, 3, 0]), np.array([4, 1]),
+                np.array([6, 0, 2, 6]), None]
+        steps = [None, 4, 6, None]
+        reverse = [lstm.reverse for lstm in lstms]
+
+        def stacked(xs):
+            return lstm_sequence(xs, weights, lens, reverse, steps)
+
+        def lone(xs):
+            return [run for k, x in enumerate(xs)
+                    for run in lstm_sequence([x], [weights[k]], [lens[k]],
+                                             [reverse[k]], [steps[k]])]
+
+        got, got_grads = self._run(lstms, xds, lens, stacked)
+        want, want_grads = self._run(lstms, xds, lens, lone)
+        for got_run, want_run in zip(got, want):
+            for a, b in zip(got_run, want_run):
+                assert np.array_equal(a, b)
+        for a, b in zip(got_grads, want_grads):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
     def test_sizes_must_agree(self):
         lstms = [LSTM(F, H, rng=np.random.default_rng(1)),
                  LSTM(F, H + 1, rng=np.random.default_rng(2))]
         xs = [Tensor(RNG.normal(size=(2, T, F)))] * 2
         with pytest.raises(ValueError):
             LSTM.run_together(lstms, xs, [None, None])
+
+    @pytest.mark.parametrize("shape, steps", [((2, T, F), 4), ((2, F), None)],
+                             ids=["sequence-with-steps", "vector-without"])
+    def test_step_count_must_match_input_rank(self, shape, steps):
+        cell = LSTM(F, H, rng=np.random.default_rng(1)).cell
+        with pytest.raises(ValueError):
+            lstm_sequence([Tensor(RNG.normal(size=shape))],
+                          [(cell.w_ih, cell.w_hh, cell.bias)],
+                          steps=[steps])
 
 
 class TestGradcheckGRU:
@@ -217,14 +256,16 @@ class TestGradcheckDecoder:
     @pytest.mark.parametrize("lengths", [None, np.array([4, 2, 0])],
                              ids=["dense", "ragged"])
     def test_lstm_decode(self, lengths):
+        """The decoder's vector-input slice of ``lstm_sequence``."""
         dec = LSTMDecoder(H, H, rng=np.random.default_rng(3))
         cell = dec.cell
         v = Tensor(RNG.normal(size=(3, H)), requires_grad=True)
 
         def build():
-            out = lstm_decode(v, cell.w_ih, cell.w_hh, cell.bias,
-                              steps=4, lengths=lengths)
-            return _weighted(out)
+            (out, h, c), = lstm_sequence(
+                [v], [(cell.w_ih, cell.w_hh, cell.bias)], [lengths],
+                steps=[4])
+            return _weighted(out) + _weighted(h) + _weighted(c)
 
         _gradcheck([v, cell.w_ih, cell.w_hh, cell.bias], build)
 

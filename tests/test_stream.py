@@ -389,15 +389,44 @@ class TestTicks:
         if len(busy) >= 2:
             assert busy[-1] <= max(busy[0], 4)
 
+    @staticmethod
+    def _watch_snapshots(session) -> list:
+        """Weak references to the cleaned trajectory of every snapshot
+        the session hands out from now on."""
+        cleaned = []
+        build = session.snapshot
+
+        def snapshot():
+            processed = build()
+            if processed is not None:
+                cleaned.append(weakref.ref(processed.cleaned))
+            return processed
+
+        session.snapshot = snapshot
+        return cleaned
+
+    def test_detected_snapshot_is_released_after_the_tick(
+            self, world_and_data, fitted):
+        """Bounded resources: with no further pings, nothing keeps the
+        snapshot a tick detected on alive after that tick."""
+        _, dataset = world_and_data
+        manager, session, _ = self._with_stay_points(dataset, fitted, 2)
+        cleaned = self._watch_snapshots(session)
+        (verdict,) = manager.tick()
+        assert verdict.pair is not None and len(cleaned) == 1
+        gc.collect()
+        assert cleaned[0]() is None
+
     def test_superseded_snapshot_is_released(self, world_and_data, fitted):
         """Bounded resources: once a tick re-detects a session on a newer
         snapshot, nothing keeps the previous snapshot's cleaned
         trajectory alive (no per-object featurization memo holds it)."""
         _, dataset = world_and_data
         manager, session, fixes = self._with_stay_points(dataset, fitted, 2)
+        cleaned = self._watch_snapshots(session)
         (verdict,) = manager.tick()
-        assert verdict.pair is not None
-        previous = weakref.ref(session.snapshot().cleaned)
+        assert verdict.pair is not None and len(cleaned) == 1
+        previous = cleaned[0]
         closed = session.num_closed_stay_points
         while session.num_closed_stay_points == closed:
             manager.ingest(session.truck_id, *fixes.pop(0), day=session.day)
