@@ -12,6 +12,7 @@ at every step (Eq. 5) followed by two fully connected layers with a tanh
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +20,21 @@ from ..nn import (Linear, LSTM, LSTMDecoder, Module, SelfAttentionAggregator,
                   Tensor)
 from ..nn.fused import mlp_head, prefix_attention_pool
 
-__all__ = ["CompressionOperator", "DecompressionOperator"]
+__all__ = ["CompressionOperator", "DecompressionOperator", "RunState"]
+
+
+class RunState(NamedTuple):
+    """LSTM runs after their last step: what a later call continues.
+
+    Row ``r`` has run ``steps[r]`` steps; ``outputs[r, :steps[r]]`` are
+    its hidden states after each of them and ``(h[r], c[r])`` the state
+    after the last (zeros for a run not started yet).
+    """
+
+    h: np.ndarray        # (R, H)
+    c: np.ndarray        # (R, H)
+    outputs: np.ndarray  # (R, T, H)
+    steps: np.ndarray    # (R,)
 
 
 def _head(fc1: Linear, fc2: Linear, x: Tensor) -> Tensor:
@@ -79,7 +94,8 @@ class CompressionOperator(Module):
     def prefixes_together(operators: Sequence["CompressionOperator"],
                           runs: Sequence[Tensor],
                           lengths: Sequence[np.ndarray],
-                          prefixes: Sequence[tuple[np.ndarray, np.ndarray]]
+                          prefixes: Sequence[tuple[np.ndarray, np.ndarray]],
+                          resume: list[RunState | None] | None = None
                           ) -> list[Tensor]:
         """``operators[k].prefixes(runs[k], lengths[k], *prefixes[k])``
         for every ``k``, with every operator's LSTM in one time loop.
@@ -88,21 +104,52 @@ class CompressionOperator(Module):
         over the run's length-``L`` prefix, so each prefix is read off its
         run (:func:`repro.nn.fused.prefix_attention_pool`; LEAD-NoSel
         reads the state at step ``length - 1``).
+
+        With ``resume`` (inference only), ``resume[k]`` is the
+        :class:`RunState` operator ``k``'s runs continue from, or
+        ``None`` when every run starts here: ``runs[k]`` holds only the
+        new steps, prefix lengths count the earlier ones too, and each
+        prefix must end on a new step (only those are queried).  On
+        return ``resume[k]`` is the runs' state after this call.
         """
+        initial = None if resume is None else [
+            None if prior is None else (prior.h, prior.c)
+            for prior in resume]
         states = LSTM.run_together([op.lstm for op in operators], runs,
-                                   lengths)
+                                   lengths, initial=initial)
         out = []
-        for op, (outputs, _, _), (run, length) in zip(operators, states,
-                                                      prefixes):
+        for k, (op, (outputs, h, c), (run, length)) in enumerate(
+                zip(operators, states, prefixes)):
+            prior = None if resume is None else resume[k]
+            first = None
+            if prior is not None:
+                outputs = Tensor(_continue(prior, outputs.data, lengths[k]))
+                first = prior.steps
             if op.use_attention:
                 query, key = op.attention.query, op.attention.key
                 pooled = prefix_attention_pool(
                     outputs, query.weight, query.bias, key.weight, key.bias,
-                    run, length)
+                    run, length, first=first)
             else:
                 pooled = outputs[run, length - 1]
             out.append(_head(op.fc1, op.fc2, pooled))
+            if resume is not None:
+                resume[k] = RunState(
+                    h.data, c.data, outputs.data, lengths[k] if prior is None
+                    else prior.steps + lengths[k])
         return out
+
+
+def _continue(prior: RunState, new: np.ndarray,
+              lengths: np.ndarray) -> np.ndarray:
+    """Each run's earlier outputs followed by its new ones, ``(R, T, H)``."""
+    ends = prior.steps + lengths
+    outputs = np.zeros((len(ends), int(ends.max()), new.shape[2]),
+                       dtype=new.dtype)
+    outputs[:, :prior.outputs.shape[1]] = prior.outputs
+    rows, cols = np.nonzero(np.arange(new.shape[1]) < lengths[:, None])
+    outputs[rows, prior.steps[rows] + cols] = new[rows, cols]
+    return outputs
 
 
 class DecompressionOperator(Module):

@@ -156,7 +156,9 @@ def lstm_sequence(xs: Sequence[Tensor],
                   weights: Sequence[tuple[Tensor, Tensor, Tensor]],
                   lengths: Sequence[np.ndarray | None] | None = None,
                   reverse: Sequence[bool] | None = None,
-                  steps: Sequence[int | None] | None = None
+                  steps: Sequence[int | None] | None = None,
+                  initial: Sequence[tuple[np.ndarray, np.ndarray] | None]
+                  | None = None
                   ) -> list[tuple[Tensor, Tensor, Tensor]]:
     """Run ``K`` LSTMs in one time loop, as one fused autograd op.
 
@@ -177,6 +179,10 @@ def lstm_sequence(xs: Sequence[Tensor],
     computed once, and its backward sums the gate gradients over time
     before the input, ``w_ih`` and bias GEMMs.
 
+    A slice with ``initial[k] = (h0, c0)`` (``(B_k, H)`` each) starts
+    from that state instead of zeros, so a run can be continued where
+    an earlier call left it (inference only: a recording call raises).
+
     Returns one ``(outputs, h_last, c_last)`` per slice: ``outputs`` is
     ``(B_k, T_k, H)`` and ``h_last``/``c_last`` are the freeze-masked
     final states (the state at each row's last valid step; first valid
@@ -187,21 +193,29 @@ def lstm_sequence(xs: Sequence[Tensor],
     lengths = [None] * count if lengths is None else list(lengths)
     reverse = [False] * count if reverse is None else list(reverse)
     steps = [None] * count if steps is None else list(steps)
+    initial = [None] * count if initial is None else list(initial)
     if not count or not len(weights) == len(lengths) == len(reverse) \
-            == len(steps) == count:
+            == len(steps) == len(initial) == count:
         raise ValueError("need one weight triple, length vector, "
-                         "direction and step count per input")
+                         "direction, step count and initial state per "
+                         "input")
     if any(x.ndim != (3 if width is None else 2)
            for x, width in zip(xs, steps)):
         raise ValueError("a slice with a step count takes a (B, F) "
                          "input, any other a (B, T, F) one")
+    for k, (x, width) in enumerate(zip(xs, steps)):
+        if (x.shape[1] if width is None else width) < 1:
+            raise ValueError(f"slice {k} has no steps: an LSTM needs at "
+                             "least one step")
     if count > 1 and max(x.shape[0] for x in xs) > _STACK_ROWS:
         return [lstm_sequence(*slice_k)[0] for slice_k in zip(
             ([x] for x in xs), ([w] for w in weights),
             ([lens] for lens in lengths), ([rev] for rev in reverse),
-            ([width] for width in steps))]
+            ([width] for width in steps), ([init] for init in initial))]
     params = [w for triple in weights for w in triple]
     record = _needs_grad(*xs, *params)
+    if record and any(init is not None for init in initial):
+        raise ValueError("initial states are for inference only")
     cdt = _compute_dtype(record)
     xds = [np.asarray(x.data, dtype=cdt) for x in xs]
     wis = [weight_view(w_ih, cdt) for w_ih, _, _ in weights]
@@ -262,6 +276,9 @@ def lstm_sequence(xs: Sequence[Tensor],
         act_slab = np.empty((count, batch, 4 * n), dtype=cdt)
         tc_slab = np.empty((count, batch, n), dtype=cdt)
     h_prev = np.zeros((count, batch, n), dtype=cdt)
+    for k, init in enumerate(initial):
+        if init is not None:
+            h_prev[k, :shapes[k][0]], c_states[0, k, :shapes[k][0]] = init
     for s in range(span):
         if record:
             c_prev, c_new = c_states[s], c_states[s + 1]
@@ -689,7 +706,8 @@ def attention_pool(outputs: Tensor, last_hidden: Tensor,
 def prefix_attention_pool(outputs: Tensor, w_query: Tensor, b_query: Tensor,
                           w_key: Tensor, b_key: Tensor,
                           run: np.ndarray, length: np.ndarray,
-                          neg_inf: float = -1e9) -> Tensor:
+                          neg_inf: float = -1e9,
+                          first: np.ndarray | None = None) -> Tensor:
     """:func:`attention_pool` of many prefixes of each run, as ONE node.
 
     A forward LSTM's first ``L`` states over a run *are* its states over
@@ -700,22 +718,40 @@ def prefix_attention_pool(outputs: Tensor, w_query: Tensor, b_query: Tensor,
     matrix serves every prefix: keys after the query step get the same
     ``-1e9`` bias (and the same ``1/sqrt(d)`` scale) as padding in
     :func:`attention_pool`, so they underflow to exactly zero weight.
+
+    ``first`` (inference only) limits the queries to steps
+    ``first[r]`` on of each run ``r``, for a caller whose prefixes all
+    end at or after those steps (a run continued from an earlier call
+    asks only about its new steps); keys still span the whole run.
     """
-    cdt = _compute_dtype(_needs_grad(outputs, w_query, b_query,
-                                     w_key, b_key))
+    record = _needs_grad(outputs, w_query, b_query, w_key, b_key)
+    if record and first is not None:
+        raise ValueError("query offsets are for inference only")
+    cdt = _compute_dtype(record)
     hd = np.asarray(outputs.data, dtype=cdt)   # (R, T, n)
     runs, steps, n = hd.shape
     scale = 1.0 / np.sqrt(n)
     query = length - 1                         # query step of each prefix
 
     flat_h = hd.reshape(runs * steps, n)
-    q = (flat_h @ weight_view(w_query, cdt)).reshape(runs, steps, n)
+    if first is None:
+        q = (flat_h @ weight_view(w_query, cdt)).reshape(runs, steps, n)
+        causal = (1.0 - np.tri(steps, dtype=cdt)) * neg_inf
+    else:
+        # Query window a of run r is step first[r] + a (clipped past
+        # the run's end, where no prefix asks).
+        query = query - first[run]
+        at = np.minimum(first[:, None] + np.arange(int(query.max()) + 1),
+                        steps - 1)                      # (R, A)
+        q = (hd[np.arange(runs)[:, None], at].reshape(-1, n)
+             @ weight_view(w_query, cdt)).reshape(runs, at.shape[1], n)
+        causal = (np.arange(steps) > at[..., None]).astype(cdt) * neg_inf
     q += weight_view(b_query, cdt)
     k = (flat_h @ weight_view(w_key, cdt)).reshape(runs, steps, n)
     k += weight_view(b_key, cdt)
     scores = q @ k.transpose(0, 2, 1)          # (R, A, T): query a, key t
     scores *= scale
-    scores += (1.0 - np.tri(steps, dtype=cdt)) * neg_inf
+    scores += causal
     # Softmax over keys, replaying Tensor.softmax's op order.
     shifted = scores - scores.max(axis=2, keepdims=True)
     e = np.exp(shifted)

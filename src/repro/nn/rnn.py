@@ -130,7 +130,9 @@ class LSTM(_Recurrent):
 
     @staticmethod
     def run_together(lstms: Sequence["LSTM"], xs: Sequence[Tensor],
-                     lengths: Sequence[np.ndarray | None]
+                     lengths: Sequence[np.ndarray | None],
+                     initial: Sequence[tuple[np.ndarray, np.ndarray]
+                                       | None] | None = None
                      ) -> list[tuple[Tensor, Tensor, Tensor]]:
         """Run ``lstms[k]`` over ``xs[k]`` for every ``k`` in one time
         loop (:func:`~repro.nn.fused.lstm_sequence`).
@@ -138,11 +140,13 @@ class LSTM(_Recurrent):
         The LSTMs must share input and hidden sizes; batch sizes, lengths
         and directions may differ.  Returns ``(outputs, h_last, c_last)``
         per LSTM, each exactly what the LSTM returns on its own.
+        ``initial[k]``, when given, is the ``(h, c)`` LSTM ``k`` starts
+        from (inference only).
         """
         return lstm_sequence(
             xs, [(lstm.cell.w_ih, lstm.cell.w_hh, lstm.cell.bias)
                  for lstm in lstms],
-            lengths, [lstm.reverse for lstm in lstms])
+            lengths, [lstm.reverse for lstm in lstms], initial=initial)
 
 
 class GRU(_Recurrent):

@@ -28,7 +28,7 @@ per model directory), and ``fit`` checkpoints every epoch when given a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -40,7 +40,8 @@ from ..detection import (GroupDetector, IndependentDetector,
                          JointDetectorTrainer, TrajectorySpec,
                          index_to_pair, merge_distributions, pair_to_index,
                          score_groups)
-from ..encoding import (AutoencoderTrainer, HierarchicalAutoencoder)
+from ..encoding import (AutoencoderTrainer, EncodingState,
+                        HierarchicalAutoencoder)
 from ..errors import (ArtifactCorruptedError, DetectorUnavailableError,
                       InvalidTrajectoryError, NotFittedError,
                       NumericalInstabilityError)
@@ -50,7 +51,8 @@ from ..io import (atomic_write_json, load_checked_json, verify_manifest,
                   write_manifest)
 from ..model import Trajectory
 from ..nn import (VALID_DTYPES, CheckpointManager, Tensor, TrainingHistory,
-                  inference_dtype, load_module, no_grad, save_module)
+                  active_dtype_name, inference_dtype, load_module, no_grad,
+                  save_module)
 from ..obs.core import active_obs, obs_event, obs_span, obs_timed
 from ..perf.parallel import parallel_map
 from ..processing import ProcessedTrajectory, sanitize_trajectory
@@ -156,6 +158,10 @@ class LEAD:
             self.backward_detector = None
             self.independent_detector = IndependentDetector(cvec_dim, rng)
         self._fitted = False
+        #: Names the current weights: a new token whenever they change
+        #: (construction, fit, load), so an encoding state stamped with
+        #: an old one is never read against other weights.
+        self._weight_set = object()
         # Precision tier state: the effective compute dtype stays
         # unresolved (None) under the float32 policy until the parity
         # gate has compared float32 against float64 verdicts on a
@@ -200,7 +206,7 @@ class LEAD:
         report.detector_histories = self._fit_detectors(specs, verbose,
                                                         det_ckpt)
         self._fitted = True
-        self._reset_precision_state()
+        self._weights_changed()
         return report
 
     def fit_detectors_only(self, training: list[LabeledSample],
@@ -227,7 +233,7 @@ class LEAD:
         report.detector_histories = self._fit_detectors(specs, verbose,
                                                         det_ckpt)
         self._fitted = True
-        self._reset_precision_state()
+        self._weights_changed()
         return report
 
     @staticmethod
@@ -272,17 +278,23 @@ class LEAD:
                               checkpoint=checkpoint)
         return history, len(samples)
 
-    def _segment_lists(self, processed_list: Sequence[ProcessedTrajectory]
+    def _segment_lists(self, processed_list: Sequence[ProcessedTrajectory],
+                       covered: Sequence[int] | None = None
                        ) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
         """Stay and move segment features of each trajectory, from one
-        featurization pass over all of them."""
+        featurization pass over all of them; with ``covered``, only the
+        stays after each trajectory's ``covered[k]`` first and the moves
+        after its ``covered[k] - 1`` first."""
+        if covered is None:
+            covered = [0] * len(processed_list)
+        groups = [(processed.stay_points[n:],
+                   processed.move_points[max(n - 1, 0):])
+                  for processed, n in zip(processed_list, covered)]
         matrices = iter(self.featurizer.featurize_segments(
-            [segment for processed in processed_list
-             for group in (processed.stay_points, processed.move_points)
-             for segment in group]))
-        return [([next(matrices) for _ in processed.stay_points],
-                 [next(matrices) for _ in processed.move_points])
-                for processed in processed_list]
+            [segment for group in groups for part in group
+             for segment in part]))
+        return [([next(matrices) for _ in stays],
+                 [next(matrices) for _ in moves]) for stays, moves in groups]
 
     def _segments(self, processed: ProcessedTrajectory
                   ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -441,15 +453,18 @@ class LEAD:
             self.run_parity_gate(calibration)
         return self._effective_dtype or "float64"
 
-    def _reset_precision_state(self) -> None:
-        """Invalidate any committed precision decision.
+    def _weights_changed(self) -> None:
+        """Invalidate what was derived from the old weights.
 
         Called whenever the weights change (``fit`` retrains, ``load``
-        rebinds) — a parity verdict reached against the old weights says
-        nothing about the new ones, so a float32 policy goes back to
-        "ungated" and the next detect call (or an explicit
-        :meth:`run_parity_gate`) re-earns the float32 hot path.
+        rebinds).  The weight set gets a new token, so no encoding
+        state stamped with the old one is read again.  A parity verdict
+        reached against the old weights says nothing about the new ones,
+        so a float32 policy goes back to "ungated" and the next detect
+        call (or an explicit :meth:`run_parity_gate`) re-earns the
+        float32 hot path.
         """
+        self._weight_set = object()
         self._effective_dtype = (
             "float64" if self.config.inference_dtype == "float64" else None)
         self._parity_report = None
@@ -459,8 +474,9 @@ class LEAD:
     # Online stage: one inference core for every entry point
     # ------------------------------------------------------------------
     def encode_candidates_batch(self, processed_list:
-                                list[ProcessedTrajectory]
-                                ) -> list[np.ndarray]:
+                                list[ProcessedTrajectory],
+                                states: list[EncodingState | None]
+                                | None = None) -> list[np.ndarray]:
         """c-vecs of every candidate of each trajectory, shape (N_t, 64).
 
         One phase-1 compressor pass per branch covers every segment of
@@ -468,21 +484,47 @@ class LEAD:
         (trajectory, start stay point) run; there is no shape bucketing
         here (that is the detector's, see ``_bucketed``).  The list
         lines up with the input order.
+
+        ``states`` (inference only) holds one
+        :class:`~repro.encoding.EncodingState` or ``None`` per
+        trajectory, as an earlier call left it for a snapshot of the
+        same growing trajectory.  A state counts only when its stamp
+        matches: these weights, the active compute dtype and the spans
+        of the stay points it covers.  Then only the segments, run
+        steps and candidates the snapshot added are featurized and
+        encoded.  ``states`` is overwritten in place with the states
+        after this call, for the caller to keep.
         """
+        prior = covered = None
+        if states is not None:
+            stamp = (self._weight_set, active_dtype_name())
+            spans = [tuple((sp.start, sp.end) for sp in p.stay_points)
+                     for p in processed_list]
+            prior = [state if state is not None and state.key == (
+                         stamp, spans_k[:state.stays]) else None
+                     for state, spans_k in zip(states, spans)]
+            covered = [0 if state is None else state.stays
+                       for state in prior]
         with obs_span("detect.featurize",
                       trajectories=len(processed_list)):
-            segments = self._segment_lists(processed_list)
+            segments = self._segment_lists(processed_list, covered)
         stay_lists = [stay for stay, _ in segments]
         move_lists = [move for _, move in segments]
         pairs_lists = [[c.pair for c in processed.candidates]
                        for processed in processed_list]
         with obs_span("detect.encode",
                       candidates=sum(len(p) for p in pairs_lists)):
-            return self.autoencoder.encode_trajectories(
-                stay_lists, move_lists, pairs_lists)
+            cvecs = self.autoencoder.encode_trajectories(
+                stay_lists, move_lists, pairs_lists, prior)
+        if states is not None:
+            states[:] = [replace(state, key=(stamp, spans_k))
+                         for state, spans_k in zip(prior, spans)]
+        return cvecs
 
     def _predict_many(self, processed_list: list[ProcessedTrajectory],
-                      direction: str = "both") -> list[np.ndarray]:
+                      direction: str = "both",
+                      cvecs_list: list[np.ndarray] | None = None
+                      ) -> list[np.ndarray]:
         """Merged distributions (Eq. 13) for many trajectories, *without*
         the finiteness check (callers apply it per trajectory).
 
@@ -496,12 +538,14 @@ class LEAD:
         The shared detector forward merges every trajectory's subgroups
         into one padded batch; ``segments`` keeps the flat softmax
         per-trajectory, so each returned distribution is independent of
-        its batch-mates up to GEMM associativity.
+        its batch-mates up to GEMM associativity.  ``cvecs_list`` passes
+        c-vecs the caller already encoded.
         """
         if not processed_list:
             return []
         bucket = _bucketed(processed_list)
-        cvecs_list = self.encode_candidates_batch(processed_list)
+        if cvecs_list is None:
+            cvecs_list = self.encode_candidates_batch(processed_list)
         counts = np.array([len(c) for c in cvecs_list], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(counts)])
         ns = [p.num_stay_points for p in processed_list]
@@ -678,7 +722,8 @@ class LEAD:
         return results
 
     def detect_many(self, processed_list: list[ProcessedTrajectory],
-                    notes_list: list[list[str]] | None = None
+                    notes_list: list[list[str]] | None = None,
+                    states: list[EncodingState | None] | None = None
                     ) -> list[DetectionResult]:
         """Degradation-aware batched detection over processed snapshots.
 
@@ -688,6 +733,9 @@ class LEAD:
         and, optionally, the sanitize provenance notes that produced
         them — get one tier walk over the whole batch, the same one
         :meth:`detect` runs.  Results line up with the input order.
+        ``states`` carries each snapshot's encoding state in and the
+        new one out, as in :meth:`encode_candidates_batch`; a caller
+        that keeps them commits them only once this call returned.
         """
         self._require_fitted()
         if notes_list is None:
@@ -696,25 +744,35 @@ class LEAD:
             raise ValueError(
                 f"notes_list length {len(notes_list)} != processed_list "
                 f"length {len(processed_list)}")
+        if states is not None and len(states) != len(processed_list):
+            raise ValueError(
+                f"states length {len(states)} != processed_list "
+                f"length {len(processed_list)}")
         return self._observed(
             "detect_many",
             lambda: self._detect_many_with_degradation(
-                processed_list, [list(n) for n in notes_list]),
+                processed_list, [list(n) for n in notes_list], states),
             trajectories=len(processed_list))
 
     def _detect_many_with_degradation(
             self, processed_list: list[ProcessedTrajectory],
-            notes_list: list[list[str]]) -> list[DetectionResult]:
+            notes_list: list[list[str]],
+            states: list[EncodingState | None] | None = None
+            ) -> list[DetectionResult]:
         """Walk the tier chain; every result is provenance-tagged.
 
-        Each tier runs one batched forward over the trajectories still
-        unresolved; structural failures (a direction with no live
-        detector) disqualify the tier for everyone, while per-trajectory
-        numerical failures only push that trajectory down to the next
-        tier.
+        The candidates are encoded once; each tier then scores the
+        trajectories still unresolved in one batched forward.
+        Structural failures (a direction with no live detector)
+        disqualify the tier for everyone, while per-trajectory numerical
+        failures only push that trajectory down to the next tier.
         """
+        if not processed_list:
+            return []
         results: list[DetectionResult | None] = [None] * len(processed_list)
         compute_dtype = self._resolve_inference_dtype(processed_list)
+        with inference_dtype(compute_dtype):
+            cvecs = self.encode_candidates_batch(processed_list, states)
         notes = [list(n) + list(self._precision_notes) for n in notes_list]
         sanitized = [bool(n) for n in notes_list]
         if self.independent_detector is not None:
@@ -728,7 +786,8 @@ class LEAD:
             try:
                 with inference_dtype(compute_dtype):
                     raw = self._predict_many(
-                        [processed_list[k] for k in pending], direction)
+                        [processed_list[k] for k in pending], direction,
+                        [cvecs[k] for k in pending])
             except DetectorUnavailableError as exc:
                 obs_event("detection.tier_failed", tier=tier,
                           error=str(exc), trajectories=len(pending))
@@ -858,7 +917,7 @@ class LEAD:
                 directory / "state.json",
                 f"invalid normalizer state: {exc}") from exc
         self._fitted = True
-        self._reset_precision_state()
+        self._weights_changed()
         if calibration and self.config.inference_dtype != "float64":
             self.run_parity_gate(list(calibration))
         return self

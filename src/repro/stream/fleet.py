@@ -17,8 +17,11 @@ last verdict, hands the batch to the detector's degradation-aware
 ``detect_many`` (one fused pass over the whole fleet), and emits a
 :class:`~repro.stream.ProvisionalVerdict` per session; every other
 session is served its last verdict, which the same input would
-reproduce.  ``flush`` finalizes a session (drains its reorder buffer,
-closes the trailing stay-point run) and produces the *final* verdict —
+reproduce.  Each session's :attr:`~repro.stream.TruckSession.encoding`
+state goes along, so a tick encodes only what the session's newly
+closed stay points add, and is replaced once the detection returned.
+``flush`` finalizes a session (drains its reorder buffer, closes the
+trailing stay-point run) and produces the *final* verdict —
 the one that equals offline ``LEAD.detect`` on the completed trajectory.
 
 **Supervision** (PR 6): the failure domain is one session, never the
@@ -369,7 +372,8 @@ class FleetSessionManager:
                 failure = exc
         raise failure
 
-    def _detect_one(self, session: TruckSession, snapshot, notes):
+    def _detect_one(self, session: TruckSession, snapshot, notes,
+                    final: bool):
         """One session's detection under retry; raises after the budget."""
         key = self._chaos_key(session)
         failure: BaseException | None = None
@@ -381,7 +385,10 @@ class FleetSessionManager:
                 if fault is not None:
                     raise InjectedFault(
                         f"chaos: injected detector failure for {key}")
-                result = self.detector.detect_many([snapshot], [notes])[0]
+                states = None if final else [session.encoding]
+                result = self.detector.detect_many([snapshot], [notes],
+                                                   states)[0]
+                self._commit_encodings([session], states)
                 self.counters.detect_calls += 1
                 return result
             except Exception as exc:   # noqa: BLE001 - isolation boundary
@@ -494,6 +501,9 @@ class FleetSessionManager:
             return {}, set(ready)
         batch = [snapshots[i] for i in ready]
         notes = [sessions[i].sanitize_notes() for i in ready]
+        # Flushes encode from scratch (the final verdict is offline's);
+        # ticks extend each session's encoding state.
+        states = None if final else [sessions[i].encoding for i in ready]
         try:
             fault = chaos_point("detector.batch")
             if fault is not None:
@@ -506,7 +516,7 @@ class FleetSessionManager:
                     raise InjectedFault(
                         "chaos: injected detector failure for "
                         f"{self._chaos_key(sessions[i])}")
-            raw = self.detector.detect_many(batch, notes)
+            raw = self.detector.detect_many(batch, notes, states)
         except Exception:  # noqa: BLE001 - isolate below
             self.detector_breaker.record_failure()
             self.counters.detect_batch_failures += 1
@@ -514,13 +524,23 @@ class FleetSessionManager:
             for i in ready:
                 try:
                     results[i] = self._detect_one(
-                        sessions[i], snapshots[i], notes[ready.index(i)])
+                        sessions[i], snapshots[i], notes[ready.index(i)],
+                        final)
                 except Exception as exc:  # noqa: BLE001
                     failures[i] = exc
             return results, set()
         self.detector_breaker.record_success()
+        self._commit_encodings([sessions[i] for i in ready], states)
         self.counters.detect_calls += len(ready)
         return dict(zip(ready, raw)), set()
+
+    @staticmethod
+    def _commit_encodings(sessions: list[TruckSession], states) -> None:
+        """Keep the encoding states a returned detection left (a failed
+        one commits nothing: its states never get here)."""
+        if states is not None:
+            for session, state in zip(sessions, states):
+                session.encoding = state
 
     def _empty_verdict(self, session: TruckSession,
                        final: bool) -> ProvisionalVerdict:

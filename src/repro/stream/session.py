@@ -111,6 +111,12 @@ class TruckSession:
         #: ``last_verdict`` again while the detection input is unchanged).
         self.last_verdict = None
         self.last_verdict_input: tuple[int, tuple[str, ...]] | None = None
+        #: The encoding state the last provisional detection left
+        #: (:class:`~repro.encoding.EncodingState`): the next one encodes
+        #: only what newly closed stay points add.  Replaced by the
+        #: fleet manager once a detection returned, dropped at
+        #: :meth:`finalize`, never part of a checkpoint.
+        self.encoding = None
 
     # ------------------------------------------------------------------
     @property
@@ -141,10 +147,12 @@ class TruckSession:
         """What a detection of :meth:`snapshot` depends on: the closed
         stay-point count and the sanitize notes.
 
-        Closed spans are final and segment features are keyed by the
-        rows they read, so fixes that close no stay point leave the
-        candidates, their encodings and the distribution unchanged; the
-        notes feed the verdict's provenance.
+        Closed spans are final, so fixes that close no stay point leave
+        the candidates, their encodings and the distribution unchanged;
+        the notes feed the verdict's provenance.  A detection after new
+        stay points closed encodes only what they add, from the
+        :attr:`encoding` state the last one left; one after a change of
+        the notes alone encodes nothing.
         """
         return self.num_closed_stay_points, tuple(self.sanitize_notes())
 
@@ -245,6 +253,7 @@ class TruckSession:
         self._record_spans(spans)
         closed += len(spans)
         self._finalized = True
+        self.encoding = None   # the final verdict encodes from scratch
         self._version += 1
         return closed
 

@@ -509,8 +509,12 @@ def _tape_prefixes(self, runs: Tensor, lengths, run, length) -> Tensor:
     return _tape_head(self.fc1, self.fc2, pooled)
 
 
-def _tape_prefixes_together(operators, runs, lengths, prefixes):
-    """``CompressionOperator.prefixes_together`` one operator at a time."""
+def _tape_prefixes_together(operators, runs, lengths, prefixes,
+                            resume=None):
+    """``CompressionOperator.prefixes_together`` one operator at a time
+    (fresh runs only: continuing stored runs is inference-only)."""
+    if resume is not None:
+        raise NotImplementedError("the tape oracle runs fresh runs only")
     return [op.prefixes(x, lens, run, length) for op, x, lens, (run, length)
             in zip(operators, runs, lengths, prefixes)]
 

@@ -213,6 +213,58 @@ class TestHierarchicalAutoencoder:
                                        compress(b, *day, pair).numpy())
 
 
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+class TestEncodingStates:
+    """Encoding from the state an earlier call left equals encoding the
+    grown trajectories afresh, for LEAD and the NoSel/NoHie variants."""
+
+    @pytest.mark.parametrize("variant", [{}, {"use_attention": False},
+                                         {"hierarchical": False}],
+                             ids=["lead", "nosel", "nohie"])
+    def test_growing_trajectories_match_fresh_encoding(self, pipeline,
+                                                       variant):
+        processed, featurizer = pipeline
+        model = HierarchicalAutoencoder(EncoderConfig(**variant))
+        days = [_day(featurizer, p) for p in processed[:3]]
+        sizes = [len(stays) for stays, _ in days]
+        assert min(sizes) >= 4
+        # Day 0 grows 2 -> 3 -> n, day 1 starts fresh at 3 and then
+        # grows to n, day 2 reaches n at once and then gains nothing.
+        steps = [[2, 3, sizes[0]], [None, 3, sizes[1]],
+                 [None, sizes[2], sizes[2]]]
+        states = [None, None, None]
+        for step in range(3):
+            live = [t for t in range(3) if steps[t][step] is not None]
+            counts = [steps[t][step] for t in live]
+            covered = [0 if states[t] is None else states[t].stays
+                       for t in live]
+            batch = [states[t] for t in live]
+            got = model.encode_trajectories(
+                [days[t][0][c:n] for t, c, n in zip(live, covered, counts)],
+                [days[t][1][max(c - 1, 0):n - 1]
+                 for t, c, n in zip(live, covered, counts)],
+                [_pairs(n) for n in counts], batch)
+            for t, state in zip(live, batch):
+                states[t] = state
+            for t, n, cvecs in zip(live, counts, got):
+                want = model.encode_trajectories(
+                    [days[t][0][:n]], [days[t][1][:n - 1]], [_pairs(n)])[0]
+                assert states[t].stays == n
+                np.testing.assert_allclose(cvecs, want, rtol=1e-9,
+                                           atol=1e-15)
+
+    def test_state_needs_every_candidate(self, pipeline):
+        processed, featurizer = pipeline
+        model = HierarchicalAutoencoder(EncoderConfig())
+        stays, moves = _day(featurizer, processed[0])
+        with pytest.raises(ValueError, match="all its candidates"):
+            model.encode_trajectories([stays[:3]], [moves[:2]],
+                                      [[(1, 2), (1, 3)]], [None])
+
+
 class TestTrainer:
     def test_config_validation(self):
         with pytest.raises(ValueError):

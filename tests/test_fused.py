@@ -234,6 +234,109 @@ class TestStackedLSTM:
                           steps=[steps])
 
 
+class TestSliceWidths:
+    """Every slice runs at least one step; rows may run none."""
+
+    @staticmethod
+    def _weights(seed: int):
+        cell = LSTM(F, H, rng=np.random.default_rng(seed)).cell
+        return (cell.w_ih, cell.w_hh, cell.bias)
+
+    def test_zero_step_sequence_slice_is_rejected(self):
+        xs = [Tensor(RNG.normal(size=(2, T, F))),
+              Tensor(np.zeros((2, 0, F)))]
+        with pytest.raises(ValueError, match="slice 1 has no steps"):
+            lstm_sequence(xs, [self._weights(1), self._weights(2)])
+
+    def test_zero_step_vector_slice_is_rejected(self):
+        with pytest.raises(ValueError, match="slice 0 has no steps"):
+            lstm_sequence([Tensor(RNG.normal(size=(2, F)))],
+                          [self._weights(1)], steps=[0])
+
+    def test_zero_length_rows_keep_working(self):
+        """Rows of length 0 inside a non-empty envelope keep the initial
+        (zero) state: zero outputs and final states."""
+        x = Tensor(RNG.normal(size=(3, T, F)))
+        with no_grad():
+            (out, h, c), = lstm_sequence([x], [self._weights(3)],
+                                         [np.array([T, 0, 2])])
+        assert not out.data[1].any() and not h.data[1].any() \
+            and not c.data[1].any()
+        assert out.data[0].any() and h.data[2].any()
+
+
+class TestResumedRuns:
+    """Continuing stored runs (inference only) equals running them whole."""
+
+    def test_initial_state_continues_a_run(self):
+        """Steps ``[:s]`` then ``[s:]`` from the stored ``(h, c)`` equal
+        one run over all steps, rows of different lengths included."""
+        lstm = LSTM(F, H, rng=np.random.default_rng(60))
+        weights = [(lstm.cell.w_ih, lstm.cell.w_hh, lstm.cell.bias)]
+        xd = RNG.normal(size=(B, T, F))
+        lens = np.array([T, 4, 3])
+        split = 2
+        with no_grad():
+            (whole, h_all, c_all), = lstm_sequence([Tensor(xd)], weights,
+                                                   [lens])
+            (head, h, c), = lstm_sequence([Tensor(xd[:, :split])], weights)
+            (tail, h_end, c_end), = lstm_sequence(
+                [Tensor(xd[:, split:])], weights, [lens - split],
+                initial=[(h.data, c.data)])
+        np.testing.assert_allclose(head.data, whole.data[:, :split],
+                                   rtol=0, atol=0)
+        for row, length in enumerate(lens):
+            np.testing.assert_allclose(tail.data[row, :length - split],
+                                       whole.data[row, split:length],
+                                       rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(h_end.data, h_all.data, rtol=1e-12,
+                                   atol=1e-15)
+        np.testing.assert_allclose(c_end.data, c_all.data, rtol=1e-12,
+                                   atol=1e-15)
+
+    def test_initial_state_is_inference_only(self):
+        lstm = LSTM(F, H, rng=np.random.default_rng(61))
+        state = np.zeros((B, H))
+        with pytest.raises(ValueError, match="inference only"):
+            lstm_sequence([Tensor(RNG.normal(size=(B, T, F)))],
+                          [(lstm.cell.w_ih, lstm.cell.w_hh, lstm.cell.bias)],
+                          initial=[(state, state)])
+
+    @pytest.mark.parametrize("attention", [True, False],
+                             ids=["attention", "nosel"])
+    def test_resumed_prefixes_equal_fresh_ones(self, attention):
+        """Runs continued from a :class:`RunState` give the prefixes that
+        end on their new steps what the whole runs give, and leave the
+        state of the whole runs."""
+        op = CompressionOperator(F, H, rng=np.random.default_rng(62),
+                                 use_attention=attention)
+        xd = RNG.normal(size=(3, 5, F))
+        total = np.array([5, 4, 2])
+        done = np.array([3, 2, 0])          # the last run starts fresh
+        run = np.array([0, 0, 1, 1, 2, 2])
+        length = np.array([4, 5, 3, 4, 1, 2])
+        with no_grad():
+            want = op.prefixes(Tensor(xd), total, run, length).numpy()
+            resume = [None]
+            op.prefixes_together([op], [Tensor(xd[:, :3])], [done],
+                                 [(np.array([0]), np.array([1]))], resume)
+            stored = resume[0]
+            new = np.zeros((3, 3, F))
+            for r in range(3):
+                new[r, :total[r] - done[r]] = xd[r, done[r]:total[r]]
+            got = op.prefixes_together(
+                [op], [Tensor(new)], [total - done], [(run, length)],
+                resume)[0].numpy()
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
+        np.testing.assert_array_equal(resume[0].steps, total)
+        with no_grad():
+            (_, h, c), = LSTM.run_together([op.lstm], [Tensor(xd)], [total])
+        np.testing.assert_allclose(resume[0].h, h.data, rtol=1e-12,
+                                   atol=1e-15)
+        np.testing.assert_allclose(resume[0].c, c.data, rtol=1e-12,
+                                   atol=1e-15)
+
+
 class TestGradcheckGRU:
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("lengths", [None, LENGTHS],

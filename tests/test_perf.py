@@ -544,3 +544,36 @@ class TestPrefixRuns:
         runs = _check_runs(pairs_lists, counts)
         full = [n - i + 1 for n in counts[:3] for i in range(1, n)]
         assert runs.sp_lengths.tolist() == full + [4, 2]
+
+    def test_covered_stay_points_feed_only_new_steps(self):
+        """With the first 3 of 5 stay points covered, only candidates
+        ending at 4 or 5 are read, and each run is fed only the stay
+        and move rows past the ones it already ran; a trajectory with
+        nothing covered is laid out as before."""
+        counts = [5, 4]
+        pairs_lists = [_all_pairs(n) for n in counts]
+        runs = prefix_runs(pairs_lists, counts, [4, 3], np.array([3, 0]))
+        fresh = prefix_runs(pairs_lists[1:], [4], [3])
+        ends = [j for plist in pairs_lists for _, j in plist]
+        assert runs.new.tolist() == [j > 3 for j in ends[:10]] \
+            + [True] * 6
+        # Runs of day 0 start at stays 1..4; 1 and 2 ran 3 and 2 stay
+        # steps (2 and 1 move steps) already.
+        assert runs.sp_done.tolist() == [3, 2, 0, 0, 0, 0, 0]
+        assert runs.sp_lengths[:4].tolist() == [2, 2, 3, 2]
+        assert runs.mp_lengths[:4].tolist() == [2, 2, 2, 1]
+        assert runs.sp_index[0, :2].tolist() == [3, 4]       # stays 4, 5
+        assert runs.mp_index[0, :2].tolist() == [2, 3]       # moves 3, 4
+        assert runs.sp_index[2, :3].tolist() == [2, 3, 4]    # a new run
+        # Day 1 (nothing covered) reads the rows it reads alone, offset
+        # by day 0's 5 stays and 4 moves.
+        assert runs.sp_lengths[4:].tolist() == fresh.sp_lengths.tolist()
+        for r, length in enumerate(fresh.sp_lengths):
+            assert (runs.sp_index[4 + r, :length]
+                    == fresh.sp_index[r, :length] + 5).all()
+            assert (runs.mp_index[4 + r, :length - 1]
+                    == fresh.mp_index[r, :length - 1] + 4).all()
+        # New candidates only, at their full prefix lengths.
+        new_pairs = [(i, j) for i, j in pairs_lists[0] if j > 3]
+        assert runs.length[:len(new_pairs)].tolist() == \
+            [j - i + 1 for i, j in new_pairs]

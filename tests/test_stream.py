@@ -7,8 +7,8 @@ pair, ``allclose`` distribution at ``rtol=1e-9``, identical provenance
 (tier and notes), across ≥50 simulated truck-days and under hostile
 arrival conditions (bounded out-of-order delivery, non-finite and
 out-of-range fixes, knocked-out detectors).  On top of that sit the
-serving-layer mechanics: tick memoization, suffix-only refeaturization
-via the slice-keyed cache, LRU eviction with bit-exact checkpoint
+serving-layer mechanics: tick memoization, incremental encoding from
+each session's encoding state, LRU eviction with bit-exact checkpoint
 restore, and a thousand-session soak.
 """
 
@@ -23,10 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import ChaosEngine, FaultSpec
 from repro.data import (DatasetConfig, SyntheticWorld, WorldConfig,
                         generate_dataset)
 from repro.detection import DetectorTrainingConfig
-from repro.encoding import AutoencoderTrainingConfig
+from repro.encoding import AutoencoderTrainingConfig, HierarchicalAutoencoder
 from repro.model import Trajectory
 from repro.pipeline import LEAD, LEADConfig
 from repro.processing import ReorderBuffer
@@ -357,37 +358,53 @@ class TestTicks:
         assert verdict.tick == manager.counters.ticks
         assert verdict.num_stay_points == session.num_closed_stay_points
 
-    def test_growing_session_hits_closed_segment_cache(self, world_and_data,
-                                                       fitted):
-        """Tick N+1 re-featurizes only the newly extended suffix: every
-        segment closed by tick N is served from the slice-keyed cache."""
+    def test_tick_encodes_only_new_segments(self, world_and_data, fitted,
+                                            monkeypatch):
+        """A tick featurizes and phase-1-encodes exactly the segments
+        that closed since the session's last detection (every one on the
+        first), and none when only the sanitize notes changed."""
         _, dataset = world_and_data
-        cache = fitted.feature_cache
-        assert cache is not None
-        sample = max(dataset.samples,
-                     key=lambda s: len(s.trajectory))
-        manager = FleetSessionManager(fitted, FleetConfig())
-        trajectory = sample.trajectory
-        n = len(trajectory)
-        cache.clear()
-        hits_before = cache.stats.hits
-        misses = []
-        for i, (lat, lng, t) in enumerate(zip(trajectory.lats,
-                                              trajectory.lngs,
-                                              trajectory.ts)):
-            manager.ingest(str(trajectory.truck_id), lat, lng, t,
-                           day=str(trajectory.day))
-            if i and i % (n // 8) == 0:
-                before = cache.stats.misses
-                manager.tick()
-                misses.append(cache.stats.misses - before)
-        manager.flush_all()
-        assert cache.stats.hits > hits_before
-        # Per-tick misses must not grow with trajectory length: only the
-        # suffix is new, so late ticks miss no more than early ones.
-        busy = [m for m in misses if m]
-        if len(busy) >= 2:
-            assert busy[-1] <= max(busy[0], 4)
+        featurized: list[int] = []
+        phase1: list[int] = []
+        featurize = fitted.featurizer.featurize_segments
+        real_phase1 = HierarchicalAutoencoder._phase1
+
+        def count_segments(segments):
+            featurized.append(len(segments))
+            return featurize(segments)
+
+        def count_rows(operators, segment_lists):
+            phase1.append(sum(map(len, segment_lists)))
+            return real_phase1(operators, segment_lists)
+
+        monkeypatch.setattr(fitted.featurizer, "featurize_segments",
+                            count_segments)
+        monkeypatch.setattr(HierarchicalAutoencoder, "_phase1",
+                            staticmethod(count_rows))
+        manager, session, fixes = self._with_stay_points(dataset, fitted, 2)
+        detected = 0              # stay points at the last detection
+        for k, (lat, lng, t) in enumerate(fixes):
+            manager.ingest(session.truck_id, lat, lng, t, day=session.day)
+            if k % 5:
+                continue
+            featurized.clear()
+            phase1.clear()
+            (verdict,) = manager.tick()
+            if verdict.tick != manager.counters.ticks:
+                assert featurized == phase1 == []        # served
+                continue
+            n = session.num_closed_stay_points
+            closed = 2 * n - 1 if not detected else 2 * (n - detected)
+            assert sum(featurized) == sum(phase1) == closed
+            detected = n
+        assert detected > 4
+        featurized.clear()
+        phase1.clear()
+        manager.ingest(session.truck_id, float("nan"), 0.0, 0.0,
+                       day=session.day)
+        (verdict,) = manager.tick()
+        assert verdict.tick == manager.counters.ticks    # re-detected
+        assert sum(featurized) == sum(phase1) == 0
 
     @staticmethod
     def _watch_snapshots(session) -> list:
@@ -447,6 +464,156 @@ class TestTicks:
         assert all(v.pair is None and v.confidence == "none"
                    for v in verdicts)
         assert all(v.num_stay_points > 0 for v in verdicts)
+
+
+class TestEncodingLifetime:
+    """A session's encoding state never makes a tick differ from a fresh
+    detection: it is re-keyed when the weights or the dtype change,
+    dropped at flush and eviction, and replaced only by a detection that
+    returned."""
+
+    @staticmethod
+    def _ticks_match_fresh(manager, lead, pings, every=5, between=None,
+                           tolerance=None):
+        """Tick every ``every`` pings; each verdict a tick re-detects
+        equals a fresh ``detect_many`` of its snapshot.  Returns how many
+        were checked."""
+        tolerance = tolerance or dict(rtol=1e-9, atol=0.0)
+        checked = 0
+        for k, ping in enumerate(pings):
+            manager.ingest(ping.truck_id, ping.lat, ping.lng, ping.t,
+                           day=ping.day)
+            if k % every:
+                continue
+            if between is not None:
+                between(k)
+            for verdict in manager.tick():
+                if verdict.tick != manager.counters.ticks \
+                        or verdict.pair is None:
+                    continue
+                session = manager.session(verdict.truck_id, verdict.day)
+                want = lead.detect_many([session.snapshot()],
+                                        [session.sanitize_notes()])[0]
+                assert verdict.pair == want.pair
+                assert verdict.provenance == want.provenance
+                np.testing.assert_allclose(verdict.distribution,
+                                           want.distribution, **tolerance)
+                checked += 1
+        return checked
+
+    @staticmethod
+    def _longest(dataset, count: int):
+        return sorted(dataset.samples,
+                      key=lambda s: -len(s.trajectory))[:count]
+
+    @pytest.mark.parametrize("change", ["load", "refit"])
+    def test_weights_changed_between_ticks(self, world_and_data, fitted,
+                                           tmp_path, change):
+        world, dataset = world_and_data
+        fitted.save(tmp_path / "a")
+        other = LEAD(world.pois, tiny_lead_config()).load(tmp_path / "a")
+        for _, param in other.autoencoder.named_parameters():
+            param.data *= 1.05
+        other.save(tmp_path / "b")
+        lead = LEAD(world.pois, tiny_lead_config()).load(tmp_path / "a")
+        manager = FleetSessionManager(lead, FleetConfig())
+        pings = list(dataset_ping_stream(self._longest(dataset, 2)))
+        swap = len(pings) // 2
+
+        def swap_weights(k):
+            if swap <= k < swap + 5:
+                if change == "load":
+                    lead.load(tmp_path / "b")
+                else:
+                    lead.fit(dataset.samples[8:12])
+
+        assert self._ticks_match_fresh(manager, lead, pings,
+                                       between=swap_weights) > 4
+
+    def test_float32_policy(self, world_and_data, fitted, tmp_path):
+        """Ticks compute in float32 once the parity gate passes, and the
+        states follow the compute dtype.  A tick's incremental shapes
+        (a lone new segment runs BLAS's matrix-vector product) round
+        differently in float32, so the check is at float32 resolution."""
+        world, dataset = world_and_data
+        fitted.save(tmp_path / "model")
+        lead = LEAD(world.pois, tiny_lead_config(
+            inference_dtype="float32")).load(tmp_path / "model")
+        manager = FleetSessionManager(lead, FleetConfig())
+        pings = list(dataset_ping_stream(self._longest(dataset, 2)))
+        assert self._ticks_match_fresh(
+            manager, lead, pings,
+            tolerance=dict(rtol=1e-5, atol=1e-5)) > 4
+        states = [manager.session(*key).encoding
+                  for key in manager.known_sessions]
+        assert states and all(s.cvecs.dtype == s.sp_runs.h.dtype
+                              == np.float32 for s in states)
+
+    def test_eviction_and_restore_mid_day(self, world_and_data, fitted,
+                                          tmp_path):
+        _, dataset = world_and_data
+        manager = FleetSessionManager(fitted, FleetConfig(
+            max_sessions=1, checkpoint_dir=tmp_path / "spill"))
+        first, second = (list(dataset_ping_stream([sample]))
+                         for sample in self._longest(dataset, 2))
+        # Alternate the trucks every 7 pings, so each tick's session was
+        # evicted and restored since the previous one.
+        pings = [ping for k in range(0, max(len(first), len(second)), 7)
+                 for ping in first[k:k + 7] + second[k:k + 7]]
+        assert self._ticks_match_fresh(manager, fitted, pings, every=7) > 4
+        assert manager.counters.sessions_restored > 4
+
+    def test_failed_batch_and_per_session_retry(self, world_and_data,
+                                                fitted):
+        _, dataset = world_and_data
+        manager = FleetSessionManager(fitted, FleetConfig())
+        pings = list(dataset_ping_stream(self._longest(dataset, 3)))
+        faults = [FaultSpec("detector.batch", "fail", rate=0.5),
+                  FaultSpec("detector.forward", "fail", rate=0.2)]
+        with ChaosEngine(3, faults):
+            checked = self._ticks_match_fresh(manager, fitted, pings)
+        assert checked > 4
+        assert manager.counters.detect_batch_failures > 0
+        assert manager.counters.detect_retries > 0
+
+    def test_failed_detection_commits_nothing(self, world_and_data, fitted,
+                                              monkeypatch):
+        """A detection that raises after encoding leaves the session's
+        state as it was; the retry that succeeds replaces it."""
+        _, dataset = world_and_data
+        manager, session, fixes = TestTicks._with_stay_points(
+            dataset, fitted, 3)
+        manager.tick()
+        before = session.encoding
+        assert before is not None and before.stays == 3
+        real = fitted.detect_many
+        seen = []
+
+        def encode_then_fail(processed, notes=None, states=None):
+            seen.append(session.encoding)
+            results = real(processed, notes, states)
+            if len(seen) == 1:
+                raise RuntimeError("scoring died after encoding")
+            return results
+
+        monkeypatch.setattr(fitted, "detect_many", encode_then_fail)
+        while session.num_closed_stay_points == 3:
+            manager.ingest(session.truck_id, *fixes.pop(0), day=session.day)
+        manager.tick()
+        # The batch failed, and its retry started from the same state.
+        assert seen == [before, before]
+        assert manager.counters.detect_batch_failures == 1
+        assert session.encoding.stays == 4
+
+    def test_flush_drops_the_state(self, world_and_data, fitted):
+        _, dataset = world_and_data
+        manager, session, _ = TestTicks._with_stay_points(dataset, fitted, 3)
+        manager.tick()
+        state = weakref.ref(session.encoding)
+        manager.flush(session.truck_id, day=session.day)
+        assert session.encoding is None
+        gc.collect()
+        assert state() is None
 
 
 # ---------------------------------------------------------------------------
