@@ -2,7 +2,7 @@
 
 Routing must be a *pure function of the truck id* so that the same
 truck always lands on the same shard: per-truck ping order is then
-preserved end-to-end (one FIFO queue, one single-threaded worker per
+preserved end-to-end (one byte stream, one single-threaded worker per
 shard) and the sharded service converges to the exact verdicts of a
 serial :class:`~repro.stream.FleetSessionManager` replay.
 

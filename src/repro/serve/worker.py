@@ -1,13 +1,15 @@
-"""Shard worker: one FleetSessionManager driven by a command queue.
+"""Shard worker: one FleetSessionManager driven over a socket pair.
 
 The wire protocol is deliberately tiny — plain tuples whose first two
 elements are always ``(kind, seq)`` — and every command is answered by
 :func:`reply`, which applies it with :func:`apply_command`.  A shard's
-worker comes on one of two transports with one surface — ``put`` a
-command, read replies with ``get``/``get_nowait``, ``is_alive`` and
-``kill``: :func:`worker_main` in a forked process behind a pair of
-``multiprocessing`` queues, or an :class:`InlineWorker` in the caller's
-process.  Both run *identical* code against the session manager.
+worker comes on one of two transports with one channel surface —
+``send`` a command, ``recv`` replies, ``close`` — plus ``is_alive``,
+``kill`` and ``join``: :func:`worker_main` in a forked process at the
+far end of a :class:`SocketChannel` (one ``socket.socketpair()`` carrying
+length-prefixed pickle frames), or an :class:`InlineWorker` in the
+caller's process.  Both run *identical* code against the session
+manager.
 
 Commands (responses are ``(seq, "ok", payload)`` or
 ``(seq, "error", message)``):
@@ -25,10 +27,12 @@ Commands (responses are ``(seq, "ok", payload)`` or
 ``("drain", seq)``        final verdicts for every known session.
 ``("stats", seq)``        the manager's ``stats()`` dict.
 ``("barrier", seq, dir)`` ``checkpoint_all`` into ``dir`` (restart protocol).
-``("stop", seq)``         acknowledge and exit the loop.
 ========================  ====================================================
 
-Per-truck ordering is structural: one FIFO queue, one single-threaded
+A forked worker exits when its socket reads EOF: the frontend closed
+its end, or died.
+
+Per-truck ordering is structural: one byte stream, one single-threaded
 consumer, and deterministic routing in the frontend mean a truck's
 pings are applied in submission order, always on the same manager.
 """
@@ -38,13 +42,22 @@ from __future__ import annotations
 import collections
 import ctypes
 import os
-import queue
+import pickle
+import select
+import socket
+import struct
 import time
 
 from ..stream.fleet import FleetConfig, FleetSessionManager
 
-__all__ = ["InlineWorker", "apply_command", "blas_pin_available",
-           "pin_blas_threads", "reply", "worker_main"]
+__all__ = ["InlineWorker", "SocketChannel", "apply_command",
+           "blas_pin_available", "pin_blas_threads", "reply", "worker_main"]
+
+#: A frame is its pickle's byte length, then the pickle.
+_HEADER = struct.Struct("!Q")
+#: Bytes asked of one ``recv``; a shorter read means the socket is empty.
+_CHUNK = 1 << 16
+_INCOMPLETE = object()
 
 
 def _openblas_thread_setter():
@@ -132,34 +145,131 @@ def _enforce_fault(fault) -> None:
         time.sleep(fault.param if fault.param is not None else 60.0)
 
 
+class SocketChannel:
+    """One end of a shard's socket pair: length-prefixed pickle frames.
+
+    Both ends keep the socket non-blocking and wait in ``poll``.  A
+    ``send`` that must wait for room also reads whatever the peer sent
+    meanwhile, so the two ends can never both block writing.  The peer's
+    exit shows as EOF (or a reset, when it died with input unread):
+    ``recv`` raises :class:`EOFError` once every frame sent before it is
+    read, and a later ``send`` raises :class:`BrokenPipeError`.
+    """
+
+    def __init__(self, sock: socket.socket, inherited=()) -> None:
+        sock.setblocking(False)
+        self.sock = sock
+        #: Frontend ends open when the worker at this end forked; it
+        #: closes them first, or the frontend's death never reaches it.
+        self.inherited = tuple(inherited)
+        self._inbox = bytearray()
+        self._eof = False
+        self._poll = select.poll()
+        self._poll.register(sock, select.POLLIN)
+
+    def send(self, message, timeout: float | None = None) -> None:
+        """Write one frame; ``TimeoutError`` when the peer takes no byte
+        of it for ``timeout`` seconds (None: wait for ever)."""
+        data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        view = memoryview(_HEADER.pack(len(data)) + data)
+        while view:
+            try:
+                view = view[self.sock.send(view):]
+            except BlockingIOError:
+                if not self._wait(select.POLLIN | select.POLLOUT, timeout):
+                    raise TimeoutError(
+                        f"peer took nothing for {timeout} s") from None
+                self._read()
+
+    def recv(self, timeout: float | None = None):
+        """The next message, or None when none is complete within
+        ``timeout`` seconds (0: only what is in, None: wait for ever)."""
+        while True:
+            message = self._pop()
+            if message is not _INCOMPLETE:
+                return message
+            if self._eof:
+                raise EOFError("the peer closed its end")
+            if timeout == 0:
+                if not self._read():
+                    return None
+            elif self._wait(select.POLLIN, timeout):
+                self._read()
+            else:
+                return None
+
+    def close(self) -> None:
+        self.sock.close()
+
+    def _wait(self, events: int, timeout: float | None) -> bool:
+        self._poll.modify(self.sock, events)
+        # poll takes at most INT_MAX ms (24.8 days); a longer timeout,
+        # infinity included, waits that long.
+        return bool(self._poll.poll(
+            None if timeout is None else min(timeout * 1e3, 2**31 - 1)))
+
+    def _read(self) -> bool:
+        """Move every byte already sent into the inbox; False if none."""
+        moved = False
+        while not self._eof:
+            try:
+                chunk = self.sock.recv(_CHUNK)
+            except BlockingIOError:
+                break
+            except ConnectionResetError:
+                chunk = b""
+            moved = True
+            if not chunk:
+                self._eof = True
+            self._inbox += chunk
+            if len(chunk) < _CHUNK:
+                break
+        return moved
+
+    def _pop(self):
+        inbox = self._inbox
+        if len(inbox) < _HEADER.size:
+            return _INCOMPLETE
+        end = _HEADER.size + _HEADER.unpack_from(inbox)[0]
+        if len(inbox) < end:
+            return _INCOMPLETE
+        message = pickle.loads(inbox[_HEADER.size:end])
+        del inbox[:end]
+        return message
+
+
 def worker_main(shard_id: int, detector, fleet_config: FleetConfig,
-                requests, responses) -> None:
+                channel: SocketChannel) -> None:
     """Entry point of one forked shard worker process.
 
-    Pins its BLAS to one thread first (:func:`pin_blas_threads`), then
-    answers commands with :func:`reply` until ``stop``.
+    Closes every frontend end it inherited at fork (its own shard's and
+    every other shard's then open), so the frontend's exit reaches it
+    as EOF; pins its BLAS to one thread (:func:`pin_blas_threads`);
+    then answers commands with :func:`reply` until the frontend is gone.
     """
+    for end in channel.inherited:
+        end.close()
     pin_blas_threads()
     manager = FleetSessionManager(detector, fleet_config)
     manager.adopt_spills()
-    while True:
-        command = requests.get()
-        kind, seq = command[0], command[1]
-        if kind == "stop":
-            responses.put((seq, "ok", None))
-            return
-        if kind == "ingest":
-            _enforce_fault(command[3])
-        responses.put(reply(manager, command))
+    try:
+        while True:
+            command = channel.recv()
+            if command[0] == "ingest":
+                _enforce_fault(command[3])
+            channel.send(reply(manager, command))
+    except (EOFError, ConnectionError):
+        return
 
 
 class InlineWorker:
     """A shard worker in the caller's process, on the forked one's surface.
 
-    ``put`` answers a command at once with :func:`reply`, queued for
-    ``get``/``get_nowait``; a chaos fault of any kind in an ``ingest``
-    kills it before the batch is applied.  Teardown's ``join`` and
-    ``cancel_join_thread``/``close`` have nothing to do in-process.
+    It is its own channel: ``send`` answers a command at once with
+    :func:`reply`, queued for ``recv``; a chaos fault of any kind in an
+    ``ingest`` kills it before the batch is applied.  A dead one refuses
+    sends like a closed socket and reads as EOF once its replies are
+    taken.  ``join`` and ``close`` have nothing to do in-process.
     """
 
     def __init__(self, detector, fleet_config: FleetConfig) -> None:
@@ -168,23 +278,21 @@ class InlineWorker:
         self._replies: collections.deque = collections.deque()
         self._alive = True
 
-    def put(self, command: tuple, timeout: float | None = None) -> None:
-        if command[0] == "stop":
-            self._alive = False
-            self._replies.append((command[1], "ok", None))
-        elif command[0] == "ingest" and command[3] is not None:
+    def send(self, command: tuple, timeout: float | None = None) -> None:
+        if not self._alive:
+            raise BrokenPipeError("the inline worker is dead")
+        if command[0] == "ingest" and command[3] is not None:
             self._alive = False
         else:
             self._replies.append(reply(self.manager, command))
 
-    def get_nowait(self) -> tuple:
-        if not self._replies:
-            raise queue.Empty
-        return self._replies.popleft()
-
-    def get(self, timeout: float | None = None) -> tuple:
-        """Never blocks: each reply was queued by the ``put`` it answers."""
-        return self.get_nowait()
+    def recv(self, timeout: float | None = None):
+        """Never blocks: each reply was queued by the ``send`` it answers."""
+        if self._replies:
+            return self._replies.popleft()
+        if not self._alive:
+            raise EOFError("the inline worker is dead")
+        return None
 
     def is_alive(self) -> bool:
         return self._alive
@@ -195,4 +303,4 @@ class InlineWorker:
     def join(self, timeout: float | None = None) -> None:
         """Nothing to reap: the worker is this process."""
 
-    cancel_join_thread = close = join
+    close = join

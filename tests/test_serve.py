@@ -7,10 +7,12 @@ from __future__ import annotations
 import ctypes
 import multiprocessing as mp
 import os
-import queue
+import signal
+import socket
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -160,9 +162,9 @@ class TestShardedConvergence:
 
     def test_worker_dying_before_send_gets_batch_once(self, fitted, pings,
                                                       serial_verdicts):
-        """A SIGKILL lands after submit's liveness probe but before the
-        send: the restart's journal replay delivers the batch, and the
-        frontend must not send it a second time."""
+        """A SIGKILL lands after submit's pump read the socket but before
+        the send: the refused send restarts the shard, the journal replay
+        delivers the batch, and the frontend must not send it again."""
         def submit_all(service, chunk):
             for start in range(0, len(chunk), 500):
                 result = service.submit(chunk[start:start + 500])
@@ -179,12 +181,19 @@ class TestShardedConvergence:
             assert service.kill_worker(shard=1)
             worker.join(timeout=10.0)
             assert not worker.is_alive()
-            # Submit's probe still sees the worker alive, once.
-            probes = iter([True])
-            worker.is_alive = lambda: next(probes, False)
-            submit_all(service, pings[half:])
+            # Submit's pump still reads nothing (no EOF) from it, once.
+            channel = service._shards[1].channel
+            real_recv = channel.recv
+
+            def recv(timeout=None):
+                channel.recv = real_recv
+                return None
+            channel.recv = recv
+            with observe(Observability()) as ob:
+                submit_all(service, pings[half:])
             stats = service.stats()
             sharded = {(v.truck_id, v.day): v for v in service.drain()}
+        assert restart_reasons(ob) == ["worker died before send"]
         assert stats["frontend"]["restarts"] == 1
         ingested = sum(shard["fleet"]["sessions"]["pings_ingested"]
                        for shard in stats["shards"].values())
@@ -194,9 +203,9 @@ class TestShardedConvergence:
             assert_same_verdict(sharded[key], serial)
 
     def test_process_exits_after_killing_a_busy_worker(self):
-        """A worker killed while a large batch is still being written to
-        its queue leaves that queue's feeder thread blocked for good;
-        the interpreter must still exit instead of joining it."""
+        """A worker killed right after a batch larger than its socket's
+        buffer was written to it is restarted once, and the interpreter
+        then exits instead of waiting on anything the dead worker held."""
         script = textwrap.dedent("""
             from repro.chaos import ChaosEngine, FaultSpec
             from repro.serve import FleetService, ServeConfig
@@ -212,13 +221,46 @@ class TestShardedConvergence:
                 service.wait()
                 print(service.stats()["frontend"]["restarts"])
         """)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=_source_env(), capture_output=True,
+                              text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1"
+
+    def test_workers_exit_when_the_frontend_is_killed(self, tmp_path):
+        """A SIGKILLed frontend takes its workers with it: each closed
+        every frontend end it inherited, so it reads EOF and exits
+        instead of waiting for commands (and holding the frontend's
+        output open) for ever."""
+        pid_file, err_file = tmp_path / "pids", tmp_path / "stderr"
+        script = textwrap.dedent(f"""
+            import os
+            import signal
+            from repro.serve import FleetService, ServeConfig
+
+            service = FleetService(None, config=ServeConfig(num_shards=2))
+            service.submit([("T1", "d0", 32.0, 121.0, 0.0)])
+            service.wait()
+            with open({str(pid_file)!r}, "w") as out:
+                out.write(" ".join(str(shard.process.pid)
+                                   for shard in service._shards))
+            os.kill(os.getpid(), signal.SIGKILL)
+        """)
+        with open(err_file, "w") as err:
+            done = subprocess.run([sys.executable, "-c", script],
+                                  env=_source_env(), timeout=60,
+                                  stdout=subprocess.DEVNULL, stderr=err)
+        assert done.returncode == -signal.SIGKILL, err_file.read_text()
+        pids = [int(pid) for pid in pid_file.read_text().split()]
+        assert len(pids) == 2
+        try:
+            deadline = time.monotonic() + 10.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
 
     def test_hostile_feed_matches_serial_per_ping_replay(self, fitted,
                                                          pings):
@@ -249,6 +291,28 @@ class TestShardedConvergence:
             got = sum(shard["fleet"]["sessions"][counter]
                       for shard in stats["shards"].values())
             assert got == expected[counter], counter
+
+
+def _source_env() -> dict:
+    """The environment for a subprocess importing this tree's ``repro``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie nobody reaped does not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def restart_reasons(ob) -> list[str]:
+    """The ``reason`` of every shard restart ``ob`` recorded, in order."""
+    return [event["fields"]["reason"] for event in ob.events.events
+            if event["name"] == "serve.shard_restart"]
 
 
 def hostile_feed(pings) -> list[tuple]:
@@ -349,6 +413,64 @@ class TestBackpressure:
         assert fleet["sessions"]["pings_ingested"] == 10
 
 
+class TestHungWorker:
+    """A worker that stops answering is restarted after
+    ``response_timeout_s``, whether the frontend waits for its reply or
+    for room on its socket."""
+
+    HANG = FaultSpec(site="serve.worker", kind="hang", rate=1.0,
+                     max_fires=1, param=20.0)
+
+    def test_wait_restarts_a_hung_worker(self, fitted, pings,
+                                         serial_verdicts):
+        config = ServeConfig(num_shards=1, response_timeout_s=1.0)
+        with FleetService(fitted, config=config) as service:
+            with observe(Observability()) as ob:
+                with ChaosEngine(seed=3, specs=[self.HANG]):
+                    assert service.submit(pings[:500]).accepted == 500
+                start = time.monotonic()
+                service.wait()
+                waited = time.monotonic() - start
+            TestDrainBarrier._submit(service, pings[500:])
+            service.wait()
+            stats = service.stats()
+            sharded = {(v.truck_id, v.day): v for v in service.drain()}
+        assert 1.0 <= waited < 6.0
+        assert restart_reasons(ob) == ["worker hung (response timeout)"]
+        assert stats["frontend"]["restarts"] == 1
+        assert stats["shards"]["0"]["fleet"]["sessions"][
+            "pings_ingested"] == len(pings)
+        assert set(sharded) == set(serial_verdicts)
+        for key, serial in serial_verdicts.items():
+            assert_same_verdict(sharded[key], serial)
+
+    def test_send_to_a_hung_worker_gives_up(self):
+        """Batches far past the socket's buffer, under a high water mark
+        that admits them all: the send that finds the hung worker's
+        socket full gives up after the timeout instead of blocking."""
+        size, count = 5000, 12
+        batches = [[("T1", "d0", 32.0 + 1e-6 * i, 121.0, float(i))
+                    for i in range(k * size, (k + 1) * size)]
+                   for k in range(count)]
+        config = ServeConfig(num_shards=1, response_timeout_s=1.0,
+                             queue_high_water=1000)
+        took = []
+        with FleetService(None, config=config) as service:
+            with observe(Observability()) as ob:
+                with ChaosEngine(seed=3, specs=[self.HANG]):
+                    for batch in batches:
+                        start = time.monotonic()
+                        assert service.submit(batch).accepted == size
+                        took.append(time.monotonic() - start)
+            service.wait()
+            stats = service.stats()
+        assert restart_reasons(ob) == ["worker hung (send timeout)"]
+        assert 1.0 <= max(took) < 6.0
+        assert stats["frontend"]["restarts"] == 1
+        assert stats["shards"]["0"]["fleet"]["sessions"][
+            "pings_ingested"] == size * count
+
+
 def _blas_threads():
     """numpy's bundled OpenBLAS ``get_num_threads``; skips without it."""
     try:
@@ -359,10 +481,10 @@ def _blas_threads():
 
 
 def _report_worker_threads(channel) -> None:
-    """Run a shard worker's entry point to ``stop``; send its threads."""
-    requests, responses = queue.Queue(), queue.Queue()
-    requests.put(("stop", 0))
-    serve_worker.worker_main(0, None, FleetConfig(), requests, responses)
+    """Run a shard worker's entry point to EOF; send its threads."""
+    ours, theirs = socket.socketpair()
+    serve_worker.worker_main(0, None, FleetConfig(),
+                             serve_worker.SocketChannel(theirs, (ours,)))
     channel.send(_blas_threads()())
 
 
